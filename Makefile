@@ -9,7 +9,7 @@ COUNT ?= 5
 BENCH_SCALE ?= test
 BENCH_BASELINE ?= BENCH_baseline.json
 
-.PHONY: test race bench bench-litmus bench-por bench-compress litmus-json synth bench-json bench-diff chaos crash fuzz
+.PHONY: test race bench bench-litmus bench-por bench-compress litmus-json synth bench-json bench-diff bench-e2e bench-e2e-check chaos crash fuzz
 
 # Per-target budget for the coverage-guided fuzzing runs.
 FUZZTIME ?= 30s
@@ -23,7 +23,7 @@ test:
 # The model checker's striped visited set and result merging are the
 # concurrency-sensitive parts; validate them under the race detector.
 race:
-	$(GO) test -race ./internal/litmus/
+	$(GO) test -race ./internal/litmus/ ./internal/tso/ ./internal/mesi/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
@@ -66,6 +66,17 @@ bench-json:
 bench-diff:
 	$(GO) build -o /tmp/benchdiff ./cmd/benchdiff
 	/tmp/benchdiff $(BENCH_BASELINE) $$(ls -v BENCH_[0-9]*.json | tail -1)
+
+# The end-to-end benchmark BENCHMARK.json declares (six workloads,
+# verdict_s / alloc_bytes_per_state / setup_s plus the traced per-layer
+# metrics; see benchmark/README.md). bench-e2e-check runs the whole set
+# twice and compares the two against the bounds: it says whether this
+# host is quiet enough to resolve them.
+bench-e2e:
+	bash benchmark/run.sh
+
+bench-e2e-check:
+	bash benchmark/run.sh -repeat-check
 
 # Chaos: seeded fault-injection suites under the race detector, then
 # the chaos experiment (paper invariants under injected stalls, drops,

@@ -181,10 +181,16 @@ func startDaemon(t *testing.T, cfg config) (*daemon, func()) {
 	return d, stopFn
 }
 
-// submit drops src into the daemon's spool as <name>.litmus.
+// submit drops src into the daemon's spool as <name>.litmus: staged next
+// to the spool and renamed in, as clients must, so the poller can never
+// claim a created-but-unwritten file (which fails the job as unparsable).
 func submit(t *testing.T, root, name, src string) {
 	t.Helper()
-	if err := os.WriteFile(filepath.Join(root, "spool", name+".litmus"), []byte(src), 0o644); err != nil {
+	staged := filepath.Join(root, name+".litmus.staged")
+	if err := os.WriteFile(staged, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(staged, filepath.Join(root, "spool", name+".litmus")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -220,6 +220,13 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxMemWords bounds Config.MemWords. State fingerprints encode an
+// address in two bytes (cache lines, guard lists, link registers), so in
+// a larger memory the addresses a and a+65536 would alias and the model
+// checker would merge distinct states silently. It also bounds each
+// cache's dense line array (mesi) at 1 MB.
+const MaxMemWords = 1 << 16
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if c.Procs <= 0 {
@@ -227,6 +234,9 @@ func (c Config) Validate() error {
 	}
 	if c.MemWords <= 0 {
 		return fmt.Errorf("arch: config needs memory, got %d words", c.MemWords)
+	}
+	if c.MemWords > MaxMemWords {
+		return fmt.Errorf("arch: %d memory words exceed %d, the range of the two-byte addresses in state fingerprints", c.MemWords, MaxMemWords)
 	}
 	if c.StoreBufferDepth <= 0 {
 		return fmt.Errorf("arch: store buffer depth must be positive, got %d", c.StoreBufferDepth)

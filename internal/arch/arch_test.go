@@ -32,6 +32,22 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateMemWordsLimit pins the boundary and the reason: the largest
+// memory whose addresses fingerprint distinctly is accepted, one word
+// more is refused with the aliasing explanation.
+func TestValidateMemWordsLimit(t *testing.T) {
+	c := DefaultConfig()
+	c.MemWords = MaxMemWords
+	if err := c.Validate(); err != nil {
+		t.Fatalf("MemWords = MaxMemWords rejected: %v", err)
+	}
+	c.MemWords++
+	err := c.Validate()
+	if err == nil || !strings.Contains(err.Error(), "two-byte addresses") {
+		t.Fatalf("MemWords = MaxMemWords+1: got %v, want the address-range reason", err)
+	}
+}
+
 func TestDefaultCostModelCalibration(t *testing.T) {
 	m := DefaultCostModel()
 	// The ordering the paper's argument depends on: a register op is

@@ -44,28 +44,32 @@ func TestRunFig5SerialShape(t *testing.T) {
 	if len(res.Rows) != 12 {
 		t.Fatalf("rows = %d, want 12 benchmarks", len(res.Rows))
 	}
-	rows := map[string]Fig5Row{}
+	// One worker makes everything but the wall clock deterministic, so the
+	// panel's shape is asserted on modelled cycles, not on seconds (the
+	// wall-clock ratios belong to the bench pipeline, where benchdiff
+	// applies a noise threshold over reps): the symmetric runtime pays
+	// FencePenaltySpins at every fence it executes; the asymmetric one
+	// avoids them all and, with no thief to signal it, pays for no round
+	// trip.
+	fences := map[string]uint64{}
 	for _, row := range res.Rows {
 		if row.Relative <= 0 {
 			t.Errorf("%s: nonpositive relative %f", row.Benchmark, row.Relative)
 		}
-		if row.FencesAvoided == 0 {
-			t.Errorf("%s: symmetric run executed no fences", row.Benchmark)
+		saved := row.FencesAvoided * uint64(opt.Cost.FencePenaltySpins)
+		paid := row.Signals * uint64(opt.Cost.SignalRoundTrip+opt.Cost.SignalHandler)
+		if row.Signals != 0 || row.SuccessfulSteals != 0 || saved <= paid {
+			t.Errorf("%s: serial asymmetric run saved %d modelled cycles but paid %d (%d signals, %d steals)",
+				row.Benchmark, saved, paid, row.Signals, row.SuccessfulSteals)
 		}
-		rows[row.Benchmark] = row
+		fences[row.Benchmark] = row.FencesAvoided
 	}
-	// At test scale only the most spawn-dominated benchmark (fib, which
-	// the paper uses to measure raw spawn overhead) shows the fence
-	// saving reliably above the noise floor; the paper-shape claim for
-	// all twelve is validated by the full-scale bench run (EXPERIMENTS.md).
-	// Race-detector instrumentation distorts the measured costs, so the
-	// timing-ratio assertions only run without it.
-	if !raceEnabled {
-		if r := rows["fib"].Relative; r >= 1 {
-			t.Errorf("fib: serial relative = %.3f, want < 1 (spawn-dominated)", r)
-		}
-		if r := rows["fibx"].Relative; r >= 1.3 {
-			t.Errorf("fibx: serial relative = %.3f, beyond noise tolerance", r)
+	// fib, which the paper uses to measure raw spawn overhead, is the most
+	// spawn-dominated: it avoids more fences than any other benchmark,
+	// its coarsened variant fibx included.
+	for name, n := range fences {
+		if name != "fib" && n >= fences["fib"] {
+			t.Errorf("%s avoids %d fences, fib only %d", name, n, fences["fib"])
 		}
 	}
 	tab := res.Table().String()

@@ -32,10 +32,11 @@ import (
 //     allocation); a full trace is materialized only when a violation is
 //     actually recorded.
 //   - Machines: each worker recycles dead machines (duplicate states,
-//     terminal states) through a free list via tso.Machine.CopyFrom, and
-//     the last child of every expansion reuses the parent machine in
-//     place, so a state with branching factor k costs at most k-1 copies
-//     and usually zero fresh allocations.
+//     terminal states) through a free list via tso.Machine.CopyFrom
+//     (slice copies over flat cache arrays, no allocation), and the last
+//     child of every expansion reuses the parent machine in place, so a
+//     state with branching factor k costs at most k-1 copies and usually
+//     zero fresh allocations.
 //
 // Exactly one worker wins the visited-set claim for any state, so each
 // distinct state is expanded exactly once and, without reduction, the
@@ -179,12 +180,16 @@ type visitedSet struct {
 	stripes [visitedStripes]visitedStripe
 }
 
+// newVisitedSet leaves the stripe maps unhinted: synthesis issues
+// thousands of explorations of a few hundred states, where pre-sizing
+// 256 maps was most of each run's allocation, and a large space grows
+// them within its first few thousand claims.
 func newVisitedSet(verify bool) *visitedSet {
 	vs := &visitedSet{}
 	for i := range vs.stripes {
-		vs.stripes[i].m = make(map[uint64]ventry, 64)
+		vs.stripes[i].m = make(map[uint64]ventry)
 		if verify {
-			vs.stripes[i].full = make(map[string]*ventry, 64)
+			vs.stripes[i].full = make(map[string]*ventry)
 		}
 	}
 	return vs

@@ -87,7 +87,7 @@ func newCollapsedSet(keyWidth int, budget int64, finalOnInsert bool) *collapsedS
 		finalOnInsert: finalOnInsert,
 	}
 	for i := range cs.stripes {
-		cs.stripes[i].m = make(map[string]ventry, 64)
+		cs.stripes[i].m = make(map[string]ventry) // unhinted, as in newVisitedSet
 	}
 	return cs
 }

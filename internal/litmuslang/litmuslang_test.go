@@ -220,6 +220,20 @@ thread { storei [9], 1
 	}
 }
 
+// TestMemWordsLimit: fingerprints encode addresses in two bytes, so the
+// parser accepts exactly the memories arch.Config.Validate does.
+func TestMemWordsLimit(t *testing.T) {
+	if _, err := litmuslang.Parse("config { memwords 65536 }\nthread { halt }"); err != nil {
+		t.Fatalf("memwords 65536 rejected: %v", err)
+	}
+	for _, n := range []string{"65537", "1048576"} {
+		_, err := litmuslang.Parse("config { memwords " + n + " }\nthread { halt }")
+		if err == nil || !strings.Contains(err.Error(), "memwords must be in 1..65536") {
+			t.Fatalf("memwords %s: got %v, want the 1..65536 range error", n, err)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, src, frag string

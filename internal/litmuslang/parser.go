@@ -18,7 +18,7 @@ const (
 	maxThreads     = 64
 	maxInstrs      = 4096
 	maxSharedWords = 1 << 16
-	maxMemWords    = 1 << 20
+	maxMemWords    = arch.MaxMemWords // fingerprints hold addresses in two bytes
 	maxSBDepth     = 256
 	maxLinks       = 8
 )

@@ -15,6 +15,7 @@ package mesi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 )
@@ -109,17 +110,64 @@ type line struct {
 	lastUse uint64
 }
 
+// cache is flat state: the model checker copies and fingerprints one
+// System per explored state, so a cache is a dense array the size of the
+// (small, <= arch.MaxMemWords) memory rather than a hash map.
 type cache struct {
-	lines    map[arch.Addr]*line
-	capacity int // 0 means unbounded (model-checking mode)
+	lines    []line // indexed by address; state == Invalid means absent
+	resident int    // number of non-Invalid lines
+	capacity int    // 0 means unbounded (model-checking mode)
 
-	// guards is the set of addresses this controller watches on behalf
-	// of armed LE/ST links. The paper's baseline hardware has exactly
-	// one LEBit/LEAddr pair, so the set holds at most one entry there;
-	// the multi-link design-space variant (arch.Config.Links > 1) arms
-	// several.
-	guards  map[arch.Addr]struct{}
+	// guards is the sorted set of addresses this controller watches on
+	// behalf of armed LE/ST links. The paper's baseline hardware has
+	// exactly one LEBit/LEAddr pair, so the set holds at most one entry
+	// there; the multi-link design-space variant (arch.Config.Links > 1)
+	// arms several.
+	guards  []arch.Addr
 	handler GuardHandler
+}
+
+// guardIndex returns the position of addr in the sorted guard list, or
+// where it would be inserted, and whether it is there.
+func (c *cache) guardIndex(addr arch.Addr) (int, bool) {
+	i := 0
+	for i < len(c.guards) && c.guards[i] < addr {
+		i++
+	}
+	return i, i < len(c.guards) && c.guards[i] == addr
+}
+
+func (c *cache) arm(addr arch.Addr) {
+	if i, armed := c.guardIndex(addr); !armed {
+		c.guards = slices.Insert(c.guards, i, addr)
+	}
+}
+
+// disarm reports whether addr was armed.
+func (c *cache) disarm(addr arch.Addr) bool {
+	i, armed := c.guardIndex(addr)
+	if armed {
+		c.guards = slices.Delete(c.guards, i, i+1)
+	}
+	return armed
+}
+
+// fill installs addr in the given state, as a miss completes.
+func (c *cache) fill(addr arch.Addr, state State, val arch.Word) *line {
+	ln := &c.lines[addr]
+	if ln.state == Invalid {
+		c.resident++
+	}
+	*ln = line{state: state, val: val}
+	return ln
+}
+
+// drop removes addr from the cache.
+func (c *cache) drop(addr arch.Addr) {
+	if c.lines[addr].state != Invalid {
+		c.resident--
+	}
+	c.lines[addr] = line{}
 }
 
 // System is the coherent memory system: flat memory plus one cache per
@@ -128,17 +176,9 @@ type cache struct {
 type System struct {
 	cfg     arch.Config
 	mem     []arch.Word
-	caches  []*cache
+	caches  []cache
 	useTick uint64
 	stats   Stats
-
-	// fpAddrs is scratch for Fingerprint; it is not part of the
-	// coherence state and deliberately not cloned or copied.
-	fpAddrs []arch.Addr
-
-	// lineFree recycles line structs through CopyRenamedFrom; like
-	// fpAddrs it is scratch, not state.
-	lineFree []*line
 }
 
 // NewSystem builds a coherent system for cfg. Caches are unbounded unless
@@ -151,10 +191,16 @@ func NewSystem(cfg arch.Config) *System {
 	s := &System{
 		cfg:    cfg,
 		mem:    make([]arch.Word, cfg.MemWords),
-		caches: make([]*cache, cfg.Procs),
+		caches: make([]cache, cfg.Procs),
 	}
+	// One allocation each for all the caches' lines and guard lists: a
+	// system is built per Explore and per Clone.
+	links := max(cfg.Links, 1) // Links <= 0 means 1
+	lines := make([]line, cfg.Procs*cfg.MemWords)
+	guards := make([]arch.Addr, cfg.Procs*links)
 	for i := range s.caches {
-		s.caches[i] = &cache{lines: make(map[arch.Addr]*line)}
+		s.caches[i].lines = lines[i*cfg.MemWords : (i+1)*cfg.MemWords : (i+1)*cfg.MemWords]
+		s.caches[i].guards = guards[i*links : i*links : (i+1)*links]
 	}
 	return s
 }
@@ -183,30 +229,27 @@ func (s *System) SetGuardHandler(p arch.ProcID, h GuardHandler) {
 // (the LE/ST logic) enforces the link-capacity and flush-before-rearm
 // rules the paper specifies.
 func (s *System) ArmGuard(p arch.ProcID, addr arch.Addr) {
-	c := s.cacheOf(p)
-	if c.guards == nil {
-		c.guards = make(map[arch.Addr]struct{}, 2)
-	}
-	c.guards[addr] = struct{}{}
+	s.checkAddr(addr)
+	s.cacheOf(p).arm(addr)
 }
 
 // DisarmGuard stops watching addr. Safe to call when not armed.
 func (s *System) DisarmGuard(p arch.ProcID, addr arch.Addr) {
-	delete(s.cacheOf(p).guards, addr)
+	s.checkAddr(addr)
+	s.cacheOf(p).disarm(addr)
 }
 
 // DisarmAllGuards stops watching everything (context switch, interrupt).
 func (s *System) DisarmAllGuards(p arch.ProcID) {
 	c := s.cacheOf(p)
-	for a := range c.guards {
-		delete(c.guards, a)
-	}
+	c.guards = c.guards[:0]
 }
 
 // Guarded reports whether p's controller watches addr.
 func (s *System) Guarded(p arch.ProcID, addr arch.Addr) bool {
-	_, ok := s.cacheOf(p).guards[addr]
-	return ok
+	s.checkAddr(addr)
+	_, armed := s.cacheOf(p).guardIndex(addr)
+	return armed
 }
 
 // GuardArmed reports whether p's controller is watching any address and,
@@ -217,21 +260,14 @@ func (s *System) GuardArmed(p arch.ProcID) (arch.Addr, bool) {
 	if len(c.guards) == 0 {
 		return 0, false
 	}
-	first := true
-	var lo arch.Addr
-	for a := range c.guards {
-		if first || a < lo {
-			lo, first = a, false
-		}
-	}
-	return lo, true
+	return c.guards[0], true
 }
 
 func (s *System) cacheOf(p arch.ProcID) *cache {
 	if int(p) < 0 || int(p) >= len(s.caches) {
 		panic(fmt.Sprintf("mesi: invalid processor %v", p))
 	}
-	return s.caches[p]
+	return &s.caches[p]
 }
 
 func (s *System) checkAddr(addr arch.Addr) {
@@ -246,11 +282,10 @@ func (s *System) checkAddr(addr arch.Addr) {
 // and replies") and to bound recursion when handlers trigger more
 // coherence traffic.
 func (s *System) breakGuardIfWatched(p arch.ProcID, addr arch.Addr, reason GuardReason) {
-	c := s.caches[p]
-	if _, watched := c.guards[addr]; !watched {
+	c := &s.caches[p]
+	if !c.disarm(addr) {
 		return
 	}
-	delete(c.guards, addr)
 	s.stats.GuardBreaks++
 	if reason != GuardEvict {
 		s.stats.GuardBreaksRemote++
@@ -264,35 +299,34 @@ func (s *System) breakGuardIfWatched(p arch.ProcID, addr arch.Addr, reason Guard
 func (s *System) touch(p arch.ProcID, addr arch.Addr, ln *line) {
 	s.useTick++
 	ln.lastUse = s.useTick
-	c := s.caches[p]
-	if c.capacity <= 0 || len(c.lines) <= c.capacity {
+	c := &s.caches[p]
+	if c.capacity <= 0 || c.resident <= c.capacity {
 		return
 	}
 	// Evict the least recently used line other than addr.
-	var victim arch.Addr
-	var victimLine *line
-	first := true
-	for a, l := range c.lines {
-		if a == addr {
+	victim := -1
+	for a := range c.lines {
+		if c.lines[a].state == Invalid || arch.Addr(a) == addr {
 			continue
 		}
-		if first || l.lastUse < victimLine.lastUse {
-			victim, victimLine, first = a, l, false
+		if victim < 0 || c.lines[a].lastUse < c.lines[victim].lastUse {
+			victim = a
 		}
 	}
-	if first {
+	if victim < 0 {
 		return // only the protected line present; nothing to evict
 	}
-	s.evict(p, victim, victimLine)
+	s.evict(p, arch.Addr(victim))
 }
 
-func (s *System) evict(p arch.ProcID, addr arch.Addr, ln *line) {
+func (s *System) evict(p arch.ProcID, addr arch.Addr) {
 	s.breakGuardIfWatched(p, addr, GuardEvict)
-	if ln.state.dirty() {
+	c := &s.caches[p]
+	if ln := c.lines[addr]; ln.state.dirty() {
 		s.mem[addr] = ln.val
 		s.stats.Writebacks++
 	}
-	delete(s.caches[p].lines, addr)
+	c.drop(addr)
 	s.stats.Evictions++
 }
 
@@ -303,7 +337,7 @@ func (s *System) evict(p arch.ProcID, addr arch.Addr, ln *line) {
 func (s *System) Read(p arch.ProcID, addr arch.Addr) (arch.Word, int64) {
 	s.checkAddr(addr)
 	c := s.cacheOf(p)
-	if ln, ok := c.lines[addr]; ok && ln.state != Invalid {
+	if ln := &c.lines[addr]; ln.state != Invalid {
 		s.touch(p, addr, ln)
 		return ln.val, s.cfg.Cost.L1Hit
 	}
@@ -321,9 +355,7 @@ func (s *System) Read(p arch.ProcID, addr arch.Addr) (arch.Word, int64) {
 	if s.cfg.Protocol != arch.MSI && !s.anyPeerHolds(p, addr) {
 		state = Exclusive
 	}
-	ln := &line{state: state, val: val}
-	c.lines[addr] = ln
-	s.touch(p, addr, ln)
+	s.touch(p, addr, c.fill(addr, state, val))
 	return val, cost
 }
 
@@ -344,18 +376,23 @@ func (s *System) exclusiveGrant() State {
 func (s *System) ReadExclusive(p arch.ProcID, addr arch.Addr) (arch.Word, int64) {
 	s.checkAddr(addr)
 	c := s.cacheOf(p)
-	if ln, ok := c.lines[addr]; ok && (ln.state == Exclusive || ln.state == Modified) {
+	ln := &c.lines[addr]
+	if ln.state == Exclusive || ln.state == Modified {
 		s.touch(p, addr, ln)
 		return ln.val, s.cfg.Cost.L1Hit
 	}
-	if ln, ok := c.lines[addr]; ok && ln.state == Owned {
+	if ln.state == Owned {
 		// MOESI: an Owned line is dirty but shareable; upgrade by
 		// invalidating peers, staying dirty (Modified).
 		s.stats.BusUpgrades++
 		s.snoopForWrite(p, addr)
-		ln.state = Modified
-		s.touch(p, addr, ln)
-		return ln.val, s.cfg.Cost.CacheTransfer
+		if ln.state != Invalid {
+			ln.state = Modified
+			s.touch(p, addr, ln)
+			return ln.val, s.cfg.Cost.CacheTransfer
+		}
+		// A guard handler run by the snoop wrote addr elsewhere and took
+		// our copy: the upgrade lost the bus, so retry as a miss.
 	}
 
 	s.stats.BusReadXs++
@@ -364,7 +401,7 @@ func (s *System) ReadExclusive(p arch.ProcID, addr arch.Addr) (arch.Word, int64)
 	if fromCache {
 		cost = s.cfg.Cost.CacheTransfer
 	}
-	if ln, ok := c.lines[addr]; ok && ln.state == Shared {
+	if ln.state == Shared {
 		// We already had the data; the bus transaction only invalidated
 		// peers (BusUpgr). Keep our value.
 		val = ln.val
@@ -374,9 +411,7 @@ func (s *System) ReadExclusive(p arch.ProcID, addr arch.Addr) (arch.Word, int64)
 		s.touch(p, addr, ln)
 		return val, cost
 	}
-	ln := &line{state: s.exclusiveGrant(), val: val}
-	c.lines[addr] = ln
-	s.touch(p, addr, ln)
+	s.touch(p, addr, c.fill(addr, s.exclusiveGrant(), val))
 	return val, cost
 }
 
@@ -387,23 +422,24 @@ func (s *System) ReadExclusive(p arch.ProcID, addr arch.Addr) (arch.Word, int64)
 func (s *System) Write(p arch.ProcID, addr arch.Addr, val arch.Word) int64 {
 	s.checkAddr(addr)
 	c := s.cacheOf(p)
-	if ln, ok := c.lines[addr]; ok {
-		switch ln.state {
-		case Modified, Exclusive:
-			ln.state = Modified
-			ln.val = val
-			s.touch(p, addr, ln)
-			return s.cfg.Cost.L1Hit
-		case Shared, Owned:
-			// BusUpgr: invalidate peers, no data transfer needed (an
-			// Owned line may have Shared peers under MOESI).
-			s.stats.BusUpgrades++
-			s.snoopForWrite(p, addr)
+	switch ln := &c.lines[addr]; ln.state {
+	case Modified, Exclusive:
+		ln.state = Modified
+		ln.val = val
+		s.touch(p, addr, ln)
+		return s.cfg.Cost.L1Hit
+	case Shared, Owned:
+		// BusUpgr: invalidate peers, no data transfer needed (an
+		// Owned line may have Shared peers under MOESI).
+		s.stats.BusUpgrades++
+		s.snoopForWrite(p, addr)
+		if ln.state != Invalid {
 			ln.state = Modified
 			ln.val = val
 			s.touch(p, addr, ln)
 			return s.cfg.Cost.CacheTransfer
 		}
+		// As in ReadExclusive: the upgrade lost the bus, retry as a miss.
 	}
 	s.stats.BusReadXs++
 	_, fromCache := s.snoopForWrite(p, addr)
@@ -411,9 +447,7 @@ func (s *System) Write(p arch.ProcID, addr arch.Addr, val arch.Word) int64 {
 	if fromCache {
 		cost = s.cfg.Cost.CacheTransfer
 	}
-	ln := &line{state: Modified, val: val}
-	c.lines[addr] = ln
-	s.touch(p, addr, ln)
+	s.touch(p, addr, c.fill(addr, Modified, val))
 	return cost
 }
 
@@ -423,24 +457,19 @@ func (s *System) Write(p arch.ProcID, addr arch.Addr, val arch.Word) int64 {
 func (s *System) snoopForRead(requester arch.ProcID, addr arch.Addr) (arch.Word, bool) {
 	val := s.mem[addr]
 	fromCache := false
-	for pid, c := range s.caches {
-		p := arch.ProcID(pid)
+	for pid := range s.caches {
+		p, c := arch.ProcID(pid), &s.caches[pid]
 		if p == requester {
 			continue
 		}
-		ln, ok := c.lines[addr]
-		if !ok || ln.state == Invalid {
+		ln := &c.lines[addr]
+		if ln.state == Invalid {
 			continue
 		}
 		// The peer's controller must consult its guard before honouring
-		// the downgrade.
+		// the downgrade. The handler may complete stores, changing the
+		// line's state/value, so the switch below reads it afterwards.
 		s.breakGuardIfWatched(p, addr, GuardDowngrade)
-		// The guard handler may have completed stores, changing the
-		// line's state/value; re-read it.
-		ln, ok = c.lines[addr]
-		if !ok || ln.state == Invalid {
-			continue
-		}
 		switch ln.state {
 		case Modified:
 			val = ln.val
@@ -478,41 +507,37 @@ func (s *System) snoopForRead(requester arch.ProcID, addr arch.Addr) (arch.Word,
 func (s *System) snoopForWrite(requester arch.ProcID, addr arch.Addr) (arch.Word, bool) {
 	val := s.mem[addr]
 	fromCache := false
-	for pid, c := range s.caches {
-		p := arch.ProcID(pid)
+	for pid := range s.caches {
+		p, c := arch.ProcID(pid), &s.caches[pid]
 		if p == requester {
 			continue
 		}
-		ln, ok := c.lines[addr]
-		if !ok || ln.state == Invalid {
+		ln := &c.lines[addr]
+		if ln.state == Invalid {
 			continue
 		}
 		s.breakGuardIfWatched(p, addr, GuardInvalidate)
-		ln, ok = c.lines[addr]
-		if !ok || ln.state == Invalid {
+		if ln.state == Invalid {
 			continue
 		}
 		if ln.state.dirty() {
 			s.mem[addr] = ln.val
 			s.stats.Writebacks++
-			val = ln.val
-			fromCache = true
-		} else {
-			val = ln.val
-			fromCache = true
 		}
-		delete(c.lines, addr)
+		val = ln.val
+		fromCache = true
+		c.drop(addr)
 		s.stats.Invalidations++
 	}
 	return val, fromCache
 }
 
 func (s *System) anyPeerHolds(p arch.ProcID, addr arch.Addr) bool {
-	for pid, c := range s.caches {
+	for pid := range s.caches {
 		if arch.ProcID(pid) == p {
 			continue
 		}
-		if ln, ok := c.lines[addr]; ok && ln.state != Invalid {
+		if s.caches[pid].lines[addr].state != Invalid {
 			return true
 		}
 	}
@@ -521,10 +546,8 @@ func (s *System) anyPeerHolds(p arch.ProcID, addr arch.Addr) bool {
 
 // StateOf reports the MESI state of addr in p's cache.
 func (s *System) StateOf(p arch.ProcID, addr arch.Addr) State {
-	if ln, ok := s.cacheOf(p).lines[addr]; ok {
-		return ln.state
-	}
-	return Invalid
+	s.checkAddr(addr)
+	return s.cacheOf(p).lines[addr].state
 }
 
 // CoherentValue returns the globally visible value of addr: the copy in a
@@ -533,8 +556,8 @@ func (s *System) StateOf(p arch.ProcID, addr arch.Addr) State {
 // checks use it.
 func (s *System) CoherentValue(addr arch.Addr) arch.Word {
 	s.checkAddr(addr)
-	for _, c := range s.caches {
-		if ln, ok := c.lines[addr]; ok && ln.state.dirty() {
+	for i := range s.caches {
+		if ln := s.caches[i].lines[addr]; ln.state.dirty() {
 			return ln.val
 		}
 	}
@@ -550,18 +573,31 @@ func (s *System) MemValue(addr arch.Addr) arch.Word {
 
 // CheckInvariants validates the single-writer/multiple-reader discipline:
 // at most one cache holds a line in M or E, and if any cache holds it
-// M/E no other cache holds it at all. It returns a descriptive error on
+// M/E no other cache holds it at all; and each cache's resident count
+// matches its line array. It returns a descriptive error on
 // violation; the property-based tests call it after random operation
 // sequences.
 func (s *System) CheckInvariants() error {
+	for i := range s.caches {
+		c := &s.caches[i]
+		n := 0
+		for _, l := range c.lines {
+			if l.state != Invalid {
+				n++
+			}
+		}
+		if n != c.resident {
+			return fmt.Errorf("mesi: cache %d counts %d resident lines but holds %d", i, c.resident, n)
+		}
+	}
 	for a := 0; a < len(s.mem); a++ {
 		addr := arch.Addr(a)
 		exclusiveOwners := 0 // M or E: no other copy may exist
 		dirtyOwners := 0     // M or O: at most one
 		holders := 0
-		for _, c := range s.caches {
-			ln, ok := c.lines[addr]
-			if !ok || ln.state == Invalid {
+		for i := range s.caches {
+			ln := s.caches[i].lines[addr]
+			if ln.state == Invalid {
 				continue
 			}
 			holders++
@@ -596,40 +632,16 @@ func (s *System) CheckInvariants() error {
 // particular machine); the model checker re-installs handlers after
 // cloning.
 func (s *System) Clone() *System {
-	ns := &System{
-		cfg:     s.cfg,
-		mem:     make([]arch.Word, len(s.mem)),
-		caches:  make([]*cache, len(s.caches)),
-		useTick: s.useTick,
-		stats:   s.stats,
-	}
-	copy(ns.mem, s.mem)
-	for i, c := range s.caches {
-		nc := &cache{
-			lines:    make(map[arch.Addr]*line, len(c.lines)),
-			capacity: c.capacity,
-			// handler intentionally not copied
-		}
-		if len(c.guards) > 0 {
-			nc.guards = make(map[arch.Addr]struct{}, len(c.guards))
-			for a := range c.guards {
-				nc.guards[a] = struct{}{}
-			}
-		}
-		for a, l := range c.lines {
-			cp := *l
-			nc.lines[a] = &cp
-		}
-		ns.caches[i] = nc
-	}
+	ns := NewSystem(s.cfg)
+	ns.CopyFrom(s)
 	return ns
 }
 
 // CopyFrom overwrites s with src's coherence state, reusing s's memory
-// slice, cache maps, and line allocations. Guard handlers installed on s
-// are preserved (they close over the owning machine, which is exactly
-// what the model checker's recycled machines need). Both systems must
-// have been built for the same configuration shape.
+// and cache-line slices. Guard handlers installed on s are preserved (they
+// close over the owning machine, which is exactly what the model
+// checker's recycled machines need). Both systems must have been built
+// for the same configuration shape.
 func (s *System) CopyFrom(src *System) {
 	if len(s.mem) != len(src.mem) || len(s.caches) != len(src.caches) {
 		panic("mesi: CopyFrom across different system shapes")
@@ -638,41 +650,20 @@ func (s *System) CopyFrom(src *System) {
 	copy(s.mem, src.mem)
 	s.useTick = src.useTick
 	s.stats = src.stats
-	for i, sc := range src.caches {
-		dc := s.caches[i]
+	for i := range src.caches {
+		sc, dc := &src.caches[i], &s.caches[i]
+		copy(dc.lines, sc.lines)
+		dc.resident = sc.resident
 		dc.capacity = sc.capacity
-		for a := range dc.lines {
-			if _, ok := sc.lines[a]; !ok {
-				delete(dc.lines, a)
-			}
-		}
-		for a, l := range sc.lines {
-			if dl, ok := dc.lines[a]; ok {
-				*dl = *l
-			} else {
-				cp := *l
-				dc.lines[a] = &cp
-			}
-		}
-		for a := range dc.guards {
-			if _, ok := sc.guards[a]; !ok {
-				delete(dc.guards, a)
-			}
-		}
-		if len(sc.guards) > 0 && dc.guards == nil {
-			dc.guards = make(map[arch.Addr]struct{}, len(sc.guards))
-		}
-		for a := range sc.guards {
-			dc.guards[a] = struct{}{}
-		}
+		dc.guards = append(dc.guards[:0], sc.guards...)
 		// dc.handler deliberately kept: it belongs to s's machine.
 	}
 }
 
 // Fingerprint appends a canonical encoding of the coherence-visible state
-// (memory, plus per-cache sorted line states/values and guard registers)
-// to dst. LRU tick values are excluded so that states differing only in
-// access history hash identically.
+// (memory, plus per-cache line states/values in address order and guard
+// registers) to dst. LRU tick values are excluded so that states
+// differing only in access history hash identically.
 func (s *System) Fingerprint(dst []byte) []byte {
 	dst = s.FingerprintMem(dst)
 	for i := range s.caches {
@@ -692,56 +683,45 @@ func (s *System) FingerprintMem(dst []byte) []byte {
 }
 
 // FingerprintCache appends cache i's component of Fingerprint: its
-// non-Invalid lines (sorted by address) and armed guard addresses. The
+// non-Invalid lines in address order and armed guard addresses. The
 // collapse compressor interns each cache's encoding separately, so a
 // processor whose cache is unchanged between states contributes one
-// small table index instead of re-hashed bytes.
+// small table index instead of re-hashed bytes. Addresses take two bytes,
+// which arch.MaxMemWords guarantees is enough.
 func (s *System) FingerprintCache(i int, dst []byte) []byte {
-	// The model checker fingerprints every explored state, so this path
-	// reuses one scratch slice and an allocation-free insertion sort
-	// (line counts are tiny) instead of make+sort.Slice per cache.
-	c := s.caches[i]
-	addrs := s.fpAddrs[:0]
-	for a, l := range c.lines {
-		if l.state != Invalid {
-			addrs = append(addrs, a)
+	c := &s.caches[i]
+	dst = append(dst, byte(c.resident))
+	for a, n := 0, 0; n < c.resident; a++ {
+		l := &c.lines[a]
+		if l.state == Invalid {
+			continue
 		}
-	}
-	sortAddrs(addrs)
-	dst = append(dst, byte(len(addrs)))
-	for _, a := range addrs {
-		l := c.lines[a]
+		n++
 		dst = append(dst, byte(a), byte(a>>8), byte(l.state),
 			byte(l.val), byte(l.val>>8), byte(l.val>>16), byte(l.val>>24))
 	}
-	addrs = addrs[:0]
-	for a := range c.guards {
-		addrs = append(addrs, a)
-	}
-	sortAddrs(addrs)
-	dst = append(dst, byte(len(addrs)))
-	for _, a := range addrs {
+	dst = append(dst, byte(len(c.guards)))
+	for _, a := range c.guards {
 		dst = append(dst, byte(a), byte(a>>8))
 	}
-	s.fpAddrs = addrs
 	return dst
 }
 
 // VisitLines calls f for every non-Invalid line of processor p's cache,
-// in no particular order. The symmetry canonicalizer uses it to build
-// renaming-invariant per-processor signatures without copying maps.
+// in address order. The symmetry canonicalizer uses it to build
+// renaming-invariant per-processor signatures without copying state.
 func (s *System) VisitLines(p arch.ProcID, f func(addr arch.Addr, st State, val arch.Word)) {
 	for a, l := range s.cacheOf(p).lines {
 		if l.state != Invalid {
-			f(a, l.state, l.val)
+			f(arch.Addr(a), l.state, l.val)
 		}
 	}
 }
 
-// VisitGuards calls f for every address p's controller watches, in no
-// particular order.
+// VisitGuards calls f for every address p's controller watches, in
+// address order.
 func (s *System) VisitGuards(p arch.ProcID, f func(addr arch.Addr)) {
-	for a := range s.cacheOf(p).guards {
+	for _, a := range s.cacheOf(p).guards {
 		f(a)
 	}
 }
@@ -765,44 +745,19 @@ func (s *System) CopyRenamedFrom(src *System, slotOf []int, addrOf []arch.Addr, 
 	for a, w := range src.mem {
 		s.mem[addrOf[a]] = valOf(arch.Addr(a), w)
 	}
-	for i, sc := range src.caches {
-		dc := s.caches[slotOf[i]]
+	for i := range src.caches {
+		sc, dc := &src.caches[i], &s.caches[slotOf[i]]
+		dc.resident = sc.resident
 		dc.capacity = sc.capacity
-		// Recycle the destination's line structs through a free list so
-		// per-state canonicalization does not allocate once warm.
-		for a, dl := range dc.lines {
-			s.lineFree = append(s.lineFree, dl)
-			delete(dc.lines, a)
-		}
 		for a, l := range sc.lines {
-			var dl *line
-			if n := len(s.lineFree); n > 0 {
-				dl, s.lineFree = s.lineFree[n-1], s.lineFree[:n-1]
-			} else {
-				dl = new(line)
+			if l.state != Invalid {
+				l.val = valOf(arch.Addr(a), l.val)
 			}
-			*dl = line{state: l.state, val: valOf(a, l.val), lastUse: l.lastUse}
-			dc.lines[addrOf[a]] = dl
+			dc.lines[addrOf[a]] = l
 		}
-		for a := range dc.guards {
-			delete(dc.guards, a)
-		}
-		if len(sc.guards) > 0 && dc.guards == nil {
-			dc.guards = make(map[arch.Addr]struct{}, len(sc.guards))
-		}
-		for a := range sc.guards {
-			dc.guards[addrOf[a]] = struct{}{}
-		}
-	}
-}
-
-// sortAddrs is an in-place insertion sort; Fingerprint's slices hold a
-// handful of addresses, where this beats sort.Slice and allocates
-// nothing.
-func sortAddrs(a []arch.Addr) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+		dc.guards = dc.guards[:0]
+		for _, a := range sc.guards {
+			dc.arm(addrOf[a])
 		}
 	}
 }

@@ -57,6 +57,30 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	}
 }
 
+// TestCopyFromDoesNotAllocate: the model checker recycles a machine per
+// explored state, between states whose caches, store buffers and links
+// all differ, so the copy must reuse every allocation of the target.
+func TestCopyFromDoesNotAllocate(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	cfg.Procs = 2
+	cfg.MemWords = 16
+	cfg.StoreBufferDepth = 4
+	p0, p1 := programs.DekkerPair(programs.DekkerLmfence)
+	early, late := tso.NewMachine(cfg, p0, p1), tso.NewMachine(cfg, p0, p1)
+	for i := 0; i < 12; i++ { // late: lines in both caches, a pending store, an armed link
+		if pid := arch.ProcID(i % 2); late.CanExec(pid) {
+			late.ExecStep(pid)
+		}
+	}
+	dst := late.Clone()
+	if n := testing.AllocsPerRun(100, func() {
+		dst.CopyFrom(early)
+		dst.CopyFrom(late)
+	}); n != 0 {
+		t.Errorf("Machine.CopyFrom allocates %v times per pair of copies, want 0", n)
+	}
+}
+
 // TestCopyFromShapeMismatch checks the shape guard: recycling across
 // differently-configured machines must fail loudly, not corrupt state.
 func TestCopyFromShapeMismatch(t *testing.T) {

@@ -507,12 +507,14 @@ func (m *Machine) Clone() *Machine {
 }
 
 // CopyFrom overwrites m with src's architectural state, reusing m's
-// allocations (processor structs, store buffers, link slices, cache
-// maps). m must have been built or cloned from the same machine shape as
-// src. Guard handlers already installed on m close over m's processor
-// structs, which survive the copy, so no rewiring is needed — this is
-// what makes free-list recycling in the model checker cheaper than
-// Clone, which must allocate everything and re-install handlers.
+// allocations (processor structs, store buffers, link slices, and the
+// dense per-cache line arrays: O(Procs × MemWords) bytes per machine,
+// all moved by copy). m must have been built or cloned from the same
+// machine shape as src. Guard handlers already installed on m close over
+// m's processor structs, which survive the copy, so no rewiring is
+// needed — this is what makes free-list recycling in the model checker
+// cheaper than Clone, which must allocate everything and re-install
+// handlers.
 func (m *Machine) CopyFrom(src *Machine) {
 	if len(m.Procs) != len(src.Procs) {
 		panic("tso: CopyFrom across different machine shapes")
