@@ -29,16 +29,19 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # Checker-throughput benchmarks only: serial reference engine vs the
-# parallel work-stealing engine on the Dekker and IRIW state spaces.
-# Reports states/sec and B/state; benchstat-compatible.
+# parallel work-stealing engine on the Dekker and IRIW state spaces
+# (states/sec and B/state), then the engine's visited set (1 M claims at
+# a 65 % duplicate mix, 1 and 2 goroutines) and its one-pass hash pair
+# in isolation. benchstat-compatible.
 bench-litmus:
 	$(GO) test -run '^$$' -bench 'BenchmarkExplore' -benchmem -count $(COUNT) .
+	$(GO) test -run '^$$' -bench 'BenchmarkVisitedClaim|BenchmarkHashPair' -benchmem -count $(COUNT) ./internal/litmus/
 
 # Partial-order reduction: the differential tests (reduced exploration
 # must reproduce the unreduced reference semantics) under the race
 # detector, then the reduced-vs-unreduced state-count table.
 bench-por:
-	$(GO) test -race -run 'Reduction|Visited' ./internal/litmus/
+	$(GO) test -race -run 'Reduction|Visited|Frontier' ./internal/litmus/
 	$(GO) run ./cmd/litmus -por -reduction
 
 # Representation-level scaling: the collapse/symmetry/spill

@@ -466,21 +466,28 @@ func encodeCheckpoint(e *engine) []byte {
 		}
 	}
 
-	// Frontier: every frame still on any worker's stack.
+	// Frontier: every frame still on any worker's shared or private
+	// stack. The workers are parked or gone, ordered before this read by
+	// the coordinator's lock (or the pool's WaitGroup), so the private
+	// stacks need no lock of their own.
 	var frBuf []byte
 	frontier := 0
 	for _, w := range e.workers {
-		w.mu.Lock()
-		for _, f := range w.stack {
-			frontier++
-			frBuf = binary.AppendUvarint(frBuf, uint64(f.sleep))
-			acts := f.trace.materialize()
-			frBuf = binary.AppendUvarint(frBuf, uint64(len(acts)))
-			for _, a := range acts {
-				frBuf = binary.AppendUvarint(frBuf, packAction(a))
+		for _, stack := range [][]pframe{w.shared, w.priv} {
+			for i := range stack {
+				f := &stack[i]
+				frontier++
+				frBuf = binary.AppendUvarint(frBuf, uint64(f.sleep))
+				acts := f.parent.materialize()
+				if !f.root {
+					acts = append(acts, f.act)
+				}
+				frBuf = binary.AppendUvarint(frBuf, uint64(len(acts)))
+				for _, a := range acts {
+					frBuf = binary.AppendUvarint(frBuf, packAction(a))
+				}
 			}
 		}
-		w.mu.Unlock()
 	}
 
 	hdr := ckptHeader{

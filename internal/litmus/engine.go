@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,25 +13,35 @@ import (
 // This file is the exploration engine behind Explore: a work-stealing
 // worker pool over the interleaving graph. The design, per component:
 //
-//   - Frontier: each worker owns a LIFO stack of frames (DFS order keeps
-//     machine states cache-warm and the frontier shallow). Idle workers
-//     steal the *oldest* half of a victim's stack — frames near the root
-//     own the largest unexplored subtrees, so one steal buys a long run
-//     of private work.
-//   - Visited set: sharded into 256 stripes, each a map behind its own
-//     mutex, keyed by a 64-bit FNV-1a hash of the state fingerprint with
-//     a second independent 64-bit hash stored per entry (an effective
-//     128-bit key; primary-hash collisions go to a per-stripe overflow
-//     chain instead of silently merging distinct states). Claiming a
-//     state is two hashes + one uncontended lock instead of a global map
-//     with full fingerprint strings as keys. Options.VerifyVisited
+//   - Frontier: each worker pushes and pops an owner-private LIFO stack
+//     with no lock (DFS order keeps machine states cache-warm and the
+//     frontier shallow). After each frame the owner moves the *oldest*
+//     half of it — frames near the root own the largest unexplored
+//     subtrees — to a mutex-guarded shared stack, but only when that
+//     stack is empty (one atomic load to check); an idle worker empties
+//     some shared stack straight into its private one. In a large space
+//     the shared stacks stay full and a frame costs no synchronisation:
+//     even the frame count that detects termination (engine.pending) is
+//     settled only when frames change hands.
+//   - Visited set: sharded into 256 stripes, each a flat open-addressed
+//     table of 24-byte slots behind its own mutex. A 64-bit FNV-1a hash
+//     of the state fingerprint picks the stripe (low 8 bits) and the
+//     probe start (the rest); a slot matches only on that hash AND a
+//     second independent 64-bit hash, an effective 128-bit key, so a
+//     state sharing only the primary hash with another takes the next
+//     probe slot instead of silently merging with it. Tables start
+//     unallocated, double at ¾ load (so they run ⅜ to ¾ full, 32-64 B a
+//     state, plus one stripe's old table while it doubles) and hold no
+//     pointers. Claiming a state is one pass over the fingerprint, one
+//     uncontended lock and a linear probe. Options.VerifyVisited
 //     additionally keys an authoritative map by the full fingerprint and
-//     counts how often the hashed keys would have merged distinct
-//     states.
-//   - Traces: frames carry an immutable parent-pointer chain instead of
-//     a per-frame copy of the action slice (the serial engine's O(depth²)
-//     allocation); a full trace is materialized only when a violation is
-//     actually recorded.
+//     counts how often the hashed keys would have merged distinct states.
+//   - Traces: a frame carries its parent's immutable parent-pointer
+//     chain plus its own action instead of a per-frame copy of the
+//     action slice (the serial engine's O(depth²) allocation). Its own
+//     link is allocated only once it wins its claim and has children or
+//     a violation to hang on it — most frames die as duplicates — and a
+//     full trace is materialized only when a violation is recorded.
 //   - Machines: each worker recycles dead machines (duplicate states,
 //     terminal states) through a free list via tso.Machine.CopyFrom
 //     (slice copies over flat cache arrays, no allocation), and the last
@@ -50,13 +61,16 @@ import (
 // (see reduce.go for the argument, TestReductionDifferential for the
 // pin).
 
-// pframe is one unit of exploration work: a machine state plus the
-// action chain that produced it and, under Options.Reduction, the sleep
-// set it arrived with.
+// pframe is one unit of exploration work: a machine state, the action
+// that produced it with its parent's trace chain (root marks the one
+// frame no action produced) and, under Options.Reduction, the sleep set
+// it arrived with.
 type pframe struct {
-	m     *tso.Machine
-	trace *traceNode
-	sleep actionMask
+	m      *tso.Machine
+	parent *traceNode
+	act    Action
+	sleep  actionMask
+	root   bool
 }
 
 // traceNode is an immutable parent-pointer trace link; child frames
@@ -96,9 +110,7 @@ const (
 func fnv64a(b []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for len(b) >= 8 {
-		k := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-		h ^= k
+		h ^= binary.LittleEndian.Uint64(b)
 		h *= fnvPrime64
 		h ^= h >> 29
 		b = b[8:]
@@ -123,9 +135,7 @@ func fnv64a(b []byte) uint64 {
 func hash2(b []byte) uint64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for len(b) >= 8 {
-		k := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-		h = (h ^ k) * 0xFF51AFD7ED558CCD
+		h = (h ^ binary.LittleEndian.Uint64(b)) * 0xFF51AFD7ED558CCD
 		h ^= h >> 31
 		b = b[8:]
 	}
@@ -138,57 +148,158 @@ func hash2(b []byte) uint64 {
 	return h
 }
 
+// hashBoth returns fnv64a(b), hash2(b) from one pass over b: each word
+// is loaded once and feeds both mixers, two independent multiply chains
+// the core overlaps. fnv64a and hash2 stay as the definition (checkpoint
+// headers record their values; TestVisitedHashPair pins the equality).
+func hashBoth(b []byte) (uint64, uint64) {
+	h1, h2 := uint64(fnvOffset64), uint64(0x9E3779B97F4A7C15)
+	for len(b) >= 8 {
+		k := binary.LittleEndian.Uint64(b)
+		h1 = (h1 ^ k) * fnvPrime64
+		h1 ^= h1 >> 29
+		h2 = (h2 ^ k) * 0xFF51AFD7ED558CCD
+		h2 ^= h2 >> 31
+		b = b[8:]
+	}
+	for _, c := range b {
+		h1 = (h1 ^ uint64(c)) * fnvPrime64
+		h2 = (h2 ^ uint64(c)) * 0xC4CEB9FE1A85EC53
+	}
+	h1 ^= h1 >> 32
+	h1 *= fnvPrime64
+	h1 ^= h1 >> 29
+	h2 ^= h2 >> 33
+	h2 *= 0xFF51AFD7ED558CCD
+	h2 ^= h2 >> 29
+	return h1, h2
+}
+
 // hashPair computes both visited-set keys for a fingerprint. It is a
 // package variable so the collision-injection tests can degrade one key
 // and check that distinct states still get distinct visited entries.
-var hashPair = func(fp []byte) (uint64, uint64) {
-	return fnv64a(fp), hash2(fp)
-}
+var hashPair = hashBoth
 
 // visitedStripes must be a power of two.
 const visitedStripes = 256
 
-// ventry is one visited state's bookkeeping: the second hash that
-// completes the 128-bit key, plus the sleep-set protocol state used by
-// the reduction. Until the claiming worker finalizes the entry, sleepAcc
+// ventry is one visited state's sleep-set protocol state, used by the
+// reduction. Until the claiming worker finalizes the entry, sleepAcc
 // accumulates (intersects) the sleep masks of every path that arrived at
 // the state; afterwards pruned records which enabled actions the state's
 // expansion withheld, so later arrivals with smaller sleep sets can
 // re-expand exactly the difference.
 type ventry struct {
-	h2        uint64
 	sleepAcc  actionMask
 	pruned    actionMask
 	finalized bool
 }
 
+// slot is one cell of a stripe's flat table: the 128-bit key and the
+// state's ventry, packed into 24 bytes. meta carries the occupied and
+// finalized bits above the pruned mask; a zero meta is an empty slot,
+// so every key value, (0,0) included, is storable.
+type slot struct {
+	h1, h2   uint64
+	sleepAcc actionMask
+	meta     uint32
+}
+
+const (
+	slotOccupied  = 1 << 31
+	slotFinalized = 1 << 30
+	slotPruned    = slotFinalized - 1
+	// minSlots is a stripe's first allocation: synthesis issues thousands
+	// of explorations that put about one state in each stripe.
+	minSlots = 4
+)
+
+// An action mask must fit under meta's two flag bits.
+const _ = uint(30 - 2*maxReductionProcs)
+
+func (sl *slot) entry() ventry {
+	return ventry{sleepAcc: sl.sleepAcc, pruned: actionMask(sl.meta & slotPruned), finalized: sl.meta&slotFinalized != 0}
+}
+
+func (sl *slot) setEntry(ve ventry) {
+	sl.sleepAcc = ve.sleepAcc
+	sl.meta = slotOccupied | uint32(ve.pruned)
+	if ve.finalized {
+		sl.meta |= slotFinalized
+	}
+}
+
 type visitedStripe struct {
 	mu sync.Mutex
-	m  map[uint64]ventry
-	// over holds additional states whose h1 collides with an entry in m
-	// (detected via differing h2); chains are extremely rare and lazily
-	// allocated.
-	over map[uint64][]ventry
+	// slots is the open-addressed table: power-of-two length, linear
+	// probing from h1>>8 (the low 8 bits chose the stripe), never more
+	// than ¾ full, nil until the stripe's first claim.
+	slots []slot
+	n     int // occupied slots
 	// full is the authoritative fingerprint-keyed map kept only under
-	// Options.VerifyVisited, where the hashed maps above are demoted to
+	// Options.VerifyVisited, where the table above is demoted to
 	// collision accounting.
 	full map[string]*ventry
-	_    [40]byte // pad to a cache line so stripes don't false-share
+	_    [16]byte // pad to a cache line so stripes don't false-share
+}
+
+// find probes for the key (h1,h2). It returns the slot holding it, or
+// else the empty slot ending its probe run, where it would go (nil in a
+// never-allocated table), with collided reporting whether a different
+// state sharing h1 was passed on the way.
+func (s *visitedStripe) find(h1, h2 uint64) (sl *slot, found, collided bool) {
+	if len(s.slots) == 0 {
+		return nil, false, false
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := h1 >> 8; ; i++ {
+		sl = &s.slots[i&mask]
+		if sl.meta&slotOccupied == 0 {
+			return sl, false, collided
+		}
+		if sl.h1 == h1 {
+			if sl.h2 == h2 {
+				return sl, true, false
+			}
+			collided = true
+		}
+	}
+}
+
+// reserve makes room for one more key, doubling the table when the
+// insert would take it past ¾ load. Called before the find whose empty
+// slot the insert fills, so one probe serves lookup and insert.
+func (s *visitedStripe) reserve() {
+	if (s.n+1)*4 <= len(s.slots)*3 {
+		return
+	}
+	old := s.slots
+	s.slots = make([]slot, max(2*len(old), minSlots))
+	mask := uint64(len(s.slots) - 1)
+	for i := range old {
+		if old[i].meta&slotOccupied == 0 {
+			continue
+		}
+		j := old[i].h1 >> 8
+		for s.slots[j&mask].meta&slotOccupied != 0 {
+			j++
+		}
+		s.slots[j&mask] = old[i]
+	}
 }
 
 type visitedSet struct {
 	stripes [visitedStripes]visitedStripe
 }
 
-// newVisitedSet leaves the stripe maps unhinted: synthesis issues
-// thousands of explorations of a few hundred states, where pre-sizing
-// 256 maps was most of each run's allocation, and a large space grows
-// them within its first few thousand claims.
+// newVisitedSet allocates no table: synthesis issues thousands of
+// explorations of a few hundred states, where pre-sizing 256 stripes
+// was most of each run's allocation, and a large space grows them
+// within its first few thousand claims.
 func newVisitedSet(verify bool) *visitedSet {
 	vs := &visitedSet{}
-	for i := range vs.stripes {
-		vs.stripes[i].m = make(map[uint64]ventry)
-		if verify {
+	if verify {
+		for i := range vs.stripes {
 			vs.stripes[i].full = make(map[string]*ventry)
 		}
 	}
@@ -217,6 +328,16 @@ func dupMerge(e *ventry, z actionMask) actionMask {
 	return missing
 }
 
+// finalizeEntry settles an entry once its winner has chosen the
+// persistent set tmask: the sleep mask merged from every arrival so far
+// is returned, and what it withholds from tmask becomes pruned.
+func finalizeEntry(e *ventry, tmask actionMask) actionMask {
+	z := e.sleepAcc
+	e.pruned = tmask & z
+	e.finalized = true
+	return z
+}
+
 // claim records the state with keys (h1,h2) and fingerprint fp as
 // visited. Exactly one caller per distinct state wins; the states
 // counter is incremented under the stripe lock, so Result.States never
@@ -230,71 +351,41 @@ func (e *engine) claim(h1, h2 uint64, fp []byte, z actionMask) (claimStatus, act
 
 	if s.full != nil {
 		// VerifyVisited: the full-fingerprint map decides identity; the
-		// hashed maps run alongside purely to count what they would have
+		// hashed table runs alongside purely to count what it would have
 		// merged.
-		if fe, ok := s.full[string(fp)]; ok {
+		if fe := s.full[string(fp)]; fe != nil {
 			return claimDup, dupMerge(fe, z)
 		}
-		if !e.bumpStates() {
-			return claimTruncated, 0
-		}
-		if prev, ok := s.m[h1]; ok {
-			if prev.h2 == h2 {
-				e.verifyCollisions.Add(1)
-			} else {
-				dup128 := false
-				for _, c := range s.over[h1] {
-					if c.h2 == h2 {
-						dup128 = true
-						break
-					}
-				}
-				if dup128 {
-					e.verifyCollisions.Add(1)
-				} else {
-					e.h1Collisions.Add(1)
-					if s.over == nil {
-						s.over = make(map[uint64][]ventry)
-					}
-					s.over[h1] = append(s.over[h1], ventry{h2: h2})
-				}
-			}
-		} else {
-			s.m[h1] = ventry{h2: h2}
-		}
-		s.full[string(fp)] = &ventry{h2: h2, sleepAcc: z}
-		return claimWon, 0
 	}
-
-	if prev, ok := s.m[h1]; ok {
-		if prev.h2 == h2 {
-			missing := dupMerge(&prev, z)
-			s.m[h1] = prev
-			return claimDup, missing
-		}
-		chain := s.over[h1]
-		for i := range chain {
-			if chain[i].h2 == h2 {
-				return claimDup, dupMerge(&chain[i], z)
-			}
-		}
-		// Genuine 64-bit collision: two distinct states share h1. The
-		// second hash keeps them apart where the old single-key set would
-		// have silently merged them.
-		if !e.bumpStates() {
-			return claimTruncated, 0
-		}
-		e.h1Collisions.Add(1)
-		if s.over == nil {
-			s.over = make(map[uint64][]ventry)
-		}
-		s.over[h1] = append(s.over[h1], ventry{h2: h2, sleepAcc: z})
-		return claimWon, 0
+	s.reserve()
+	sl, found, collided := s.find(h1, h2)
+	if found && s.full == nil {
+		ve := sl.entry()
+		missing := dupMerge(&ve, z)
+		sl.setEntry(ve)
+		return claimDup, missing
 	}
 	if !e.bumpStates() {
 		return claimTruncated, 0
 	}
-	s.m[h1] = ventry{h2: h2, sleepAcc: z}
+	if found {
+		// Reachable only under VerifyVisited: a new fingerprint whose full
+		// 128-bit key is taken.
+		e.verifyCollisions.Add(1)
+	} else {
+		if collided {
+			// Genuine 64-bit collision: two distinct states share h1. The
+			// second hash keeps them apart where a single-key set would
+			// have silently merged them.
+			e.h1Collisions.Add(1)
+		}
+		sl.h1, sl.h2 = h1, h2
+		sl.setEntry(ventry{sleepAcc: z})
+		s.n++
+	}
+	if s.full != nil {
+		s.full[string(fp)] = &ventry{sleepAcc: z}
+	}
 	return claimWon, 0
 }
 
@@ -309,20 +400,10 @@ func (e *engine) seen(h1, h2 uint64, fp []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.full != nil {
-		_, ok := s.full[string(fp)]
-		return ok
+		return s.full[string(fp)] != nil
 	}
-	if prev, ok := s.m[h1]; ok {
-		if prev.h2 == h2 {
-			return true
-		}
-		for _, c := range s.over[h1] {
-			if c.h2 == h2 {
-				return true
-			}
-		}
-	}
-	return false
+	_, found, _ := s.find(h1, h2)
+	return found
 }
 
 // bumpStates counts a new state against the budget, rolling back and
@@ -352,29 +433,16 @@ func (e *engine) finalize(h1, h2 uint64, fp []byte, tmask actionMask) actionMask
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.full != nil {
-		fe := s.full[string(fp)]
-		z := fe.sleepAcc
-		fe.pruned = tmask & z
-		fe.finalized = true
-		return z
+		return finalizeEntry(s.full[string(fp)], tmask)
 	}
-	if prev, ok := s.m[h1]; ok && prev.h2 == h2 {
-		z := prev.sleepAcc
-		prev.pruned = tmask & z
-		prev.finalized = true
-		s.m[h1] = prev
-		return z
+	sl, found, _ := s.find(h1, h2)
+	if !found {
+		return 0
 	}
-	chain := s.over[h1]
-	for i := range chain {
-		if chain[i].h2 == h2 {
-			z := chain[i].sleepAcc
-			chain[i].pruned = tmask & z
-			chain[i].finalized = true
-			return z
-		}
-	}
-	return 0
+	ve := sl.entry()
+	z := finalizeEntry(&ve, tmask)
+	sl.setEntry(ve)
+	return z
 }
 
 // engine is the shared state of one Explore call.
@@ -414,12 +482,19 @@ type engine struct {
 	verifyCollisions atomic.Uint64
 
 	// pending counts frames created but not yet fully processed; the
-	// exploration is complete when it reaches zero (children are pushed
-	// before their parent frame retires, so it cannot dip to zero early).
+	// exploration is complete when an idle worker reads zero. A processed
+	// frame changes the count by children-1, which its worker sums in
+	// worker.owed and adds here only before it publishes frames or runs
+	// dry. So every frame another worker can take is counted, and a
+	// worker with an unsettled sum has retired a counted frame it has not
+	// subtracted yet: the count lags but reads zero only at the end.
 	pending atomic.Int64
 	// states counts visited-set claims, capped cooperatively at
-	// maxStates.
+	// maxStates. Every won claim writes it, so it has a cache line to
+	// itself: cancel below is read on every frame by every worker.
+	_      [64]byte
 	states atomic.Int64
+	_      [56]byte
 	cancel atomic.Bool
 
 	truncated atomic.Bool
@@ -468,14 +543,20 @@ func (e *engine) partialResult() Result {
 // maxFreeMachines bounds each worker's machine free list.
 const maxFreeMachines = 64
 
-// worker is one exploration goroutine with its private frontier,
-// machine free list, scratch buffers, and partial result.
+// worker is one exploration goroutine with its frontier, machine free
+// list, scratch buffers, and partial result.
 type worker struct {
 	id  int
 	eng *engine
 
-	mu    sync.Mutex // guards stack (owner pops newest, thieves take oldest)
-	stack []pframe
+	// priv is the owner-only LIFO every push and pop works on. shared
+	// holds the frames the owner has offered to idle workers, behind mu;
+	// nshared mirrors len(shared) so both sides can skip the lock.
+	priv    []pframe
+	mu      sync.Mutex
+	shared  []pframe
+	nshared atomic.Int32
+	owed    int // unsettled adjustment to engine.pending
 
 	free     []*tso.Machine
 	fpBuf    []byte
@@ -518,57 +599,69 @@ type worker struct {
 	res Result // partial; merged after the pool drains
 }
 
-func (w *worker) push(f pframe) {
-	w.eng.pending.Add(1)
-	w.mu.Lock()
-	w.stack = append(w.stack, f)
-	w.mu.Unlock()
-}
+func (w *worker) push(f pframe) { w.priv = append(w.priv, f) }
 
+// pop takes the newest private frame, refilling the private stack from
+// a shared one when it has run dry.
 func (w *worker) pop() (pframe, bool) {
-	w.mu.Lock()
-	n := len(w.stack)
-	if n == 0 {
-		w.mu.Unlock()
-		return pframe{}, false
+	if len(w.priv) == 0 {
+		w.settle()
+		if !w.steal() {
+			return pframe{}, false
+		}
 	}
-	f := w.stack[n-1]
-	w.stack[n-1] = pframe{}
-	w.stack = w.stack[:n-1]
-	w.mu.Unlock()
+	n := len(w.priv) - 1
+	f := w.priv[n]
+	w.priv[n] = pframe{}
+	w.priv = w.priv[:n]
 	return f, true
 }
 
-// steal takes the oldest half of some victim's stack, keeps one frame to
-// process, and queues the rest locally.
-func (w *worker) steal() (pframe, bool) {
+// settle folds the worker's unsettled frame count into engine.pending.
+func (w *worker) settle() {
+	if w.owed != 0 {
+		w.eng.pending.Add(int64(w.owed))
+		w.owed = 0
+	}
+}
+
+// steal empties the first non-empty shared stack, the worker's own
+// first, into its private stack.
+func (w *worker) steal() bool {
 	ws := w.eng.workers
-	for off := 1; off < len(ws); off++ {
+	for off := range ws {
 		v := ws[(w.id+off)%len(ws)]
-		v.mu.Lock()
-		n := len(v.stack)
-		if n == 0 {
-			v.mu.Unlock()
+		if v.nshared.Load() == 0 {
 			continue
 		}
-		take := (n + 1) / 2
-		stolen := make([]pframe, take)
-		copy(stolen, v.stack[:take])
-		rest := copy(v.stack, v.stack[take:])
-		for i := rest; i < n; i++ {
-			v.stack[i] = pframe{}
-		}
-		v.stack = v.stack[:rest]
+		v.mu.Lock()
+		w.priv = append(w.priv, v.shared...)
+		clear(v.shared)
+		v.shared = v.shared[:0]
+		v.nshared.Store(0)
 		v.mu.Unlock()
-
-		if len(stolen) > 1 {
-			w.mu.Lock()
-			w.stack = append(w.stack, stolen[1:]...)
-			w.mu.Unlock()
+		if len(w.priv) > 0 {
+			return true
 		}
-		return stolen[0], true
 	}
-	return pframe{}, false
+	return false
+}
+
+// publish offers the oldest half of the private stack to idle workers
+// once they have taken everything offered before.
+func (w *worker) publish() {
+	half := len(w.priv) / 2
+	if half == 0 || len(w.eng.workers) == 1 || w.nshared.Load() != 0 {
+		return
+	}
+	w.settle()
+	w.mu.Lock()
+	w.shared = append(w.shared, w.priv[:half]...)
+	w.nshared.Store(int32(half))
+	w.mu.Unlock()
+	rest := copy(w.priv, w.priv[half:])
+	clear(w.priv[rest:])
+	w.priv = w.priv[:rest]
 }
 
 func (w *worker) run() {
@@ -589,17 +682,16 @@ func (w *worker) run() {
 		}
 		f, ok := w.pop()
 		if !ok {
-			f, ok = w.steal()
-		}
-		if !ok {
 			if e.pending.Load() == 0 {
 				return
 			}
 			runtime.Gosched()
 			continue
 		}
+		n := len(w.priv)
 		w.process(f)
-		e.pending.Add(-1)
+		w.owed += len(w.priv) - n - 1
+		w.publish()
 	}
 }
 
@@ -620,6 +712,27 @@ func (w *worker) clone(src *tso.Machine) *tso.Machine {
 		return m
 	}
 	return src.Clone()
+}
+
+// node builds f's own trace link; nil at the root and when the run
+// records no traces.
+func (w *worker) node(f *pframe) *traceNode {
+	if !w.eng.traces || f.root {
+		return nil
+	}
+	return &traceNode{parent: f.parent, act: f.act}
+}
+
+// pushChild pushes the successor of m under a, reached over the trace
+// ending in node. The last child of an expansion is applied in place:
+// the parent's fingerprint is already claimed, so its state is dead.
+func (w *worker) pushChild(m *tso.Machine, node *traceNode, a Action, inPlace bool, sleep actionMask) {
+	child := m
+	if !inPlace {
+		child = w.clone(m)
+	}
+	w.eng.model.Apply(child, a)
+	w.push(pframe{m: child, parent: node, act: a, sleep: sleep})
 }
 
 // stateKey computes the visited-set key of m into w.fpBuf: the
@@ -717,7 +830,7 @@ func (w *worker) process(f pframe) {
 			// A previous visit withheld actions this path's (smaller) sleep
 			// set cannot justify skipping; expand exactly those. The entry's
 			// mask is canonical; translate back to this machine's numbering.
-			w.expandFrom(f, unpermuteMask(missing, w.slot))
+			w.expandFrom(&f, unpermuteMask(missing, w.slot))
 		} else {
 			w.recycle(m)
 		}
@@ -731,11 +844,13 @@ func (w *worker) process(f pframe) {
 	}
 
 	violated := false
+	var node *traceNode
 	for _, prop := range e.opts.Properties {
 		if err := prop(m); err != nil {
 			w.res.Violations++
 			violated = true
-			e.recordViolation(err, f.trace)
+			node = w.node(&f)
+			e.recordViolation(err, node)
 			break
 		}
 	}
@@ -791,46 +906,32 @@ func (w *worker) process(f pframe) {
 		e.red.expansion(enabled, &w.pl, z)
 		w.slept += uint64(w.pl.sleptCount())
 		w.res.Transitions += len(w.pl.idx)
+		if len(w.pl.idx) == 0 {
+			// Everything was slept; the machine is dead.
+			w.recycle(m)
+			return
+		}
+		if node == nil {
+			node = w.node(&f)
+		}
 		last := len(w.pl.idx) - 1
 		for k, i := range w.pl.idx {
-			a := enabled[i]
-			child := m
-			if k < last {
-				child = w.clone(m)
-			}
-			e.model.Apply(child, a)
-			var node *traceNode
-			if e.traces {
-				node = &traceNode{parent: f.trace, act: a}
-			}
 			cs := w.pl.childSleep[k]
 			if w.canon != nil {
 				cs = 0
 			}
-			w.push(pframe{m: child, trace: node, sleep: cs})
-		}
-		if len(w.pl.idx) == 0 {
-			// Everything was slept; the machine is dead.
-			w.recycle(m)
+			w.pushChild(m, node, enabled[i], k == last, cs)
 		}
 		return
 	}
 
 	w.res.Transitions += len(enabled)
+	if node == nil {
+		node = w.node(&f)
+	}
 	last := len(enabled) - 1
 	for i, a := range enabled {
-		child := m
-		if i < last {
-			child = w.clone(m)
-		}
-		// The last child mutates the parent machine in place: the
-		// parent's fingerprint is already claimed, so its state is dead.
-		e.model.Apply(child, a)
-		var node *traceNode
-		if e.traces {
-			node = &traceNode{parent: f.trace, act: a}
-		}
-		w.push(pframe{m: child, trace: node})
+		w.pushChild(m, node, a, i == last, 0)
 	}
 }
 
@@ -859,34 +960,29 @@ func (w *worker) ampleSuccessorSeen(m *tso.Machine, enabled []Action) bool {
 // when a duplicate arrival must re-open previously pruned expansions.
 // The children start with empty sleep sets: the conservative choice,
 // costing at most the work the first visit saved.
-func (w *worker) expandFrom(f pframe, mask actionMask) {
+func (w *worker) expandFrom(f *pframe, mask actionMask) {
 	e := w.eng
 	m := f.m
 	w.actBuf = e.model.Enabled(w.actBuf[:0], m, e.opts.ReorderBound)
-	var picked []int
+	// A duplicate arrival has no plan of its own, so the plan's index
+	// scratch is free to hold the picks.
+	picked := w.pl.idx[:0]
 	for i, a := range w.actBuf {
 		if mask&maskOf(a) != 0 {
 			picked = append(picked, i)
 		}
 	}
+	w.pl.idx = picked
 	w.reexpanded += uint64(len(picked))
 	w.res.Transitions += len(picked)
-	last := len(picked) - 1
-	for k, i := range picked {
-		a := w.actBuf[i]
-		child := m
-		if k < last {
-			child = w.clone(m)
-		}
-		e.model.Apply(child, a)
-		var node *traceNode
-		if e.traces {
-			node = &traceNode{parent: f.trace, act: a}
-		}
-		w.push(pframe{m: child, trace: node})
-	}
 	if len(picked) == 0 {
 		w.recycle(m)
+		return
+	}
+	node := w.node(f)
+	last := len(picked) - 1
+	for k, i := range picked {
+		w.pushChild(m, node, w.actBuf[i], k == last, 0)
 	}
 }
 
@@ -1003,18 +1099,20 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 			}
 		}
 		for i, fr := range ck.frontier {
-			m := build()
-			var node *traceNode
-			for _, a := range fr.trace {
-				e.model.Apply(m, a)
-				if e.traces {
-					node = &traceNode{parent: node, act: a}
+			f := pframe{m: build(), sleep: fr.sleep, root: len(fr.trace) == 0}
+			for k, a := range fr.trace {
+				e.model.Apply(f.m, a)
+				if k > 0 {
+					f.parent = &traceNode{parent: f.parent, act: f.act}
 				}
+				f.act = a
 			}
-			e.workers[i%nw].push(pframe{m: m, trace: node, sleep: fr.sleep})
+			e.workers[i%nw].push(f)
 		}
+		e.pending.Store(int64(len(ck.frontier)))
 	} else {
-		e.workers[0].push(pframe{m: root})
+		e.workers[0].push(pframe{m: root, root: true})
+		e.pending.Store(1)
 	}
 
 	var ckptSetupErr error

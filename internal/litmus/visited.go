@@ -172,9 +172,7 @@ func (cs *collapsedSet) finalize(key []byte, tmask actionMask) actionMask {
 	if !ok {
 		return 0
 	}
-	z := ve.sleepAcc
-	ve.pruned = tmask & z
-	ve.finalized = true
+	z := finalizeEntry(&ve, tmask)
 	s.m[string(key)] = ve
 	return z
 }
