@@ -31,8 +31,9 @@ bench:
 # Checker-throughput benchmarks only: serial reference engine vs the
 # parallel work-stealing engine on the Dekker and IRIW state spaces
 # (states/sec and B/state), then the engine's visited set (1 M claims at
-# a 65 % duplicate mix, 1 and 2 goroutines) and its one-pass hash pair
-# in isolation. benchstat-compatible.
+# a 65 % duplicate mix, 1 and 2 goroutines, hashed keys and the exact/
+# 41-byte-key case) and its one-pass hash pair in isolation.
+# benchstat-compatible.
 bench-litmus:
 	$(GO) test -run '^$$' -bench 'BenchmarkExplore' -benchmem -count $(COUNT) .
 	$(GO) test -run '^$$' -bench 'BenchmarkVisitedClaim|BenchmarkHashPair' -benchmem -count $(COUNT) ./internal/litmus/
@@ -45,11 +46,13 @@ bench-por:
 	$(GO) run ./cmd/litmus -por -reduction
 
 # Representation-level scaling: the collapse/symmetry/spill
-# differential tests under the race detector, then the catalog plus the
+# differential tests under the race detector, with the visited-set model
+# and the checkpoint/resume suites (spill, snapshot and restore run
+# through the same table), then the catalog plus the
 # 3-process generators through the whole stack under a deliberately
 # starved 1MB budget so cold stripes actually spill mid-run.
 bench-compress:
-	$(GO) test -race -run 'Collapse|Symmetry|Spill|Budget|Compress' -short ./internal/litmus/ ./internal/tso/
+	$(GO) test -race -run 'Collapse|Symmetry|Spill|Budget|Compress|Visited|Checkpoint|Resume' -short ./internal/litmus/ ./internal/tso/
 	$(GO) run ./cmd/litmus -compress -membudget 1048576 -nproc 3
 
 # Machine-readable verification summary (states, states/sec per test);

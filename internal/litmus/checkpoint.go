@@ -27,9 +27,11 @@ import (
 //
 //   - The visited set. Checkpointing implies Options.Collapse, so every
 //     visited state is a fixed-width collapsed tuple plus a 4-byte
-//     pruned mask — exactly the spill-record encoding the
-//     memory-budgeted set already uses (visited.go). Stripes serialize
-//     as flat record runs; spilled segments append verbatim.
+//     pruned mask — exactly the record the visited table's spill
+//     segments hold (visited.go). Each stripe's resident slots serialize
+//     as such records in table order; spilled segments append verbatim.
+//     Resume re-inserts them by hashing each key, so nothing about the
+//     table's layout is part of the format.
 //   - The collapser's component tables. Collapsed keys are tuples of
 //     intern-table indices assigned in first-seen order, so the tables
 //     must be persisted in index order and replayed into the resumed
@@ -195,7 +197,8 @@ func unpackAction(v uint64) Action {
 // are deliberately excluded — they change performance, not results —
 // and Collapse is implied. Properties are functions, so only their
 // count is hashable; the root fingerprint pair carries the rest of the
-// program identity.
+// program identity. The order of the fields below is part of every
+// checkpoint on disk (TestResumeParentWrittenCheckpoint).
 func optionsHash(o Options) uint64 {
 	max := o.MaxStates
 	if max == 0 {
@@ -217,7 +220,7 @@ func optionsHash(o Options) uint64 {
 	app(o.ReorderBound)
 	appBool(o.Reduction)
 	appBool(o.SequentialConsistency)
-	appBool(o.stopOnViolation())
+	appBool(o.StopOnViolation)
 	app(len(o.Properties))
 	appBool(o.Symmetry != nil)
 	for _, r := range OutcomeRegs {
@@ -362,7 +365,7 @@ func (c *ckptCoord) crash() {
 
 // writeLocked serializes and atomically commits one snapshot. Called
 // with c.mu held and every live worker parked or exited, so stripe
-// maps, spill segments, intern tables, worker stacks, and partial
+// tables, spill segments, intern tables, worker stacks, and partial
 // results are all quiescent.
 func (c *ckptCoord) writeLocked() {
 	e := c.e
@@ -455,7 +458,7 @@ func encodeCheckpoint(e *engine) []byte {
 	part := e.partialResult()
 
 	// Visited records + component tables.
-	recs, count := e.cset.snapshotRecords()
+	recs, count := e.visited.snapshotRecords()
 	tables := e.collapser.TableSnapshot()
 	var tblBuf []byte
 	for _, tbl := range tables {
@@ -496,7 +499,7 @@ func encodeCheckpoint(e *engine) []byte {
 		RootH1:        hex64(e.rootH1),
 		RootH2:        hex64(e.rootH2),
 		Procs:         e.nprocs,
-		KeyWidth:      e.cset.keyWidth,
+		KeyWidth:      e.visited.keyWidth,
 		Model:         e.model.Name(),
 		States:        part.States,
 		Transitions:   part.Transitions,

@@ -303,6 +303,57 @@ func TestCheckpointOnCommit(t *testing.T) {
 	}
 }
 
+// TestResumeParentWrittenCheckpoint pins the on-disk format across the
+// visited-set unification: testdata holds two mid-run dekker-nofence
+// checkpoints (MutualExclusion, one worker, EveryStates 150, killed at
+// the second commit, 300 states in) written by commit 61917c3, the last
+// whose exact visited set was a map and whose Options still carried a
+// deprecated alias of StopOnViolation. The records, the component tables and the
+// options hash (the stop-on-violation bit included, in its old
+// position) must all still mean what they meant: Resume accepts them
+// and finishes with the uninterrupted run's result.
+func TestResumeParentWrittenCheckpoint(t *testing.T) {
+	p0, p1 := programs.DekkerPair(programs.DekkerNoFence)
+	build := machineFor(p0, p1)
+	for _, tc := range []struct {
+		file      string
+		reduction bool
+	}{
+		{"dekker-nofence-plain.lbmf", false},
+		{"dekker-nofence-reduction.lbmf", true},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, ckptFileName), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Properties: []Property{MutualExclusion}, Workers: 4, Reduction: tc.reduction}
+			ref := Explore(build, opts)
+
+			stop := opts
+			stop.StopOnViolation = true
+			if _, err := Resume(dir, build, stop); !errors.Is(err, ErrCheckpointMismatch) {
+				t.Errorf("Resume with StopOnViolation flipped: %v, want ErrCheckpointMismatch", err)
+			}
+			res, err := Resume(dir, build, opts)
+			if err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			if got := res.Obs.Gauges["resumed_states"]; got != 300 {
+				t.Errorf("resumed_states=%v, the checkpoint holds 300", got)
+			}
+			assertSameVerdict(t, res, ref, !tc.reduction)
+			if m := Replay(build, res.ViolationTrace); !m.CSViolation {
+				t.Error("resumed violation trace does not replay to a violation")
+			}
+		})
+	}
+}
+
 // TestResumeRejections is the rejection table: every way a checkpoint
 // can be unusable must map to the right sentinel, with no panics.
 func TestResumeRejections(t *testing.T) {

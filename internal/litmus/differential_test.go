@@ -85,22 +85,22 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelStopAtFirstViolation checks cooperative cancellation: the
+// TestParallelStopOnViolation checks cooperative cancellation: the
 // parallel engine must record a valid counterexample and stop early.
-func TestParallelStopAtFirstViolation(t *testing.T) {
+func TestParallelStopOnViolation(t *testing.T) {
 	p0, p1 := programs.DekkerPair(programs.DekkerNoFence)
 	build := machineFor(p0, p1)
 	res := Explore(build, Options{
-		Properties:           []Property{MutualExclusion},
-		StopAtFirstViolation: true,
-		Workers:              4,
+		Properties:      []Property{MutualExclusion},
+		StopOnViolation: true,
+		Workers:         4,
 	})
 	if res.Violations == 0 {
 		t.Fatal("no violation found")
 	}
 	full := Explore(build, Options{Properties: []Property{MutualExclusion}, Workers: 4})
 	if res.States >= full.States {
-		t.Errorf("StopAtFirstViolation explored %d states, full space is %d", res.States, full.States)
+		t.Errorf("StopOnViolation explored %d states, full space is %d", res.States, full.States)
 	}
 	if !Replay(build, res.ViolationTrace).CSViolation {
 		t.Error("violation trace does not replay to a violation")

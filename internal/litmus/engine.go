@@ -23,19 +23,14 @@ import (
 //     the shared stacks stay full and a frame costs no synchronisation:
 //     even the frame count that detects termination (engine.pending) is
 //     settled only when frames change hands.
-//   - Visited set: sharded into 256 stripes, each a flat open-addressed
-//     table of 24-byte slots behind its own mutex. A 64-bit FNV-1a hash
-//     of the state fingerprint picks the stripe (low 8 bits) and the
-//     probe start (the rest); a slot matches only on that hash AND a
-//     second independent 64-bit hash, an effective 128-bit key, so a
-//     state sharing only the primary hash with another takes the next
-//     probe slot instead of silently merging with it. Tables start
-//     unallocated, double at ¾ load (so they run ⅜ to ¾ full, 32-64 B a
-//     state, plus one stripe's old table while it doubles) and hold no
-//     pointers. Claiming a state is one pass over the fingerprint, one
-//     uncontended lock and a linear probe. Options.VerifyVisited
-//     additionally keys an authoritative map by the full fingerprint and
-//     counts how often the hashed keys would have merged distinct states.
+//   - Visited set: one structure, visited.go: 256 lock-striped flat
+//     open-addressed tables of 24-byte slots holding no pointers. A
+//     64-bit FNV-1a hash of the state key picks the stripe and the probe
+//     start; a slot matches on that hash AND either a second independent
+//     64-bit hash (an effective 128-bit key, the default) or the exact
+//     collapsed key kept in the stripe's arena (Options.Collapse).
+//     Claiming a state is one pass over the key, one uncontended lock
+//     and a linear probe.
 //   - Traces: a frame carries its parent's immutable parent-pointer
 //     chain plus its own action instead of a per-frame copy of the
 //     action slice (the serial engine's O(depth²) allocation). Its own
@@ -180,271 +175,6 @@ func hashBoth(b []byte) (uint64, uint64) {
 // and check that distinct states still get distinct visited entries.
 var hashPair = hashBoth
 
-// visitedStripes must be a power of two.
-const visitedStripes = 256
-
-// ventry is one visited state's sleep-set protocol state, used by the
-// reduction. Until the claiming worker finalizes the entry, sleepAcc
-// accumulates (intersects) the sleep masks of every path that arrived at
-// the state; afterwards pruned records which enabled actions the state's
-// expansion withheld, so later arrivals with smaller sleep sets can
-// re-expand exactly the difference.
-type ventry struct {
-	sleepAcc  actionMask
-	pruned    actionMask
-	finalized bool
-}
-
-// slot is one cell of a stripe's flat table: the 128-bit key and the
-// state's ventry, packed into 24 bytes. meta carries the occupied and
-// finalized bits above the pruned mask; a zero meta is an empty slot,
-// so every key value, (0,0) included, is storable.
-type slot struct {
-	h1, h2   uint64
-	sleepAcc actionMask
-	meta     uint32
-}
-
-const (
-	slotOccupied  = 1 << 31
-	slotFinalized = 1 << 30
-	slotPruned    = slotFinalized - 1
-	// minSlots is a stripe's first allocation: synthesis issues thousands
-	// of explorations that put about one state in each stripe.
-	minSlots = 4
-)
-
-// An action mask must fit under meta's two flag bits.
-const _ = uint(30 - 2*maxReductionProcs)
-
-func (sl *slot) entry() ventry {
-	return ventry{sleepAcc: sl.sleepAcc, pruned: actionMask(sl.meta & slotPruned), finalized: sl.meta&slotFinalized != 0}
-}
-
-func (sl *slot) setEntry(ve ventry) {
-	sl.sleepAcc = ve.sleepAcc
-	sl.meta = slotOccupied | uint32(ve.pruned)
-	if ve.finalized {
-		sl.meta |= slotFinalized
-	}
-}
-
-type visitedStripe struct {
-	mu sync.Mutex
-	// slots is the open-addressed table: power-of-two length, linear
-	// probing from h1>>8 (the low 8 bits chose the stripe), never more
-	// than ¾ full, nil until the stripe's first claim.
-	slots []slot
-	n     int // occupied slots
-	// full is the authoritative fingerprint-keyed map kept only under
-	// Options.VerifyVisited, where the table above is demoted to
-	// collision accounting.
-	full map[string]*ventry
-	_    [16]byte // pad to a cache line so stripes don't false-share
-}
-
-// find probes for the key (h1,h2). It returns the slot holding it, or
-// else the empty slot ending its probe run, where it would go (nil in a
-// never-allocated table), with collided reporting whether a different
-// state sharing h1 was passed on the way.
-func (s *visitedStripe) find(h1, h2 uint64) (sl *slot, found, collided bool) {
-	if len(s.slots) == 0 {
-		return nil, false, false
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := h1 >> 8; ; i++ {
-		sl = &s.slots[i&mask]
-		if sl.meta&slotOccupied == 0 {
-			return sl, false, collided
-		}
-		if sl.h1 == h1 {
-			if sl.h2 == h2 {
-				return sl, true, false
-			}
-			collided = true
-		}
-	}
-}
-
-// reserve makes room for one more key, doubling the table when the
-// insert would take it past ¾ load. Called before the find whose empty
-// slot the insert fills, so one probe serves lookup and insert.
-func (s *visitedStripe) reserve() {
-	if (s.n+1)*4 <= len(s.slots)*3 {
-		return
-	}
-	old := s.slots
-	s.slots = make([]slot, max(2*len(old), minSlots))
-	mask := uint64(len(s.slots) - 1)
-	for i := range old {
-		if old[i].meta&slotOccupied == 0 {
-			continue
-		}
-		j := old[i].h1 >> 8
-		for s.slots[j&mask].meta&slotOccupied != 0 {
-			j++
-		}
-		s.slots[j&mask] = old[i]
-	}
-}
-
-type visitedSet struct {
-	stripes [visitedStripes]visitedStripe
-}
-
-// newVisitedSet allocates no table: synthesis issues thousands of
-// explorations of a few hundred states, where pre-sizing 256 stripes
-// was most of each run's allocation, and a large space grows them
-// within its first few thousand claims.
-func newVisitedSet(verify bool) *visitedSet {
-	vs := &visitedSet{}
-	if verify {
-		for i := range vs.stripes {
-			vs.stripes[i].full = make(map[string]*ventry)
-		}
-	}
-	return vs
-}
-
-// claimStatus is the outcome of a visited-set claim.
-type claimStatus uint8
-
-const (
-	claimWon claimStatus = iota
-	claimDup
-	claimTruncated
-)
-
-// dupMerge folds a re-arrival with sleep mask z into an existing entry,
-// returning the actions the arriving path needs re-expanded: everything
-// the first visit withheld that this path's sleep set does not cover.
-func dupMerge(e *ventry, z actionMask) actionMask {
-	if !e.finalized {
-		e.sleepAcc &= z
-		return 0
-	}
-	missing := e.pruned &^ z
-	e.pruned &= z
-	return missing
-}
-
-// finalizeEntry settles an entry once its winner has chosen the
-// persistent set tmask: the sleep mask merged from every arrival so far
-// is returned, and what it withholds from tmask becomes pruned.
-func finalizeEntry(e *ventry, tmask actionMask) actionMask {
-	z := e.sleepAcc
-	e.pruned = tmask & z
-	e.finalized = true
-	return z
-}
-
-// claim records the state with keys (h1,h2) and fingerprint fp as
-// visited. Exactly one caller per distinct state wins; the states
-// counter is incremented under the stripe lock, so Result.States never
-// overshoots maxStates — the claim that would exceed the budget inserts
-// nothing and returns claimTruncated. For duplicates the returned mask
-// lists previously pruned actions the arriving sleep set z requires.
-func (e *engine) claim(h1, h2 uint64, fp []byte, z actionMask) (claimStatus, actionMask) {
-	s := &e.visited.stripes[h1&(visitedStripes-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	if s.full != nil {
-		// VerifyVisited: the full-fingerprint map decides identity; the
-		// hashed table runs alongside purely to count what it would have
-		// merged.
-		if fe := s.full[string(fp)]; fe != nil {
-			return claimDup, dupMerge(fe, z)
-		}
-	}
-	s.reserve()
-	sl, found, collided := s.find(h1, h2)
-	if found && s.full == nil {
-		ve := sl.entry()
-		missing := dupMerge(&ve, z)
-		sl.setEntry(ve)
-		return claimDup, missing
-	}
-	if !e.bumpStates() {
-		return claimTruncated, 0
-	}
-	if found {
-		// Reachable only under VerifyVisited: a new fingerprint whose full
-		// 128-bit key is taken.
-		e.verifyCollisions.Add(1)
-	} else {
-		if collided {
-			// Genuine 64-bit collision: two distinct states share h1. The
-			// second hash keeps them apart where a single-key set would
-			// have silently merged them.
-			e.h1Collisions.Add(1)
-		}
-		sl.h1, sl.h2 = h1, h2
-		sl.setEntry(ventry{sleepAcc: z})
-		s.n++
-	}
-	if s.full != nil {
-		s.full[string(fp)] = &ventry{sleepAcc: z}
-	}
-	return claimWon, 0
-}
-
-// seen reports whether the state with keys (h1,h2) and fingerprint fp
-// is already in the visited set, without claiming it. The reduction's
-// cycle proviso probes ample successors with it: a probe that runs
-// after the prober's own claim (program order, serialized by the stripe
-// locks) is guaranteed to observe every earlier claim, which is what
-// the no-ignoring argument in reduce.go needs.
-func (e *engine) seen(h1, h2 uint64, fp []byte) bool {
-	s := &e.visited.stripes[h1&(visitedStripes-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.full != nil {
-		return s.full[string(fp)] != nil
-	}
-	_, found, _ := s.find(h1, h2)
-	return found
-}
-
-// bumpStates counts a new state against the budget, rolling back and
-// cancelling the exploration when it would exceed maxStates. Called with
-// the stripe lock held, immediately before the insert it guards.
-func (e *engine) bumpStates() bool {
-	n := e.states.Add(1)
-	if n > e.maxStates {
-		e.states.Add(-1)
-		e.truncated.Store(true)
-		e.cancel.Store(true)
-		return false
-	}
-	if c := e.ck; c != nil && c.opts.EveryStates > 0 && n%int64(c.opts.EveryStates) == 0 {
-		c.req.Store(true)
-	}
-	return true
-}
-
-// finalize publishes the claiming worker's chosen persistent set on the
-// state's visited entry and retrieves the merged sleep mask. Between
-// claim and finalize other paths may have reached the state; their sleep
-// masks were intersected into sleepAcc, so the winner expands T minus
-// the returned mask and every such arrival is covered.
-func (e *engine) finalize(h1, h2 uint64, fp []byte, tmask actionMask) actionMask {
-	s := &e.visited.stripes[h1&(visitedStripes-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.full != nil {
-		return finalizeEntry(s.full[string(fp)], tmask)
-	}
-	sl, found, _ := s.find(h1, h2)
-	if !found {
-		return 0
-	}
-	ve := sl.entry()
-	z := finalizeEntry(&ve, tmask)
-	sl.setEntry(ve)
-	return z
-}
-
 // engine is the shared state of one Explore call.
 type engine struct {
 	opts      Options
@@ -460,13 +190,10 @@ type engine struct {
 	base           Result
 	rootH1, rootH2 uint64
 	nprocs         int
-	// visited is the hashed-key set; nil when the run uses the collapsed
-	// set instead (Options.Collapse / Options.MemBudget).
-	visited *visitedSet
-	// collapser and cset are the collapse-compression state: shared
-	// component intern tables plus the exact tuple-keyed visited set.
+	visited        visitedSet
+	// collapser holds the shared component intern tables when the visited
+	// set keys on exact collapsed tuples; nil when it keys on hash pairs.
 	collapser *tso.Collapser
-	cset      *collapsedSet
 	// sym is the validated symmetry declaration; workers canonicalize
 	// states through per-worker tso.Canonicalizers when set.
 	sym *tso.Symmetry
@@ -475,9 +202,9 @@ type engine struct {
 	red *reducer
 
 	// h1Collisions counts distinct states sharing a 64-bit primary hash
-	// (resolved by the second hash); verifyCollisions counts distinct
-	// fingerprints sharing the full 128-bit key, detectable only under
-	// Options.VerifyVisited.
+	// (resolved by the second hash or the exact key); verifyCollisions
+	// counts distinct fingerprints sharing the full 128-bit key,
+	// detectable only under Options.VerifyVisited.
 	h1Collisions     atomic.Uint64
 	verifyCollisions atomic.Uint64
 
@@ -566,19 +293,13 @@ type worker struct {
 	pl       plan // reduction scratch
 
 	// canon is this worker's symmetry canonicalizer (its scratch machine
-	// is worker-private). slot/slotBuf hold the claimed state's processor
-	// permutation: slot is nil for identity, otherwise a worker-owned
-	// copy (the canonicalizer reuses its own slice across calls, and the
-	// cycle proviso's probes re-canonicalize between claim and finalize).
+	// is worker-private). slotBuf holds the claimed state's processor
+	// permutation while process runs: the canonicalizer reuses its own
+	// slice across calls, and the cycle proviso's probes re-canonicalize
+	// between claim and finalize.
 	canon   *tso.Canonicalizer
-	slot    []int
 	slotBuf []int
 	colBuf  []byte // collapse component scratch
-	// cm is the canonical representative of the frame being processed
-	// (the machine itself without symmetry), set by stateKey. Outcomes
-	// are recorded from it so every member of an orbit contributes the
-	// same outcome string, whichever member a worker reaches first.
-	cm *tso.Machine
 
 	// Reduction accounting: states where a single-processor ample set was
 	// chosen, transitions withheld by sleep sets, transitions re-expanded
@@ -735,75 +456,21 @@ func (w *worker) pushChild(m *tso.Machine, node *traceNode, a Action, inPlace bo
 	w.push(pframe{m: child, parent: node, act: a, sleep: sleep})
 }
 
-// stateKey computes the visited-set key of m into w.fpBuf: the
-// canonical orbit representative under symmetry (recording the applied
-// processor permutation in w.slot, nil for identity), then either the
-// collapsed tuple or the full fingerprint per the engine's mode.
-func (w *worker) stateKey(m *tso.Machine) []byte {
-	e := w.eng
-	cm := m
-	w.slot = nil
+// appendKey appends m's visited-set key to buf: the canonical orbit
+// representative under symmetry, then either the collapsed tuple or the
+// full fingerprint per the engine's key mode. It also returns that
+// representative (m itself without symmetry) and the processor
+// permutation that produced it: nil for identity, otherwise a slice the
+// canonicalizer reuses on its next call.
+func (w *worker) appendKey(buf []byte, m *tso.Machine) ([]byte, *tso.Machine, []int) {
+	cm, slot := m, []int(nil)
 	if w.canon != nil {
-		var s []int
-		cm, s = w.canon.Canonicalize(m)
-		if s != nil {
-			w.slotBuf = append(w.slotBuf[:0], s...)
-			w.slot = w.slotBuf
-		}
+		cm, slot = w.canon.Canonicalize(m)
 	}
-	w.cm = cm
-	if e.collapser != nil {
-		w.fpBuf = e.collapser.Collapse(cm, w.fpBuf[:0], &w.colBuf)
-	} else {
-		w.fpBuf = cm.Fingerprint(w.fpBuf[:0])
+	if c := w.eng.collapser; c != nil {
+		return c.Collapse(cm, buf, &w.colBuf), cm, slot
 	}
-	return w.fpBuf
-}
-
-// probeKey is stateKey for cycle-proviso successor probes: identical
-// keying into probeBuf, without touching w.slot or w.fpBuf (the claimed
-// state's key and permutation must stay live across the probes).
-func (w *worker) probeKey(m *tso.Machine) []byte {
-	e := w.eng
-	cm := m
-	if w.canon != nil {
-		cm, _ = w.canon.Canonicalize(m)
-	}
-	if e.collapser != nil {
-		w.probeBuf = e.collapser.Collapse(cm, w.probeBuf[:0], &w.colBuf)
-	} else {
-		w.probeBuf = cm.Fingerprint(w.probeBuf[:0])
-	}
-	return w.probeBuf
-}
-
-// claimKey dispatches a claim to the exact collapsed set or the hashed
-// set, returning the hash pair for the later finalizeKey when the
-// hashed set is in use. Sleep masks cross this boundary in canonical
-// processor numbering (see permuteMask).
-func (e *engine) claimKey(key []byte, z actionMask) (claimStatus, actionMask, uint64, uint64) {
-	if e.cset != nil {
-		st, missing := e.cset.claim(e, key, z)
-		return st, missing, 0, 0
-	}
-	h1, h2 := hashPair(key)
-	st, missing := e.claim(h1, h2, key, z)
-	return st, missing, h1, h2
-}
-
-func (e *engine) seenKey(key []byte) bool {
-	if e.cset != nil {
-		return e.cset.seen(key)
-	}
-	h1, h2 := hashPair(key)
-	return e.seen(h1, h2, key)
-}
-
-func (e *engine) finalizeKey(key []byte, h1, h2 uint64, tmask actionMask) actionMask {
-	if e.cset != nil {
-		return e.cset.finalize(key, tmask)
-	}
-	return e.finalize(h1, h2, key, tmask)
+	return cm.Fingerprint(buf), cm, slot
 }
 
 // process claims, checks, and expands one frame.
@@ -819,9 +486,19 @@ func (w *worker) process(f pframe) {
 		return
 	}
 
-	key := w.stateKey(m)
+	// cm is the canonical representative of the frame (m itself without
+	// symmetry) and slot the permutation that produced it, nil for
+	// identity. Sleep masks cross into the visited set in canonical
+	// processor numbering (see permuteMask).
+	key, cm, slot := w.appendKey(w.fpBuf[:0], m)
+	w.fpBuf = key
+	if slot != nil {
+		w.slotBuf = append(w.slotBuf[:0], slot...)
+		slot = w.slotBuf
+	}
 	w.claimTries++
-	st, missing, h1, h2 := e.claimKey(key, permuteMask(f.sleep, w.slot))
+	h1, h2 := hashPair(key)
+	st, missing := e.claim(h1, h2, key, permuteMask(f.sleep, slot))
 	switch st {
 	case claimTruncated:
 		return
@@ -830,18 +507,16 @@ func (w *worker) process(f pframe) {
 			// A previous visit withheld actions this path's (smaller) sleep
 			// set cannot justify skipping; expand exactly those. The entry's
 			// mask is canonical; translate back to this machine's numbering.
-			w.expandFrom(&f, unpermuteMask(missing, w.slot))
+			w.expandFrom(&f, unpermuteMask(missing, slot))
 		} else {
 			w.recycle(m)
 		}
 		return
 	}
 	w.claimWins++
-	if e.cset != nil {
-		// Winning a claim is the only event that grows the resident set;
-		// shed cold stripes if the budget is now exceeded.
-		e.cset.maybeSpill()
-	}
+	// Winning a claim is the only event that grows the resident set; shed
+	// cold stripes if the budget is now exceeded.
+	e.visited.maybeSpill()
 
 	violated := false
 	var node *traceNode
@@ -854,7 +529,7 @@ func (w *worker) process(f pframe) {
 			break
 		}
 	}
-	if violated && e.opts.stopOnViolation() {
+	if violated && e.opts.StopOnViolation {
 		e.cancel.Store(true)
 		return
 	}
@@ -863,10 +538,12 @@ func (w *worker) process(f pframe) {
 	enabled := w.actBuf
 	if len(enabled) == 0 {
 		if m.Quiesced() {
-			// w.cm is still the canonical machine from stateKey: the proviso
-			// probes (the only other canonicalizer use) never run on a
-			// quiesced state.
-			w.outBuf = appendOutcome(w.outBuf[:0], w.cm)
+			// Outcomes are recorded from the canonical representative so
+			// every member of an orbit contributes the same outcome string,
+			// whichever member a worker reaches first. cm is still valid:
+			// the proviso probes (the only other canonicalizer use) never
+			// run on a quiesced state.
+			w.outBuf = appendOutcome(w.outBuf[:0], cm)
 			w.res.Outcomes[Outcome(w.outBuf)]++
 		} else {
 			w.res.Deadlocks++
@@ -897,9 +574,9 @@ func (w *worker) process(f pframe) {
 		// two sibling children in one visited orbit, collapsing the
 		// well-founded coverage order that makes sleep sets sound, so
 		// symmetric runs reduce with ample sets and the proviso only
-		// (see the rationale in serial.go's exploreSerialReduced).
-		zc := e.finalizeKey(w.fpBuf, h1, h2, permuteMask(w.pl.tmask, w.slot))
-		z := unpermuteMask(zc, w.slot)
+		// (see the rationale in serial.go).
+		zc := e.finalize(h1, h2, key, permuteMask(w.pl.tmask, slot))
+		z := unpermuteMask(zc, slot)
 		if w.canon != nil {
 			z = 0
 		}
@@ -947,9 +624,12 @@ func (w *worker) ampleSuccessorSeen(m *tso.Machine, enabled []Action) bool {
 	for _, i := range w.pl.tidx {
 		child := w.clone(m)
 		e.model.Apply(child, enabled[i])
-		pk := w.probeKey(child)
+		// Keyed into probeBuf: the claimed state's key in fpBuf and its
+		// permutation must stay live across the probes.
+		w.probeBuf, _, _ = w.appendKey(w.probeBuf[:0], child)
 		w.recycle(child)
-		if e.seenKey(pk) {
+		h1, h2 := hashPair(w.probeBuf)
+		if e.seen(h1, h2, w.probeBuf) {
 			return true
 		}
 	}
@@ -1004,11 +684,29 @@ func Explore(build func() *tso.Machine, opts Options) Result {
 	return exploreFrom(build, opts, nil)
 }
 
-// explore is Explore plus an optional decoded checkpoint to resume
-// from: restored component tables and visited records seed the
-// collapsed set, the saved partial result seeds the totals, and the
-// saved frontier traces replay into the workers' stacks in place of the
-// root frame.
+// checkedSymmetry validates a symmetry declaration against the root
+// machine's programs and returns it; nil when none is declared. An
+// invalid declaration would silently merge inequivalent states, so both
+// engines refuse to run rather than return unsound results.
+func checkedSymmetry(root *tso.Machine, sym *tso.Symmetry) *tso.Symmetry {
+	if sym == nil {
+		return nil
+	}
+	progs := make([]*tso.Program, len(root.Procs))
+	for i, p := range root.Procs {
+		progs[i] = p.Prog
+	}
+	if err := sym.Validate(progs, root.Cfg.MemWords); err != nil {
+		panic(err)
+	}
+	return sym
+}
+
+// exploreFrom runs one exploration, from the root or, when ck is
+// non-nil, from that decoded checkpoint: restored component tables and
+// visited records seed the visited set, the saved partial result seeds
+// the totals, and the saved frontier traces replay into the workers'
+// stacks in place of the root frame.
 func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result {
 	nw := opts.Workers
 	if nw <= 0 {
@@ -1034,18 +732,7 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 	if ckptOn || ck != nil {
 		e.rootH1, e.rootH2 = rootIdentity(root)
 	}
-	if opts.Symmetry != nil {
-		progs := make([]*tso.Program, len(root.Procs))
-		for i, p := range root.Procs {
-			progs[i] = p.Prog
-		}
-		// An invalid declaration would silently merge inequivalent states;
-		// refuse to run rather than return unsound results.
-		if err := opts.Symmetry.Validate(progs, root.Cfg.MemWords); err != nil {
-			panic(err)
-		}
-		e.sym = opts.Symmetry
-	}
+	e.sym = checkedSymmetry(root, opts.Symmetry)
 	if opts.Reduction && opts.ReorderBound <= 0 && e.model.ReductionOK() {
 		// nil when the machine has too many processors for the reduction's
 		// action masks; the exploration then runs unreduced. A reorder
@@ -1054,18 +741,18 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 		// cover (PSO): Model.ReductionOK gates it per model.
 		e.red = newReducer(root, opts.SequentialConsistency)
 	}
+	keyWidth := 0
 	if opts.Collapse || opts.MemBudget > 0 || ckptOn || ck != nil {
-		// Checkpointing implies Collapse: collapsed tuples are exact
-		// fixed-width identities, which is what makes visited stripes
-		// serializable as spill-format records.
+		// A memory budget and checkpointing imply Collapse: collapsed
+		// tuples are exact fixed-width identities, which is what makes
+		// visited stripes serializable as spill-format records.
 		e.collapser = tso.NewCollapser()
-		// Without a reducer no finalize call ever comes, so entries are
-		// born finalized (pruned stays zero) and immediately spillable.
-		e.cset = newCollapsedSet(tso.CollapsedWidth(len(root.Procs)), opts.MemBudget, e.red == nil)
-		e.cset.faults = opts.Faults
-	} else {
-		e.visited = newVisitedSet(opts.VerifyVisited)
+		keyWidth = tso.CollapsedWidth(len(root.Procs))
 	}
+	// Without a reducer no finalize call ever comes, so entries are born
+	// finalized (pruned stays zero) and immediately spillable.
+	e.visited.init(keyWidth, opts.MemBudget, e.red == nil, opts.VerifyVisited)
+	e.visited.faults = opts.Faults
 	e.workers = make([]*worker, nw)
 	for i := range e.workers {
 		e.workers[i] = &worker{
@@ -1084,7 +771,7 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 		// the partial totals, and the frontier — each saved frame
 		// replayed from a fresh root and dealt round-robin.
 		e.collapser.RestoreTables(ck.tables)
-		e.cset.restoreRecords(ck.visited)
+		e.visited.restoreRecords(ck.visited)
 		e.base = ck.baseResult()
 		e.states.Store(int64(e.base.States))
 		if e.base.Truncated {
@@ -1094,7 +781,7 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 		if e.base.FirstViolation != nil {
 			e.firstViolation = e.base.FirstViolation
 			e.violTrace = e.base.ViolationTrace
-			if opts.stopOnViolation() {
+			if opts.StopOnViolation {
 				e.cancel.Store(true)
 			}
 		}
@@ -1162,15 +849,14 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 	res.Obs.PutCounter("claim_tries", tries)
 	res.Obs.PutCounter("claim_wins", wins)
 	res.Obs.PutCounter("workers", uint64(nw))
-	if e.visited != nil {
+	if vs := &e.visited; vs.keyWidth == 0 {
 		res.Obs.PutCounter("visited_h1_collisions", e.h1Collisions.Load())
 		if opts.VerifyVisited {
 			res.Obs.PutCounter("visited_128bit_collisions", e.verifyCollisions.Load())
 		}
-	}
-	if e.cset != nil {
+	} else {
 		components, tblBytes := e.collapser.Stats()
-		peak := e.cset.peak.Load()
+		peak := vs.peak.Load()
 		res.Obs.PutGauge("collapse", 1)
 		res.Obs.PutCounter("collapse_components", components)
 		res.Obs.PutGauge("collapse_table_bytes", float64(tblBytes))
@@ -1182,18 +868,18 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 		if total > 0 {
 			res.Obs.PutGauge("states_per_byte", float64(res.States)/float64(total))
 		}
-		if e.cset.budget > 0 {
-			res.Obs.PutCounter("visited_spill_events", e.cset.spillEvents.Load())
-			res.Obs.PutCounter("visited_spilled_states", e.cset.spilledStates.Load())
-			res.Obs.PutGauge("visited_spilled_bytes", float64(e.cset.spilledBytes.Load()))
-			if e.cset.disabled.Load() {
+		if vs.budget > 0 {
+			res.Obs.PutCounter("visited_spill_events", vs.spillEvents.Load())
+			res.Obs.PutCounter("visited_spilled_states", vs.spilledStates.Load())
+			res.Obs.PutGauge("visited_spilled_bytes", float64(vs.spilledBytes.Load()))
+			if vs.disabled.Load() {
 				res.Obs.PutGauge("visited_spill_disabled", 1)
 			}
-			if f := e.cset.spillFailures.Load(); f > 0 {
+			if f := vs.spillFailures.Load(); f > 0 {
 				res.Obs.PutCounter("visited_spill_failures", f)
 			}
 		}
-		e.cset.close()
+		vs.close()
 	}
 	if e.sym != nil {
 		res.Obs.PutGauge("symmetry", 1)

@@ -147,12 +147,6 @@ type Options struct {
 	// full space and is unchanged.
 	StopOnViolation bool
 
-	// StopAtFirstViolation is the historical name for StopOnViolation;
-	// either flag enables early cancellation.
-	//
-	// Deprecated: use StopOnViolation.
-	StopAtFirstViolation bool
-
 	// Reduction enables partial-order reduction: ample sets over a
 	// footprint-based independence relation plus sleep sets, with a
 	// cycle proviso so reduced cycles cannot postpone a processor
@@ -166,14 +160,16 @@ type Options struct {
 	// than 8 processors (maxReductionProcs) silently run unreduced.
 	Reduction bool
 
-	// Collapse enables collapse compression of the parallel engine's
-	// visited set: per-component intern tables shared across the run plus
-	// a short fixed-width index tuple per state (tso.Collapser). The
-	// tuple is an exact state identity — no hashing, no collision risk —
-	// and costs a fraction of the full serialization per state. Results
-	// are identical to the uncompressed engine's (differential tests pin
-	// this). Ignored by ExploreSerial, whose exact string-keyed map is
-	// already its own specification.
+	// Collapse keys the parallel engine's visited set on exact collapsed
+	// tuples instead of 128-bit hash pairs: per-component intern tables
+	// shared across the run plus a short fixed-width index tuple per state
+	// (tso.Collapser), kept in the visited table's key arena. The tuple is
+	// an exact state identity — no hashing, no collision risk — and costs
+	// a fraction of the full serialization per state (24 B + ¾ of a key
+	// per table slot). It is the same table, claim path and sleep-set
+	// protocol either way; results are identical to the hashed engine's
+	// (differential tests pin this). Ignored by ExploreSerial, whose
+	// exact string-keyed map is already its own specification.
 	Collapse bool
 
 	// Symmetry declares a full symmetric group over interchangeable
@@ -190,14 +186,16 @@ type Options struct {
 	Symmetry *tso.Symmetry
 
 	// MemBudget caps the resident bytes of the parallel engine's visited
-	// set (0 = unlimited). It implies Collapse: collapsed keys are
-	// fixed-width, so cold stripes of the visited set can spill to
-	// mmap'd temp files as sorted record runs and still answer exact
-	// membership queries. Exceeding the budget makes the run slower, not
-	// truncated — exploration stays exhaustive and exact. The collapse
-	// component tables are shared across the run and are NOT counted
-	// against the budget (reported separately via Obs). Ignored by
-	// ExploreSerial.
+	// set (0 = unlimited), counted as what its tables and key arenas
+	// actually hold. It implies Collapse: collapsed keys are fixed-width,
+	// so cold stripes of the visited set can spill to mmap'd temp files
+	// as sorted record runs and still answer exact membership queries.
+	// Exceeding the budget makes the run slower, not truncated —
+	// exploration stays exhaustive and exact. A stripe's table never
+	// shrinks below what its unfinalized entries need, so a budget under
+	// that floor is exceeded however much spills. The collapse component
+	// tables are shared across the run and are NOT counted against the
+	// budget (reported separately via Obs). Ignored by ExploreSerial.
 	MemBudget int64
 
 	// VerifyVisited makes the parallel engine keep every full state
@@ -206,6 +204,9 @@ type Options struct {
 	// the hashed keys would have merged distinct states (reported as
 	// visited_128bit_collisions in Result.Obs). Costs memory and speed;
 	// meant for soundness audits and tests, not routine exploration.
+	// Vacuous with exact keys (Collapse, MemBudget, Checkpoint): those
+	// already compare the whole key, there is no hashed merge to audit,
+	// and no counter is reported.
 	VerifyVisited bool
 
 	// ReorderBound, when positive, explores a *reorder-bounded
@@ -230,10 +231,10 @@ type Options struct {
 	// Checkpoint configures periodic durable snapshots of the
 	// exploration (visited set + frontier) so a killed run resumes via
 	// Resume instead of restarting; see CheckpointOptions. A set Dir
-	// implies Collapse — checkpointed visited stripes reuse the
-	// fixed-width collapsed spill-record encoding — and forces trace
-	// recording so the frontier can be serialized as replayable action
-	// traces. Ignored by ExploreSerial.
+	// implies Collapse — the visited table serializes as the fixed-width
+	// key ‖ pruned records its spill segments already use — and forces
+	// trace recording so the frontier can be serialized as replayable
+	// action traces. Ignored by ExploreSerial.
 	Checkpoint CheckpointOptions
 
 	// Interrupt, when non-nil, is polled by every worker between frames:
@@ -272,11 +273,6 @@ type Options struct {
 	// order. Reduction is silently forced off under PSO, like under
 	// ReorderBound: the ample-set analysis assumes TSO's enabledness.
 	Model arch.MemModel
-}
-
-// stopOnViolation folds the canonical flag with its deprecated alias.
-func (o Options) stopOnViolation() bool {
-	return o.StopOnViolation || o.StopAtFirstViolation
 }
 
 // DefaultMaxStates bounds the explored state count.

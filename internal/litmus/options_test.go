@@ -40,19 +40,6 @@ func TestStopOnViolation(t *testing.T) {
 	}
 }
 
-// TestStopAtFirstViolationAlias keeps the deprecated flag working.
-func TestStopAtFirstViolationAlias(t *testing.T) {
-	if !(Options{StopAtFirstViolation: true}).stopOnViolation() {
-		t.Error("deprecated alias no longer enables early cancellation")
-	}
-	if !(Options{StopOnViolation: true}).stopOnViolation() {
-		t.Error("canonical flag does not enable early cancellation")
-	}
-	if (Options{}).stopOnViolation() {
-		t.Error("zero options enable early cancellation")
-	}
-}
-
 // TestMaxStatesGracefulPartial pins the truncation contract on both
 // engines: hitting the budget flags Truncated but still returns a usable
 // partial Result — states within the cap, and any outcomes or violations

@@ -7,168 +7,53 @@ import (
 )
 
 // serialFrame is one DFS frame of the reference engine, carrying a full
-// copy of the action trace.
+// copy of the action trace and, under Options.Reduction, the sleep set
+// the state was reached with.
 type serialFrame struct {
 	m     *tso.Machine
 	trace []Action
-}
-
-// serialCanonicalizer validates opts.Symmetry against the root machine's
-// programs and builds a canonicalizer for it; nil when no symmetry is
-// declared. Both serial paths (and their differential role as the oracle
-// for the parallel engine's symmetric runs) go through it.
-func serialCanonicalizer(root *tso.Machine, opts Options) *tso.Canonicalizer {
-	if opts.Symmetry == nil {
-		return nil
-	}
-	progs := make([]*tso.Program, len(root.Procs))
-	for i, p := range root.Procs {
-		progs[i] = p.Prog
-	}
-	if err := opts.Symmetry.Validate(progs, root.Cfg.MemWords); err != nil {
-		panic(err)
-	}
-	return tso.NewCanonicalizer(opts.Symmetry, root)
+	sleep actionMask
 }
 
 // ExploreSerial is the straightforward single-threaded reference engine:
-// one DFS stack, a string-keyed visited map over full fingerprints, a
+// one DFS loop, a string-keyed visited map over full fingerprints, a
 // fresh Machine clone per child, and per-frame trace copies. It is kept
 // deliberately simple — no hashing, no sharing, no recycling — as the
 // oracle the parallel engine is differentially tested against, and as
 // the baseline BenchmarkExploreSerial measures. Production callers want
 // Explore.
 //
-// With Options.Reduction it runs the same ample-set/sleep-set reduction
-// as the parallel engine but deterministically (single-threaded DFS over
-// exact fingerprints), which makes it the reference for the *reduced*
-// search too: reduced-parallel differential tests and the bench
-// pipeline's pruning-ratio metrics both compare against it.
+// With Options.Reduction the same loop drives its expansion through the
+// shared reducer (reduce.go): the ample-set/sleep-set reduction the
+// parallel engine runs, but deterministically (single-threaded DFS over
+// exact fingerprints, where the parallel engine's sleep masks depend on
+// arrival order), which makes it the reference for the *reduced* search
+// too: reduced-parallel differential tests and the bench pipeline's
+// pruning-ratio metrics both compare against it. Without a reducer every
+// state expands fully, every sleep set is empty and no entry ever has a
+// pruned action. TestExploreSerialPins holds both to absolute numbers.
 func ExploreSerial(build func() *tso.Machine, opts Options) Result {
+	start := time.Now()
 	maxStates := opts.MaxStates
 	if maxStates == 0 {
 		maxStates = DefaultMaxStates
 	}
 	mdl := modelFor(opts)
+	root := build()
 	// A reorder bound changes the enabledness relation the ample-set
 	// analysis was derived for, so bounded runs always explore unreduced
 	// (Options.ReorderBound documents this); so does a model whose
-	// relation the analysis does not cover (Model.ReductionOK).
+	// relation the analysis does not cover (Model.ReductionOK), and a
+	// machine with too many processors for the action masks (newReducer
+	// returns nil).
+	var rd *reducer
 	if opts.Reduction && opts.ReorderBound <= 0 && mdl.ReductionOK() {
-		return exploreSerialReduced(build, opts, maxStates)
+		rd = newReducer(root, opts.SequentialConsistency)
 	}
-	start := time.Now()
-	res := Result{Outcomes: make(map[Outcome]int)}
-	visited := make(map[string]struct{})
-
-	root := build()
-	canon := serialCanonicalizer(root, opts)
-	stack := []serialFrame{{m: root}}
-	buf := make([]byte, 0, 256)
-
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		m := f.m
-
-		cm := m
-		if canon != nil {
-			cm, _ = canon.Canonicalize(m)
-		}
-		buf = cm.Fingerprint(buf[:0])
-		key := string(buf)
-		if _, seen := visited[key]; seen {
-			continue
-		}
-		if res.States >= maxStates {
-			res.Truncated = true
-			break
-		}
-		visited[key] = struct{}{}
-		res.States++
-
-		violated := false
-		for _, prop := range opts.Properties {
-			if err := prop(m); err != nil {
-				res.Violations++
-				violated = true
-				if res.FirstViolation == nil {
-					res.FirstViolation = err
-					res.ViolationTrace = append([]Action(nil), f.trace...)
-				}
-				break
-			}
-		}
-		if violated && opts.stopOnViolation() {
-			res.Elapsed = time.Since(start)
-			return res
-		}
-
-		enabled := mdl.Enabled(nil, m, opts.ReorderBound)
-		if len(enabled) == 0 {
-			if m.Quiesced() {
-				// Outcomes are recorded from the canonical representative so
-				// every member of a symmetry orbit contributes the same
-				// string, matching the parallel engine whichever member it
-				// happens to reach first.
-				res.Outcomes[outcomeOf(cm)]++
-			} else {
-				res.Deadlocks++
-			}
-			continue
-		}
-		for _, a := range enabled {
-			child := m.Clone()
-			mdl.Apply(child, a)
-			res.Transitions++
-			tr := make([]Action, len(f.trace)+1)
-			copy(tr, f.trace)
-			tr[len(f.trace)] = a
-			stack = append(stack, serialFrame{m: child, trace: tr})
-		}
+	var canon *tso.Canonicalizer
+	if sym := checkedSymmetry(root, opts.Symmetry); sym != nil {
+		canon = tso.NewCanonicalizer(sym, root)
 	}
-	res.Elapsed = time.Since(start)
-	if canon != nil {
-		res.Obs.PutGauge("symmetry", 1)
-	}
-	return res
-}
-
-// serialRedFrame is a reduced-DFS frame: the reference frame plus the
-// sleep set the state was reached with.
-type serialRedFrame struct {
-	m     *tso.Machine
-	trace []Action
-	sleep actionMask
-}
-
-// serialVentry is the per-state bookkeeping of the reduced serial
-// search: which enabled actions the first visit withheld, shrunk as
-// later arrivals with smaller sleep sets re-expand the difference.
-type serialVentry struct {
-	pruned actionMask
-}
-
-// exploreSerialReduced is ExploreSerial's Options.Reduction path: the
-// same exact string-keyed visited map, with expansion driven by the
-// shared reducer (reduce.go). Being single-threaded over exact
-// fingerprints it is fully deterministic, unlike the reduced parallel
-// engine whose sleep masks depend on arrival order.
-func exploreSerialReduced(build func() *tso.Machine, opts Options, maxStates int) Result {
-	start := time.Now()
-	sc := opts.SequentialConsistency
-	mdl := modelFor(opts)
-	root := build()
-	rd := newReducer(root, sc)
-	if rd == nil {
-		o := opts
-		o.Reduction = false
-		return ExploreSerial(build, o)
-	}
-
-	res := Result{Outcomes: make(map[Outcome]int)}
-	visited := make(map[string]*serialVentry)
-	canon := serialCanonicalizer(root, opts)
 	// Sleep sets are sound only on the CONCRETE graph: sleeping an action
 	// at child a(s) is justified by the sibling branch b(s), and the
 	// inductive coverage argument is well-founded because siblings are
@@ -181,24 +66,28 @@ func exploreSerialReduced(build func() *tso.Machine, opts Options, maxStates int
 	// ample sets plus the cycle proviso on the quotient graph, with sleep
 	// sets disabled.
 	sleepOn := canon == nil
-	stack := []serialRedFrame{{m: root}}
+
+	res := Result{Outcomes: make(map[Outcome]int)}
+	// visited maps each state's fingerprint to the enabled actions its
+	// first visit withheld, shrunk as later arrivals with smaller sleep
+	// sets re-expand the difference.
+	visited := make(map[string]actionMask)
+	stack := []serialFrame{{m: root}}
 	buf := make([]byte, 0, 256)
 	probeBuf := make([]byte, 0, 256)
 	var slotBuf []int
 	var pl plan
 	var ample, slept, reexp, proviso uint64
 
-	finish := func() Result {
-		res.Elapsed = time.Since(start)
-		res.Obs.PutGauge("reduction", 1)
-		res.Obs.PutCounter("por_ample_states", ample)
-		res.Obs.PutCounter("por_slept_transitions", slept)
-		res.Obs.PutCounter("por_reexpansions", reexp)
-		res.Obs.PutCounter("por_proviso_fallbacks", proviso)
-		if canon != nil {
-			res.Obs.PutGauge("symmetry", 1)
-		}
-		return res
+	// push clones f.m, takes a on the clone and stacks the result.
+	push := func(f serialFrame, a Action, sleep actionMask) {
+		child := f.m.Clone()
+		mdl.Apply(child, a)
+		res.Transitions++
+		tr := make([]Action, len(f.trace)+1)
+		copy(tr, f.trace)
+		tr[len(f.trace)] = a
+		stack = append(stack, serialFrame{m: child, trace: tr, sleep: sleep})
 	}
 
 	for len(stack) > 0 {
@@ -221,28 +110,20 @@ func exploreSerialReduced(build func() *tso.Machine, opts Options, maxStates int
 			}
 		}
 		buf = cm.Fingerprint(buf[:0])
-		if ve, seen := visited[string(buf)]; seen {
+		if pruned, seen := visited[string(buf)]; seen {
 			sleepC := permuteMask(f.sleep, slot)
-			missing := unpermuteMask(ve.pruned&^sleepC, slot)
+			missing := unpermuteMask(pruned&^sleepC, slot)
 			if missing == 0 {
 				continue
 			}
 			// The first visit slept actions this arrival's sleep set does
 			// not justify; re-expand them (with empty child sleep sets).
-			ve.pruned &= sleepC
-			enabled := mdl.Enabled(nil, m, 0)
-			for _, a := range enabled {
-				if missing&maskOf(a) == 0 {
-					continue
+			visited[string(buf)] = pruned & sleepC
+			for _, a := range mdl.Enabled(nil, m, opts.ReorderBound) {
+				if missing&maskOf(a) != 0 {
+					push(f, a, 0)
+					reexp++
 				}
-				child := m.Clone()
-				mdl.Apply(child, a)
-				res.Transitions++
-				reexp++
-				tr := make([]Action, len(f.trace)+1)
-				copy(tr, f.trace)
-				tr[len(f.trace)] = a
-				stack = append(stack, serialRedFrame{m: child, trace: tr})
 			}
 			continue
 		}
@@ -250,8 +131,7 @@ func exploreSerialReduced(build func() *tso.Machine, opts Options, maxStates int
 			res.Truncated = true
 			break
 		}
-		ve := &serialVentry{}
-		visited[string(buf)] = ve
+		visited[string(buf)] = 0
 		res.States++
 
 		violated := false
@@ -266,17 +146,26 @@ func exploreSerialReduced(build func() *tso.Machine, opts Options, maxStates int
 				break
 			}
 		}
-		if violated && opts.stopOnViolation() {
-			return finish()
+		if violated && opts.StopOnViolation {
+			break
 		}
 
-		enabled := mdl.Enabled(nil, m, 0)
+		enabled := mdl.Enabled(nil, m, opts.ReorderBound)
 		if len(enabled) == 0 {
 			if m.Quiesced() {
-				// Canonical representative, as in the unreduced path.
+				// Outcomes are recorded from the canonical representative so
+				// every member of a symmetry orbit contributes the same
+				// string, matching the parallel engine whichever member it
+				// happens to reach first.
 				res.Outcomes[outcomeOf(cm)]++
 			} else {
 				res.Deadlocks++
+			}
+			continue
+		}
+		if rd == nil {
+			for _, a := range enabled {
+				push(f, a, 0)
 			}
 			continue
 		}
@@ -320,22 +209,27 @@ func exploreSerialReduced(build func() *tso.Machine, opts Options, maxStates int
 			z = 0
 		}
 		rd.expansion(enabled, &pl, z)
-		ve.pruned = permuteMask(pl.pruned, slot)
+		visited[string(buf)] = permuteMask(pl.pruned, slot)
 		slept += uint64(pl.sleptCount())
 		for k, i := range pl.idx {
-			a := enabled[i]
-			child := m.Clone()
-			mdl.Apply(child, a)
-			res.Transitions++
-			tr := make([]Action, len(f.trace)+1)
-			copy(tr, f.trace)
-			tr[len(f.trace)] = a
 			cs := pl.childSleep[k]
 			if !sleepOn {
 				cs = 0
 			}
-			stack = append(stack, serialRedFrame{m: child, trace: tr, sleep: cs})
+			push(f, enabled[i], cs)
 		}
 	}
-	return finish()
+
+	res.Elapsed = time.Since(start)
+	if rd != nil {
+		res.Obs.PutGauge("reduction", 1)
+		res.Obs.PutCounter("por_ample_states", ample)
+		res.Obs.PutCounter("por_slept_transitions", slept)
+		res.Obs.PutCounter("por_reexpansions", reexp)
+		res.Obs.PutCounter("por_proviso_fallbacks", proviso)
+	}
+	if canon != nil {
+		res.Obs.PutGauge("symmetry", 1)
+	}
+	return res
 }

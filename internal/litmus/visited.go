@@ -2,68 +2,262 @@ package litmus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/fault"
 )
 
-// This file implements the collapsed visited set behind Options.Collapse
-// and Options.MemBudget: a 256-stripe map keyed by the EXACT fixed-width
-// collapsed state tuple (tso.Collapser), with optional spilling of cold
-// stripes to mmap'd temp files when a memory budget is set.
+// This file is the engine's one visited set: 256 lock-striped flat
+// open-addressed tables of 24-byte slots. A 64-bit hash of the state key
+// picks the stripe (low 8 bits) and the probe start (the rest). What a
+// slot matches on besides that hash is the set's one mode:
 //
-// Keying on the collapsed tuple instead of the 128-bit hash pair removes
-// the (astronomically unlikely but nonzero) silent-merge risk of hashed
-// keys and shrinks the per-state cost to the tuple plus map overhead.
-// Because the tuple is fixed-width, a stripe's finalized entries can be
-// serialized as a sorted run of fixed-width records and searched by
-// binary search after eviction — which is what lets MemBudget degrade an
-// over-budget run to slower-but-exact instead of truncated-and-partial.
+//   - Hashed keys (the default): a second independent 64-bit hash, an
+//     effective 128-bit key, so a state sharing only the primary hash
+//     with another takes the next probe slot instead of silently merging
+//     with it. Options.VerifyVisited additionally keys an authoritative
+//     map by the full fingerprint and counts what the hashed keys would
+//     have merged.
+//   - Exact keys (Options.Collapse and what implies it): the key is the
+//     fixed-width collapsed tuple (tso.Collapser). The stripe owns a
+//     dense arena of them, the slot's second word holds the key's arena
+//     index, and a match is the primary hash AND bytes.Equal on the
+//     arena key — no merge risk at all. Exactness is that one column of
+//     the table; claim, seen, finalize, growth and the sleep-set protocol
+//     are the same code in both modes.
 //
-// Spill protocol. Only FINALIZED entries spill (entries whose reduction
-// bookkeeping is complete: pruned is settled and sleepAcc is dead).
-// A claim-winning entry under Options.Reduction is not finalized until
-// its expansion is chosen, and the winner holds the frame until then, so
-// an entry can never spill between its claim and its finalize. Spilled
-// entries still participate fully in the sleep-set protocol: a duplicate
-// arrival reads pruned from the spill record, re-expands the difference
-// its sleep set cannot justify, and shrinks the record's pruned in place
-// (the segments are mapped read-write; mutations happen under the
-// owning stripe's lock). Segments are immutable in membership — never
-// compacted or merged — so a stripe that spills repeatedly accumulates
-// a run list; lookups search newest-first. Spill I/O failure is not
-// fatal: the set disables the budget and the run completes in memory.
+// Tables start unallocated, double at ¾ load (so they run ⅜ to ¾ full,
+// plus one stripe's old table while it doubles) and hold no pointers.
+// The arena is sized with the table, ¾·len(slots) keys, so an exact
+// state costs 24 B + ¾·keyWidth per slot.
+//
+// Spilling. Because exact keys are fixed-width, a stripe's finalized
+// entries serialize as a sorted run of key ‖ 4-byte pruned records that
+// a binary search answers after eviction — which is what lets
+// Options.MemBudget degrade an over-budget run to slower-but-exact
+// instead of truncated-and-partial, and what a checkpoint stores. Only
+// FINALIZED entries spill (pruned is settled, sleepAcc is dead). A
+// claim-winning entry under Options.Reduction is not finalized until its
+// expansion is chosen, and the winner holds the frame until then, so an
+// entry can never spill between its claim and its finalize. An eviction
+// writes the run, then rebuilds the stripe's table and arena from the
+// unfinalized remainder: no tombstones. Spilled entries still take full
+// part in the sleep-set protocol: a duplicate arrival reads pruned from
+// the record, re-expands the difference its sleep set cannot justify,
+// and shrinks the record's pruned in place (the segments are mapped
+// read-write; mutations happen under the owning stripe's lock). Segments
+// are immutable in membership — never compacted or merged — so a stripe
+// that spills repeatedly accumulates a run list; lookups search
+// newest-first. Spill I/O failure is not fatal: the set disables the
+// budget and the run completes in memory.
 
-// centryOverhead approximates the per-entry cost of a live collapsed-map
-// entry beyond the key bytes: Go map bucket share, string header, and
-// the ventry payload.
-const centryOverhead = 64
+// visitedStripes must be a power of two.
+const visitedStripes = 256
 
-// cstripe is one lock-striped shard of the collapsed visited set.
-type cstripe struct {
-	mu    sync.Mutex
-	m     map[string]ventry
-	touch uint64      // tick of the most recent claim (eviction recency)
-	bytes int64       // resident bytes of m's keys and entries
-	segs  []*spillSeg // spilled runs, oldest first
-	_     [24]byte    // pad to a cache line so stripes don't false-share
+// slot is one cell of a stripe's flat table. h2 is the second hash in
+// hashed mode and the key's arena index in exact mode. sleepAcc and meta
+// are the state's sleep-set protocol state, used by the reduction: until
+// the claiming worker finalizes the entry, sleepAcc accumulates
+// (intersects) the sleep masks of every path that arrived at the state;
+// afterwards the pruned mask in meta's low bits records which enabled
+// actions the state's expansion withheld, so later arrivals with smaller
+// sleep sets can re-expand exactly the difference. meta carries the
+// occupied and finalized bits above the pruned mask; a zero meta is an
+// empty slot, so every key value, (0,0) included, is storable.
+type slot struct {
+	h1, h2   uint64
+	sleepAcc actionMask
+	meta     uint32
 }
 
-// collapsedSet is the exact-keyed, budget-aware visited set.
-type collapsedSet struct {
+const (
+	slotOccupied  = 1 << 31
+	slotFinalized = 1 << 30
+	slotPruned    = slotFinalized - 1
+	// minSlots is a stripe's first allocation: synthesis issues thousands
+	// of explorations that put about one state in each stripe.
+	minSlots = 4
+)
+
+// An action mask must fit under meta's two flag bits.
+const _ = uint(30 - 2*maxReductionProcs)
+
+// A stripe is exactly one cache line and a slot exactly 24 bytes: every
+// Explore allocates 256 stripes, so a wider stripe is 16 KB more on each
+// of synthesis's thousands of few-hundred-state runs.
+const (
+	_ = uint(64 - unsafe.Sizeof(visitedStripe{}))
+	_ = uint(unsafe.Sizeof(visitedStripe{}) - 64)
+	_ = uint(24 - unsafe.Sizeof(slot{}))
+	_ = uint(unsafe.Sizeof(slot{}) - 24)
+)
+
+type visitedStripe struct {
+	mu sync.Mutex
+	// slots is the open-addressed table: power-of-two length, linear
+	// probing from h1>>8 (the low 8 bits chose the stripe), never more
+	// than ¾ full, nil until the stripe's first insert.
+	slots []slot
+	n     int // occupied slots
+	// full is the authoritative fingerprint-keyed map kept only under
+	// Options.VerifyVisited with hashed keys, where the table above is
+	// demoted to collision accounting.
+	full map[string]*slot
+	// x holds the exact-mode columns; nil in hashed mode.
+	x *exactStripe
+	_ [8]byte // pad to a cache line so stripes don't false-share
+}
+
+// exactStripe is what a stripe owns besides its table when keys are
+// exact.
+type exactStripe struct {
+	// keys is the dense key arena: the n resident keys back to back in
+	// insertion order, capacity ¾·len(slots) keys.
+	keys  []byte
+	kw    int         // key width
+	segs  []*spillSeg // spilled runs, oldest first
+	touch uint64      // tick of the most recent claim (eviction recency)
+}
+
+// key returns the arena key sl points at.
+func (x *exactStripe) key(sl *slot) []byte {
+	return x.keys[int(sl.h2)*x.kw:][:x.kw]
+}
+
+// findSpilled searches the spilled runs, newest first, for key and
+// returns the segment and record offset holding it, or a nil segment.
+func (x *exactStripe) findSpilled(key []byte) (*spillSeg, int) {
+	for i := len(x.segs) - 1; i >= 0; i-- {
+		if off, ok := x.segs[i].find(key, x.kw+4); ok {
+			return x.segs[i], off
+		}
+	}
+	return nil, 0
+}
+
+// find probes for a key: (h1,h2) in hashed mode, h1 and the key bytes in
+// exact mode. It returns the slot holding it, or else the empty slot
+// ending its probe run, where it would go (nil in a never-allocated
+// table), with collided reporting whether a different state sharing h1
+// was passed on the way.
+func (s *visitedStripe) find(h1, h2 uint64, key []byte) (sl *slot, found, collided bool) {
+	if len(s.slots) == 0 {
+		return nil, false, false
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := h1 >> 8; ; i++ {
+		sl = &s.slots[i&mask]
+		if sl.meta&slotOccupied == 0 {
+			return sl, false, collided
+		}
+		if sl.h1 == h1 {
+			if x := s.x; x == nil && sl.h2 == h2 || x != nil && bytes.Equal(x.key(sl), key) {
+				return sl, true, false
+			}
+			collided = true
+		}
+	}
+}
+
+// put fills sl, the empty slot find returned for this key.
+func (s *visitedStripe) put(sl *slot, h1, h2 uint64, key []byte, sleepAcc actionMask, meta uint32) {
+	if x := s.x; x != nil {
+		h2 = uint64(s.n)
+		x.keys = append(x.keys, key...)
+	}
+	*sl = slot{h1: h1, h2: h2, sleepAcc: sleepAcc, meta: slotOccupied | meta}
+	s.n++
+}
+
+// slotsFor is the smallest table that holds n keys within the ¾ load
+// bound; 0 for no keys.
+func slotsFor(n int) int {
+	if n == 0 {
+		return 0
+	}
+	nslots := minSlots
+	for n*4 > nslots*3 {
+		nslots *= 2
+	}
+	return nslots
+}
+
+// bytes is what the stripe's table and arena actually hold.
+func (s *visitedStripe) bytes() int64 {
+	b := len(s.slots) * int(unsafe.Sizeof(slot{}))
+	if s.x != nil {
+		b += cap(s.x.keys)
+	}
+	return int64(b)
+}
+
+// retable moves the stripe's entries, all of them or only the
+// unfinalized ones, into a fresh table of nslots slots and, in exact
+// mode, a fresh arena sized with it (never by append growth, whose
+// 1.25× steps would allocate several times the bytes).
+func (s *visitedStripe) retable(nslots int, dropFinalized bool) {
+	old, x := s.slots, s.x
+	var oldKeys []byte
+	s.slots, s.n = nil, 0
+	if x != nil {
+		oldKeys, x.keys = x.keys, nil
+	}
+	if nslots > 0 {
+		s.slots = make([]slot, nslots)
+		if x != nil {
+			x.keys = make([]byte, 0, nslots/4*3*x.kw)
+		}
+	}
+	mask := uint64(nslots - 1)
+	for i := range old {
+		o := &old[i]
+		if o.meta&slotOccupied == 0 || dropFinalized && o.meta&slotFinalized != 0 {
+			continue
+		}
+		var key []byte
+		if x != nil {
+			key = oldKeys[int(o.h2)*x.kw:][:x.kw]
+		}
+		j := o.h1 >> 8
+		for s.slots[j&mask].meta&slotOccupied != 0 {
+			j++
+		}
+		s.put(&s.slots[j&mask], o.h1, o.h2, key, o.sleepAcc, o.meta)
+	}
+}
+
+// reserve makes room for one more key, doubling the table when the
+// insert would take it past ¾ load, and returns the bytes it grew by.
+func (s *visitedStripe) reserve() int64 {
+	if (s.n+1)*4 <= len(s.slots)*3 {
+		return 0
+	}
+	before := s.bytes()
+	s.retable(slotsFor(s.n+1), false)
+	return s.bytes() - before
+}
+
+// visitedSet is the engine's visited set. The 16 KB stripe array is its
+// own allocation so the set's few fields don't push it into the next
+// size class.
+type visitedSet struct {
+	stripes *[visitedStripes]visitedStripe
+	// keyWidth is the exact key's width; 0 selects hashed keys.
 	keyWidth int
-	recWidth int // keyWidth + 4 bytes of pruned mask
+	// bornFinal is slotFinalized when the run has no reduction, where no
+	// finalize call will ever come: entries are finalized at claim time
+	// and immediately eligible to spill. Zero otherwise.
+	bornFinal uint32
+
+	// The rest is the exact mode's memory budget (Options.MemBudget).
+	// resident and peak count the bytes the tables and arenas actually
+	// hold.
 	budget   int64
-	// finalOnInsert marks entries finalized at claim time; set when the
-	// run has no reduction, where no finalize call will ever come and
-	// every entry is immediately eligible to spill.
-	finalOnInsert bool
-
-	stripes [visitedStripes]cstripe
-
 	tick     atomic.Uint64
 	resident atomic.Int64
 	peak     atomic.Int64
@@ -79,57 +273,113 @@ type collapsedSet struct {
 	faults        *fault.Injector
 }
 
-func newCollapsedSet(keyWidth int, budget int64, finalOnInsert bool) *collapsedSet {
-	cs := &collapsedSet{
-		keyWidth:      keyWidth,
-		recWidth:      keyWidth + 4,
-		budget:        budget,
-		finalOnInsert: finalOnInsert,
+// init sets the set up with exact keys of keyWidth bytes, or hashed keys
+// when keyWidth is 0 (audit then adds the VerifyVisited maps). It
+// allocates no table: synthesis issues thousands of explorations of a
+// few hundred states, where pre-sizing 256 stripes was most of each
+// run's allocation, and a large space grows them within its first few
+// thousand claims.
+func (vs *visitedSet) init(keyWidth int, budget int64, bornFinal, audit bool) {
+	vs.stripes = new([visitedStripes]visitedStripe)
+	vs.keyWidth, vs.budget = keyWidth, budget
+	if bornFinal {
+		vs.bornFinal = slotFinalized
 	}
-	for i := range cs.stripes {
-		cs.stripes[i].m = make(map[string]ventry) // unhinted, as in newVisitedSet
+	var xs []exactStripe
+	if keyWidth > 0 {
+		xs = make([]exactStripe, visitedStripes)
 	}
-	return cs
-}
-
-func (cs *collapsedSet) stripeOf(key []byte) *cstripe {
-	return &cs.stripes[fnv64a(key)&(visitedStripes-1)]
+	for i := range vs.stripes {
+		if xs != nil {
+			xs[i].kw = keyWidth
+			vs.stripes[i].x = &xs[i]
+		} else if audit {
+			vs.stripes[i].full = make(map[string]*slot)
+		}
+	}
 }
 
 // addResident adjusts the resident-byte gauge and tracks its peak.
-func (cs *collapsedSet) addResident(delta int64) {
-	n := cs.resident.Add(delta)
+func (vs *visitedSet) addResident(delta int64) {
+	n := vs.resident.Add(delta)
 	for {
-		p := cs.peak.Load()
-		if n <= p || cs.peak.CompareAndSwap(p, n) {
+		p := vs.peak.Load()
+		if n <= p || vs.peak.CompareAndSwap(p, n) {
 			return
 		}
 	}
 }
 
-// claim is the collapsed-set counterpart of engine.claim: exactly one
-// caller per distinct key wins, states are counted under the stripe
-// lock, and duplicate arrivals get back the previously pruned actions
-// their sleep mask z does not cover.
-func (cs *collapsedSet) claim(e *engine, key []byte, z actionMask) (claimStatus, actionMask) {
-	s := cs.stripeOf(key)
+// add inserts a key that find did not find, sl being the empty slot it
+// returned: the table doubles first when the insert would overfill it.
+func (vs *visitedSet) add(s *visitedStripe, sl *slot, h1, h2 uint64, key []byte, sleepAcc actionMask, meta uint32) {
+	if grew := s.reserve(); grew != 0 {
+		if s.x != nil {
+			vs.addResident(grew)
+		}
+		sl, _, _ = s.find(h1, h2, key)
+	}
+	s.put(sl, h1, h2, key, sleepAcc, meta)
+}
+
+// claimStatus is the outcome of a visited-set claim.
+type claimStatus uint8
+
+const (
+	claimWon claimStatus = iota
+	claimDup
+	claimTruncated
+)
+
+// dupMerge folds a re-arrival with sleep mask z into an existing entry,
+// returning the actions the arriving path needs re-expanded: everything
+// the first visit withheld that this path's sleep set does not cover.
+func dupMerge(sl *slot, z actionMask) actionMask {
+	if sl.meta&slotFinalized == 0 {
+		sl.sleepAcc &= z
+		return 0
+	}
+	missing := actionMask(sl.meta&slotPruned) &^ z
+	sl.meta &^= uint32(missing)
+	return missing
+}
+
+// claim records the state with hash pair (h1,h2) and key (the exact key,
+// or the fingerprint the pair hashes) as visited. Exactly one caller per
+// distinct state wins; the states counter is incremented under the
+// stripe lock, so Result.States never overshoots maxStates — the claim
+// that would exceed the budget inserts nothing and returns
+// claimTruncated. For duplicates the returned mask lists previously
+// pruned actions the arriving sleep set z requires.
+func (e *engine) claim(h1, h2 uint64, key []byte, z actionMask) (claimStatus, actionMask) {
+	vs := &e.visited
+	s := &vs.stripes[h1&(visitedStripes-1)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.touch = cs.tick.Add(1)
 
-	if ve, ok := s.m[string(key)]; ok {
-		missing := dupMerge(&ve, z)
-		s.m[string(key)] = ve
-		return claimDup, missing
+	if vs.budget > 0 {
+		s.x.touch = vs.tick.Add(1)
 	}
-	for i := len(s.segs) - 1; i >= 0; i-- {
-		if off, ok := s.segs[i].find(key, cs.recWidth); ok {
+	if s.full != nil {
+		// VerifyVisited: the full-fingerprint map decides identity; the
+		// hashed table runs alongside purely to count what it would have
+		// merged.
+		if fe := s.full[string(key)]; fe != nil {
+			return claimDup, dupMerge(fe, z)
+		}
+	}
+	sl, found, collided := s.find(h1, h2, key)
+	if found && s.full == nil {
+		return claimDup, dupMerge(sl, z)
+	}
+	if x := s.x; x != nil {
+		if seg, off := x.findSpilled(key); seg != nil {
 			// Spilled entries are always finalized; run the finalized arm
 			// of dupMerge against the record's pruned field in place.
-			pruned := actionMask(s.segs[i].prunedAt(off, cs.keyWidth))
+			pruned := actionMask(seg.prunedAt(off, x.kw))
 			missing := pruned &^ z
 			if missing != 0 {
-				s.segs[i].setPrunedAt(off, cs.keyWidth, uint32(pruned&z))
+				seg.setPrunedAt(off, x.kw, uint32(pruned&z))
 			}
 			return claimDup, missing
 		}
@@ -137,43 +387,85 @@ func (cs *collapsedSet) claim(e *engine, key []byte, z actionMask) (claimStatus,
 	if !e.bumpStates() {
 		return claimTruncated, 0
 	}
-	s.m[string(key)] = ventry{sleepAcc: z, finalized: cs.finalOnInsert}
-	s.bytes += int64(len(key)) + centryOverhead
-	cs.addResident(int64(len(key)) + centryOverhead)
+	if found {
+		// Reachable only under VerifyVisited: a new fingerprint whose full
+		// 128-bit key is taken.
+		e.verifyCollisions.Add(1)
+	} else {
+		if collided {
+			// Two distinct states share h1. The second hash (or the exact
+			// key) keeps them apart where a single-key set would have
+			// silently merged them.
+			e.h1Collisions.Add(1)
+		}
+		vs.add(s, sl, h1, h2, key, z, vs.bornFinal)
+	}
+	if s.full != nil {
+		s.full[string(key)] = &slot{sleepAcc: z, meta: slotOccupied | vs.bornFinal}
+	}
 	return claimWon, 0
 }
 
-// seen reports membership without claiming, for the cycle proviso's
-// successor probes.
-func (cs *collapsedSet) seen(key []byte) bool {
-	s := cs.stripeOf(key)
+// seen reports whether the state is already in the visited set, without
+// claiming it. The reduction's cycle proviso probes ample successors
+// with it: a probe that runs after the prober's own claim (program
+// order, serialized by the stripe locks) is guaranteed to observe every
+// earlier claim, which is what the no-ignoring argument in reduce.go
+// needs.
+func (e *engine) seen(h1, h2 uint64, key []byte) bool {
+	s := &e.visited.stripes[h1&(visitedStripes-1)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.m[string(key)]; ok {
-		return true
+	if s.full != nil {
+		return s.full[string(key)] != nil
 	}
-	for i := len(s.segs) - 1; i >= 0; i-- {
-		if _, ok := s.segs[i].find(key, cs.recWidth); ok {
-			return true
-		}
+	if _, found, _ := s.find(h1, h2, key); found || s.x == nil {
+		return found
 	}
-	return false
+	seg, _ := s.x.findSpilled(key)
+	return seg != nil
 }
 
-// finalize publishes the claim winner's chosen persistent set and
-// retrieves the merged sleep mask, mirroring engine.finalize. The entry
-// is necessarily still live in the stripe map: only finalized entries
-// spill, and this call is what finalizes it.
-func (cs *collapsedSet) finalize(key []byte, tmask actionMask) actionMask {
-	s := cs.stripeOf(key)
+// bumpStates counts a new state against the budget, rolling back and
+// cancelling the exploration when it would exceed maxStates. Called with
+// the stripe lock held, immediately before the insert it guards.
+func (e *engine) bumpStates() bool {
+	n := e.states.Add(1)
+	if n > e.maxStates {
+		e.states.Add(-1)
+		e.truncated.Store(true)
+		e.cancel.Store(true)
+		return false
+	}
+	if c := e.ck; c != nil && c.opts.EveryStates > 0 && n%int64(c.opts.EveryStates) == 0 {
+		c.req.Store(true)
+	}
+	return true
+}
+
+// finalize publishes the claiming worker's chosen persistent set tmask
+// on the state's visited entry and retrieves the merged sleep mask.
+// Between claim and finalize other paths may have reached the state;
+// their sleep masks were intersected into sleepAcc, so the winner
+// expands T minus the returned mask, what it withholds from tmask
+// becomes pruned, and every such arrival is covered. The entry is
+// necessarily still resident: only finalized entries spill, and this
+// call is what finalizes it.
+func (e *engine) finalize(h1, h2 uint64, key []byte, tmask actionMask) actionMask {
+	s := &e.visited.stripes[h1&(visitedStripes-1)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ve, ok := s.m[string(key)]
-	if !ok {
+	var sl *slot
+	if s.full != nil {
+		sl = s.full[string(key)]
+	} else if f, found, _ := s.find(h1, h2, key); found {
+		sl = f
+	}
+	if sl == nil {
 		return 0
 	}
-	z := finalizeEntry(&ve, tmask)
-	s.m[string(key)] = ve
+	z := sl.sleepAcc
+	sl.meta = slotOccupied | slotFinalized | uint32(tmask&z)
 	return z
 }
 
@@ -181,87 +473,83 @@ func (cs *collapsedSet) finalize(key []byte, tmask actionMask) actionMask {
 // stripes' finalized entries to spill segments. Called by claim winners
 // outside any stripe lock; a TryLock keeps concurrent winners from
 // stacking up behind one spill pass.
-func (cs *collapsedSet) maybeSpill() {
-	if cs.budget <= 0 || cs.disabled.Load() || cs.resident.Load() <= cs.budget {
+func (vs *visitedSet) maybeSpill() {
+	if vs.budget <= 0 || vs.disabled.Load() || vs.resident.Load() <= vs.budget {
 		return
 	}
-	if !cs.spillMu.TryLock() {
+	if !vs.spillMu.TryLock() {
 		return
 	}
-	defer cs.spillMu.Unlock()
+	defer vs.spillMu.Unlock()
 
 	type cand struct {
-		idx   int
+		s     *visitedStripe
 		touch uint64
 	}
 	var cands []cand
-	for i := range cs.stripes {
-		s := &cs.stripes[i]
+	for i := range vs.stripes {
+		s := &vs.stripes[i]
 		s.mu.Lock()
-		if s.bytes > 0 {
-			cands = append(cands, cand{idx: i, touch: s.touch})
+		if s.n > 0 {
+			cands = append(cands, cand{s, s.x.touch})
 		}
 		s.mu.Unlock()
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].touch < cands[j].touch })
 	for _, c := range cands {
-		if cs.resident.Load() <= cs.budget || cs.disabled.Load() {
+		if vs.resident.Load() <= vs.budget || vs.disabled.Load() {
 			return
 		}
-		cs.spillStripe(&cs.stripes[c.idx])
+		vs.spillStripe(c.s)
 	}
 }
 
 // spillStripe moves the stripe's finalized entries into one sorted
-// fixed-width spill segment. On segment-creation failure the budget is
-// disabled for the rest of the run (exploration continues, in memory,
-// exact).
-func (cs *collapsedSet) spillStripe(s *cstripe) {
+// fixed-width spill segment and rebuilds its table from the rest. On
+// segment-creation failure the budget is disabled for the rest of the
+// run (exploration continues, in memory, exact).
+func (vs *visitedSet) spillStripe(s *visitedStripe) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	keys := make([]string, 0, len(s.m))
-	for k, ve := range s.m {
-		if ve.finalized {
-			keys = append(keys, k)
+	x := s.x
+	var fin []*slot
+	for i := range s.slots {
+		if s.slots[i].meta&slotFinalized != 0 {
+			fin = append(fin, &s.slots[i])
 		}
 	}
-	if len(keys) == 0 {
+	if len(fin) == 0 {
 		return
 	}
-	sort.Strings(keys)
-	buf := make([]byte, 0, len(keys)*cs.recWidth)
-	for _, k := range keys {
-		ve := s.m[k]
-		buf = append(buf, k...)
-		p := uint32(ve.pruned)
-		buf = append(buf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
+	sort.Slice(fin, func(i, j int) bool { return bytes.Compare(x.key(fin[i]), x.key(fin[j])) < 0 })
+	buf := make([]byte, 0, len(fin)*(x.kw+4))
+	for _, sl := range fin {
+		buf = append(buf, x.key(sl)...)
+		buf = binary.LittleEndian.AppendUint32(buf, sl.meta&slotPruned)
 	}
 	var seg *spillSeg
 	var err error
-	if cs.faults.At(fault.SpillWrite) {
+	if vs.faults.At(fault.SpillWrite) {
 		err = errors.New("litmus: injected spill-write failure")
 	} else {
 		seg, err = newSpillSeg(buf)
 	}
 	if err != nil {
-		cs.spillFailures.Add(1)
-		cs.disabled.Store(true)
+		vs.spillFailures.Add(1)
+		vs.disabled.Store(true)
 		return
 	}
-	s.segs = append(s.segs, seg)
-	freed := int64(len(keys)) * (int64(cs.keyWidth) + centryOverhead)
-	for _, k := range keys {
-		delete(s.m, k)
-	}
-	s.bytes -= freed
-	cs.addResident(-freed)
-	cs.spillEvents.Add(1)
-	cs.spilledStates.Add(uint64(len(keys)))
-	cs.spilledBytes.Add(int64(len(buf)))
+	x.segs = append(x.segs, seg)
+	before := s.bytes()
+	s.retable(slotsFor(s.n-len(fin)), true)
+	vs.addResident(s.bytes() - before)
+	vs.spillEvents.Add(1)
+	vs.spilledStates.Add(uint64(len(fin)))
+	vs.spilledBytes.Add(int64(len(buf)))
 }
 
-// snapshotRecords serializes every visited entry — live map entries and
+// snapshotRecords serializes every visited entry — resident slots and
 // spilled segments alike — as a flat run of fixed-width spill-format
 // records (key bytes + 4-byte little-endian pruned mask). Callers must
 // have quiesced the run (the checkpoint barrier does); the stripe locks
@@ -270,63 +558,63 @@ func (cs *collapsedSet) spillStripe(s *cstripe) {
 // returned without a finalize call, pruned is zero and will stay zero),
 // so recording them as finalized-with-zero-pruned is behaviorally
 // identical. Returns the records and the entry count.
-func (cs *collapsedSet) snapshotRecords() ([]byte, int) {
-	var total int
-	for i := range cs.stripes {
-		s := &cs.stripes[i]
+func (vs *visitedSet) snapshotRecords() ([]byte, int) {
+	recWidth := vs.keyWidth + 4
+	count := 0
+	for i := range vs.stripes {
+		s := &vs.stripes[i]
 		s.mu.Lock()
-		total += len(s.m)
-		for _, seg := range s.segs {
-			total += len(seg.data) / cs.recWidth
+		count += s.n
+		for _, seg := range s.x.segs {
+			count += len(seg.data) / recWidth
 		}
 		s.mu.Unlock()
 	}
-	out := make([]byte, 0, total*cs.recWidth)
-	count := 0
-	for i := range cs.stripes {
-		s := &cs.stripes[i]
+	out := make([]byte, 0, count*recWidth)
+	for i := range vs.stripes {
+		s := &vs.stripes[i]
 		s.mu.Lock()
-		for k, ve := range s.m {
-			out = append(out, k...)
-			p := uint32(ve.pruned)
-			out = append(out, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
-			count++
+		for j := range s.slots {
+			if sl := &s.slots[j]; sl.meta&slotOccupied != 0 {
+				out = append(out, s.x.key(sl)...)
+				out = binary.LittleEndian.AppendUint32(out, sl.meta&slotPruned)
+			}
 		}
-		for _, seg := range s.segs {
+		for _, seg := range s.x.segs {
 			out = append(out, seg.data...)
-			count += len(seg.data) / cs.recWidth
 		}
 		s.mu.Unlock()
 	}
 	return out, count
 }
 
-// restoreRecords seeds a fresh set from snapshotRecords output. Every
-// restored entry is finalized — a checkpoint is only written at a
-// barrier, where each visited state's expansion choice is settled — so
-// the records land as ordinary resident entries, spillable as usual if
-// a budget later demands it.
-func (cs *collapsedSet) restoreRecords(recs []byte) {
-	for off := 0; off+cs.recWidth <= len(recs); off += cs.recWidth {
-		key := recs[off : off+cs.keyWidth]
-		b := recs[off+cs.keyWidth : off+cs.recWidth]
-		pruned := actionMask(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-		s := cs.stripeOf(key)
-		s.m[string(key)] = ventry{pruned: pruned, finalized: true}
-		s.bytes += int64(len(key)) + centryOverhead
-		cs.addResident(int64(len(key)) + centryOverhead)
+// restoreRecords seeds a fresh set from snapshotRecords output, before
+// any worker runs. Every restored entry is finalized — a checkpoint is
+// only written at a barrier, where each visited state's expansion choice
+// is settled — so the records land as ordinary resident entries,
+// spillable as usual if a budget later demands it.
+func (vs *visitedSet) restoreRecords(recs []byte) {
+	for recWidth := vs.keyWidth + 4; len(recs) >= recWidth; recs = recs[recWidth:] {
+		key := recs[:vs.keyWidth]
+		h1, h2 := hashPair(key)
+		s := &vs.stripes[h1&(visitedStripes-1)]
+		if sl, found, _ := s.find(h1, h2, key); !found {
+			vs.add(s, sl, h1, h2, key, 0, slotFinalized|binary.LittleEndian.Uint32(recs[vs.keyWidth:]))
+		}
 	}
 }
 
 // close releases every spill segment's mapping and file.
-func (cs *collapsedSet) close() {
-	for i := range cs.stripes {
-		s := &cs.stripes[i]
+func (vs *visitedSet) close() {
+	for i := range vs.stripes {
+		s := &vs.stripes[i]
 		s.mu.Lock()
-		for _, seg := range s.segs {
-			seg.close()
+		if s.x != nil {
+			for _, seg := range s.x.segs {
+				seg.close()
+			}
+			s.x.segs = nil
 		}
-		s.segs = nil
 		s.mu.Unlock()
 	}
 }
@@ -351,13 +639,11 @@ func (g *spillSeg) find(key []byte, recWidth int) (int, bool) {
 }
 
 func (g *spillSeg) prunedAt(off, keyWidth int) uint32 {
-	b := g.data[off+keyWidth:]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	return binary.LittleEndian.Uint32(g.data[off+keyWidth:])
 }
 
 func (g *spillSeg) setPrunedAt(off, keyWidth int, v uint32) {
-	b := g.data[off+keyWidth:]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+	binary.LittleEndian.PutUint32(g.data[off+keyWidth:], v)
 }
 
 // permuteMask translates an action mask through a processor permutation:

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -9,152 +10,311 @@ import (
 	"repro/internal/programs"
 )
 
-// stripeAudit checks one stripe's table against the reference: same
-// population, every reference key found with an equal entry, load
-// within the ¾ bound.
-func stripeAudit(t *testing.T, s *visitedStripe, ref map[[2]uint64]ventry) {
+// refEntry is the reference model of one visited entry: the sleep-set
+// protocol state spelled out independently of the slot encoding, plus
+// whether an eviction has moved the entry to a spill segment.
+type refEntry struct {
+	h1               uint64
+	sleepAcc, pruned actionMask
+	finalized        bool
+	spilled          bool
+}
+
+// arrive is a duplicate arrival with sleep mask z.
+func (r *refEntry) arrive(z actionMask) actionMask {
+	if !r.finalized {
+		r.sleepAcc &= z
+		return 0
+	}
+	missing := r.pruned &^ z
+	r.pruned &= z
+	return missing
+}
+
+func (r *refEntry) finalize(tmask actionMask) actionMask {
+	r.pruned = tmask & r.sleepAcc
+	r.finalized = true
+	return r.sleepAcc
+}
+
+// modelKey is one key of the stripe model: a hash pair alone in hashed
+// mode, key bytes (which the hooked hashPair maps to the pair) in exact
+// mode. id is its identity in the reference map.
+type modelKey struct {
+	h1, h2 uint64
+	key    []byte
+}
+
+func (k modelKey) id() string {
+	if k.key != nil {
+		return string(k.key)
+	}
+	return fmt.Sprintf("%x/%x", k.h1, k.h2)
+}
+
+// stripeAudit checks one stripe against the reference: the resident
+// population, every resident reference key found with an equal entry,
+// load within the ¾ bound, and in exact mode a dense arena sized with
+// the table, each slot pointing at its own key, spilled keys gone from
+// the table but answered by a segment with the reference's pruned mask,
+// and the set's resident gauge equal to the bytes actually held.
+func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEntry) {
 	t.Helper()
-	if s.n != len(ref) {
-		t.Fatalf("stripe holds %d keys, reference %d", s.n, len(ref))
+	s := &e.visited.stripes[0]
+	resident := 0
+	for _, r := range ref {
+		if !r.spilled {
+			resident++
+		}
+	}
+	if s.n != resident {
+		t.Fatalf("stripe holds %d keys, reference %d", s.n, resident)
 	}
 	if s.n*4 > len(s.slots)*3 {
 		t.Fatalf("%d keys in %d slots: over ¾ load", s.n, len(s.slots))
 	}
 	occupied := 0
+	arena := map[uint64]bool{}
 	for i := range s.slots {
-		if s.slots[i].meta&slotOccupied != 0 {
+		if sl := &s.slots[i]; sl.meta&slotOccupied != 0 {
 			occupied++
+			arena[sl.h2] = true
+			if s.x != nil {
+				if h1, _ := hashPair(s.x.key(sl)); h1 != sl.h1 {
+					t.Fatalf("slot %d: arena key %x hashes to %#x, slot holds %#x", i, s.x.key(sl), h1, sl.h1)
+				}
+			}
 		}
 	}
 	if occupied != s.n {
 		t.Fatalf("%d occupied slots, n=%d", occupied, s.n)
 	}
-	for k, want := range ref {
-		sl, found, _ := s.find(k[0], k[1])
-		if !found {
-			t.Fatalf("key %x lost (table of %d slots)", k, len(s.slots))
+	if x := s.x; x != nil {
+		if len(x.keys) != s.n*x.kw || cap(x.keys) != len(s.slots)/4*3*x.kw {
+			t.Fatalf("arena len %d cap %d for %d keys of %d bytes in %d slots", len(x.keys), cap(x.keys), s.n, x.kw, len(s.slots))
 		}
-		if got := sl.entry(); got != want {
-			t.Fatalf("key %x: entry %+v, reference %+v", k, got, want)
+		if len(arena) != s.n {
+			t.Fatalf("%d distinct arena indices for %d keys", len(arena), s.n)
+		}
+		for i := range arena {
+			if i >= uint64(s.n) {
+				t.Fatalf("arena index %d of %d", i, s.n)
+			}
+		}
+		if got := e.visited.resident.Load(); got != s.bytes() {
+			t.Fatalf("resident gauge %d, stripe holds %d bytes", got, s.bytes())
+		}
+	}
+	for _, k := range keys {
+		want := ref[k.id()]
+		sl, found, _ := s.find(k.h1, k.h2, k.key)
+		if want.spilled {
+			seg, off := s.x.findSpilled(k.key)
+			if found || seg == nil {
+				t.Fatalf("spilled key %x: in table %v, in a segment %v", k.key, found, seg != nil)
+			}
+			if got := actionMask(seg.prunedAt(off, s.x.kw)); got != want.pruned {
+				t.Fatalf("spilled key %x: pruned %b, reference %b", k.key, got, want.pruned)
+			}
+			continue
+		}
+		if !found {
+			t.Fatalf("key %s lost (table of %d slots)", k.id(), len(s.slots))
+		}
+		got := refEntry{h1: sl.h1, sleepAcc: sl.sleepAcc, pruned: actionMask(sl.meta & slotPruned), finalized: sl.meta&slotFinalized != 0}
+		if got != *want {
+			t.Fatalf("key %s: entry %+v, reference %+v", k.id(), got, *want)
 		}
 	}
 }
 
-// TestVisitedStripeModel drives one stripe of the flat visited set and a
+// TestVisitedStripeModel drives one stripe of the visited set and a
 // reference map with the same random claim / duplicate / finalize / seen
-// sequence: forced equal-h1 groups, the all-zero key, growth from an
-// unallocated table through every doubling to 8,192 slots (audited at
-// each), and the MaxStates edge, where a claim must insert nothing.
+// sequence, in both key modes: forced equal-h1 groups, the all-zero key,
+// growth from an unallocated table through every doubling to 8,192 slots
+// (audited at each), and the MaxStates edge, where a claim must insert
+// nothing. Exact mode routes 13-byte keys through a hooked hashPair that
+// reads h1 out of the key (so groups of keys share one h1 and h2 carries
+// nothing), evicts twice on the way — the unfinalized entries must
+// survive the rebuild and the spilled ones keep answering from their
+// segments — and ends with a snapshot restored into a fresh set.
 func TestVisitedStripeModel(t *testing.T) {
+	orig := hashPair
+	t.Cleanup(func() { hashPair = orig })
+	// Low 8 bits zero: every key lands in stripe 0.
+	hashPair = func(b []byte) (uint64, uint64) { return binary.LittleEndian.Uint64(b) << 8, 0 }
+
 	const distinct = 3500 // the 3,073rd key doubles the table to 8,192 slots
-	for _, seed := range []int64{1, 2, 3} {
-		rng := rand.New(rand.NewSource(seed))
-		e := &engine{maxStates: distinct, visited: newVisitedSet(false)}
-		s := &e.visited.stripes[0]
-		ref := map[[2]uint64]ventry{}
-		sharing := map[uint64]uint64{} // h1 -> keys holding it
-		var keys [][2]uint64
-		var collisions uint64
-		mask := func() actionMask { return actionMask(rng.Intn(1 << (2 * maxReductionProcs))) }
-		// Every h1 keeps its low 8 bits zero so all keys land in stripe 0;
-		// the pool of 40 narrow values forces equal-h1 groups and long
-		// shared probe runs.
-		freshKey := func() [2]uint64 {
-			for {
-				k := [2]uint64{rng.Uint64() << 8, rng.Uint64()}
-				switch rng.Intn(4) {
-				case 0:
-					k[0] = uint64(rng.Intn(40)) << 8
-				case 1:
-					k[0] = uint64(rng.Intn(40)) << 8
-					k[1] = uint64(rng.Intn(4))
+	const keyWidth = 13
+	for _, exact := range []bool{false, true} {
+		for _, seed := range []int64{1, 2, 3} {
+			rng := rand.New(rand.NewSource(seed))
+			e := &engine{maxStates: distinct}
+			if exact {
+				e.visited.init(keyWidth, 0, false, false)
+			} else {
+				e.visited.init(0, 0, false, false)
+			}
+			defer e.visited.close()
+			s := &e.visited.stripes[0]
+			ref := map[string]*refEntry{}
+			sharing := map[uint64]uint64{} // h1 -> resident keys holding it
+			var keys []modelKey
+			var collisions uint64
+			maxSlots := 0
+			tag := fmt.Sprintf("exact=%v seed %d", exact, seed)
+			mask := func() actionMask { return actionMask(rng.Intn(1 << (2 * maxReductionProcs))) }
+			// A pool of 40 narrow h1 values forces equal-h1 groups and long
+			// shared probe runs.
+			freshKey := func() modelKey {
+				for {
+					k := modelKey{h1: rng.Uint64() << 8, h2: rng.Uint64()}
+					switch rng.Intn(4) {
+					case 0:
+						k.h1 = uint64(rng.Intn(40)) << 8
+					case 1:
+						k.h1 = uint64(rng.Intn(40)) << 8
+						k.h2 = uint64(rng.Intn(4))
+					}
+					if exact {
+						k.key = make([]byte, keyWidth)
+						binary.LittleEndian.PutUint64(k.key, k.h1>>8)
+						k.key[8] = byte(k.h2)
+						rng.Read(k.key[9:])
+						k.h1, k.h2 = hashPair(k.key)
+					}
+					if _, dup := ref[k.id()]; !dup {
+						return k
+					}
 				}
-				if _, dup := ref[k]; !dup {
-					return k
+			}
+			insert := func(k modelKey) {
+				z := mask()
+				st, missing := e.claim(k.h1, k.h2, k.key, z)
+				if st != claimWon || missing != 0 {
+					t.Fatalf("%s: new key %s: status %d missing %b", tag, k.id(), st, missing)
 				}
+				if sharing[k.h1] > 0 {
+					collisions++
+				}
+				sharing[k.h1]++
+				ref[k.id()] = &refEntry{h1: k.h1, sleepAcc: z}
+				keys = append(keys, k)
 			}
-		}
-		insert := func(k [2]uint64) {
-			z := mask()
-			st, missing := e.claim(k[0], k[1], nil, z)
-			if st != claimWon || missing != 0 {
-				t.Fatalf("seed %d: new key %x: status %d missing %b", seed, k, st, missing)
+			spill := func() {
+				e.visited.spillStripe(s)
+				n := 0
+				for _, r := range ref {
+					if r.finalized && !r.spilled {
+						r.spilled = true
+						sharing[r.h1]--
+						n++
+					}
+				}
+				if n == 0 || n == len(ref) {
+					t.Fatalf("%s: eviction of %d of %d entries exercises nothing", tag, n, len(ref))
+				}
+				stripeAudit(t, e, keys, ref)
 			}
-			if sharing[k[0]] > 0 {
-				collisions++
-			}
-			sharing[k[0]]++
-			ref[k] = ventry{sleepAcc: z}
-			keys = append(keys, k)
-		}
 
-		if e.seen(0, 0, nil) || e.finalize(0, 0, nil, 3) != 0 {
-			t.Fatal("unallocated stripe answered for the zero key")
-		}
-		insert([2]uint64{0, 0})
-		for slots := 0; len(ref) < distinct; {
-			if len(s.slots) != slots { // the last operation doubled the table
-				slots = len(s.slots)
-				stripeAudit(t, s, ref)
+			zero := modelKey{}
+			if exact {
+				zero.key = make([]byte, keyWidth)
 			}
-			switch op := rng.Intn(20); {
-			case op < 7:
-				insert(freshKey())
-			case op < 17: // duplicate arrival, the workload's common case
-				k := keys[rng.Intn(len(keys))]
-				z, want := mask(), ref[k]
-				wantMissing := dupMerge(&want, z)
-				st, missing := e.claim(k[0], k[1], nil, z)
-				if st != claimDup || missing != wantMissing {
-					t.Fatalf("seed %d: duplicate %x: status %d missing %b, want %b", seed, k, st, missing, wantMissing)
+			if e.seen(0, 0, zero.key) || e.finalize(0, 0, zero.key, 3) != 0 {
+				t.Fatal("unallocated stripe answered for the zero key")
+			}
+			insert(zero)
+			for slots := 0; len(ref) < distinct; {
+				if len(s.slots) != slots { // the last operation resized the table
+					slots = len(s.slots)
+					maxSlots = max(maxSlots, slots)
+					stripeAudit(t, e, keys, ref)
 				}
-				ref[k] = want
-			case op < 19:
-				k := keys[rng.Intn(len(keys))]
-				if ref[k].finalized {
-					continue
-				}
-				tmask, want := mask(), ref[k]
-				wantZ := finalizeEntry(&want, tmask)
-				if z := e.finalize(k[0], k[1], nil, tmask); z != wantZ {
-					t.Fatalf("seed %d: finalize %x returned %b, want %b", seed, k, z, wantZ)
-				}
-				ref[k] = want
-			default:
-				k := freshKey()
-				if rng.Intn(2) == 0 {
-					k = keys[rng.Intn(len(keys))]
-				}
-				_, want := ref[k]
-				if got := e.seen(k[0], k[1], nil); got != want {
-					t.Fatalf("seed %d: seen(%x)=%v, want %v", seed, k, got, want)
+				switch op := rng.Intn(20); {
+				case op < 7:
+					insert(freshKey())
+					if exact && (len(ref) == 3200 || len(ref) == 3400) {
+						spill()
+					}
+				case op < 17: // duplicate arrival, the workload's common case
+					k := keys[rng.Intn(len(keys))]
+					z := mask()
+					wantMissing := ref[k.id()].arrive(z)
+					st, missing := e.claim(k.h1, k.h2, k.key, z)
+					if st != claimDup || missing != wantMissing {
+						t.Fatalf("%s: duplicate %s: status %d missing %b, want %b", tag, k.id(), st, missing, wantMissing)
+					}
+				case op < 19:
+					k := keys[rng.Intn(len(keys))]
+					if ref[k.id()].finalized {
+						continue
+					}
+					tmask := mask()
+					wantZ := ref[k.id()].finalize(tmask)
+					if z := e.finalize(k.h1, k.h2, k.key, tmask); z != wantZ {
+						t.Fatalf("%s: finalize %s returned %b, want %b", tag, k.id(), z, wantZ)
+					}
+				default:
+					k := freshKey()
+					if rng.Intn(2) == 0 {
+						k = keys[rng.Intn(len(keys))]
+					}
+					_, want := ref[k.id()]
+					if got := e.seen(k.h1, k.h2, k.key); got != want {
+						t.Fatalf("%s: seen(%s)=%v, want %v", tag, k.id(), got, want)
+					}
 				}
 			}
-		}
-		stripeAudit(t, s, ref)
-		if len(s.slots) < 4096 {
-			t.Fatalf("table stopped at %d slots", len(s.slots))
-		}
-		if got := e.h1Collisions.Load(); got != collisions {
-			t.Errorf("seed %d: visited_h1_collisions=%d, reference %d", seed, got, collisions)
-		}
+			stripeAudit(t, e, keys, ref)
+			if maxSlots < 4096 {
+				t.Fatalf("table stopped at %d slots", maxSlots)
+			}
+			if got := e.h1Collisions.Load(); got != collisions {
+				t.Errorf("%s: visited_h1_collisions=%d, reference %d", tag, got, collisions)
+			}
 
-		// The budget is spent: the next new key is refused and leaves no
-		// trace, while known keys still answer as duplicates.
-		k := freshKey()
-		if st, _ := e.claim(k[0], k[1], nil, 0); st != claimTruncated {
-			t.Fatalf("seed %d: claim past MaxStates returned %d", seed, st)
-		}
-		if e.seen(k[0], k[1], nil) || e.states.Load() != distinct || !e.truncated.Load() || !e.cancel.Load() {
-			t.Errorf("seed %d: refused claim left a trace: states=%d truncated=%v", seed, e.states.Load(), e.truncated.Load())
-		}
-		if st, _ := e.claim(0, 0, nil, 0); st != claimDup {
-			t.Errorf("seed %d: zero key after truncation: status %d", seed, st)
-		}
-		stripeAudit(t, s, ref)
-		for i := 1; i < visitedStripes; i++ {
-			if e.visited.stripes[i].slots != nil {
-				t.Fatalf("stripe %d allocated by keys of stripe 0", i)
+			// The budget is spent: the next new key is refused and leaves no
+			// trace, while known keys still answer as duplicates.
+			k := freshKey()
+			if st, _ := e.claim(k.h1, k.h2, k.key, 0); st != claimTruncated {
+				t.Fatalf("%s: claim past MaxStates returned %d", tag, st)
+			}
+			if e.seen(k.h1, k.h2, k.key) || e.states.Load() != distinct || !e.truncated.Load() || !e.cancel.Load() {
+				t.Errorf("%s: refused claim left a trace: states=%d truncated=%v", tag, e.states.Load(), e.truncated.Load())
+			}
+			if st, _ := e.claim(0, 0, zero.key, 0); st != claimDup {
+				t.Errorf("%s: zero key after truncation: status %d", tag, st)
+			}
+			ref[zero.id()].arrive(0)
+			stripeAudit(t, e, keys, ref)
+			for i := 1; i < visitedStripes; i++ {
+				if e.visited.stripes[i].slots != nil {
+					t.Fatalf("stripe %d allocated by keys of stripe 0", i)
+				}
+			}
+			if !exact {
+				continue
+			}
+
+			// A snapshot holds every entry, resident or spilled, and a fresh
+			// set restored from it answers each as a finalized duplicate
+			// with the pruned mask it had.
+			recs, n := e.visited.snapshotRecords()
+			if n != len(ref) || len(recs) != n*(keyWidth+4) {
+				t.Fatalf("%s: snapshot of %d records in %d bytes, reference %d", tag, n, len(recs), len(ref))
+			}
+			r := &engine{maxStates: distinct}
+			r.visited.init(keyWidth, 0, false, false)
+			r.visited.restoreRecords(recs)
+			if got := r.visited.stripes[0].n; got != len(ref) {
+				t.Fatalf("%s: restored %d of %d records", tag, got, len(ref))
+			}
+			for _, k := range keys {
+				st, missing := r.claim(k.h1, k.h2, k.key, 0)
+				if want := ref[k.id()].pruned; st != claimDup || missing != want {
+					t.Fatalf("%s: restored key %x: status %d missing %b, want %b", tag, k.key, st, missing, want)
+				}
 			}
 		}
 	}
@@ -197,65 +357,84 @@ func TestVisitedHashPair(t *testing.T) {
 }
 
 // TestVisitedDuplicateClaimAllocs: a duplicate arrival, two thirds of
-// all claims on the large workloads, mutates its slot in place.
+// all claims on the large workloads, mutates its slot in place, whether
+// the slot matches on the second hash or on the exact key.
 func TestVisitedDuplicateClaimAllocs(t *testing.T) {
-	e := &engine{maxStates: 1 << 20, visited: newVisitedSet(false)}
-	fp := make([]byte, 256)
-	h1, h2 := hashPair(fp)
-	if st, _ := e.claim(h1, h2, fp, 0); st != claimWon {
-		t.Fatalf("first claim: status %d", st)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
+	for _, keyWidth := range []int{0, 256} {
+		e := &engine{maxStates: 1 << 20}
+		e.visited.init(keyWidth, 0, true, false)
+		fp := make([]byte, 256)
 		h1, h2 := hashPair(fp)
-		if st, _ := e.claim(h1, h2, fp, 0); st != claimDup {
-			t.Fatalf("status %d", st)
+		if st, _ := e.claim(h1, h2, fp, 0); st != claimWon {
+			t.Fatalf("key width %d: first claim: status %d", keyWidth, st)
 		}
-	}); n != 0 {
-		t.Errorf("duplicate claim allocates %.1f objects", n)
+		if n := testing.AllocsPerRun(1000, func() {
+			h1, h2 := hashPair(fp)
+			if st, _ := e.claim(h1, h2, fp, 0); st != claimDup {
+				t.Fatalf("key width %d: status %d", keyWidth, st)
+			}
+		}); n != 0 {
+			t.Errorf("key width %d: duplicate claim allocates %.1f objects", keyWidth, n)
+		}
 	}
 }
 
-// visitedClaimKeys is BenchmarkVisitedClaim's input: 1 M key pairs of
-// which 65 % repeat an earlier one, explore-plain's duplicate mix.
-func visitedClaimKeys() [][2]uint64 {
+// exactClaimWidth is the exact-key benchmark's key width, that of a
+// 3-processor collapsed tuple.
+const exactClaimWidth = 41
+
+// visitedClaimKeys is BenchmarkVisitedClaim's input: 1 M keys (the hash
+// pair and, for the exact-key case, 41 bytes beginning with it) of which
+// 65 % repeat an earlier one, explore-plain's duplicate mix.
+func visitedClaimKeys() []modelKey {
 	rng := rand.New(rand.NewSource(7))
-	keys := make([][2]uint64, 1<<20)
+	keys := make([]modelKey, 1<<20)
+	arena := make([]byte, len(keys)*exactClaimWidth)
 	fresh := 0
 	for i := range keys {
 		if fresh > 0 && rng.Intn(100) < 65 {
 			keys[i] = keys[rng.Intn(i)]
 			continue
 		}
-		keys[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
+		k := modelKey{h1: rng.Uint64(), h2: rng.Uint64(), key: arena[i*exactClaimWidth:][:exactClaimWidth]}
+		binary.LittleEndian.PutUint64(k.key, k.h1)
+		binary.LittleEndian.PutUint64(k.key[8:], k.h2)
+		keys[i] = k
 		fresh++
 	}
 	return keys
 }
 
 // BenchmarkVisitedClaim times the visited set alone: one op claims the
-// whole 1 M-key sequence into a fresh set, split between the stated
-// number of goroutines.
+// whole 1 M-key sequence into a fresh set, hashed or exact, split
+// between the stated number of goroutines.
 func BenchmarkVisitedClaim(b *testing.B) {
 	keys := visitedClaimKeys()
-	for _, g := range []int{1, 2} {
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := &engine{maxStates: 1 << 30, visited: newVisitedSet(false)}
-				var wg sync.WaitGroup
-				for w := 0; w < g; w++ {
-					wg.Add(1)
-					go func(part [][2]uint64) {
-						defer wg.Done()
-						for _, k := range part {
-							e.claim(k[0], k[1], nil, 0)
-						}
-					}(keys[w*len(keys)/g : (w+1)*len(keys)/g])
+	for _, mode := range []struct {
+		prefix   string
+		keyWidth int
+	}{{"", 0}, {"exact/", exactClaimWidth}} {
+		for _, g := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%sgoroutines=%d", mode.prefix, g), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					e := &engine{maxStates: 1 << 30}
+					e.visited.init(mode.keyWidth, 0, true, false)
+					var wg sync.WaitGroup
+					for w := 0; w < g; w++ {
+						wg.Add(1)
+						go func(part []modelKey) {
+							defer wg.Done()
+							for _, k := range part {
+								e.claim(k.h1, k.h2, k.key, 0)
+							}
+						}(keys[w*len(keys)/g : (w+1)*len(keys)/g])
+					}
+					wg.Wait()
 				}
-				wg.Wait()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/claim")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/claim")
+			})
+		}
 	}
 }
 
