@@ -10,29 +10,23 @@
 //	lbmfbench -exp all -scale test -bench-json BENCH_1.json
 //	lbmfbench -exp chaos -faults 7,11,13
 //
-// Experiments: dekker (§1 serial slowdown), fig4 (benchmark table),
-// fig5a / fig5b (ACilk-5 vs Cilk-5, serial / parallel), fig6a / fig6b
-// (ARW / ARW+ vs SRW read throughput), overhead (§5 round-trip costs),
-// theorems (Section 4, machine-checked), litmus_por (partial-order
-// reduction: reduced-vs-unreduced state counts over the protocol
-// suite, with the preservation contract checked), litmus_pso (the
-// classic catalog under per-address store buffers, with the
-// TSO-embedding contract checked), litmus_fuzz (differential fuzzing:
-// generated .litmus scenarios cross-checked over the
-// engine-configuration matrix), ablation, packetproc, chaos
-// (paper invariants under seeded fault injection; -faults picks the
-// schedule seeds).
+// The experiments are the rows of the internal/bench registry: -h lists
+// their names, EXPERIMENTS.md says what each one reproduces or checks.
 //
 // -bench-json writes the versioned machine-readable schema that
 // cmd/benchdiff consumes (pass "auto" to pick the next free
-// BENCH_<n>.json); -json keeps the legacy per-experiment detail dump.
+// BENCH_<n>.json); each experiment's full result is its "detail".
+//
+// An experiment whose machine-checked claims fail still prints its
+// tables and is recorded; the remaining experiments run, the bench file
+// is written, and only then does lbmfbench exit 1.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -45,22 +39,39 @@ import (
 )
 
 func main() {
-	var (
-		exp      = flag.String("exp", "all", "comma-separated experiments (dekker|fig4|fig5a|fig5b|fig6a|fig6b|overhead|theorems|litmus_por|litmus_pso|litmus_compress|litmus_fuzz|litmus_resume|ablation|packetproc|chaos) or 'all'")
-		scale    = flag.String("scale", "small", "workload scale: test|small|medium|paper")
-		reps     = flag.Int("reps", 0, "repetitions per measurement (0 = default)")
-		procs    = flag.Int("procs", 0, "workers for parallel runs (0 = default)")
-		dur      = flag.Duration("dur", 0, "duration per fig6 cell (0 = default)")
-		threads  = flag.String("threads", "", "comma-separated fig6 thread counts")
-		ratios   = flag.String("ratios", "", "comma-separated fig6 read:write ratios")
-		faults   = flag.String("faults", "", "comma-separated chaos fault-schedule seeds")
-		swMode   = flag.Bool("sw", true, "use the software-prototype cost profile for asymmetric runs (false = projected LE/ST hardware)")
-		jsonOut  = flag.String("json", "", "write legacy per-experiment detail JSON to this file")
-		benchOut = flag.String("bench-json", "", "write versioned bench schema to this file ('auto' = next free BENCH_<n>.json)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is main without the process: it returns the exit code (0 ok,
+// 1 a failed run or failed checks, 2 bad flags).
+func run(args []string, stdout, stderr io.Writer) int {
 	opt := harness.Defaults()
+	fs := flag.NewFlagSet("lbmfbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp      = fs.String("exp", "all", "comma-separated experiments ("+strings.Join(bench.Names, "|")+") or 'all'")
+		scale    = fs.String("scale", "small", "workload scale: test|small|medium|paper")
+		reps     = fs.Int("reps", 0, "repetitions per measurement (0 = default)")
+		procs    = fs.Int("procs", 0, "workers for parallel runs (0 = default)")
+		dur      = fs.Duration("dur", 0, "duration per fig6 cell (0 = default)")
+		swMode   = fs.Bool("sw", true, "use the software-prototype cost profile for asymmetric runs (false = projected LE/ST hardware)")
+		benchOut = fs.String("bench-json", "", "write versioned bench schema to this file ('auto' = next free BENCH_<n>.json)")
+	)
+	listFlag(fs, "threads", "comma-separated fig6 thread counts", &opt.ThreadCounts, strconv.Atoi)
+	listFlag(fs, "ratios", "comma-separated fig6 read:write ratios", &opt.ReadWriteRatios, strconv.Atoi)
+	listFlag(fs, "faults", "comma-separated chaos fault-schedule seeds", &opt.FaultSeeds,
+		func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) })
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "lbmfbench: %v\n", err)
+		return 1
+	}
+
 	switch *scale {
 	case "test":
 		opt.Scale = workloads.ScaleTest
@@ -71,7 +82,7 @@ func main() {
 	case "paper":
 		opt.Scale = workloads.ScalePaper
 	default:
-		fatal("unknown -scale %q", *scale)
+		return fail(fmt.Errorf("unknown -scale %q", *scale))
 	}
 	if *reps > 0 {
 		opt.Reps = *reps
@@ -82,15 +93,6 @@ func main() {
 	if *dur > 0 {
 		opt.CellDuration = *dur
 	}
-	if *threads != "" {
-		opt.ThreadCounts = parseInts(*threads)
-	}
-	if *ratios != "" {
-		opt.ReadWriteRatios = parseInts(*ratios)
-	}
-	if *faults != "" {
-		opt.FaultSeeds = parseSeeds(*faults)
-	}
 	asymMode := core.ModeAsymmetricSW
 	if !*swMode {
 		asymMode = core.ModeAsymmetricHW
@@ -98,61 +100,50 @@ func main() {
 
 	// Validate the whole experiment list before running anything: a typo
 	// in "-exp fig5a,fig6x" must not burn minutes of fig5a first.
-	names := parseExperiments(*exp)
+	names, err := parseExperiments(*exp)
+	if err != nil {
+		return fail(err)
+	}
 
-	legacy := map[string]any{}
 	file := bench.NewFile(*scale, opt.Reps, opt.Procs)
-
 	start := time.Now()
-	theoremsFailed := false
-	chaosFailed := false
+	var failed []error
 	for _, name := range names {
 		ran, err := bench.RunExperiment(name, opt, asymMode)
-		if err != nil && !errors.Is(err, bench.ErrTheoremsFailed) && !errors.Is(err, bench.ErrChaosFailed) {
-			fatal("%v", err)
+		if errors.Is(err, bench.ErrChecksFailed) {
+			failed = append(failed, err)
+		} else if err != nil {
+			return fail(err)
 		}
 		for _, t := range ran.Tables {
-			fmt.Println(t)
+			fmt.Fprintln(stdout, t)
 		}
-		legacy[name] = ran.Exp.Detail
 		file.Experiments[name] = ran.Exp
-		if errors.Is(err, bench.ErrTheoremsFailed) {
-			theoremsFailed = true
-		}
-		if errors.Is(err, bench.ErrChaosFailed) {
-			chaosFailed = true
-		}
 	}
 	file.ElapsedSeconds = time.Since(start).Seconds()
 	file.Timestamp = time.Now().UTC().Format(time.RFC3339)
 
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(legacy, "", "  ")
-		check(err)
-		check(os.WriteFile(*jsonOut, data, 0o644))
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
 	if *benchOut != "" {
 		path := *benchOut
 		if path == "auto" {
 			path = nextBenchFile()
 		}
-		check(bench.Write(path, file))
-		fmt.Printf("wrote %s\n", path)
+		if err := bench.Write(path, file); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", path)
 	}
-	if theoremsFailed {
-		fatal("theorem checks FAILED")
+	if len(failed) > 0 {
+		return fail(errors.Join(failed...))
 	}
-	if chaosFailed {
-		fatal("chaos invariants FAILED")
-	}
-	fmt.Printf("total: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "total: %v\n", time.Since(start).Round(time.Millisecond))
+	return 0
 }
 
 // parseExperiments splits and validates -exp. "all" (alone or in a
-// list) expands to the canonical order; unknown names abort before any
-// experiment runs.
-func parseExperiments(s string) []string {
+// list) expands to the canonical order; an unknown name is an error
+// before any experiment runs.
+func parseExperiments(s string) ([]string, error) {
 	var names []string
 	seen := map[string]bool{}
 	add := func(n string) {
@@ -165,7 +156,7 @@ func parseExperiments(s string) []string {
 		name := strings.TrimSpace(part)
 		switch {
 		case name == "":
-			fatal("empty experiment name in -exp %q", s)
+			return nil, fmt.Errorf("empty experiment name in -exp %q", s)
 		case name == "all":
 			for _, n := range bench.Names {
 				add(n)
@@ -173,13 +164,10 @@ func parseExperiments(s string) []string {
 		case bench.Known(name):
 			add(name)
 		default:
-			fatal("unknown experiment %q (known: %s, all)", name, strings.Join(bench.Names, ", "))
+			return nil, fmt.Errorf("unknown experiment %q (known: %s, all)", name, strings.Join(bench.Names, ", "))
 		}
 	}
-	if len(names) == 0 {
-		fatal("no experiments in -exp %q", s)
-	}
-	return names
+	return names, nil
 }
 
 // nextBenchFile picks the first unused BENCH_<n>.json in the working
@@ -193,37 +181,19 @@ func nextBenchFile() string {
 	}
 }
 
-func parseSeeds(s string) []uint64 {
-	var out []uint64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
-		if err != nil {
-			fatal("bad seed list %q: %v", s, err)
+// listFlag registers a comma-separated list flag that replaces *dst
+// when given.
+func listFlag[T any](fs *flag.FlagSet, name, usage string, dst *[]T, parse func(string) (T, error)) {
+	fs.Func(name, usage, func(s string) error {
+		var out []T
+		for _, part := range strings.Split(s, ",") {
+			v, err := parse(strings.TrimSpace(part))
+			if err != nil {
+				return err
+			}
+			out = append(out, v)
 		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseInts(s string) []int {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			fatal("bad integer list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func check(err error) {
-	if err != nil {
-		fatal("%v", err)
-	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "lbmfbench: "+format+"\n", args...)
-	os.Exit(1)
+		*dst = out
+		return nil
+	})
 }

@@ -82,7 +82,7 @@ func main() {
 		os.Exit(runJSON(*catalog, catOpts))
 	}
 
-	res := harness.RunTheoremsWorkers(*workers)
+	res := harness.RunTheorems(*workers)
 	fmt.Println(res.Table())
 
 	failed := !res.AllPass()
@@ -380,7 +380,7 @@ func runJSON(catalog bool, opts litmus.Options) int {
 	}
 	start := time.Now()
 
-	th := harness.RunTheoremsWorkers(opts.Workers)
+	th := harness.RunTheorems(opts.Workers)
 	for _, row := range th.Rows {
 		sum.Theorems = append(sum.Theorems, jsonTest{
 			Name:       row.Name,

@@ -272,6 +272,39 @@ func TestDaemonRunsSpooledJobs(t *testing.T) {
 	}
 }
 
+// TestDaemonHonoursFileModel: a job declaring config { model pso } is
+// checked under PSO, as `litmus -file` checks it. Message passing is
+// forbidden under TSO and allowed once stores to different addresses
+// may drain out of order, so the same file flips from pass to fail.
+func TestDaemonHonoursFileModel(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "mp.litmus"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp := string(data)
+	mpPSO := strings.Replace(mp, "sbdepth 4 }", "sbdepth 4 model pso }", 1)
+	if mpPSO == mp {
+		t.Fatal("examples/mp.litmus config line changed; update the PSO variant")
+	}
+
+	root := t.TempDir()
+	_, stop := startDaemon(t, config{Root: root, Jobs: 2, CkptEvery: 100})
+	submit(t, root, "mp-tso", mp)
+	submit(t, root, "mp-pso", mpPSO)
+	waitFor(t, 30*time.Second, "both verdicts", func() bool {
+		return exists(filepath.Join(root, "done", "mp-tso", "verdict.json")) &&
+			exists(filepath.Join(root, "done", "mp-pso", "verdict.json"))
+	})
+	stop()
+
+	if v := readVerdict(t, root, "mp-tso"); !v.Pass || v.Violations != 0 {
+		t.Errorf("TSO verdict = %+v, want pass", v)
+	}
+	if v := readVerdict(t, root, "mp-pso"); v.Pass || v.Violations == 0 {
+		t.Errorf("PSO verdict = %+v, want failing with violations", v)
+	}
+}
+
 // TestDaemonBadJobFails: an uncompilable job is failed permanently (no
 // retries) with the compile error recorded.
 func TestDaemonBadJobFails(t *testing.T) {

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"fmt"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -62,6 +65,21 @@ func TestGoldenAllExperiments(t *testing.T) {
 		}
 		if exp.ElapsedSeconds < 0 {
 			t.Errorf("experiment %q has negative elapsed", name)
+		}
+	}
+
+	// Key pin: the diffable surface (every metric key with its unit and
+	// direction, every sample key) must be the committed baseline's.
+	// fig6a/fig6b sweep fewer cells under QuickDefaults, so there the
+	// produced keys need only be a subset.
+	base, err := ReadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range Names {
+		subset := name == "fig6a" || name == "fig6b"
+		if d := keyDiff(base.Experiments[name], back.Experiments[name], subset); d != "" {
+			t.Errorf("experiment %q drifted from BENCH_baseline.json:%s", name, d)
 		}
 	}
 
@@ -135,6 +153,45 @@ func TestGoldenAllExperiments(t *testing.T) {
 			t.Errorf("sample %q has N=%d, want %d", k, s.N, opt.Reps)
 		}
 	}
+}
+
+// keySignatures flattens an experiment's diffable surface: each metric
+// key with its unit and direction, each sample key.
+func keySignatures(e Experiment) map[string]string {
+	sig := make(map[string]string)
+	for k, m := range e.Metrics {
+		sig["metric "+k] = fmt.Sprintf("unit=%q higher_is_better=%v", m.Unit, m.HigherIsBetter)
+	}
+	for k := range e.Samples {
+		sig["sample "+k] = ""
+	}
+	return sig
+}
+
+// keyDiff lists the keys missing from, extra in, or changed in got
+// relative to want; subset tolerates missing ones. Empty means equal.
+func keyDiff(want, got Experiment, subset bool) string {
+	w, g := keySignatures(want), keySignatures(got)
+	var lines []string
+	for k, ws := range w {
+		gs, ok := g[k]
+		switch {
+		case !ok && !subset:
+			lines = append(lines, "missing "+k)
+		case ok && gs != ws:
+			lines = append(lines, fmt.Sprintf("changed %s: %s -> %s", k, ws, gs))
+		}
+	}
+	for k := range g {
+		if _, ok := w[k]; !ok {
+			lines = append(lines, "extra   "+k)
+		}
+	}
+	if len(lines) == 0 {
+		return ""
+	}
+	sort.Strings(lines)
+	return "\n  " + strings.Join(lines, "\n  ")
 }
 
 func TestRunExperimentUnknown(t *testing.T) {

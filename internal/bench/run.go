@@ -1,34 +1,16 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
-
-// Names lists every experiment in canonical -exp all order. The golden
-// test pins that a full run records exactly these keys.
-var Names = []string{
-	"theorems", "litmus_por", "litmus_pso", "litmus_compress", "litmus_fuzz",
-	"litmus_resume", "synth_throughput", "dekker",
-	"overhead", "fig4",
-	"fig5a", "fig5b", "fig6a", "fig6b",
-	"ablation", "packetproc", "chaos",
-}
-
-// Known reports whether name is a runnable experiment.
-func Known(name string) bool {
-	for _, n := range Names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
 
 // Ran is one executed experiment: its schema entry plus the paper-style
 // tables to print.
@@ -37,51 +19,79 @@ type Ran struct {
 	Tables []*stats.Table
 }
 
-// ErrTheoremsFailed marks a theorems run whose machine-checked claims
-// did not all pass. The Ran alongside it is still complete, so callers
-// can print the failing table before exiting non-zero.
-var ErrTheoremsFailed = fmt.Errorf("bench: theorem checks failed")
+// ErrChecksFailed marks an experiment whose machine-checked claims did
+// not all pass; RunExperiment wraps it with the experiment's name. The
+// Ran alongside it is complete (tables, metrics, all_pass = 0), so
+// callers print and record the failing run before exiting non-zero.
+var ErrChecksFailed = errors.New("bench: checks failed")
 
-// ErrChaosFailed marks a chaos run that broke a paper invariant under
-// an injected fault schedule. As with ErrTheoremsFailed the Ran is
-// complete, so the failing table still prints.
-var ErrChaosFailed = fmt.Errorf("bench: chaos invariants violated")
+// experiment is one row of the registry in experiments.go.
+type experiment struct {
+	name string
+	// run executes the harness driver and returns its result with the
+	// closure that records the result's numbers under their bench keys.
+	run func(opt harness.Options, mode core.Mode) (res any, emit func(*Experiment), err error)
+}
 
-// ErrFuzzFailed marks a litmus_fuzz run where a generated scenario
-// exposed a divergence between engine configurations (or the corpus
-// degenerated into skips). The Ran is complete, so the failing table
-// still prints.
-var ErrFuzzFailed = fmt.Errorf("bench: differential fuzzing found an engine divergence")
+// driver is the shape every harness entry point is adapted to.
+type driver[R any] func(opt harness.Options, mode core.Mode) (R, error)
 
-// ErrSynthThroughputFailed marks a synth_throughput run that broke the
-// corpus-repair contract: a verdict mismatch between the accelerated
-// and control legs, a spliced repair the exact engine refuted, or an
-// accelerated leg that was not strictly cheaper in exact checks. The
-// Ran is complete, so the failing table still prints.
-var ErrSynthThroughputFailed = fmt.Errorf("bench: synthesis corpus run broke the repair contract")
+// entry builds a registry row from a driver and the function that
+// flattens its result into metrics and samples. Everything else a
+// result contributes is found by RunExperiment through its methods:
+// Table or Tables, and optionally AllPass and ObsSnapshot.
+func entry[R any](name string, run driver[R], emit func(*Experiment, R)) experiment {
+	return experiment{name, func(opt harness.Options, mode core.Mode) (any, func(*Experiment), error) {
+		res, err := run(opt, mode)
+		return res, func(e *Experiment) { emit(e, res) }, err
+	}}
+}
 
-// ErrPORFailed marks a litmus_por run where a reduced exploration
-// diverged from the unreduced reference semantics. The Ran is complete,
-// so the divergence table still prints.
-var ErrPORFailed = fmt.Errorf("bench: partial-order reduction diverged from reference")
+// checker adapts a model-checker driver. A bench run measures the
+// engine at its default pool size, so workers is 0 (= GOMAXPROCS).
+func checker[R any](run func(workers int) R) driver[R] {
+	return func(harness.Options, core.Mode) (R, error) { return run(0), nil }
+}
 
-// ErrPSOFailed marks a litmus_pso run where a catalog test classified
-// wrongly under a memory model or the PSO exploration failed to reach
-// every TSO behaviour. The Ran is complete, so the failing table still
-// prints.
-var ErrPSOFailed = fmt.Errorf("bench: PSO backend misclassified the catalog or lost TSO behaviour")
+// scaled adapts a driver that sizes itself from the options and cannot
+// fail to run.
+func scaled[R any](run func(harness.Options) R) driver[R] {
+	return func(opt harness.Options, _ core.Mode) (R, error) { return run(opt), nil }
+}
 
-// ErrCompressFailed marks a litmus_compress run where a compressed or
-// symmetry-reduced exploration broke the preservation contract against
-// its plain run. The Ran is complete, so the divergence table still
-// prints.
-var ErrCompressFailed = fmt.Errorf("bench: compressed exploration diverged from plain run")
+// measured adapts a driver whose set-up can be refused.
+func measured[R any](run func(harness.Options) (R, error)) driver[R] {
+	return func(opt harness.Options, _ core.Mode) (R, error) { return run(opt) }
+}
 
-// ErrResumeFailed marks a litmus_resume run where a checkpointed or
-// kill-resumed exploration failed to reproduce the plain run's verdict
-// exactly (or never committed a snapshot). The Ran is complete, so the
-// failing table still prints.
-var ErrResumeFailed = fmt.Errorf("bench: checkpoint/resume broke exact-recovery contract")
+// variant fixes the a/b switch of a figure driver (fig5: parallel,
+// fig6: heuristic); these are the drivers the asymmetric mode reaches.
+func variant[R any](run func(harness.Options, bool, core.Mode) (R, error), b bool) driver[R] {
+	return func(opt harness.Options, mode core.Mode) (R, error) { return run(opt, b, mode) }
+}
+
+// Names lists every experiment in canonical -exp all order. The golden
+// test pins that a full run records exactly these keys.
+var Names = func() []string {
+	names := make([]string, len(experiments))
+	for i, x := range experiments {
+		names[i] = x.name
+	}
+	return names
+}()
+
+// lookup finds name's registry row, nil when there is none.
+func lookup(name string) *experiment {
+	for i := range experiments {
+		if experiments[i].name == name {
+			return &experiments[i]
+		}
+	}
+	return nil
+}
+
+// Known reports whether name is a runnable experiment.
+func Known(name string) bool { return lookup(name) != nil }
 
 // metricKey flattens a label into a metric key segment.
 func metricKey(s string) string {
@@ -90,313 +100,39 @@ func metricKey(s string) string {
 
 // RunExperiment executes one experiment by name and converts its result
 // into the bench schema. It is the single runner shared by
-// cmd/lbmfbench and the end-to-end golden test.
+// cmd/lbmfbench and the end-to-end golden test. A harness error means
+// the experiment did not run and comes back alone; failed checks come
+// back as ErrChecksFailed next to the complete Ran.
 func RunExperiment(name string, opt harness.Options, asymMode core.Mode) (*Ran, error) {
-	start := time.Now()
-	ran := &Ran{Exp: Experiment{Name: name}}
-	e := &ran.Exp
-	var err error
-
-	switch name {
-	case "theorems":
-		res := harness.RunTheorems()
-		e.Detail = res
-		e.setObs(res.Obs)
-		var states int
-		for _, row := range res.Rows {
-			states += row.States
-		}
-		pass := 0.0
-		if res.AllPass() {
-			pass = 1
-		}
-		e.putMetric("all_pass", pass, "", true)
-		e.putMetric("states_total", float64(states), "states", true)
-		ran.Tables = append(ran.Tables, res.Table())
-		if !res.AllPass() {
-			err = ErrTheoremsFailed
-		}
-
-	case "litmus_por":
-		res := harness.RunPOR(0)
-		e.Detail = res
-		e.setObs(res.Obs)
-		pass := 0.0
-		if res.AllPass() {
-			pass = 1
-		}
-		e.putMetric("all_pass", pass, "", true)
-		for _, row := range res.Rows {
-			k := metricKey(row.Name)
-			// The guarded number: how much of the state space the
-			// reduction prunes. A ratio drop means the ample/sleep rules
-			// lost power.
-			e.putMetric("ratio/"+k, row.Ratio, "ratio", true)
-			e.putMetric("states_full/"+k, float64(row.StatesFull), "states", false)
-			e.putMetric("states_reduced/"+k, float64(row.StatesReduced), "states", false)
-		}
-		ran.Tables = append(ran.Tables, res.Table())
-		if !res.AllPass() {
-			err = ErrPORFailed
-		}
-
-	case "litmus_pso":
-		res := harness.RunPSO(0)
-		e.Detail = res
-		pass := 0.0
-		if res.AllPass() {
-			pass = 1
-		}
-		e.putMetric("all_pass", pass, "", true)
-		e.putMetric("states_per_sec", res.StatesPerSec(), "states/sec", false)
-		for _, row := range res.Rows {
-			k := metricKey(row.Name)
-			// The guarded number: how much wider the PSO state space is.
-			// A drop means the per-address drain classes stopped opening
-			// reorderings; a jump means the encoding exploded.
-			e.putMetric("ratio/"+k, row.Ratio, "ratio", true)
-			e.putMetric("states_tso/"+k, float64(row.StatesTSO), "states", false)
-			e.putMetric("states_pso/"+k, float64(row.StatesPSO), "states", false)
-		}
-		ran.Tables = append(ran.Tables, res.Table())
-		if !res.AllPass() {
-			err = ErrPSOFailed
-		}
-
-	case "litmus_compress":
-		res := harness.RunCompress(0)
-		e.Detail = res
-		e.setObs(res.Obs)
-		pass := 0.0
-		if res.AllPass() {
-			pass = 1
-		}
-		e.putMetric("all_pass", pass, "", true)
-		for _, row := range res.Rows {
-			k := metricKey(row.Name)
-			// The guarded pair: how densely the collapsed visited set
-			// stores orbits (drops mean the encoding bloated) and how much
-			// memory the run peaked at (rises mean a footprint regression).
-			e.putMetric("states_per_byte/"+k, row.StatesPerByte, "states/B", true)
-			e.putMetric("peak_visited_bytes/"+k, row.PeakVisitedBytes, "B", false)
-			// Orbit-merging payoff; bounded by the ring size.
-			e.putMetric("sym_ratio/"+k, row.SymRatio, "ratio", true)
-			e.putMetric("states_plain/"+k, float64(row.StatesPlain), "states", false)
-			e.putMetric("states_sym/"+k, float64(row.StatesSym), "states", false)
-		}
-		ran.Tables = append(ran.Tables, res.Table())
-		if !res.AllPass() {
-			err = ErrCompressFailed
-		}
-
-	case "litmus_fuzz":
-		res := harness.RunFuzz(opt)
-		e.Detail = res
-		pass := 0.0
-		if res.AllPass() {
-			pass = 1
-		}
-		e.putMetric("all_pass", pass, "", true)
-		for _, row := range res.Rows {
-			k := metricKey(row.Mix)
-			// The guarded number: zero engine divergences across the
-			// generated corpus. Any rise is a soundness bug somewhere in
-			// the parallel/POR/collapse stack (or the DSL round trip).
-			e.putMetric("divergences/"+k, float64(row.Divergences), "count", false)
-			e.putMetric("programs/"+k, float64(row.Programs), "count", true)
-			e.putMetric("skipped/"+k, float64(row.Skipped), "count", false)
-			e.putMetric("programs_per_sec/"+k, row.ProgramsPerSec, "programs/s", true)
-			e.putMetric("ref_states/"+k, float64(row.States), "states", false)
-		}
-		ran.Tables = append(ran.Tables, res.Table())
-		if !res.AllPass() {
-			err = ErrFuzzFailed
-		}
-
-	case "litmus_resume":
-		res := harness.RunResume(0)
-		e.Detail = res
-		e.setObs(res.Obs)
-		pass := 0.0
-		if res.AllPass() {
-			pass = 1
-		}
-		e.putMetric("all_pass", pass, "", true)
-		for _, row := range res.Rows {
-			k := metricKey(row.Name)
-			// The guarded number: what periodic durable snapshots cost
-			// relative to the plain exploration. A rise means the
-			// checkpoint barrier or serialization path got slower.
-			e.putMetric("overhead/"+k, row.Overhead, "x", false)
-			e.putMetric("snapshots/"+k, float64(row.Writes), "count", false)
-			e.putMetric("states/"+k, float64(row.States), "states", false)
-		}
-		ran.Tables = append(ran.Tables, res.Table())
-		if !res.AllPass() {
-			err = ErrResumeFailed
-		}
-
-	case "synth_throughput":
-		res := harness.RunSynthThroughput(opt)
-		e.Detail = res
-		pass := 0.0
-		if res.AllPass() {
-			pass = 1
-		}
-		e.putMetric("all_pass", pass, "", true)
-		e.putMetric("scenarios", float64(res.Scenarios), "count", true)
-		for _, leg := range []struct {
-			name string
-			res  *harness.CorpusResult
-		}{{"accelerated", res.Accelerated}, {"control", res.Control}} {
-			e.putMetric("repairs_per_min/"+leg.name, leg.res.RepairsPerMinute(), "repairs/min", true)
-			// The guarded numbers: exact model-checks per resolved
-			// scenario (what the accelerators exist to push down) and the
-			// contract counter (a spliced repair the exact engine refuted
-			// — must stay zero on both legs).
-			e.putMetric("exact_checks_per_repair/"+leg.name, leg.res.ExactChecksPerRepair(), "checks", false)
-			e.putMetric("contract_failures/"+leg.name, float64(leg.res.ContractFailures), "count", false)
-		}
-		e.putMetric("screen_hit_rate", res.Accelerated.ScreenHitRate(), "ratio", true)
-		e.putMetric("pruned_sites", float64(res.Accelerated.PrunedSites), "count", true)
-		e.putMetric("exact_reduction_ratio", res.ExactReductionRatio(), "ratio", true)
-		ran.Tables = append(ran.Tables, res.Table())
-		if !res.AllPass() {
-			err = ErrSynthThroughputFailed
-		}
-
-	case "dekker":
-		res, rerr := harness.RunDekker(opt)
-		if rerr != nil {
-			return nil, rerr
-		}
-		e.Detail = res
-		for _, row := range res.Rows {
-			k := metricKey(row.Variant)
-			e.putMetric("sim_cycles_per_iter/"+k, row.CyclesPerIter, "cycles", false)
-			e.putMetric("real_ns_per_iter/"+k, row.RealNsPerIter, "ns", false)
-			e.putSample("real_run_sec/"+k, row.RealSample)
-		}
-		ran.Tables = append(ran.Tables, res.Table())
-
-	case "overhead":
-		res, rerr := harness.RunOverhead(opt)
-		if rerr != nil {
-			return nil, rerr
-		}
-		e.Detail = res
-		e.setObs(res.Obs)
-		e.putMetric("sim_lest_round_trip", res.SimLESTRoundTrip, "cycles", false)
-		e.putMetric("sim_primary_iter_alone", res.SimUncontendedIter, "cycles", false)
-		e.putMetric("sim_primary_iter_contended", res.SimPrimaryPerIter, "cycles", false)
-		e.putMetric("real_sw_round_trip", res.RealSWRoundTripNs, "ns", false)
-		e.putMetric("real_hw_round_trip", res.RealHWRoundTripNs, "ns", false)
-		ran.Tables = append(ran.Tables, res.Table())
-
-	case "fig4":
-		res := harness.Fig4()
-		e.Detail = res
-		e.putMetric("benchmarks", float64(len(res.Rows)), "count", true)
-		ran.Tables = append(ran.Tables, res.Table())
-
-	case "fig5a", "fig5b":
-		res, rerr := harness.RunFig5(opt, name == "fig5b", asymMode)
-		if rerr != nil {
-			return nil, rerr
-		}
-		e.Detail = res
-		e.setObs(res.Obs)
-		for _, row := range res.Rows {
-			k := metricKey(row.Benchmark)
-			// Relative runtime asym/sym: below 1 means ACilk-5 wins.
-			e.putMetric("relative/"+k, row.Relative, "ratio", false)
-			e.putSample("sym_sec/"+k, row.SymmetricSample)
-			e.putSample("asym_sec/"+k, row.AsymmetricSample)
-		}
-		ran.Tables = append(ran.Tables, res.Table())
-
-	case "fig6a", "fig6b":
-		res, rerr := harness.RunFig6(opt, name == "fig6b", asymMode)
-		if rerr != nil {
-			return nil, rerr
-		}
-		e.Detail = res
-		e.setObs(res.Obs)
-		for _, c := range res.Cells {
-			k := fmt.Sprintf("normalized/%d:1x%d", c.Ratio, c.Threads)
-			e.putMetric(k, c.Normalized, "ratio", true)
-		}
-		ran.Tables = append(ran.Tables, res.Table())
-
-	case "ablation":
-		res, rerr := harness.RunAblations(opt)
-		if rerr != nil {
-			return nil, rerr
-		}
-		e.Detail = res
-		for d, v := range res.StoreBufferDepth {
-			e.putMetric(fmt.Sprintf("store_buffer_cycles/%d", d), v, "cycles", false)
-		}
-		for c, v := range res.SignalCost {
-			e.putMetric(fmt.Sprintf("signal_cost_normalized/%d", c), v, "ratio", true)
-		}
-		for b, v := range res.SpinBudget {
-			e.putMetric(fmt.Sprintf("spin_budget_signals_per_write/%d", b), v, "signals/write", false)
-		}
-		for k, v := range res.PollInterval {
-			e.putMetric(fmt.Sprintf("poll_interval_relative/%d", k), v, "ratio", false)
-		}
-		e.putMetric("double_flush_same", res.DoubleFlushSame, "cycles", false)
-		e.putMetric("double_flush_different", res.DoubleFlushDifferent, "cycles", false)
-		e.putMetric("double_flush_two_links", res.DoubleFlushTwoLinks, "cycles", false)
-		ran.Tables = append(ran.Tables, res.Tables()...)
-
-	case "packetproc":
-		res, rerr := harness.RunPacketProc(opt)
-		if rerr != nil {
-			return nil, rerr
-		}
-		e.Detail = res
-		for _, row := range res.Rows {
-			k := fmt.Sprintf("%d", row.LocalityPermille)
-			e.putMetric("speedup_sw/"+k, row.SpeedupSW, "ratio", true)
-			e.putMetric("speedup_hw/"+k, row.SpeedupHW, "ratio", true)
-		}
-		ran.Tables = append(ran.Tables, res.Table())
-
-	case "chaos":
-		res, rerr := harness.RunChaos(opt)
-		if rerr != nil {
-			return nil, rerr
-		}
-		e.Detail = res
-		e.setObs(res.Obs)
-		pass := 0.0
-		if res.AllPass() {
-			pass = 1
-		}
-		var violations, trips, abandons float64
-		for _, row := range res.Rows {
-			violations += float64(row.Violations)
-			trips += float64(row.WatchdogTrips)
-			abandons += float64(row.StealAbandons)
-		}
-		e.putMetric("all_pass", pass, "", true)
-		e.putMetric("violations_total", violations, "count", false)
-		e.putMetric("watchdog_trips_total", trips, "count", false)
-		e.putMetric("steal_abandons_total", abandons, "count", false)
-		// The guarded number: primary poll cost with fault hooks
-		// compiled in but disarmed.
-		e.putMetric("poll_fastpath_ns", res.PollFastPathNs, "ns", false)
-		ran.Tables = append(ran.Tables, res.Table())
-		if !res.AllPass() {
-			err = ErrChaosFailed
-		}
-
-	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q", name)
+	x := lookup(name)
+	if x == nil {
+		return nil, fmt.Errorf("bench: unknown experiment %q (known: %s)", name, strings.Join(Names, ", "))
 	}
-
+	start := time.Now()
+	res, emit, err := x.run(opt, asymMode)
+	if err != nil {
+		return nil, err
+	}
+	ran := &Ran{Exp: Experiment{Name: name, Detail: res}}
+	e := &ran.Exp
+	emit(e)
+	if o, ok := res.(interface{ ObsSnapshot() obs.Snapshot }); ok {
+		e.setObs(o.ObsSnapshot())
+	}
+	switch t := res.(type) {
+	case interface{ Tables() []*stats.Table }:
+		ran.Tables = t.Tables()
+	case interface{ Table() *stats.Table }:
+		ran.Tables = []*stats.Table{t.Table()}
+	}
+	if c, ok := res.(interface{ AllPass() bool }); ok {
+		pass := 1.0
+		if !c.AllPass() {
+			pass = 0
+			err = fmt.Errorf("%w: %s", ErrChecksFailed, name)
+		}
+		e.putMetric("all_pass", pass, "", true)
+	}
 	e.ElapsedSeconds = time.Since(start).Seconds()
 	return ran, err
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/rwlock"
 	"repro/internal/sched"
 	"repro/internal/signals"
@@ -53,17 +52,12 @@ type ChaosResult struct {
 	// Obs aggregates mailbox, lock, and scheduler metrics across all
 	// chaos runs (watchdog trips, backoff parks, stalled exits, fault
 	// counters).
-	Obs obs.Snapshot
+	Observed
 }
 
 // AllPass reports whether every chaos row held its invariants.
 func (r *ChaosResult) AllPass() bool {
-	for _, row := range r.Rows {
-		if !row.Pass {
-			return false
-		}
-	}
-	return true
+	return allPass(r.Rows, func(row ChaosRow) bool { return row.Pass })
 }
 
 // chaosWait is the wait policy for live-primary chaos runs: parks come

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/litmus"
-	"repro/internal/obs"
 	"repro/internal/programs"
 	"repro/internal/stats"
 )
@@ -41,7 +40,7 @@ type CompressResult struct {
 	Rows []CompressRow
 	// Obs aggregates the compressed runs' engine gauges (collapse table
 	// sizes, visited residency, spill counters, symmetry flags).
-	Obs obs.Snapshot
+	Observed
 }
 
 // RunCompress measures collapse compression plus symmetry
@@ -103,12 +102,7 @@ func RunCompress(workers int) *CompressResult {
 // AllPass reports whether every compressed run preserved its plain
 // run's semantics.
 func (r *CompressResult) AllPass() bool {
-	for _, row := range r.Rows {
-		if !row.Pass {
-			return false
-		}
-	}
-	return true
+	return allPass(r.Rows, func(row CompressRow) bool { return row.Pass })
 }
 
 // Table renders the compression report.

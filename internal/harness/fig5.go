@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -47,7 +46,7 @@ type Fig5Result struct {
 	// Obs aggregates the asymmetric runtimes' scheduler counters over
 	// every benchmark and repetition (symmetric runs are excluded so the
 	// counters describe one fence discipline, not a mix).
-	Obs obs.Snapshot
+	Observed
 }
 
 // RunFig5 reproduces Fig. 5(a) (serial, procs=1) or Fig. 5(b)

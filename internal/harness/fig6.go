@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/rwlock"
 	"repro/internal/signals"
 	"repro/internal/stats"
@@ -36,7 +35,7 @@ type Fig6Result struct {
 	// Obs aggregates the asymmetric lock's statistics (reads, writes,
 	// signals, heuristic acknowledgements, write-wait latency) over the
 	// whole sweep; SRW baselines are excluded.
-	Obs obs.Snapshot
+	Observed
 }
 
 // lockThroughput runs the paper's microbenchmark against one lock

@@ -11,8 +11,30 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/workloads"
 )
+
+// Observed is embedded by every result that carries the obs snapshot of
+// the subsystems its driver instrumented; internal/bench records it
+// without knowing the concrete result type.
+type Observed struct {
+	Obs obs.Snapshot
+}
+
+// ObsSnapshot returns the aggregated snapshot.
+func (o *Observed) ObsSnapshot() obs.Snapshot { return o.Obs }
+
+// allPass reports whether pass holds for every row: the shared body of
+// the results' AllPass methods.
+func allPass[R any](rows []R, pass func(R) bool) bool {
+	for _, row := range rows {
+		if !pass(row) {
+			return false
+		}
+	}
+	return true
+}
 
 // Options configures experiment runs. The zero value is not useful; use
 // Defaults or QuickDefaults.

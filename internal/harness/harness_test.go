@@ -159,7 +159,7 @@ func TestRunOverheadShape(t *testing.T) {
 }
 
 func TestRunTheoremsAllPass(t *testing.T) {
-	res := RunTheorems()
+	res := RunTheorems(0)
 	if len(res.Rows) != 13 {
 		t.Fatalf("rows = %d, want 13", len(res.Rows))
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/programs"
 	"repro/internal/stats"
 	"repro/internal/tso"
@@ -30,7 +29,7 @@ type OverheadResult struct {
 
 	// Obs aggregates the measured fences' mailbox metrics (round trips,
 	// ack latency) across both real-goroutine measurements.
-	Obs obs.Snapshot
+	Observed
 }
 
 // RunOverhead measures the communication round trips on both layers.

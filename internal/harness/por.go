@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/litmus"
-	"repro/internal/obs"
 	"repro/internal/programs"
 	"repro/internal/stats"
 	"repro/internal/tso"
@@ -38,7 +37,7 @@ type PORResult struct {
 	Rows []PORRow
 	// Obs aggregates the reduced runs' engine counters (ample states,
 	// slept transitions, re-expansions, visited-set statistics).
-	Obs obs.Snapshot
+	Observed
 }
 
 // RunPOR measures the partial-order reduction on the workloads the
@@ -96,12 +95,7 @@ func RunPOR(workers int) *PORResult {
 // AllPass reports whether every reduced run agreed with its unreduced
 // reference.
 func (r *PORResult) AllPass() bool {
-	for _, row := range r.Rows {
-		if !row.Pass {
-			return false
-		}
-	}
-	return true
+	return allPass(r.Rows, func(row PORRow) bool { return row.Pass })
 }
 
 // Table renders the reduction report.

@@ -88,12 +88,7 @@ func RunPSO(workers int) *PSOResult {
 // AllPass reports whether every row classified correctly under both
 // models and satisfied the weakening contract.
 func (r *PSOResult) AllPass() bool {
-	for _, row := range r.Rows {
-		if !row.Pass {
-			return false
-		}
-	}
-	return true
+	return allPass(r.Rows, func(row PSORow) bool { return row.Pass })
 }
 
 // StatesPerSec is the aggregate two-model exploration throughput.

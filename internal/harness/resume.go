@@ -9,7 +9,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/fault"
 	"repro/internal/litmus"
-	"repro/internal/obs"
 	"repro/internal/programs"
 	"repro/internal/stats"
 	"repro/internal/tso"
@@ -48,7 +47,7 @@ type ResumeResult struct {
 	Rows []ResumeRow
 	// Obs aggregates the checkpointed and resumed runs' engine counters
 	// (checkpoint_writes/bytes, resumed_states, visited statistics).
-	Obs obs.Snapshot
+	Observed
 }
 
 // RunResume measures the durable-checkpoint machinery on the classic
@@ -162,12 +161,7 @@ func sameVerdict(a, b litmus.Result) bool {
 // AllPass reports whether every row's checkpointed and resumed runs
 // reproduced the plain verdict.
 func (r *ResumeResult) AllPass() bool {
-	for _, row := range r.Rows {
-		if !row.Pass {
-			return false
-		}
-	}
-	return true
+	return allPass(r.Rows, func(row ResumeRow) bool { return row.Pass })
 }
 
 // Table renders the checkpoint/resume report.

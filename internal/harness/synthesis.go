@@ -31,15 +31,9 @@ type SynthesisResult struct {
 	Rows []SynthRow
 }
 
-// RunSynthesis synthesizes fences for every registry problem with
-// default options (both fence kinds, default primary weight).
-func RunSynthesis(workers int) *SynthesisResult {
-	return RunSynthesisOptions(synth.Options{Workers: workers})
-}
-
-// RunSynthesisOptions is RunSynthesis with explicit synthesis options;
-// cmd/fencesynth feeds it the -kind / -ratio / -max-states flags.
-func RunSynthesisOptions(opts synth.Options) *SynthesisResult {
+// RunSynthesis synthesizes fences for every registry problem; the zero
+// Options mean both fence kinds and the default primary weight.
+func RunSynthesis(opts synth.Options) *SynthesisResult {
 	res := &SynthesisResult{}
 	for _, prob := range synth.Problems() {
 		res.Rows = append(res.Rows, runOne(prob, opts))

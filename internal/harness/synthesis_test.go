@@ -3,13 +3,15 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/synth"
 )
 
 // TestRunSynthesis pins the synthesis report end to end: every registry
 // problem resolves, the dekker row carries the Fig. 3(a) asymmetric
 // placement as optimal, and mp needs nothing.
 func TestRunSynthesis(t *testing.T) {
-	res := RunSynthesis(4)
+	res := RunSynthesis(synth.Options{Workers: 4})
 	if !res.AllResolved() {
 		t.Fatalf("synthesis errors: %+v", res.Rows)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/litmus"
 	"repro/internal/mesi"
-	"repro/internal/obs"
 	"repro/internal/programs"
 	"repro/internal/stats"
 	"repro/internal/storebuf"
@@ -30,20 +29,15 @@ type TheoremsResult struct {
 	Rows []TheoremRow
 	// Obs aggregates the exploration engine's counters (visited-set claim
 	// tries/wins, states/sec) over every checked protocol.
-	Obs obs.Snapshot
+	Observed
 }
 
 // RunTheorems model-checks the protocol suite: the unfenced Dekker must
 // violate mutual exclusion (the TSO reordering is real), the mfence and
 // l-mfence variants must not (Theorems 4 and 7), and the classic litmus
-// tests must show exactly the outcomes TSO permits.
-func RunTheorems() *TheoremsResult {
-	return RunTheoremsWorkers(0)
-}
-
-// RunTheoremsWorkers is RunTheorems with an explicit exploration
-// worker-pool size (0 = GOMAXPROCS); cmd/litmus -workers feeds it.
-func RunTheoremsWorkers(workers int) *TheoremsResult {
+// tests must show exactly the outcomes TSO permits. workers sizes the
+// exploration pool (0 = GOMAXPROCS); cmd/litmus -workers feeds it.
+func RunTheorems(workers int) *TheoremsResult {
 	cfg := arch.DefaultConfig()
 	cfg.Procs = 2
 	cfg.MemWords = 16
@@ -166,12 +160,7 @@ func RunTheoremsWorkers(workers int) *TheoremsResult {
 
 // AllPass reports whether every checked property matched expectation.
 func (r *TheoremsResult) AllPass() bool {
-	for _, row := range r.Rows {
-		if !row.Pass {
-			return false
-		}
-	}
-	return true
+	return allPass(r.Rows, func(row TheoremRow) bool { return row.Pass })
 }
 
 // Table renders the verification report.
