@@ -22,8 +22,11 @@ test:
 
 # The model checker's striped visited set and result merging are the
 # concurrency-sensitive parts; validate them under the race detector.
+# internal/tso runs -short here: its full-space orbit walk is one
+# goroutine, so the detector has nothing to find in it and takes minutes.
 race:
-	$(GO) test -race ./internal/litmus/ ./internal/tso/ ./internal/mesi/
+	$(GO) test -race ./internal/litmus/ ./internal/mesi/
+	$(GO) test -race -short ./internal/tso/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
@@ -46,13 +49,19 @@ bench-por:
 	$(GO) run ./cmd/litmus -por -reduction
 
 # Representation-level scaling: the collapse/symmetry/spill
-# differential tests under the race detector, with the visited-set model
-# and the checkpoint/resume suites (spill, snapshot and restore run
-# through the same table), then the catalog plus the
+# differential tests under the race detector, with the visited-set and
+# intern-table models, the signature-equivalence walk and the
+# checkpoint/resume suites (spill, snapshot and restore run
+# through the same table), the concurrent intern test repeated, then the
+# quotient key path's two micro-benchmarks (intern lookups from 1 and 2
+# goroutines, Canonicalize over a kept walk of peterson3 states;
+# benchstat-compatible) and the catalog plus the
 # 3-process generators through the whole stack under a deliberately
 # starved 1MB budget so cold stripes actually spill mid-run.
 bench-compress:
-	$(GO) test -race -run 'Collapse|Symmetry|Spill|Budget|Compress|Visited|Checkpoint|Resume' -short ./internal/litmus/ ./internal/tso/
+	$(GO) test -race -run 'Collapse|Symmetry|Spill|Budget|Compress|Visited|Checkpoint|Resume|Intern|Canonical' -short ./internal/litmus/ ./internal/tso/
+	$(GO) test -count=10 -race -run Intern ./internal/tso/
+	$(GO) test -run '^$$' -bench 'BenchmarkIntern|BenchmarkCanonicalize' -benchmem -count $(COUNT) ./internal/tso/
 	$(GO) run ./cmd/litmus -compress -membudget 1048576 -nproc 3
 
 # Machine-readable verification summary (states, states/sec per test);

@@ -293,13 +293,9 @@ type worker struct {
 	pl       plan // reduction scratch
 
 	// canon is this worker's symmetry canonicalizer (its scratch machine
-	// is worker-private). slotBuf holds the claimed state's processor
-	// permutation while process runs: the canonicalizer reuses its own
-	// slice across calls, and the cycle proviso's probes re-canonicalize
-	// between claim and finalize.
-	canon   *tso.Canonicalizer
-	slotBuf []int
-	colBuf  []byte // collapse component scratch
+	// is worker-private).
+	canon  *tso.Canonicalizer
+	colBuf []byte // collapse component scratch
 
 	// Reduction accounting: states where a single-processor ample set was
 	// chosen, transitions withheld by sleep sets, transitions re-expanded
@@ -460,8 +456,8 @@ func (w *worker) pushChild(m *tso.Machine, node *traceNode, a Action, inPlace bo
 // representative under symmetry, then either the collapsed tuple or the
 // full fingerprint per the engine's key mode. It also returns that
 // representative (m itself without symmetry) and the processor
-// permutation that produced it: nil for identity, otherwise a slice the
-// canonicalizer reuses on its next call.
+// permutation that produced it: nil for identity, otherwise the
+// canonicalizer's read-only table for that rotation.
 func (w *worker) appendKey(buf []byte, m *tso.Machine) ([]byte, *tso.Machine, []int) {
 	cm, slot := m, []int(nil)
 	if w.canon != nil {
@@ -492,10 +488,6 @@ func (w *worker) process(f pframe) {
 	// processor numbering (see permuteMask).
 	key, cm, slot := w.appendKey(w.fpBuf[:0], m)
 	w.fpBuf = key
-	if slot != nil {
-		w.slotBuf = append(w.slotBuf[:0], slot...)
-		slot = w.slotBuf
-	}
 	w.claimTries++
 	h1, h2 := hashPair(key)
 	st, missing := e.claim(h1, h2, key, permuteMask(f.sleep, slot))

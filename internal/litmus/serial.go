@@ -75,7 +75,6 @@ func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 	stack := []serialFrame{{m: root}}
 	buf := make([]byte, 0, 256)
 	probeBuf := make([]byte, 0, 256)
-	var slotBuf []int
 	var pl plan
 	var ample, slept, reexp, proviso uint64
 
@@ -97,17 +96,11 @@ func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 
 		// Visited entries are keyed by (and their masks speak) the
 		// canonical orbit representative; slot translates between the
-		// live machine's processor numbering and the entry's. It is
-		// copied out because the proviso probes below re-canonicalize.
+		// live machine's processor numbering and the entry's.
 		cm := m
 		var slot []int
 		if canon != nil {
-			var s []int
-			cm, s = canon.Canonicalize(m)
-			if s != nil {
-				slotBuf = append(slotBuf[:0], s...)
-				slot = slotBuf
-			}
+			cm, slot = canon.Canonicalize(m)
 		}
 		buf = cm.Fingerprint(buf[:0])
 		if pruned, seen := visited[string(buf)]; seen {

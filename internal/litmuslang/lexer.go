@@ -1,7 +1,9 @@
 package litmuslang
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -10,10 +12,11 @@ import (
 
 // The lexer. Tokens are identifiers (which include the dotted mnemonics
 // "cs.enter" / "st.linked.r"), integer literals (decimal or 0x hex,
-// optional leading '-'), double-quoted strings (Go escaping), and the
-// punctuation the grammar needs. '#' and '//' start comments running to
-// end of line. Newlines are not significant: operand counts are fixed
-// per mnemonic, so the parser never needs a terminator.
+// optional leading '-', within the int32 range), double-quoted strings
+// (Go escaping), and the punctuation the grammar needs. '#' and '//'
+// start comments running to end of line. Newlines are not significant:
+// operand counts are fixed per mnemonic, so the parser never needs a
+// terminator.
 
 type tokKind uint8
 
@@ -225,7 +228,13 @@ func (l *lexer) lexInt(line int) (token, error) {
 		break
 	}
 	text := l.src[start:l.pos]
-	v, err := strconv.ParseInt(strings.ToLower(text), 0, 64)
+	// Values are 32-bit: the machine's state fingerprints encode register,
+	// memory and cache words in four bytes, so a wider literal would make
+	// distinct states indistinguishable to the model checker.
+	v, err := strconv.ParseInt(strings.ToLower(text), 0, 32)
+	if errors.Is(err, strconv.ErrRange) {
+		return token{}, l.errorf(line, "integer literal %s outside the 32-bit value range %d..%d", text, math.MinInt32, math.MaxInt32)
+	}
 	if err != nil {
 		return token{}, l.errorf(line, "bad integer literal %q", text)
 	}

@@ -234,6 +234,31 @@ func TestMemWordsLimit(t *testing.T) {
 	}
 }
 
+// TestIntegerLiteralRange: state fingerprints encode values in four
+// bytes, so the lexer holds every literal to the int32 range, with the
+// line of the offending token in the error.
+func TestIntegerLiteralRange(t *testing.T) {
+	for _, tc := range []struct {
+		lit string
+		ok  bool
+	}{
+		{"2147483647", true},
+		{"0x7fffffff", true},
+		{"-2147483648", true},
+		{"2147483648", false},
+		{"0x100000000", false},
+		{"-2147483649", false},
+	} {
+		_, err := litmuslang.Parse("thread {\n loadi r1, " + tc.lit + "\n halt }")
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("literal %s rejected: %v", tc.lit, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "litmus:2: integer literal "+tc.lit+" outside the 32-bit value range")):
+			t.Errorf("literal %s: got %v, want a positioned 32-bit range error", tc.lit, err)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, src, frag string

@@ -3,6 +3,7 @@ package mesi
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,10 +12,11 @@ import (
 
 // TestFlatStateCopiesAndLRU is the property test for the dense cache
 // representation: after random traffic, with and without bounded caches,
-// every way of copying a system reproduces its fingerprint, the
-// invariants (resident counts included) hold, and a capacity eviction
-// removes exactly the line a per-access tick table says is least
-// recently used.
+// every way of copying a system reproduces its fingerprint, a renamed
+// copy under a non-identity rotation with pid-valued words equals the
+// word-by-word reference below, the invariants (resident counts
+// included) hold, and a capacity eviction removes exactly the line a
+// per-access tick table says is least recently used.
 func TestFlatStateCopiesAndLRU(t *testing.T) {
 	const procs, words = 3, 12
 	for seed := int64(0); seed < 200; seed++ {
@@ -46,6 +48,21 @@ func TestFlatStateCopiesAndLRU(t *testing.T) {
 		}
 		identVal := func(_ arch.Addr, w arch.Word) arch.Word { return w }
 
+		// A ring rotation by one: caches move 0->1->2->0, the block words
+		// 2, 5, 8 rotate with their owners, and words 5 (a block word) and
+		// 10 hold pid-encoded values that are relabeled the same way.
+		rotSlot := []int{1, 2, 0}
+		rotAddr := append([]arch.Addr(nil), identAddr...)
+		rotAddr[2], rotAddr[5], rotAddr[8] = 5, 8, 2
+		rotTouched := []arch.Addr{2, 5, 8, 10}
+		rotVal := func(a arch.Addr, w arch.Word) arch.Word {
+			if (a == 5 || a == 10) && w >= 1 && w <= procs {
+				return w%procs + 1
+			}
+			return w
+		}
+		ref := NewSystem(cfg)
+
 		var lastUse [procs][words]int // reference LRU ticks
 		resident := func(p arch.ProcID) []arch.Addr {
 			var as []arch.Addr
@@ -64,7 +81,11 @@ func TestFlatStateCopiesAndLRU(t *testing.T) {
 			case 0:
 				s.Read(p, addr)
 			case 1:
-				s.Write(p, addr, arch.Word(rng.Uint32()))
+				if rng.Intn(2) == 0 {
+					s.Write(p, addr, arch.Word(rng.Intn(procs+2))) // pid-range values
+				} else {
+					s.Write(p, addr, arch.Word(rng.Uint32()))
+				}
 			case 2:
 				s.ReadExclusive(p, addr)
 			case 3:
@@ -117,13 +138,52 @@ func TestFlatStateCopiesAndLRU(t *testing.T) {
 				t.Fatalf("seed %d step %d: after CopyFrom: %v", seed, step, err)
 			}
 			dirty.Write(1, addr, 99) // dirty it again, differently
-			dirty.CopyRenamedFrom(s, identSlot, identAddr, identVal)
+			dirty.CopyRenamedFrom(s, identSlot, identAddr, nil, identVal)
 			if got := dirty.Fingerprint(nil); !bytes.Equal(got, fp) {
 				t.Fatalf("seed %d step %d: identity CopyRenamedFrom fingerprints differently", seed, step)
 			}
 			if err := dirty.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d step %d: after CopyRenamedFrom: %v", seed, step, err)
 			}
+			dirty.CopyRenamedFrom(s, rotSlot, rotAddr, rotTouched, rotVal)
+			copyRenamedWordByWord(ref, s, rotSlot, rotAddr, rotVal)
+			if !reflect.DeepEqual(dirty.mem, ref.mem) {
+				t.Fatalf("seed %d step %d: rotated memory %v, reference %v", seed, step, dirty.mem, ref.mem)
+			}
+			for i := range ref.caches {
+				got, want := &dirty.caches[i], &ref.caches[i]
+				if !reflect.DeepEqual(got.lines, want.lines) || got.resident != want.resident ||
+					got.capacity != want.capacity || !reflect.DeepEqual(got.guards, want.guards) {
+					t.Fatalf("seed %d step %d: rotated cache %d differs from the word-by-word reference", seed, step, i)
+				}
+			}
+			if err := dirty.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d step %d: after rotated CopyRenamedFrom: %v", seed, step, err)
+			}
+		}
+	}
+}
+
+// copyRenamedWordByWord is the reference CopyRenamedFrom is checked
+// against: one indirect store and one valOf call per word per cache,
+// with no list of touched addresses to get wrong.
+func copyRenamedWordByWord(s, src *System, slotOf []int, addrOf []arch.Addr, valOf func(arch.Addr, arch.Word) arch.Word) {
+	for a, w := range src.mem {
+		s.mem[addrOf[a]] = valOf(arch.Addr(a), w)
+	}
+	for i := range src.caches {
+		sc, dc := &src.caches[i], &s.caches[slotOf[i]]
+		dc.resident = sc.resident
+		dc.capacity = sc.capacity
+		for a, l := range sc.lines {
+			if l.state != Invalid {
+				l.val = valOf(arch.Addr(a), l.val)
+			}
+			dc.lines[addrOf[a]] = l
+		}
+		dc.guards = dc.guards[:0]
+		for _, a := range sc.guards {
+			dc.arm(addrOf[a])
 		}
 	}
 }

@@ -730,28 +730,34 @@ func (s *System) VisitGuards(p arch.ProcID, f func(addr arch.Addr)) {
 // state: cache i's content lands in cache slot slotOf[i], every address
 // a is rewritten to addrOf[a] (a permutation of the address space), and
 // every stored value is filtered through valOf keyed by the ORIGINAL
-// address (so pid-valued words can be relabeled consistently). Guard
-// handlers installed on s are preserved, like CopyFrom; both systems
-// must share a shape. The symmetry canonicalizer uses it to apply a
-// processor permutation to a scratch machine that is only ever
-// fingerprinted, never stepped.
-func (s *System) CopyRenamedFrom(src *System, slotOf []int, addrOf []arch.Addr, valOf func(arch.Addr, arch.Word) arch.Word) {
+// address (so pid-valued words can be relabeled consistently). touched
+// lists every address the renaming does anything to — addrOf is the
+// identity and valOf passes values through everywhere else, and addrOf
+// maps touched onto itself — so memory and each cache are copied
+// wholesale and only those words rewritten. Guard handlers installed on
+// s are preserved, like CopyFrom; both systems must share a shape. The
+// symmetry canonicalizer uses it to apply a processor permutation to a
+// scratch machine that is only ever fingerprinted, never stepped.
+func (s *System) CopyRenamedFrom(src *System, slotOf []int, addrOf, touched []arch.Addr, valOf func(arch.Addr, arch.Word) arch.Word) {
 	if len(s.mem) != len(src.mem) || len(s.caches) != len(src.caches) {
 		panic("mesi: CopyRenamedFrom across different system shapes")
 	}
 	s.cfg = src.cfg
 	s.useTick = src.useTick
 	s.stats = src.stats
-	for a, w := range src.mem {
-		s.mem[addrOf[a]] = valOf(arch.Addr(a), w)
+	copy(s.mem, src.mem)
+	for _, a := range touched {
+		s.mem[addrOf[a]] = valOf(a, src.mem[a])
 	}
 	for i := range src.caches {
 		sc, dc := &src.caches[i], &s.caches[slotOf[i]]
 		dc.resident = sc.resident
 		dc.capacity = sc.capacity
-		for a, l := range sc.lines {
+		copy(dc.lines, sc.lines)
+		for _, a := range touched {
+			l := sc.lines[a]
 			if l.state != Invalid {
-				l.val = valOf(arch.Addr(a), l.val)
+				l.val = valOf(a, l.val)
 			}
 			dc.lines[addrOf[a]] = l
 		}

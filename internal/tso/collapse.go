@@ -1,6 +1,12 @@
 package tso
 
-import "sync"
+import (
+	"bytes"
+	"hash/maphash"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+)
 
 // This file implements SPIN-style collapse compression for machine
 // states (Holzmann, "State compression in SPIN"). A state's full
@@ -21,43 +27,154 @@ import "sync"
 // memory-hungry) 128-bit hashed key, and the fixed width is what makes
 // the memory-budgeted visited set's spill records possible.
 
-// internEntryOverhead approximates the per-entry bookkeeping of an
-// intern table beyond the key bytes themselves: the Go map bucket
-// share, the string header, and the uint32 index.
-const internEntryOverhead = 56
+// The intern tables are the one piece of the key path every worker
+// shares, and almost every call is a hit, so a hit writes no shared
+// cache line. A table is a flat open-addressed array of atomic 64-bit
+// words, hash tag in the high half and id+1 in the low half (zero is an
+// empty slot), probed linearly from the tag's low bits. Lock-free reads
+// are safe because of the order in which an insert publishes, all under
+// the table's mutex:
+//
+//  1. the key's bytes are copied into an arena chunk that is never
+//     written again at those offsets and never moves (a full chunk is
+//     left in place and a new one started);
+//  2. the slice header for those bytes is stored at keys[id], an element
+//     no reader looks at until it has seen id in a slot;
+//  3. the slot word is stored atomically. A reader that loads the word
+//     therefore observes 1 and 2 (sync/atomic operations are
+//     sequentially consistent), and compares against bytes that will
+//     never change.
+//
+// Slots are never cleared or moved within an array, so linear probing
+// finds every entry published before the probe began; an entry published
+// during it can only be missed, and a miss takes the mutex and probes
+// again. Growth builds a doubled slots/keys pair off to the side and
+// publishes it with one atomic pointer store; readers still holding the
+// old pair see a consistent, merely older, table.
+
+// internHash hashes a component encoding. It is a package variable so
+// the tests can force every key onto one tag and check that ids stay
+// exact.
+var internHash = func(b []byte) uint64 { return maphash.Bytes(internSeed, b) }
+
+var internSeed = maphash.MakeSeed()
+
+const (
+	// internMinSlots is a table's first slot array: litmusd jobs build a
+	// Collapser for 52-state spaces.
+	internMinSlots = 256
+	internMinArena = 1 << 10
+)
+
+// internArrays is one published generation of a table: the slot array
+// and the id-indexed key headers, sized so that the generation never
+// reallocates either (len(keys) is the ½ load limit).
+type internArrays struct {
+	slots []atomic.Uint64
+	keys  [][]byte
+}
+
+// find probes for key, whose hash is h. It returns the id on a hit, and
+// otherwise the empty slot that ended the probe.
+func (a *internArrays) find(key []byte, h uint64) (id uint32, at int, ok bool) {
+	mask := len(a.slots) - 1
+	for i := int(h>>32) & mask; ; i = (i + 1) & mask {
+		w := a.slots[i].Load()
+		if w == 0 {
+			return 0, i, false
+		}
+		if w>>32 == h>>32 && bytes.Equal(a.keys[uint32(w)-1], key) {
+			return uint32(w) - 1, i, true
+		}
+	}
+}
 
 // internTable interns byte strings, assigning dense uint32 indices in
-// first-seen order. Safe for concurrent use; lookups of already-interned
-// components (the overwhelmingly common case once the run warms up)
-// take only the read lock.
+// first-seen order. Safe for concurrent use; a lookup of an
+// already-interned component (the overwhelmingly common case once the
+// run warms up) is atomic loads and one bytes.Equal.
 type internTable struct {
-	mu    sync.RWMutex
-	idx   map[string]uint32
-	bytes int64
+	cur atomic.Pointer[internArrays]
+
+	mu    sync.Mutex // serializes inserts; guards the fields below
+	n     uint32     // interned keys
+	arena []byte     // current key-storage chunk, appended to in place
+	bytes int64      // slot arrays, key headers and arena chunks allocated
 }
 
 func (t *internTable) intern(key []byte) uint32 {
-	t.mu.RLock()
-	id, ok := t.idx[string(key)] // map lookup by []byte→string does not allocate
-	t.mu.RUnlock()
-	if ok {
-		return id
+	h := internHash(key)
+	if a := t.cur.Load(); a != nil {
+		if id, _, ok := a.find(key, h); ok {
+			return id
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.idx[string(key)]; ok {
+	a := t.cur.Load()
+	if a == nil || int(t.n) == len(a.keys) {
+		a = t.grow(a)
+	}
+	id, at, ok := a.find(key, h)
+	if ok {
 		return id
 	}
-	id = uint32(len(t.idx))
-	t.idx[string(key)] = id
-	t.bytes += int64(len(key)) + internEntryOverhead
+	if len(key) > cap(t.arena)-len(t.arena) {
+		t.arena = make([]byte, 0, max(2*cap(t.arena), len(key), internMinArena))
+		t.bytes += int64(cap(t.arena))
+	}
+	off := len(t.arena)
+	t.arena = append(t.arena, key...)
+	id = t.n
+	a.keys[id] = t.arena[off:len(t.arena):len(t.arena)]
+	a.slots[at].Store(h>>32<<32 | uint64(id+1))
+	t.n++
 	return id
 }
 
+// grow publishes a doubled copy of old (or the first generation) and
+// returns it. A slot word carries its own probe start, so no key is
+// rehashed.
+func (t *internTable) grow(old *internArrays) *internArrays {
+	size := internMinSlots
+	if old != nil {
+		size = 2 * len(old.slots)
+	}
+	a := &internArrays{slots: make([]atomic.Uint64, size), keys: make([][]byte, size/2)}
+	t.bytes += int64(size)*8 + int64(size/2)*int64(unsafe.Sizeof([]byte(nil)))
+	if old != nil {
+		copy(a.keys, old.keys)
+		for i := range old.slots {
+			if w := old.slots[i].Load(); w != 0 {
+				j := int(w>>32) & (size - 1)
+				for a.slots[j].Load() != 0 {
+					j = (j + 1) & (size - 1)
+				}
+				a.slots[j].Store(w)
+			}
+		}
+	}
+	t.cur.Store(a)
+	return a
+}
+
+// snapshot returns a copy of every interned key in index order.
+func (t *internTable) snapshot() [][]byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	keys := make([][]byte, t.n)
+	if t.n > 0 {
+		for id, k := range t.cur.Load().keys[:t.n] {
+			keys[id] = bytes.Clone(k)
+		}
+	}
+	return keys
+}
+
 func (t *internTable) stats() (entries uint64, bytes int64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return uint64(len(t.idx)), t.bytes
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return uint64(t.n), t.bytes
 }
 
 // Collapser holds the shared component tables of one exploration run.
@@ -71,13 +188,7 @@ type Collapser struct {
 }
 
 // NewCollapser returns an empty component-table set.
-func NewCollapser() *Collapser {
-	c := &Collapser{}
-	for _, t := range []*internTable{&c.core, &c.sb, &c.cache, &c.mem} {
-		t.idx = make(map[string]uint32, 256)
-	}
-	return c
-}
+func NewCollapser() *Collapser { return &Collapser{} }
 
 // CollapsedWidth reports the fixed byte width of a collapsed key for a
 // machine with procs processors: one 4-byte component index each for
@@ -136,13 +247,7 @@ const NumComponentTables = 4
 func (c *Collapser) TableSnapshot() [NumComponentTables][][]byte {
 	var out [NumComponentTables][][]byte
 	for ti, t := range c.tables() {
-		t.mu.RLock()
-		keys := make([][]byte, len(t.idx))
-		for k, id := range t.idx {
-			keys[id] = []byte(k)
-		}
-		t.mu.RUnlock()
-		out[ti] = keys
+		out[ti] = t.snapshot()
 	}
 	return out
 }
@@ -154,7 +259,7 @@ func (c *Collapser) TableSnapshot() [NumComponentTables][][]byte {
 // renumber components and corrupt every previously collapsed key.
 func (c *Collapser) RestoreTables(snapshot [NumComponentTables][][]byte) {
 	for ti, t := range c.tables() {
-		if len(t.idx) != 0 {
+		if n, _ := t.stats(); n != 0 {
 			panic("tso: RestoreTables on a non-empty Collapser")
 		}
 		for want, key := range snapshot[ti] {
@@ -171,7 +276,7 @@ func (c *Collapser) RestoreTables(snapshot [NumComponentTables][][]byte) {
 // grow with distinct component values, not with states); the checker
 // reports them separately so states-per-byte metrics stay honest.
 func (c *Collapser) Stats() (entries uint64, bytes int64) {
-	for _, t := range []*internTable{&c.core, &c.sb, &c.cache, &c.mem} {
+	for _, t := range c.tables() {
 		e, b := t.stats()
 		entries += e
 		bytes += b

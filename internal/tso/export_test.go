@@ -1,0 +1,37 @@
+package tso
+
+import "bytes"
+
+// ReferenceRotation picks m's canonical rotation the way Canonicalize
+// did before signatures were split in two: every member's whole
+// signature built up front, rotations compared on whole signatures. It
+// is the reference the two-stage choice is held to.
+func (c *Canonicalizer) ReferenceRotation(m *Machine) int {
+	keys := make([][]byte, c.n)
+	for k := range keys {
+		keys[k] = c.sigTail(m, k, c.sigHead(m, k, nil))
+	}
+	best := 0
+	for r := 1; r < c.n; r++ {
+		for j := 0; j < c.n; j++ {
+			cmp := bytes.Compare(keys[((j-r)%c.n+c.n)%c.n], keys[((j-best)%c.n+c.n)%c.n])
+			if cmp != 0 {
+				if cmp < 0 {
+					best = r
+				}
+				break
+			}
+		}
+	}
+	return best
+}
+
+// ApplyRotation returns m renamed by rotation r (m itself for r == 0),
+// in the canonicalizer's scratch machine.
+func (c *Canonicalizer) ApplyRotation(m *Machine, r int) *Machine {
+	if r == 0 {
+		return m
+	}
+	c.applyRenaming(m, &c.rots[r-1])
+	return c.scratch
+}

@@ -538,6 +538,15 @@ func (m *Machine) CopyFrom(src *Machine) {
 // flag, store buffer, plus the coherence system. Clocks and statistics
 // are excluded so states differing only in timing hash identically.
 //
+// Value domain: register, memory and cache words are encoded in four
+// bytes (FingerprintCore, mesi.FingerprintMem, mesi.FingerprintCache),
+// so the fingerprint identifies a state only while every value fits in
+// 32 bits; values differing only above bit 31 would alias. The .litmus
+// front end enforces that on the way in (it rejects integer literals
+// outside the int32 range) and no protocol here computes its way out of
+// it; a hand-built program with wider immediates is outside the
+// checker's contract.
+//
 // The encoding is the concatenation of the per-component encoders below
 // (FingerprintCore and storebuf.Buffer.Fingerprint per processor, the
 // CS byte, then mesi.System.Fingerprint); the collapse compressor

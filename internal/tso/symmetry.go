@@ -47,6 +47,20 @@ import (
 // at most n members, so symmetry reduces state counts by at most a
 // factor of n.
 //
+// Cost: Canonicalize runs once per explored state, so it encodes only
+// what the comparison needs. A member's signature is a head, read off
+// the processor alone, followed by a tail that walks memory and the
+// member's cache (sigHead, sigTail). Heads are self-delimiting — each
+// variable-length part follows its own length byte — so no head is a
+// proper prefix of another: two heads that differ do so at a byte both
+// have, and the whole signatures order exactly as the heads do. A tail
+// can change a comparison only between byte-equal heads, so a head tie
+// is the only case that builds tails (all n of them, once). What a
+// rotation needs to be applied — position map, slot map, address
+// permutation, the addresses it touches — is precomputed per rotation,
+// and applying one copies memory and caches wholesale and rewrites only
+// the touched words (mesi.System.CopyRenamedFrom).
+//
 // Pid encoding: a memory word or register declared pid-valued holds 0
 // when unset and k+1 when it names ring member k (0 stays fixed under
 // every renaming, so zero-initialized memory is symmetric). Values
@@ -269,11 +283,35 @@ type Canonicalizer struct {
 	pidWord  []bool
 	pidReg   [NumRegs]bool
 
-	sigma   []int
-	slotOf  []int
-	addrTab []arch.Addr
+	rots []rotation // rots[r-1] renames by the rotation k -> k+r mod n
+	// touched is, in address order, every address whose word a renaming
+	// moves or relabels: block words and pid words. Everything else is
+	// copied verbatim.
+	touched []arch.Addr
 	keys    [][]byte
 	lines   []sigLine
+}
+
+// rotation is everything applying one non-identity rotation needs,
+// precomputed once per canonicalizer.
+type rotation struct {
+	sigma   []int       // ring position k -> position after the rotation
+	slotOf  []int       // processor -> slot its state lands in
+	addrTab []arch.Addr // address permutation (buildAddrTab)
+	pidWord []bool      // the canonicalizer's, indexed by address
+}
+
+// valOf filters one stored value through the renaming, keyed by the
+// value's ORIGINAL address.
+func (rt *rotation) valOf(a arch.Addr, v arch.Word) arch.Word {
+	if rt.pidWord[a] {
+		return pidRemap(v, rt.sigma)
+	}
+	return v
+}
+
+func (rt *rotation) remapSB(e storebuf.Entry) (arch.Addr, arch.Word) {
+	return rt.addrTab[e.Addr], rt.valOf(e.Addr, e.Val)
 }
 
 // NewCanonicalizer builds a canonicalizer for machines of proto's
@@ -288,9 +326,7 @@ func NewCanonicalizer(sym *Symmetry, proto *Machine) *Canonicalizer {
 		blockOf:  make([]int, mw),
 		blockPos: make([]int, mw),
 		pidWord:  make([]bool, mw),
-		sigma:    make([]int, sym.N()),
-		slotOf:   make([]int, len(proto.Procs)),
-		addrTab:  make([]arch.Addr, mw),
+		rots:     make([]rotation, sym.N()-1),
 		keys:     make([][]byte, sym.N()),
 	}
 	for _, p := range sym.Procs {
@@ -310,6 +346,28 @@ func NewCanonicalizer(sym *Symmetry, proto *Machine) *Canonicalizer {
 	}
 	for _, r := range sym.PidRegs {
 		c.pidReg[r] = true
+	}
+	for a := range c.pidWord {
+		if c.pidWord[a] || c.blockOf[a] >= 0 {
+			c.touched = append(c.touched, arch.Addr(a))
+		}
+	}
+	for i := range c.rots {
+		rt := &c.rots[i]
+		rt.sigma = make([]int, c.n)
+		for k := range rt.sigma {
+			rt.sigma[k] = (k + i + 1) % c.n
+		}
+		rt.slotOf = make([]int, len(proto.Procs))
+		for p := range rt.slotOf {
+			rt.slotOf[p] = p
+		}
+		for k, p := range sym.Procs {
+			rt.slotOf[p] = int(sym.Procs[rt.sigma[k]])
+		}
+		rt.addrTab = make([]arch.Addr, mw)
+		sym.buildAddrTab(rt.addrTab, rt.sigma)
+		rt.pidWord = c.pidWord
 	}
 	return c
 }
@@ -344,11 +402,18 @@ func appendWord(dst []byte, v arch.Word) []byte {
 		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 }
 
-// sigKey builds member k's rotation-invariant signature from m:
-// rotating the machine by r and asking member k+r produces the same
-// bytes. Two orbit-corresponding members therefore produce equal keys;
-// the converse need not hold (ties cost merging, not soundness).
-func (c *Canonicalizer) sigKey(m *Machine, k int, dst []byte) []byte {
+// Member k's rotation-invariant signature is sigHead followed by
+// sigTail: rotating the machine by r and asking member k+r produces the
+// same bytes. Two orbit-corresponding members therefore produce equal
+// signatures; the converse need not hold (ties cost merging, not
+// soundness).
+//
+// sigHead is the part read off the processor alone: PC, flags,
+// normalized registers, LEAddr, links, store buffer. Each of its two
+// variable-length parts follows its own length byte, so no head is a
+// proper prefix of another, and two signatures whose heads differ
+// compare as their heads do whatever the tails hold.
+func (c *Canonicalizer) sigHead(m *Machine, k int, dst []byte) []byte {
 	p := m.Procs[c.sym.Procs[k]]
 	dst = append(dst, byte(p.PC), byte(p.PC>>8))
 	flags := byte(0)
@@ -391,9 +456,16 @@ func (c *Canonicalizer) sigKey(m *Machine, k int, dst []byte) []byte {
 		}
 		dst = appendWord(dst, v)
 	}
-	// Every block word (in ring order starting from k) and the shared
-	// pid words: who holds what is the strongest discriminator between
-	// otherwise-identical cores.
+	return dst
+}
+
+// sigTail appends the rest of member k's signature, the part that walks
+// memory and the cache: every block word (in ring order starting from k)
+// and the shared pid words — who holds what is the strongest
+// discriminator between otherwise-identical cores — then the member's
+// own cache lines and guards, normalized and sorted.
+func (c *Canonicalizer) sigTail(m *Machine, k int, dst []byte) []byte {
+	p := m.Procs[c.sym.Procs[k]]
 	for _, b := range c.sym.Blocks {
 		for d := 0; d < c.n; d++ {
 			a := b.Base + arch.Addr((k+d)%c.n)*b.Stride
@@ -407,7 +479,6 @@ func (c *Canonicalizer) sigKey(m *Machine, k int, dst []byte) []byte {
 	for _, a := range c.sym.PidWords {
 		dst = appendWord(dst, c.normPid(m.Sys.MemValue(a), k))
 	}
-	// Own cache content, normalized and sorted.
 	c.lines = c.lines[:0]
 	m.Sys.VisitLines(p.ID, func(a arch.Addr, st mesi.State, val arch.Word) {
 		v := val
@@ -458,11 +529,12 @@ func less(a, b sigLine) bool {
 // Canonicalize returns the canonical orbit representative of m and the
 // processor permutation that produced it: slotOf[p] is the slot
 // processor p's state landed in (nil when the chosen rotation is the
-// identity and m itself was returned). The representative is the
-// rotation minimizing the ring's signature sequence lexicographically;
-// the signatures are rotation-invariant per member, so every orbit
-// member computes the same minimal sequence and lands on the same
-// representative. The returned machine is the canonicalizer's scratch —
+// identity and m itself was returned; otherwise that rotation's
+// precomputed table, which the caller must not modify). The
+// representative is the rotation minimizing the ring's signature
+// sequence lexicographically; the signatures are rotation-invariant per
+// member, so every orbit member computes the same minimal sequence and
+// lands on the same representative. The returned machine is the canonicalizer's scratch —
 // valid only until the next Canonicalize call and only for read-side
 // use (fingerprinting); it must never be stepped.
 func (c *Canonicalizer) Canonicalize(m *Machine) (*Machine, []int) {
@@ -470,17 +542,27 @@ func (c *Canonicalizer) Canonicalize(m *Machine) (*Machine, []int) {
 		panic("tso: Canonicalize of the canonicalizer's own scratch machine")
 	}
 	for k := 0; k < c.n; k++ {
-		c.keys[k] = c.sigKey(m, k, c.keys[k][:0])
+		c.keys[k] = c.sigHead(m, k, c.keys[k][:0])
 	}
 	// Rotating by r moves member k to position k+r, so position j of the
 	// rotated ring carries member j-r's (invariant) signature. Find the
 	// r whose sequence is lexicographically smallest; ties take the
 	// smallest r, and any tie is between rotations producing equally
-	// canonical representatives.
-	best := 0
+	// canonical representatives. Heads alone decide every comparison in
+	// which they differ; the first tie extends all n keys with their
+	// tails, after which the same comparison orders whole signatures.
+	best, full := 0, false
 	for r := 1; r < c.n; r++ {
 		for j := 0; j < c.n; j++ {
-			cmp := bytes.Compare(c.keys[((j-r)%c.n+c.n)%c.n], c.keys[((j-best)%c.n+c.n)%c.n])
+			a, b := (j-r+c.n)%c.n, (j-best+c.n)%c.n
+			cmp := bytes.Compare(c.keys[a], c.keys[b])
+			if cmp == 0 && !full {
+				for k := range c.keys {
+					c.keys[k] = c.sigTail(m, k, c.keys[k])
+				}
+				full = true
+				cmp = bytes.Compare(c.keys[a], c.keys[b])
+			}
 			if cmp != 0 {
 				if cmp < 0 {
 					best = r
@@ -492,63 +574,41 @@ func (c *Canonicalizer) Canonicalize(m *Machine) (*Machine, []int) {
 	if best == 0 {
 		return m, nil
 	}
-	for k := range c.sigma {
-		c.sigma[k] = (k + best) % c.n
-	}
-	for i := range c.slotOf {
-		c.slotOf[i] = i
-	}
-	for k, p := range c.sym.Procs {
-		c.slotOf[p] = int(c.sym.Procs[c.sigma[k]])
-	}
-	c.sym.buildAddrTab(c.addrTab, c.sigma)
-	c.applyRenaming(m)
-	return c.scratch, c.slotOf
-}
-
-// renVal filters one stored value through the renaming, keyed by the
-// value's ORIGINAL address.
-func (c *Canonicalizer) renVal(a arch.Addr, v arch.Word) arch.Word {
-	if int(a) < len(c.pidWord) && c.pidWord[a] {
-		return pidRemap(v, c.sigma)
-	}
-	return v
+	rt := &c.rots[best-1]
+	c.applyRenaming(m, rt)
+	return c.scratch, rt.slotOf
 }
 
 // applyRenaming overwrites the scratch machine with the renamed copy of
-// m under slotOf/addrTab/sigma. Scratch keeps its own programs and
-// guard handlers: Validate guarantees slot j's program IS the renaming
-// of member i's, and the scratch is never stepped.
-func (c *Canonicalizer) applyRenaming(m *Machine) {
+// m under rt. Scratch keeps its own programs and guard handlers:
+// Validate guarantees slot j's program IS the renaming of member i's,
+// and the scratch is never stepped.
+func (c *Canonicalizer) applyRenaming(m *Machine, rt *rotation) {
 	dst := c.scratch
 	dst.Cfg = m.Cfg
 	dst.CSViolation = m.CSViolation
-	dst.Sys.CopyRenamedFrom(m.Sys, c.slotOf, c.addrTab, c.renVal)
+	dst.Sys.CopyRenamedFrom(m.Sys, rt.slotOf, rt.addrTab, c.touched, rt.valOf)
 	for i, sp := range m.Procs {
-		dp := dst.Procs[c.slotOf[i]]
+		dp := dst.Procs[rt.slotOf[i]]
 		dp.PC = sp.PC
 		dp.Regs = sp.Regs
 		if c.inClass[i] {
 			for r := 0; r < NumRegs; r++ {
 				if c.pidReg[r] {
-					dp.Regs[r] = pidRemap(dp.Regs[r], c.sigma)
+					dp.Regs[r] = pidRemap(dp.Regs[r], rt.sigma)
 				}
 			}
 		}
 		dp.Halted = sp.Halted
 		dp.InCS = sp.InCS
 		dp.LEBit = sp.LEBit
-		dp.LEAddr = c.addrTab[sp.LEAddr]
+		dp.LEAddr = rt.addrTab[sp.LEAddr]
 		dp.links = dp.links[:0]
 		for _, l := range sp.links {
-			l.addr = c.addrTab[l.addr]
+			l.addr = rt.addrTab[l.addr]
 			dp.links = append(dp.links, l)
 		}
 		dp.SB.CopyFrom(sp.SB)
-		dp.SB.Remap(c.remapEntry)
+		dp.SB.Remap(rt.remapSB)
 	}
-}
-
-func (c *Canonicalizer) remapEntry(e storebuf.Entry) (arch.Addr, arch.Word) {
-	return c.addrTab[e.Addr], c.renVal(e.Addr, e.Val)
 }

@@ -1,0 +1,146 @@
+package tso_test
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/programs"
+	"repro/internal/tso"
+)
+
+// walkOrbits explores sp's state space the way the model checker does
+// under symmetry — one state kept per canonical collapsed key, successors
+// taken from the live machine — and calls visit on every state it
+// canonicalizes, the kept ones and the duplicates alike, until the space
+// closes or limit states are kept (0: no limit). It returns the number
+// kept. The machine passed to visit is recycled after the call.
+func walkOrbits(sp *programs.SymProtocol, limit int, visit func(m *tso.Machine)) int {
+	canon := tso.NewCanonicalizer(sp.Sym, sp.Build())
+	col := tso.NewCollapser()
+	seen := make(map[string]bool)
+	var key, scratch []byte
+	var free, stack []*tso.Machine
+	// try claims m's orbit, keeping m on the stack when it is new.
+	try := func(m *tso.Machine) {
+		visit(m)
+		cm, _ := canon.Canonicalize(m)
+		key = col.Collapse(cm, key[:0], &scratch)
+		if seen[string(key)] {
+			free = append(free, m)
+			return
+		}
+		seen[string(key)] = true
+		stack = append(stack, m)
+	}
+	child := func(m *tso.Machine) *tso.Machine {
+		if len(free) == 0 {
+			return m.Clone()
+		}
+		c := free[len(free)-1]
+		free = free[:len(free)-1]
+		c.CopyFrom(m)
+		return c
+	}
+	try(sp.Build())
+	for len(stack) > 0 && (limit == 0 || len(seen) < limit) {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for i := range m.Procs {
+			p := arch.ProcID(i)
+			if m.CanExec(p) {
+				c := child(m)
+				c.ExecStep(p)
+				try(c)
+			}
+			if m.CanDrain(p) {
+				c := child(m)
+				c.DrainStep(p)
+				try(c)
+			}
+		}
+		free = append(free, m)
+	}
+	return len(seen)
+}
+
+// depth2 returns sp with the two-entry store buffers the benchmark's
+// exploration workloads use.
+func depth2(sp *programs.SymProtocol) *programs.SymProtocol {
+	sp.Cfg.StoreBufferDepth = 2
+	return sp
+}
+
+// TestCanonicalizeTwoStageMatchesReference: comparing rotations on signature
+// heads and building tails only on a head tie must choose exactly the
+// rotation that comparing whole signatures chooses, and so produce a
+// byte-identical representative. Checked on every state the quotient
+// exploration of the 2-process generators reaches, in all three fence
+// disciplines, and of peterson3 and bakery3 (about 480 k and 500 k
+// orbits; cut to the first 40 k under -short).
+func TestCanonicalizeTwoStageMatchesReference(t *testing.T) {
+	var sps []*programs.SymProtocol
+	for _, v := range []programs.DekkerVariant{programs.DekkerNoFence, programs.DekkerMfence, programs.DekkerLmfence} {
+		sps = append(sps, programs.BakeryN(2, v), programs.PetersonN(2, v))
+	}
+	sps = append(sps, programs.PetersonN(3, programs.DekkerMfence), programs.BakeryN(3, programs.DekkerMfence))
+	for _, sp := range sps {
+		sp := depth2(sp)
+		t.Run(sp.Name, func(t *testing.T) {
+			limit := 0
+			if testing.Short() && len(sp.Progs) > 2 {
+				limit = 40_000
+			}
+			canon := tso.NewCanonicalizer(sp.Sym, sp.Build())
+			ref := tso.NewCanonicalizer(sp.Sym, sp.Build())
+			var fp, refFP []byte
+			checked, rotated, mismatches := 0, 0, 0
+			orbits := walkOrbits(sp, limit, func(m *tso.Machine) {
+				want := ref.ReferenceRotation(m)
+				cm, slot := canon.Canonicalize(m)
+				got := 0
+				if slot != nil {
+					// Ring member 0 lands in member r's slot.
+					for got = 1; slot[sp.Sym.Procs[0]] != int(sp.Sym.Procs[got]); got++ {
+					}
+				}
+				fp = cm.Fingerprint(fp[:0])
+				refFP = ref.ApplyRotation(m, want).Fingerprint(refFP[:0])
+				checked++
+				if got != 0 {
+					rotated++
+				}
+				if got != want || !bytes.Equal(fp, refFP) {
+					if mismatches++; mismatches <= 3 {
+						t.Errorf("state %d: two-stage signatures chose rotation %d, whole signatures %d", checked, got, want)
+					}
+				}
+			})
+			t.Logf("%d orbits, %d states canonicalized, %d rotated, %d rotation mismatches", orbits, checked, rotated, mismatches)
+			if rotated == 0 {
+				t.Error("no state was rotated: the test compared nothing")
+			}
+		})
+	}
+}
+
+var canonSink int
+
+// BenchmarkCanonicalize times Canonicalize over a kept walk of peterson3
+// states (the first 20,000 the quotient exploration canonicalizes).
+func BenchmarkCanonicalize(b *testing.B) {
+	sp := depth2(programs.PetersonN(3, programs.DekkerMfence))
+	var states []*tso.Machine
+	walkOrbits(sp, 8_000, func(m *tso.Machine) {
+		if len(states) < 20_000 {
+			states = append(states, m.Clone())
+		}
+	})
+	canon := tso.NewCanonicalizer(sp.Sym, sp.Build())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cm, _ := canon.Canonicalize(states[i%len(states)])
+		canonSink += len(cm.Procs)
+	}
+}
