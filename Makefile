@@ -101,10 +101,12 @@ chaos:
 	$(GO) run ./cmd/lbmfbench -exp chaos -scale test -faults $(CHAOS_SEEDS)
 
 # Crash recovery: the checkpoint/resume, corpus-journal, and job-runner
-# suites under the race detector, then the litmus_resume experiment
-# (checkpoint overhead + exact-recovery contract).
+# suites under the race detector, the daemon's event-driven serve loop
+# (wake, freed and drain interleavings) repeated, then the litmus_resume
+# experiment (checkpoint overhead + exact-recovery contract).
 crash:
 	$(GO) test -race -run 'Checkpoint|Resume|Interrupt|Spill|Journal|Corpus|Daemon' ./internal/litmus/ ./internal/harness/ ./cmd/litmusd/
+	$(GO) test -race -count=5 -run Daemon ./cmd/litmusd/
 	$(GO) run ./cmd/lbmfbench -exp litmus_resume -scale test
 
 # Coverage-guided fuzzing: the .litmus parser/compiler/renderer round

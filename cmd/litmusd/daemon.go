@@ -7,24 +7,37 @@
 //
 // Spool layout under -dir:
 //
-//	spool/<name>.litmus   submitted jobs (drop files here)
+//	spool/<name>.litmus   submitted jobs (rename files in here)
 //	work/<name>/          claimed jobs: job.litmus + ckpt/ + logs
 //	done/<name>/          completed jobs: job.litmus + verdict.json
 //	failed/<name>/        failed jobs: job.litmus + error.txt
 //
-// Claiming is a rename from spool/ into a private work/ directory, so a
-// job is processed at most once; killing the daemon between the claim
-// and the verdict leaves the job in work/, where the next start picks
-// it up — resuming the exploration from its checkpoint when one
-// committed, restarting it otherwise.
+// Submitting is a rename into spool/ (stage the file on the same
+// filesystem first, so it is never seen half-written), and on Linux the
+// rename is itself the wake event: an inotify watch on spool/ has the
+// daemon claiming within milliseconds. -poll is the safety net — a
+// periodic re-listing that catches a missed event and is the only
+// trigger where inotify is unavailable.
+//
+// Claiming is a rename from spool/ into a newly made work/<name>/, so a
+// job is processed at most once, and it happens only when a job slot is
+// free: whatever is not running is still in spool/, which is where a
+// drain leaves it. While work/<name>/ exists, a resubmission of the
+// same name waits in spool/ until that job is terminal, then runs and
+// replaces the earlier result. Killing the daemon between the claim and
+// the verdict leaves the job in work/, where the next start picks it up
+// — resuming the exploration from its checkpoint when one committed,
+// restarting it otherwise.
 package main
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,7 +58,8 @@ import (
 type config struct {
 	// Root is the spool root; spool/work/done/failed live under it.
 	Root string
-	// Poll is the spool scan interval.
+	// Poll is the spool re-listing interval: the safety net behind the
+	// submit-event watch, the only trigger without one.
 	Poll time.Duration
 	// Jobs bounds how many jobs run concurrently.
 	Jobs int
@@ -95,6 +109,9 @@ type metricsPayload struct {
 	Resumed   uint64       `json:"jobs_resumed"`
 	Active    int64        `json:"jobs_active"`
 	Draining  bool         `json:"draining"`
+	Watch     string       `json:"spool_watch"`   // "inotify" or "poll"
+	Wakeups   uint64       `json:"spool_wakeups"` // submit events received
+	Scans     uint64       `json:"spool_scans"`   // spool/ listings read
 	Engine    obs.Snapshot `json:"engine"`
 }
 
@@ -102,8 +119,12 @@ type daemon struct {
 	cfg                       config
 	spool, work, done, failed string
 
+	// watch opens the spool's submit-event source (watchSpool's
+	// contract); tests substitute it to pin either wake path.
+	watch func(dir string) (<-chan struct{}, func())
+
 	drain atomic.Bool   // set once: stop claiming, interrupt in-flight jobs
-	sem   chan struct{} // job slots
+	freed chan struct{} // 1-buffered token: a job goroutine ended, a slot is free
 	wg    sync.WaitGroup
 
 	claimed   atomic.Uint64
@@ -111,11 +132,14 @@ type daemon struct {
 	failures  atomic.Uint64
 	retried   atomic.Uint64
 	resumed   atomic.Uint64
-	active    atomic.Int64
+	active    atomic.Int64 // running jobs; serve starts one only below cfg.Jobs
+	wakeups   atomic.Uint64
+	scans     atomic.Uint64
 
-	mu     sync.Mutex
-	intrs  map[*atomic.Bool]struct{} // in-flight jobs' interrupt flags
-	engine obs.Snapshot              // merged per-job engine obs
+	mu        sync.Mutex
+	intrs     map[*atomic.Bool]struct{} // in-flight jobs' interrupt flags
+	engine    obs.Snapshot              // merged per-job engine obs
+	watchMode string                    // "inotify" or "poll", once serve has opened the watch
 }
 
 func newDaemon(cfg config) (*daemon, error) {
@@ -143,7 +167,8 @@ func newDaemon(cfg config) (*daemon, error) {
 		work:   filepath.Join(cfg.Root, "work"),
 		done:   filepath.Join(cfg.Root, "done"),
 		failed: filepath.Join(cfg.Root, "failed"),
-		sem:    make(chan struct{}, cfg.Jobs),
+		watch:  watchSpool,
+		freed:  make(chan struct{}, 1),
 		intrs:  make(map[*atomic.Bool]struct{}),
 	}
 	for _, dir := range []string{d.spool, d.work, d.done, d.failed} {
@@ -154,34 +179,72 @@ func newDaemon(cfg config) (*daemon, error) {
 	return d, nil
 }
 
-// serve is the daemon's main loop: recover orphans, then scan the spool
-// until stop closes, then drain. It returns once every in-flight job
-// has stopped (completed, failed, or checkpointed-and-parked).
+// backlog is what serve knows to be waiting; only its goroutine touches it.
+type backlog struct {
+	orphans []string // jobs a previous daemon left in work/; they run first
+	spool   []string // sorted spool file names of the last listing, not yet claimed
+	stale   bool     // spool/ may hold more than the listing: re-read before claiming
+}
+
+// serve is the daemon's main loop: fill the free job slots — orphans
+// first, then the spool in name order — whenever something was
+// submitted (wake), a job ended (freed) or the poll ticker fired, until
+// stop closes, then drain. It returns once every in-flight job has
+// stopped (completed, failed, or checkpointed-and-parked).
 func (d *daemon) serve(stop <-chan struct{}) {
-	if n := d.recoverOrphans(); n > 0 {
+	// The watch is registered before the first listing, so a file renamed
+	// in between is either listed or announced.
+	wake, unwatch := d.watch(d.spool)
+	defer unwatch()
+	mode, label := "poll", "poll-only"
+	if wake != nil {
+		mode, label = "inotify", "inotify"
+	}
+	d.mu.Lock()
+	d.watchMode = mode
+	d.mu.Unlock()
+	d.cfg.Log.Printf("watching %s (%s, jobs=%d, ckpt-every=%d, retries=%d)",
+		d.cfg.Root, label, d.cfg.Jobs, d.cfg.CkptEvery, d.cfg.Retries)
+
+	b := backlog{orphans: d.orphans(), stale: true}
+	if n := len(b.orphans); n > 0 {
 		d.cfg.Log.Printf("recovered %d orphaned job(s) from work/", n)
 	}
+	tick := time.NewTicker(d.cfg.Poll)
+	defer tick.Stop()
 	for {
-		d.scanOnce()
+		// stop is looked at alone first: once it has closed, no other
+		// ready event gets one more job claimed.
 		select {
 		case <-stop:
 			d.drainAndWait()
 			return
-		case <-time.After(d.cfg.Poll):
+		default:
+			d.fill(&b)
+		}
+		select {
+		case <-stop:
+		case <-wake:
+			d.wakeups.Add(1)
+			b.stale = true
+		case <-tick.C:
+			b.stale = true
+		case <-d.freed:
+			// The kept listing serves: a finished job costs no directory read.
 		}
 	}
 }
 
-// recoverOrphans re-dispatches every job a previous daemon left in
-// work/: jobs with a committed checkpoint resume mid-exploration,
-// jobs without one restart from scratch. Empty claim debris is removed.
-func (d *daemon) recoverOrphans() int {
+// orphans lists every job a previous daemon left in work/: those with a
+// committed checkpoint will resume mid-exploration, those without one
+// restart from scratch. Empty claim debris is removed.
+func (d *daemon) orphans() []string {
 	ents, err := os.ReadDir(d.work)
 	if err != nil {
 		d.cfg.Log.Printf("scanning work/: %v", err)
-		return 0
+		return nil
 	}
-	n := 0
+	var names []string
 	for _, e := range ents {
 		if !e.IsDir() {
 			continue
@@ -191,19 +254,51 @@ func (d *daemon) recoverOrphans() int {
 			os.Remove(jobDir) // claim debris: dir created, rename never happened
 			continue
 		}
-		d.claimed.Add(1)
-		d.dispatch(e.Name())
-		n++
+		names = append(names, e.Name())
 	}
-	return n
+	return names
 }
 
-// scanOnce claims and dispatches every ready spool job, in name order.
-func (d *daemon) scanOnce() int {
+// fill starts jobs until the slots or the backlog run out. A job is
+// claimed only into a free slot, so the loop never blocks on the pool
+// and everything not running is still in spool/ (an orphan: parked in
+// work/) when a drain arrives.
+func (d *daemon) fill(b *backlog) {
+	free := func() bool { return d.active.Load() < int64(d.cfg.Jobs) }
+	for len(b.orphans) > 0 && free() {
+		d.start(b.orphans[0])
+		b.orphans = b.orphans[1:]
+	}
+	if !free() {
+		return
+	}
+	if b.stale {
+		b.spool, b.stale = d.listSpool(), false
+	}
+	kept := b.spool[:0]
+	for i, fname := range b.spool {
+		if !free() {
+			kept = append(kept, b.spool[i:]...)
+			break
+		}
+		name := strings.TrimSuffix(fname, ".litmus")
+		switch err := d.claim(fname, name); {
+		case err == nil:
+			d.start(name)
+		case errors.Is(err, fs.ErrExist):
+			kept = append(kept, fname) // taken on the freed turn after the running job of this name ends
+		}
+	}
+	b.spool = kept
+}
+
+// listSpool reads the ready spool jobs, in name order.
+func (d *daemon) listSpool() []string {
+	d.scans.Add(1)
 	ents, err := os.ReadDir(d.spool)
 	if err != nil {
 		d.cfg.Log.Printf("scanning spool/: %v", err)
-		return 0
+		return nil
 	}
 	names := make([]string, 0, len(ents))
 	for _, e := range ents {
@@ -212,37 +307,44 @@ func (d *daemon) scanOnce() int {
 		}
 	}
 	sort.Strings(names)
-	n := 0
-	for _, fname := range names {
-		if d.drain.Load() {
-			break
-		}
-		name := strings.TrimSuffix(fname, ".litmus")
-		jobDir := filepath.Join(d.work, name)
-		if err := os.MkdirAll(jobDir, 0o755); err != nil {
-			d.cfg.Log.Printf("claiming %s: %v", name, err)
-			continue
-		}
-		if err := os.Rename(filepath.Join(d.spool, fname), filepath.Join(jobDir, "job.litmus")); err != nil {
-			continue // another claimer won, or the file vanished
-		}
-		d.claimed.Add(1)
-		d.dispatch(name)
-		n++
-	}
-	return n
+	return names
 }
 
-// dispatch runs the claimed job on the bounded pool; it blocks for a
-// slot, which backpressures the spool scan when all slots are busy.
-func (d *daemon) dispatch(name string) {
-	d.sem <- struct{}{}
+// claim moves spool/<fname> into a new work/<name>/ as job.litmus. The
+// directory is made exclusively: while an earlier submission of the name
+// is still in work/ the error is fs.ErrExist and the file stays in
+// spool/ — renaming over a running job's job.litmus would destroy it
+// and put two explorations on one ckpt/.
+func (d *daemon) claim(fname, name string) error {
+	jobDir := filepath.Join(d.work, name)
+	if err := os.Mkdir(jobDir, 0o755); err != nil {
+		if !errors.Is(err, fs.ErrExist) {
+			d.cfg.Log.Printf("claiming %s: %v", name, err)
+		}
+		return err
+	}
+	if err := os.Rename(filepath.Join(d.spool, fname), filepath.Join(jobDir, "job.litmus")); err != nil {
+		os.Remove(jobDir) // another claimer won, or the file vanished
+		return err
+	}
+	return nil
+}
+
+// start runs the job in work/<name> on its own goroutine; the caller
+// has seen a free slot. The goroutine ends by giving the slot back and
+// leaving a token for serve.
+func (d *daemon) start(name string) {
+	d.claimed.Add(1)
+	d.active.Add(1)
 	d.wg.Add(1)
 	go func() {
-		defer func() { <-d.sem; d.wg.Done() }()
-		d.active.Add(1)
-		defer d.active.Add(-1)
+		defer d.wg.Done()
 		d.runJob(name)
+		d.active.Add(-1)
+		select {
+		case d.freed <- struct{}{}:
+		default:
+		}
 	}()
 }
 
@@ -466,10 +568,16 @@ func (d *daemon) moveJob(from, to string) error {
 	return os.Rename(from, to)
 }
 
-// handler serves the daemon's two HTTP endpoints: /healthz (200 while
-// serving, 503 once draining) and /metrics (the metricsPayload JSON).
+// handler serves the daemon's HTTP endpoints: /healthz (200 while
+// serving, 503 once draining), /metrics (the metricsPayload JSON) and
+// the runtime profiles under /debug/pprof/.
 func (d *daemon) handler() http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if d.drain.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -487,10 +595,13 @@ func (d *daemon) handler() http.Handler {
 			Resumed:   d.resumed.Load(),
 			Active:    d.active.Load(),
 			Draining:  d.drain.Load(),
+			Wakeups:   d.wakeups.Load(),
+			Scans:     d.scans.Load(),
 		}
 		// Marshal under the lock: Merge mutates the snapshot's maps in
 		// place while jobs finish.
 		d.mu.Lock()
+		payload.Watch = d.watchMode
 		payload.Engine = d.engine
 		data, err := json.MarshalIndent(payload, "", "  ")
 		d.mu.Unlock()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http/httptest"
@@ -154,17 +155,23 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// startDaemon builds a daemon over cfg (fast poll, quiet log) and runs
-// serve in the background; the returned stop func drains and waits.
-func startDaemon(t *testing.T, cfg config) (*daemon, func()) {
+// startDaemon builds a daemon over cfg (fast poll and quiet log unless
+// cfg sets them), applies the tweaks, and runs serve in the background;
+// the returned stop func drains and waits.
+func startDaemon(t *testing.T, cfg config, tweaks ...func(*daemon)) (*daemon, func()) {
 	t.Helper()
 	if cfg.Poll == 0 {
 		cfg.Poll = 10 * time.Millisecond
 	}
-	cfg.Log = log.New(io.Discard, "", 0)
+	if cfg.Log == nil {
+		cfg.Log = log.New(io.Discard, "", 0)
+	}
 	d, err := newDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, tweak := range tweaks {
+		tweak(d)
 	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -461,23 +468,23 @@ func TestDaemonOrphanResume(t *testing.T) {
 func TestDaemonDrainParksAndRestartResumes(t *testing.T) {
 	root := t.TempDir()
 	// The state cap keeps both legs bounded; it is part of the options
-	// hash, so the restart must use the same value. Under the race
-	// detector the engine is an order of magnitude slower, so the cap
-	// shrinks to keep the resumed leg inside the test budget.
-	maxStates := 400000
-	if raceEnabled {
-		maxStates = 60000
-	}
-	cfg := config{Root: root, CkptEvery: 10000, MaxStates: maxStates, Workers: 2}
+	// hash, so the restart must use the same value. It is sized for the
+	// race detector, under which the engine is an order of magnitude
+	// slower and the resumed leg must still fit the test budget.
+	const maxStates = 60000
+	cfg := config{Root: root, CkptEvery: 5000, MaxStates: maxStates, Workers: 2}
 
 	_, stop := startDaemon(t, cfg)
 	submit(t, root, "big", bigSrc)
 	waitFor(t, 30*time.Second, "job claim", func() bool {
 		return exists(filepath.Join(root, "work", "big", "job.litmus"))
 	})
-	// Let it explore a while (well short of the 400k-state cap), then
-	// drain: the interrupt barrier writes a final checkpoint.
-	time.Sleep(250 * time.Millisecond)
+	// Drain once the first periodic checkpoint has committed (5,000 of
+	// the 60,000 states in): the job is provably mid-exploration, at any
+	// engine speed, and the interrupt barrier writes a final checkpoint.
+	waitFor(t, 30*time.Second, "first checkpoint", func() bool {
+		return exists(filepath.Join(root, "work", "big", "ckpt", "checkpoint.lbmf"))
+	})
 	stop()
 
 	if exists(filepath.Join(root, "done", "big")) {
@@ -508,8 +515,126 @@ func TestDaemonDrainParksAndRestartResumes(t *testing.T) {
 	}
 }
 
-// TestDaemonHTTPEndpoints exercises /healthz and /metrics directly
-// against the handler.
+// spoolNames lists what is waiting in spool/.
+func spoolNames(t *testing.T, root string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(root, "spool"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestDaemonDrainLeavesBacklogInSpool: a drain parks what is running and
+// claims nothing more. With one slot and four long jobs submitted, the
+// stop that follows the first claim must find the other three still in
+// spool/ — unclaimed, for whichever daemon serves the spool next — not
+// run them to completion first.
+func TestDaemonDrainLeavesBacklogInSpool(t *testing.T) {
+	root := t.TempDir()
+	// All four are waiting when the daemon makes its first listing.
+	if err := os.Mkdir(filepath.Join(root, "spool"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c", "d"} {
+		submit(t, root, name, bigSrc)
+	}
+	d, stop := startDaemon(t, config{Root: root, Jobs: 1, CkptEvery: 10000, MaxStates: 400000})
+	waitFor(t, 30*time.Second, "first claim", func() bool {
+		return exists(filepath.Join(root, "work", "a", "job.litmus"))
+	})
+	stop()
+
+	if got := strings.Join(spoolNames(t, root), " "); got != "b.litmus c.litmus d.litmus" {
+		t.Errorf("spool after drain holds [%s], want b, c and d unclaimed", got)
+	}
+	if !exists(filepath.Join(root, "work", "a", "job.litmus")) {
+		t.Error("in-flight job a not parked in work/")
+	}
+	if ents, _ := os.ReadDir(filepath.Join(root, "done")); len(ents) != 0 {
+		t.Errorf("%d job(s) ran to done/ during the drain", len(ents))
+	}
+	if got := d.claimed.Load(); got != 1 {
+		t.Errorf("claimed counter = %d, want 1", got)
+	}
+}
+
+// TestDaemonResubmitWaitsForRunningJob: a name submitted again while its
+// first job is still running must not touch that job. The second file
+// waits in spool/ until the first is terminal, then runs and replaces
+// the result: both verdicts are produced, in submission order, and
+// nothing fails.
+func TestDaemonResubmitWaitsForRunningJob(t *testing.T) {
+	ref := explainRef(t, sbFenced)
+	const firstCap = 60000
+
+	root := t.TempDir()
+	var logs strings.Builder // log.Logger serialises the writes; read after stop()
+	d, stop := startDaemon(t, config{Root: root, Jobs: 2, CkptEvery: 10000, MaxStates: firstCap,
+		Log: log.New(&logs, "", 0)})
+	submit(t, root, "big", bigSrc)
+	waitFor(t, 30*time.Second, "first claim", func() bool {
+		return exists(filepath.Join(root, "work", "big", "job.litmus"))
+	})
+	submit(t, root, "big", sbFenced)
+	waitFor(t, 60*time.Second, "both jobs terminal", func() bool {
+		return d.completed.Load()+d.failures.Load() >= 2
+	})
+	stop()
+
+	if c, f := d.completed.Load(), d.failures.Load(); c != 2 || f != 0 {
+		t.Errorf("completed/failed = %d/%d, want 2/0", c, f)
+	}
+	var verdicts []string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.HasPrefix(line, "job big: ") {
+			verdicts = append(verdicts, line)
+		}
+	}
+	if len(verdicts) != 2 ||
+		!strings.Contains(verdicts[0], fmt.Sprintf("(%d states", firstCap)) ||
+		!strings.Contains(verdicts[1], fmt.Sprintf("(%d states", ref.States)) {
+		t.Errorf("verdict log lines = %q, want the %d-state job then the %d-state resubmission",
+			verdicts, firstCap, ref.States)
+	}
+	if v := readVerdict(t, root, "big"); v.States != ref.States || !v.Pass {
+		t.Errorf("done/big holds %+v, want the resubmitted job's passing %d-state verdict", v, ref.States)
+	}
+	if exists(filepath.Join(root, "failed", "big")) {
+		t.Error("failed/big exists")
+	}
+}
+
+// TestDaemonPollOnlyFallback pins the path a platform without inotify
+// runs: no wake channel, so the poll ticker alone finds a job submitted
+// after the first listing.
+func TestDaemonPollOnlyFallback(t *testing.T) {
+	root := t.TempDir()
+	d, stop := startDaemon(t, config{Root: root, Poll: 10 * time.Millisecond, CkptEvery: 100},
+		func(d *daemon) {
+			d.watch = func(string) (<-chan struct{}, func()) { return nil, func() {} }
+		})
+	waitFor(t, 30*time.Second, "first spool listing", func() bool { return d.scans.Load() > 0 })
+	submit(t, root, "fenced", sbFenced)
+	waitFor(t, 30*time.Second, "done/fenced", func() bool {
+		return exists(filepath.Join(root, "done", "fenced", "verdict.json"))
+	})
+	stop()
+
+	if v := readVerdict(t, root, "fenced"); !v.Pass {
+		t.Errorf("verdict = %+v, want pass", v)
+	}
+	if got := d.wakeups.Load(); got != 0 {
+		t.Errorf("spool_wakeups = %d on the poll-only path", got)
+	}
+}
+
+// TestDaemonHTTPEndpoints exercises /healthz, /metrics and a pprof
+// endpoint directly against the handler.
 func TestDaemonHTTPEndpoints(t *testing.T) {
 	root := t.TempDir()
 	d, stop := startDaemon(t, config{Root: root, CkptEvery: 100})
@@ -539,6 +664,22 @@ func TestDaemonHTTPEndpoints(t *testing.T) {
 	}
 	if len(m.Engine.Counters) == 0 {
 		t.Error("metrics carry no merged engine counters")
+	}
+	// The job was found by a listing, whichever event prompted it; the
+	// wakeup count is zero on a poll-only platform.
+	if (m.Watch != "inotify" && m.Watch != "poll") || m.Scans == 0 || (m.Watch == "poll" && m.Wakeups != 0) {
+		t.Errorf("spool_watch/spool_wakeups/spool_scans = %q/%d/%d", m.Watch, m.Wakeups, m.Scans)
+	}
+	for _, field := range []string{`"spool_watch"`, `"spool_wakeups"`, `"spool_scans"`} {
+		if !strings.Contains(rec.Body.String(), field) {
+			t.Errorf("/metrics lacks %s", field)
+		}
+	}
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
+	if rec.Code != 200 {
+		t.Errorf("/debug/pprof/cmdline = %d, want 200", rec.Code)
 	}
 
 	stop() // drain flips /healthz to 503

@@ -15,14 +15,14 @@ import (
 
 func main() {
 	dir := flag.String("dir", "", "spool root directory (required); spool/, work/, done/, failed/ live under it")
-	poll := flag.Duration("poll", 200*time.Millisecond, "spool scan interval")
+	poll := flag.Duration("poll", 200*time.Millisecond, "spool re-listing interval: the safety net behind the inotify submit watch, the only trigger where there is none")
 	jobs := flag.Int("jobs", 2, "maximum concurrently running jobs")
 	workers := flag.Int("workers", 0, "exploration workers per job (0 = GOMAXPROCS)")
 	jobTimeout := flag.Duration("job-timeout", 0, "fail a job whose exploration runs longer than this (0 = no limit)")
 	ckptEvery := flag.Int("ckpt-every", 5000, "checkpoint a running job every N claimed states")
 	retries := flag.Int("retries", 2, "retry budget for transiently-failed jobs (each retry resumes from the checkpoint)")
 	maxStates := flag.Int("max-states", 0, "per-job state budget (0 = engine default)")
-	httpAddr := flag.String("http", "", "serve /healthz and /metrics on this address (empty = no HTTP)")
+	httpAddr := flag.String("http", "", "serve /healthz, /metrics and /debug/pprof/ on this address (empty = no HTTP)")
 	flag.Parse()
 
 	if err := validateFlags(*dir, *jobs, *ckptEvery, *retries); err != nil {
@@ -54,7 +54,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "litmusd: listening on %s: %v\n", *httpAddr, err)
 			os.Exit(2)
 		}
-		logger.Printf("serving /healthz and /metrics on %s", ln.Addr())
+		logger.Printf("serving /healthz, /metrics and /debug/pprof/ on %s", ln.Addr())
 		srv := &http.Server{Handler: d.handler()}
 		go func() {
 			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -76,8 +76,7 @@ func main() {
 		close(stop)
 	}()
 
-	logger.Printf("watching %s (jobs=%d, ckpt-every=%d, retries=%d)", *dir, *jobs, *ckptEvery, *retries)
-	d.serve(stop)
+	d.serve(stop) // logs "watching <dir> (…)" once the spool watch is open
 	logger.Printf("drained; exiting")
 }
 
