@@ -22,8 +22,11 @@ test:
 
 # The model checker's striped visited set and result merging are the
 # concurrency-sensitive parts; validate them under the race detector.
-# internal/tso runs -short here: its full-space orbit walk is one
-# goroutine, so the detector has nothing to find in it and takes minutes.
+# internal/tso runs -short here: its full-space walks (rotation choice,
+# state keys from the component cache) are one goroutine each, so the
+# detector has nothing to find in them and takes minutes; -short cuts
+# them to 40 k states a space and keeps the dirty-flag contract tests
+# (mesi's and tso's) whole.
 race:
 	$(GO) test -race ./internal/litmus/ ./internal/mesi/
 	$(GO) test -race -short ./internal/tso/
@@ -50,18 +53,20 @@ bench-por:
 
 # Representation-level scaling: the collapse/symmetry/spill
 # differential tests under the race detector, with the visited-set and
-# intern-table models, the signature-equivalence walk and the
+# intern-table models, the signature-equivalence walk, the state-key
+# cache's contract and from-scratch reference walks and the
 # checkpoint/resume suites (spill, snapshot and restore run
 # through the same table), the concurrent intern test repeated, then the
-# quotient key path's two micro-benchmarks (intern lookups from 1 and 2
-# goroutines, Canonicalize over a kept walk of peterson3 states;
-# benchstat-compatible) and the catalog plus the
+# key path's micro-benchmarks (intern lookups from 1 and 2
+# goroutines, Canonicalize over a kept walk of peterson3 states, keying
+# the successor of a kept bakery3 state from the component cache against
+# Fingerprint + HashPair; benchstat-compatible) and the catalog plus the
 # 3-process generators through the whole stack under a deliberately
 # starved 1MB budget so cold stripes actually spill mid-run.
 bench-compress:
-	$(GO) test -race -run 'Collapse|Symmetry|Spill|Budget|Compress|Visited|Checkpoint|Resume|Intern|Canonical' -short ./internal/litmus/ ./internal/tso/
+	$(GO) test -race -run 'Collapse|Symmetry|Spill|Budget|Compress|Visited|Checkpoint|Resume|Intern|Canonical|StateKey|DirtyContract' -short ./internal/litmus/ ./internal/tso/ ./internal/mesi/
 	$(GO) test -count=10 -race -run Intern ./internal/tso/
-	$(GO) test -run '^$$' -bench 'BenchmarkIntern|BenchmarkCanonicalize' -benchmem -count $(COUNT) ./internal/tso/
+	$(GO) test -run '^$$' -bench 'BenchmarkIntern|BenchmarkCanonicalize|BenchmarkStateKey' -benchmem -count $(COUNT) ./internal/tso/
 	$(GO) run ./cmd/litmus -compress -membudget 1048576 -nproc 3
 
 # Machine-readable verification summary (states, states/sec per test);

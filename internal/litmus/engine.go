@@ -25,12 +25,13 @@ import (
 //     settled only when frames change hands.
 //   - Visited set: one structure, visited.go: 256 lock-striped flat
 //     open-addressed tables of 24-byte slots holding no pointers. A
-//     64-bit FNV-1a hash of the state key picks the stripe and the probe
-//     start; a slot matches on that hash AND either a second independent
-//     64-bit hash (an effective 128-bit key, the default) or the exact
-//     collapsed key kept in the stripe's arena (Options.Collapse).
-//     Claiming a state is one pass over the key, one uncontended lock
-//     and a linear probe.
+//     64-bit hash of the state picks the stripe and the probe start; a
+//     slot matches on that hash AND either a second independent 64-bit
+//     hash (an effective 128-bit key, the default) or the exact
+//     collapsed key kept in the stripe's arena (Options.Collapse). Both
+//     keys are assembled from the machine's cached component keys
+//     (worker.stateKey), so claiming a state is a re-encoding of what
+//     the last action wrote, one uncontended lock and a linear probe.
 //   - Traces: a frame carries its parent's immutable parent-pointer
 //     chain plus its own action instead of a per-frame copy of the
 //     action slice (the serial engine's O(depth²) allocation). Its own
@@ -143,37 +144,24 @@ func hash2(b []byte) uint64 {
 	return h
 }
 
-// hashBoth returns fnv64a(b), hash2(b) from one pass over b: each word
-// is loaded once and feeds both mixers, two independent multiply chains
-// the core overlaps. fnv64a and hash2 stay as the definition (checkpoint
-// headers record their values; TestVisitedHashPair pins the equality).
-func hashBoth(b []byte) (uint64, uint64) {
-	h1, h2 := uint64(fnvOffset64), uint64(0x9E3779B97F4A7C15)
-	for len(b) >= 8 {
-		k := binary.LittleEndian.Uint64(b)
-		h1 = (h1 ^ k) * fnvPrime64
-		h1 ^= h1 >> 29
-		h2 = (h2 ^ k) * 0xFF51AFD7ED558CCD
-		h2 ^= h2 >> 31
-		b = b[8:]
+// hashPair returns the visited-set hash pair of an exact key, fnv64a(b)
+// and hash2(b), from tso.HashPair's one pass over b. fnv64a and hash2
+// stay as the definition (checkpoint headers record their values;
+// TestVisitedHashPair pins the equality).
+func hashPair(b []byte) (uint64, uint64) {
+	h1, h2 := tso.HashPair(b)
+	if pairFilter != nil {
+		h1, h2 = pairFilter(h1, h2, b)
 	}
-	for _, c := range b {
-		h1 = (h1 ^ uint64(c)) * fnvPrime64
-		h2 = (h2 ^ uint64(c)) * 0xC4CEB9FE1A85EC53
-	}
-	h1 ^= h1 >> 32
-	h1 *= fnvPrime64
-	h1 ^= h1 >> 29
-	h2 ^= h2 >> 33
-	h2 *= 0xFF51AFD7ED558CCD
-	h2 ^= h2 >> 29
 	return h1, h2
 }
 
-// hashPair computes both visited-set keys for a fingerprint. It is a
-// package variable so the collision-injection tests can degrade one key
-// and check that distinct states still get distinct visited entries.
-var hashPair = hashBoth
+// pairFilter, when set, rewrites every hash pair on its way to the
+// visited set, whichever key mode produced it (key is nil when the pair
+// is a machine's hashed key). The collision-injection tests degrade one
+// or both halves with it and check that distinct states still get
+// distinct visited entries.
+var pairFilter func(h1, h2 uint64, key []byte) (uint64, uint64)
 
 // engine is the shared state of one Explore call.
 type engine struct {
@@ -287,7 +275,7 @@ type worker struct {
 
 	free     []*tso.Machine
 	fpBuf    []byte
-	probeBuf []byte // successor fingerprints for the cycle proviso
+	probeBuf []byte // successor keys for the cycle proviso
 	actBuf   []Action
 	outBuf   []byte
 	pl       plan // reduction scratch
@@ -295,7 +283,7 @@ type worker struct {
 	// canon is this worker's symmetry canonicalizer (its scratch machine
 	// is worker-private).
 	canon  *tso.Canonicalizer
-	colBuf []byte // collapse component scratch
+	colBuf []byte // component encoding scratch for the key cache's refresh
 
 	// Reduction accounting: states where a single-processor ample set was
 	// chosen, transitions withheld by sleep sets, transitions re-expanded
@@ -452,21 +440,37 @@ func (w *worker) pushChild(m *tso.Machine, node *traceNode, a Action, inPlace bo
 	w.push(pframe{m: child, parent: node, act: a, sleep: sleep})
 }
 
-// appendKey appends m's visited-set key to buf: the canonical orbit
-// representative under symmetry, then either the collapsed tuple or the
-// full fingerprint per the engine's key mode. It also returns that
-// representative (m itself without symmetry) and the processor
-// permutation that produced it: nil for identity, otherwise the
-// canonicalizer's read-only table for that rotation.
-func (w *worker) appendKey(buf []byte, m *tso.Machine) ([]byte, *tso.Machine, []int) {
-	cm, slot := m, []int(nil)
+// stateKey is the engine's one key routine: it returns what the visited
+// set is keyed with for m, the hash pair and, with exact keys, the
+// collapsed tuple appended to buf[:0] (key is nil with hashed keys).
+// Both come from the canonical orbit representative under symmetry and
+// from the machine's cached component keys (tso/statekey.go), so a state
+// costs the re-encoding of what the action that produced it wrote. It
+// also returns that representative (m itself without symmetry) and the
+// processor permutation that produced it: nil for identity, otherwise
+// the canonicalizer's read-only table for that rotation.
+//
+// Under Options.VerifyVisited key is the full fingerprint, computed from
+// scratch, while the pair still comes from the cached digests: the audit
+// holds the hash in use against the definition it must agree with.
+func (w *worker) stateKey(buf []byte, m *tso.Machine) (h1, h2 uint64, key []byte, cm *tso.Machine, slot []int) {
+	cm = m
 	if w.canon != nil {
 		cm, slot = w.canon.Canonicalize(m)
 	}
 	if c := w.eng.collapser; c != nil {
-		return c.Collapse(cm, buf, &w.colBuf), cm, slot
+		key = c.Collapse(cm, buf[:0], &w.colBuf)
+		h1, h2 = tso.HashPair(key)
+	} else {
+		h1, h2 = cm.KeyPair(&w.colBuf)
+		if w.eng.opts.VerifyVisited {
+			key = cm.Fingerprint(buf[:0])
+		}
 	}
-	return cm.Fingerprint(buf), cm, slot
+	if pairFilter != nil {
+		h1, h2 = pairFilter(h1, h2, key)
+	}
+	return h1, h2, key, cm, slot
 }
 
 // process claims, checks, and expands one frame.
@@ -486,10 +490,11 @@ func (w *worker) process(f pframe) {
 	// symmetry) and slot the permutation that produced it, nil for
 	// identity. Sleep masks cross into the visited set in canonical
 	// processor numbering (see permuteMask).
-	key, cm, slot := w.appendKey(w.fpBuf[:0], m)
-	w.fpBuf = key
+	h1, h2, key, cm, slot := w.stateKey(w.fpBuf, m)
+	if key != nil {
+		w.fpBuf = key
+	}
 	w.claimTries++
-	h1, h2 := hashPair(key)
 	st, missing := e.claim(h1, h2, key, permuteMask(f.sleep, slot))
 	switch st {
 	case claimTruncated:
@@ -618,10 +623,12 @@ func (w *worker) ampleSuccessorSeen(m *tso.Machine, enabled []Action) bool {
 		e.model.Apply(child, enabled[i])
 		// Keyed into probeBuf: the claimed state's key in fpBuf and its
 		// permutation must stay live across the probes.
-		w.probeBuf, _, _ = w.appendKey(w.probeBuf[:0], child)
+		h1, h2, key, _, _ := w.stateKey(w.probeBuf, child)
+		if key != nil {
+			w.probeBuf = key
+		}
 		w.recycle(child)
-		h1, h2 := hashPair(w.probeBuf)
-		if e.seen(h1, h2, w.probeBuf) {
+		if e.seen(h1, h2, key) {
 			return true
 		}
 	}

@@ -245,10 +245,9 @@ func TestReductionTooManyProcs(t *testing.T) {
 // the exploration result must be byte-identical to the serial reference,
 // with the collisions counted in Result.Obs.
 func TestVisitedCollisionInjection(t *testing.T) {
-	orig := hashPair
-	t.Cleanup(func() { hashPair = orig })
-	hashPair = func(fp []byte) (uint64, uint64) {
-		return 42, hash2(fp) // constant h1: all states collide
+	t.Cleanup(func() { pairFilter = nil })
+	pairFilter = func(_, h2 uint64, _ []byte) (uint64, uint64) {
+		return 42, h2 // constant h1: all states collide
 	}
 
 	p0, p1 := programs.DekkerPair(programs.DekkerNoFence)
@@ -307,13 +306,48 @@ func TestVerifyVisited(t *testing.T) {
 	}
 }
 
+// TestVerifyVisitedFoldedPair audits the pair folded from the machines'
+// cached component digests against full fingerprints beyond the
+// two-thread Dekker space: bakery2 and peterson2 with l-mfence (a link
+// break rewrites a remote processor's components), whole, against the
+// serial reference, and the first 60,000 states of peterson3; each
+// unreduced and reduced. No two states may share a 128-bit key.
+func TestVerifyVisitedFoldedPair(t *testing.T) {
+	const cap3 = 60_000
+	for _, sp := range []*programs.SymProtocol{
+		programs.BakeryN(2, programs.DekkerLmfence),
+		programs.PetersonN(2, programs.DekkerLmfence),
+		programs.PetersonN(3, programs.DekkerMfence),
+	} {
+		opts := Options{}
+		if len(sp.Progs) > 2 {
+			opts.MaxStates = cap3
+		}
+		serial := ExploreSerial(sp.Build, opts)
+		for _, reduction := range []bool{false, true} {
+			opts.Workers, opts.VerifyVisited, opts.Reduction = 4, true, reduction
+			ver := Explore(sp.Build, opts)
+			if !reduction && ver.States != serial.States {
+				t.Errorf("%s: %d states under the audit, serial %d", sp.Name, ver.States, serial.States)
+			}
+			if !serial.Truncated && !reflect.DeepEqual(ver.Outcomes, serial.Outcomes) {
+				t.Errorf("%s reduction=%v: Outcomes diverged under the audit", sp.Name, reduction)
+			}
+			n, ok := ver.Obs.Counters["visited_128bit_collisions"]
+			if !ok || n != 0 {
+				t.Errorf("%s reduction=%v: visited_128bit_collisions = %d (reported %v), want 0", sp.Name, reduction, n, ok)
+			}
+			t.Logf("%s reduction=%v: %d states, %d silent merges", sp.Name, reduction, ver.States, n)
+		}
+	}
+}
+
 // TestVerifyVisitedCatchesInjectedMerge degrades BOTH hashes to
 // constants; only the VerifyVisited full-fingerprint map can then keep
 // states apart, and it must report the would-be merges.
 func TestVerifyVisitedCatchesInjectedMerge(t *testing.T) {
-	orig := hashPair
-	t.Cleanup(func() { hashPair = orig })
-	hashPair = func(fp []byte) (uint64, uint64) { return 7, 7 }
+	t.Cleanup(func() { pairFilter = nil })
+	pairFilter = func(_, _ uint64, _ []byte) (uint64, uint64) { return 7, 7 }
 
 	p0, p1 := programs.StoreBufferPair()
 	build := machineFor(p0, p1)

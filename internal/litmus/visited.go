@@ -344,11 +344,12 @@ func dupMerge(sl *slot, z actionMask) actionMask {
 	return missing
 }
 
-// claim records the state with hash pair (h1,h2) and key (the exact key,
-// or the fingerprint the pair hashes) as visited. Exactly one caller per
-// distinct state wins; the states counter is incremented under the
-// stripe lock, so Result.States never overshoots maxStates — the claim
-// that would exceed the budget inserts nothing and returns
+// claim records the state with hash pair (h1,h2) and key (the exact key;
+// with hashed keys nil, or under VerifyVisited the full fingerprint) as
+// visited. Exactly one caller per distinct state wins; the states counter
+// is incremented under the stripe lock, so Result.States never overshoots
+// maxStates — the claim that would exceed the budget inserts nothing and
+// returns
 // claimTruncated. For duplicates the returned mask lists previously
 // pruned actions the arriving sleep set z requires.
 func (e *engine) claim(h1, h2 uint64, key []byte, z actionMask) (claimStatus, actionMask) {

@@ -133,16 +133,15 @@ func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEn
 // sequence, in both key modes: forced equal-h1 groups, the all-zero key,
 // growth from an unallocated table through every doubling to 8,192 slots
 // (audited at each), and the MaxStates edge, where a claim must insert
-// nothing. Exact mode routes 13-byte keys through a hooked hashPair that
+// nothing. Exact mode routes 13-byte keys through a pairFilter that
 // reads h1 out of the key (so groups of keys share one h1 and h2 carries
 // nothing), evicts twice on the way — the unfinalized entries must
 // survive the rebuild and the spilled ones keep answering from their
 // segments — and ends with a snapshot restored into a fresh set.
 func TestVisitedStripeModel(t *testing.T) {
-	orig := hashPair
-	t.Cleanup(func() { hashPair = orig })
+	t.Cleanup(func() { pairFilter = nil })
 	// Low 8 bits zero: every key lands in stripe 0.
-	hashPair = func(b []byte) (uint64, uint64) { return binary.LittleEndian.Uint64(b) << 8, 0 }
+	pairFilter = func(_, _ uint64, b []byte) (uint64, uint64) { return binary.LittleEndian.Uint64(b) << 8, 0 }
 
 	const distinct = 3500 // the 3,073rd key doubles the table to 8,192 slots
 	const keyWidth = 13

@@ -176,7 +176,7 @@ func copyRenamedWordByWord(s, src *System, slotOf []int, addrOf []arch.Addr, val
 		dc.resident = sc.resident
 		dc.capacity = sc.capacity
 		for a, l := range sc.lines {
-			if l.state != Invalid {
+			if l.state() != Invalid {
 				l.val = valOf(arch.Addr(a), l.val)
 			}
 			dc.lines[addrOf[a]] = l

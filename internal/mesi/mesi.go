@@ -102,13 +102,22 @@ type Stats struct {
 	GuardBreaksRemote uint64 // fired due to remote traffic (not eviction)
 }
 
+// line is one cache-line slot, 16 bytes: the model checker copies every
+// line of every cache per explored state.
 type line struct {
-	state State
-	val   arch.Word
-	// lastUse orders lines for LRU eviction. It never enters state
-	// fingerprints (the model checker runs with eviction disabled).
-	lastUse uint64
+	val arch.Word
+	// meta is the coherence state in the low byte under the tick of the
+	// line's last use, which orders lines for LRU eviction. The tick
+	// never enters state fingerprints (the model checker runs with
+	// eviction disabled).
+	meta uint64
 }
+
+func (l *line) state() State    { return State(l.meta) }
+func (l *line) lastUse() uint64 { return l.meta >> 8 }
+
+// used stamps the line with the tick of an access.
+func (l *line) used(tick uint64) { l.meta = tick<<8 | l.meta&0xff }
 
 // cache is flat state: the model checker copies and fingerprints one
 // System per explored state, so a cache is a dense array the size of the
@@ -125,6 +134,10 @@ type cache struct {
 	// arms several.
 	guards  []arch.Addr
 	handler GuardHandler
+
+	// dirty is set by every write to what FingerprintCache encodes (line
+	// states and values, the guard list); see System.CacheDirty.
+	dirty bool
 }
 
 // guardIndex returns the position of addr in the sorted guard list, or
@@ -140,6 +153,7 @@ func (c *cache) guardIndex(addr arch.Addr) (int, bool) {
 func (c *cache) arm(addr arch.Addr) {
 	if i, armed := c.guardIndex(addr); !armed {
 		c.guards = slices.Insert(c.guards, i, addr)
+		c.dirty = true
 	}
 }
 
@@ -148,6 +162,7 @@ func (c *cache) disarm(addr arch.Addr) bool {
 	i, armed := c.guardIndex(addr)
 	if armed {
 		c.guards = slices.Delete(c.guards, i, i+1)
+		c.dirty = true
 	}
 	return armed
 }
@@ -155,19 +170,27 @@ func (c *cache) disarm(addr arch.Addr) bool {
 // fill installs addr in the given state, as a miss completes.
 func (c *cache) fill(addr arch.Addr, state State, val arch.Word) *line {
 	ln := &c.lines[addr]
-	if ln.state == Invalid {
+	if ln.state() == Invalid {
 		c.resident++
 	}
-	*ln = line{state: state, val: val}
+	*ln = line{val: val, meta: uint64(state)}
+	c.dirty = true
 	return ln
 }
 
 // drop removes addr from the cache.
 func (c *cache) drop(addr arch.Addr) {
-	if c.lines[addr].state != Invalid {
+	if c.lines[addr].state() != Invalid {
 		c.resident--
+		c.dirty = true
 	}
 	c.lines[addr] = line{}
+}
+
+// set rewrites a resident line's state and value in place.
+func (c *cache) set(ln *line, state State, val arch.Word) {
+	ln.val, ln.meta = val, ln.meta&^0xff|uint64(state)
+	c.dirty = true
 }
 
 // System is the coherent memory system: flat memory plus one cache per
@@ -179,6 +202,8 @@ type System struct {
 	caches  []cache
 	useTick uint64
 	stats   Stats
+	// memDirty is set by every write to backing memory; see MemDirty.
+	memDirty bool
 }
 
 // NewSystem builds a coherent system for cfg. Caches are unbounded unless
@@ -242,7 +267,10 @@ func (s *System) DisarmGuard(p arch.ProcID, addr arch.Addr) {
 // DisarmAllGuards stops watching everything (context switch, interrupt).
 func (s *System) DisarmAllGuards(p arch.ProcID) {
 	c := s.cacheOf(p)
-	c.guards = c.guards[:0]
+	if len(c.guards) > 0 {
+		c.guards = c.guards[:0]
+		c.dirty = true
+	}
 }
 
 // Guarded reports whether p's controller watches addr.
@@ -298,7 +326,7 @@ func (s *System) breakGuardIfWatched(p arch.ProcID, addr arch.Addr, reason Guard
 // touch refreshes LRU state and evicts if the cache is over capacity.
 func (s *System) touch(p arch.ProcID, addr arch.Addr, ln *line) {
 	s.useTick++
-	ln.lastUse = s.useTick
+	ln.used(s.useTick)
 	c := &s.caches[p]
 	if c.capacity <= 0 || c.resident <= c.capacity {
 		return
@@ -306,10 +334,10 @@ func (s *System) touch(p arch.ProcID, addr arch.Addr, ln *line) {
 	// Evict the least recently used line other than addr.
 	victim := -1
 	for a := range c.lines {
-		if c.lines[a].state == Invalid || arch.Addr(a) == addr {
+		if c.lines[a].state() == Invalid || arch.Addr(a) == addr {
 			continue
 		}
-		if victim < 0 || c.lines[a].lastUse < c.lines[victim].lastUse {
+		if victim < 0 || c.lines[a].lastUse() < c.lines[victim].lastUse() {
 			victim = a
 		}
 	}
@@ -322,12 +350,18 @@ func (s *System) touch(p arch.ProcID, addr arch.Addr, ln *line) {
 func (s *System) evict(p arch.ProcID, addr arch.Addr) {
 	s.breakGuardIfWatched(p, addr, GuardEvict)
 	c := &s.caches[p]
-	if ln := c.lines[addr]; ln.state.dirty() {
-		s.mem[addr] = ln.val
-		s.stats.Writebacks++
+	if ln := c.lines[addr]; ln.state().dirty() {
+		s.writeback(addr, ln.val)
 	}
 	c.drop(addr)
 	s.stats.Evictions++
+}
+
+// writeback deposits a dirty line's value in backing memory.
+func (s *System) writeback(addr arch.Addr, val arch.Word) {
+	s.mem[addr] = val
+	s.memDirty = true
+	s.stats.Writebacks++
 }
 
 // Read performs a coherent load by processor p. It returns the value and
@@ -337,7 +371,7 @@ func (s *System) evict(p arch.ProcID, addr arch.Addr) {
 func (s *System) Read(p arch.ProcID, addr arch.Addr) (arch.Word, int64) {
 	s.checkAddr(addr)
 	c := s.cacheOf(p)
-	if ln := &c.lines[addr]; ln.state != Invalid {
+	if ln := &c.lines[addr]; ln.state() != Invalid {
 		s.touch(p, addr, ln)
 		return ln.val, s.cfg.Cost.L1Hit
 	}
@@ -377,17 +411,17 @@ func (s *System) ReadExclusive(p arch.ProcID, addr arch.Addr) (arch.Word, int64)
 	s.checkAddr(addr)
 	c := s.cacheOf(p)
 	ln := &c.lines[addr]
-	if ln.state == Exclusive || ln.state == Modified {
+	if ln.state() == Exclusive || ln.state() == Modified {
 		s.touch(p, addr, ln)
 		return ln.val, s.cfg.Cost.L1Hit
 	}
-	if ln.state == Owned {
+	if ln.state() == Owned {
 		// MOESI: an Owned line is dirty but shareable; upgrade by
 		// invalidating peers, staying dirty (Modified).
 		s.stats.BusUpgrades++
 		s.snoopForWrite(p, addr)
-		if ln.state != Invalid {
-			ln.state = Modified
+		if ln.state() != Invalid {
+			c.set(ln, Modified, ln.val)
 			s.touch(p, addr, ln)
 			return ln.val, s.cfg.Cost.CacheTransfer
 		}
@@ -401,13 +435,13 @@ func (s *System) ReadExclusive(p arch.ProcID, addr arch.Addr) (arch.Word, int64)
 	if fromCache {
 		cost = s.cfg.Cost.CacheTransfer
 	}
-	if ln.state == Shared {
+	if ln.state() == Shared {
 		// We already had the data; the bus transaction only invalidated
 		// peers (BusUpgr). Keep our value.
 		val = ln.val
 		cost = s.cfg.Cost.CacheTransfer
 		s.stats.BusUpgrades++
-		ln.state = s.exclusiveGrant()
+		c.set(ln, s.exclusiveGrant(), val)
 		s.touch(p, addr, ln)
 		return val, cost
 	}
@@ -422,10 +456,9 @@ func (s *System) ReadExclusive(p arch.ProcID, addr arch.Addr) (arch.Word, int64)
 func (s *System) Write(p arch.ProcID, addr arch.Addr, val arch.Word) int64 {
 	s.checkAddr(addr)
 	c := s.cacheOf(p)
-	switch ln := &c.lines[addr]; ln.state {
+	switch ln := &c.lines[addr]; ln.state() {
 	case Modified, Exclusive:
-		ln.state = Modified
-		ln.val = val
+		c.set(ln, Modified, val)
 		s.touch(p, addr, ln)
 		return s.cfg.Cost.L1Hit
 	case Shared, Owned:
@@ -433,9 +466,8 @@ func (s *System) Write(p arch.ProcID, addr arch.Addr, val arch.Word) int64 {
 		// Owned line may have Shared peers under MOESI).
 		s.stats.BusUpgrades++
 		s.snoopForWrite(p, addr)
-		if ln.state != Invalid {
-			ln.state = Modified
-			ln.val = val
+		if ln.state() != Invalid {
+			c.set(ln, Modified, val)
 			s.touch(p, addr, ln)
 			return s.cfg.Cost.CacheTransfer
 		}
@@ -463,25 +495,24 @@ func (s *System) snoopForRead(requester arch.ProcID, addr arch.Addr) (arch.Word,
 			continue
 		}
 		ln := &c.lines[addr]
-		if ln.state == Invalid {
+		if ln.state() == Invalid {
 			continue
 		}
 		// The peer's controller must consult its guard before honouring
 		// the downgrade. The handler may complete stores, changing the
 		// line's state/value, so the switch below reads it afterwards.
 		s.breakGuardIfWatched(p, addr, GuardDowngrade)
-		switch ln.state {
+		switch ln.state() {
 		case Modified:
 			val = ln.val
 			fromCache = true
 			if s.cfg.Protocol == arch.MOESI {
 				// MOESI: stay dirty as Owned, supply data, skip the
 				// memory writeback.
-				ln.state = Owned
+				c.set(ln, Owned, ln.val)
 			} else {
-				s.mem[addr] = ln.val
-				s.stats.Writebacks++
-				ln.state = Shared
+				s.writeback(addr, ln.val)
+				c.set(ln, Shared, ln.val)
 			}
 			s.stats.Downgrades++
 		case Owned:
@@ -491,7 +522,7 @@ func (s *System) snoopForRead(requester arch.ProcID, addr arch.Addr) (arch.Word,
 		case Exclusive:
 			val = ln.val
 			fromCache = true
-			ln.state = Shared
+			c.set(ln, Shared, ln.val)
 			s.stats.Downgrades++
 		case Shared:
 			val = ln.val
@@ -513,16 +544,15 @@ func (s *System) snoopForWrite(requester arch.ProcID, addr arch.Addr) (arch.Word
 			continue
 		}
 		ln := &c.lines[addr]
-		if ln.state == Invalid {
+		if ln.state() == Invalid {
 			continue
 		}
 		s.breakGuardIfWatched(p, addr, GuardInvalidate)
-		if ln.state == Invalid {
+		if ln.state() == Invalid {
 			continue
 		}
-		if ln.state.dirty() {
-			s.mem[addr] = ln.val
-			s.stats.Writebacks++
+		if ln.state().dirty() {
+			s.writeback(addr, ln.val)
 		}
 		val = ln.val
 		fromCache = true
@@ -537,7 +567,7 @@ func (s *System) anyPeerHolds(p arch.ProcID, addr arch.Addr) bool {
 		if arch.ProcID(pid) == p {
 			continue
 		}
-		if s.caches[pid].lines[addr].state != Invalid {
+		if s.caches[pid].lines[addr].state() != Invalid {
 			return true
 		}
 	}
@@ -547,7 +577,7 @@ func (s *System) anyPeerHolds(p arch.ProcID, addr arch.Addr) bool {
 // StateOf reports the MESI state of addr in p's cache.
 func (s *System) StateOf(p arch.ProcID, addr arch.Addr) State {
 	s.checkAddr(addr)
-	return s.cacheOf(p).lines[addr].state
+	return s.cacheOf(p).lines[addr].state()
 }
 
 // CoherentValue returns the globally visible value of addr: the copy in a
@@ -557,7 +587,7 @@ func (s *System) StateOf(p arch.ProcID, addr arch.Addr) State {
 func (s *System) CoherentValue(addr arch.Addr) arch.Word {
 	s.checkAddr(addr)
 	for i := range s.caches {
-		if ln := s.caches[i].lines[addr]; ln.state.dirty() {
+		if ln := s.caches[i].lines[addr]; ln.state().dirty() {
 			return ln.val
 		}
 	}
@@ -582,7 +612,7 @@ func (s *System) CheckInvariants() error {
 		c := &s.caches[i]
 		n := 0
 		for _, l := range c.lines {
-			if l.state != Invalid {
+			if l.state() != Invalid {
 				n++
 			}
 		}
@@ -597,11 +627,11 @@ func (s *System) CheckInvariants() error {
 		holders := 0
 		for i := range s.caches {
 			ln := s.caches[i].lines[addr]
-			if ln.state == Invalid {
+			if ln.state() == Invalid {
 				continue
 			}
 			holders++
-			switch ln.state {
+			switch ln.state() {
 			case Modified:
 				exclusiveOwners++
 				dirtyOwners++
@@ -650,13 +680,41 @@ func (s *System) CopyFrom(src *System) {
 	copy(s.mem, src.mem)
 	s.useTick = src.useTick
 	s.stats = src.stats
+	s.memDirty = src.memDirty
 	for i := range src.caches {
 		sc, dc := &src.caches[i], &s.caches[i]
 		copy(dc.lines, sc.lines)
 		dc.resident = sc.resident
 		dc.capacity = sc.capacity
 		dc.guards = append(dc.guards[:0], sc.guards...)
+		dc.dirty = sc.dirty
 		// dc.handler deliberately kept: it belongs to s's machine.
+	}
+}
+
+// The dirty flags let a caller that caches per-component encodings (the
+// state-key cache on tso.Machine) re-encode only what an action wrote.
+// The contract: while CacheDirty(i) is false, FingerprintCache(i)
+// encodes byte-identically to when ClearDirty was last called (or the
+// system was built), and likewise MemDirty for FingerprintMem. Every
+// write to a line's state or value, a guard list or a memory word sets
+// the flag at the write; a flag may be set by a write that changed
+// nothing. CopyFrom copies the source's flags along with its state, so
+// the copy stands where the source stood against the source's last
+// ClearDirty; CopyRenamedFrom sets them all.
+
+// CacheDirty reports whether cache i may have changed since ClearDirty.
+func (s *System) CacheDirty(i int) bool { return s.caches[i].dirty }
+
+// MemDirty reports whether backing memory may have changed since
+// ClearDirty.
+func (s *System) MemDirty() bool { return s.memDirty }
+
+// ClearDirty clears every dirty flag.
+func (s *System) ClearDirty() {
+	s.memDirty = false
+	for i := range s.caches {
+		s.caches[i].dirty = false
 	}
 }
 
@@ -693,11 +751,11 @@ func (s *System) FingerprintCache(i int, dst []byte) []byte {
 	dst = append(dst, byte(c.resident))
 	for a, n := 0, 0; n < c.resident; a++ {
 		l := &c.lines[a]
-		if l.state == Invalid {
+		if l.state() == Invalid {
 			continue
 		}
 		n++
-		dst = append(dst, byte(a), byte(a>>8), byte(l.state),
+		dst = append(dst, byte(a), byte(a>>8), byte(l.state()),
 			byte(l.val), byte(l.val>>8), byte(l.val>>16), byte(l.val>>24))
 	}
 	dst = append(dst, byte(len(c.guards)))
@@ -712,8 +770,8 @@ func (s *System) FingerprintCache(i int, dst []byte) []byte {
 // renaming-invariant per-processor signatures without copying state.
 func (s *System) VisitLines(p arch.ProcID, f func(addr arch.Addr, st State, val arch.Word)) {
 	for a, l := range s.cacheOf(p).lines {
-		if l.state != Invalid {
-			f(arch.Addr(a), l.state, l.val)
+		if l.state() != Invalid {
+			f(arch.Addr(a), l.state(), l.val)
 		}
 	}
 }
@@ -749,14 +807,16 @@ func (s *System) CopyRenamedFrom(src *System, slotOf []int, addrOf, touched []ar
 	for _, a := range touched {
 		s.mem[addrOf[a]] = valOf(a, src.mem[a])
 	}
+	s.memDirty = true
 	for i := range src.caches {
 		sc, dc := &src.caches[i], &s.caches[slotOf[i]]
+		dc.dirty = true
 		dc.resident = sc.resident
 		dc.capacity = sc.capacity
 		copy(dc.lines, sc.lines)
 		for _, a := range touched {
 			l := sc.lines[a]
-			if l.state != Invalid {
+			if l.state() != Invalid {
 				l.val = valOf(a, l.val)
 			}
 			dc.lines[addrOf[a]] = l

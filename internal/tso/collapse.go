@@ -204,26 +204,23 @@ func appendU32(dst []byte, v uint32) []byte {
 // a caller-owned reusable buffer for component encodings (one per
 // worker keeps the hot path allocation-free). The key has
 // CollapsedWidth(len(m.Procs)) bytes and equals another state's key iff
-// the two full fingerprints are equal.
+// the two full fingerprints are equal. Only components written since m
+// (or the machine it was copied from) was last collapsed by c are
+// re-encoded and re-interned; the rest of the tuple is m's cached ids
+// (statekey.go), so the call writes to m and one machine must not be
+// collapsed from two goroutines at once.
 func (c *Collapser) Collapse(m *Machine, dst []byte, scratch *[]byte) []byte {
-	buf := *scratch
-	for i := range m.Procs {
-		buf = m.FingerprintCore(i, buf[:0])
-		dst = appendU32(dst, c.core.intern(buf))
-		buf = m.Procs[i].SB.Fingerprint(buf[:0])
-		dst = appendU32(dst, c.sb.intern(buf))
-		buf = m.Sys.FingerprintCache(i, buf[:0])
-		dst = appendU32(dst, c.cache.intern(buf))
+	m.refreshKeys(c, scratch)
+	for _, p := range m.Procs {
+		for _, k := range &p.keys {
+			dst = appendU32(dst, uint32(k[0]))
+		}
 	}
-	buf = m.Sys.FingerprintMem(buf[:0])
-	dst = appendU32(dst, c.mem.intern(buf))
+	dst = appendU32(dst, uint32(m.memKey[0]))
 	if m.CSViolation {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
+		return append(dst, 1)
 	}
-	*scratch = buf
-	return dst
+	return append(dst, 0)
 }
 
 // tables returns the Collapser's four component tables in their fixed

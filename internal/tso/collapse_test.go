@@ -187,8 +187,9 @@ func collapseFixture() *Machine {
 }
 
 // TestCollapseLookupDoesNotAllocate: once a state's components are
-// interned, collapsing it again — the hit path nearly every call takes —
-// allocates nothing.
+// interned, collapsing it again allocates nothing, whether every
+// component is looked up again (the cache invalidated: all hits in warm
+// tables) or the tuple comes straight from the machine's cached ids.
 func TestCollapseLookupDoesNotAllocate(t *testing.T) {
 	m := collapseFixture()
 	c := NewCollapser()
@@ -198,8 +199,14 @@ func TestCollapseLookupDoesNotAllocate(t *testing.T) {
 	if len(key) != CollapsedWidth(len(m.Procs)) {
 		t.Fatalf("key is %d bytes, want %d", len(key), CollapsedWidth(len(m.Procs)))
 	}
-	if allocs := testing.AllocsPerRun(200, func() { key = c.Collapse(m, key[:0], &scratch) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() {
+		m.Invalidate()
+		key = c.Collapse(m, key[:0], &scratch)
+	}); allocs != 0 {
 		t.Errorf("Collapse of an interned state allocates %.1f times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { key = c.Collapse(m, key[:0], &scratch) }); allocs != 0 {
+		t.Errorf("Collapse from the machine's cached ids allocates %.1f times per call, want 0", allocs)
 	}
 	if !bytes.Equal(key, want) {
 		t.Errorf("Collapse of the same state gave %x, then %x", want, key)

@@ -58,8 +58,9 @@ func TestCopyFromMatchesClone(t *testing.T) {
 }
 
 // TestCopyFromDoesNotAllocate: the model checker recycles a machine per
-// explored state, between states whose caches, store buffers and links
-// all differ, so the copy must reuse every allocation of the target.
+// explored state, between states whose caches, store buffers, links and
+// state-key caches (one holding digests, one a Collapser's ids) all
+// differ, so the copy must reuse every allocation of the target.
 func TestCopyFromDoesNotAllocate(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	cfg.Procs = 2
@@ -72,6 +73,9 @@ func TestCopyFromDoesNotAllocate(t *testing.T) {
 			late.ExecStep(pid)
 		}
 	}
+	var scratch []byte
+	early.KeyPair(&scratch)
+	tso.NewCollapser().Collapse(late, nil, &scratch)
 	dst := late.Clone()
 	if n := testing.AllocsPerRun(100, func() {
 		dst.CopyFrom(early)

@@ -35,3 +35,15 @@ func (c *Canonicalizer) ApplyRotation(m *Machine, r int) *Machine {
 	c.applyRenaming(m, &c.rots[r-1])
 	return c.scratch
 }
+
+// StaleComponents reports, for each state-key component in tuple order
+// (core, store buffer and cache per processor, then memory), whether its
+// stale flag is set, on the machine or in its mesi.System.
+func (m *Machine) StaleComponents() []bool {
+	out := make([]bool, 0, 3*len(m.Procs)+1)
+	for i, p := range m.Procs {
+		out = append(out, p.stale&staleCore != 0, p.stale&staleSB != 0,
+			p.stale&staleCache != 0 || m.Sys.CacheDirty(i))
+	}
+	return append(out, m.memStale || m.Sys.MemDirty())
+}

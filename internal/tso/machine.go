@@ -34,7 +34,11 @@ type Proc struct {
 	// LEBit and LEAddr are the two registers the LE/ST mechanism adds;
 	// they always describe the *current* l-mfence's link (the one the
 	// following LinkBranch will test).
-	LEBit  bool
+	LEBit bool
+	// stale flags the entries of keys to re-encode (statekey.go). It sits
+	// here, in the padding before LEAddr, to keep Proc in its 256-byte
+	// size class.
+	stale  uint8
 	LEAddr arch.Addr
 
 	// links holds every live link. The paper's hardware has exactly one
@@ -50,6 +54,10 @@ type Proc struct {
 	Clock int64
 
 	Stats ProcStats
+
+	// keys caches this processor's components of the state key (core,
+	// store buffer, cache: the Collapser's tuple order); see statekey.go.
+	keys [3]compKey
 }
 
 // procLink is one live LE/ST link.
@@ -105,11 +113,19 @@ type Machine struct {
 	// CSViolation is set when two processors were ever inside a critical
 	// section simultaneously; checkers read it after each step.
 	CSViolation bool
+	// memStale flags memKey, below, for re-encoding.
+	memStale bool
 
 	// remoteGuardBreaks counts guard breaks caused by the most recent
 	// memory access, letting the timing runner charge the requester the
 	// LE/ST round-trip cost.
 	remoteGuardBreaks int
+
+	// The state-key cache's machine-wide part (statekey.go): the memory
+	// image's key, and which Collapser's intern ids the cached keys are
+	// (nil: digests).
+	memKey   compKey
+	keyOwner *Collapser
 }
 
 // NewMachine builds a machine for cfg and loads one program per
@@ -135,6 +151,7 @@ func NewMachine(cfg arch.Config, progs ...*Program) *Machine {
 		}
 		m.Procs[i] = p
 	}
+	m.Invalidate()
 	m.installGuardHandlers()
 	return m
 }
@@ -153,6 +170,7 @@ func (m *Machine) installGuardHandlers() {
 			if p.LEAddr == addr {
 				p.LEBit = false
 			}
+			p.stale |= staleCore
 			p.Stats.LinkBreaks++
 			m.remoteGuardBreaks++
 			if m.Tracer != nil {
@@ -183,6 +201,12 @@ func (m *Machine) drainOne(p *Proc) int64 {
 // mid-buffer entries (the oldest store of a younger address class).
 func (m *Machine) drainAt(p *Proc, i int) int64 {
 	e := p.SB.PopAt(i)
+	p.stale |= staleSB
+	if len(p.links) > 0 {
+		// Link entries encode their store's buffer position, and the
+		// loop below may clear one.
+		p.stale |= staleCore
+	}
 	cost := m.Sys.Write(p.ID, e.Addr, e.Val)
 	p.Stats.Drains++
 	// Completing a guarded store clears its link (Section 3: "upon
@@ -293,6 +317,7 @@ func (m *Machine) loadValue(p *Proc, addr arch.Addr) (arch.Word, int64) {
 // when full.
 func (m *Machine) commitStore(p *Proc, addr arch.Addr, val arch.Word) storebuf.Entry {
 	e := p.SB.Push(addr, val)
+	p.stale |= staleSB
 	p.Stats.Stores++
 	return e
 }
@@ -310,6 +335,7 @@ func (m *Machine) ExecStep(pid arch.ProcID) int64 {
 		m.Tracer.OnExec(p.ID, p.PC, in)
 	}
 	p.Stats.Instructions++
+	p.stale |= staleCore
 	m.remoteGuardBreaks = 0
 	cost := m.Cfg.Cost.RegOp
 	next := p.PC + 1
@@ -479,6 +505,7 @@ func (m *Machine) Interrupt(pid arch.ProcID) {
 	m.remoteGuardBreaks = 0
 	p.LEBit = false
 	p.links = p.links[:0]
+	p.stale |= staleCore
 	m.Sys.DisarmAllGuards(p.ID)
 	m.flush(p)
 }
@@ -495,6 +522,9 @@ func (m *Machine) Clone() *Machine {
 		Sys:         m.Sys.Clone(),
 		Procs:       make([]*Proc, len(m.Procs)),
 		CSViolation: m.CSViolation,
+		memKey:      m.memKey,
+		memStale:    m.memStale,
+		keyOwner:    m.keyOwner,
 	}
 	for i, p := range m.Procs {
 		np := *p
@@ -506,10 +536,10 @@ func (m *Machine) Clone() *Machine {
 	return nm
 }
 
-// CopyFrom overwrites m with src's architectural state, reusing m's
-// allocations (processor structs, store buffers, link slices, and the
-// dense per-cache line arrays: O(Procs × MemWords) bytes per machine,
-// all moved by copy). m must have been built or cloned from the same
+// CopyFrom overwrites m with src's architectural state and state-key
+// cache, reusing m's allocations (processor structs, store buffers, link
+// slices, and the dense per-cache line arrays: O(Procs × MemWords) bytes
+// per machine, all moved by copy). m must have been built or cloned from the same
 // machine shape as src. Guard handlers already installed on m close over
 // m's processor structs, which survive the copy, so no rewiring is
 // needed — this is what makes free-list recycling in the model checker
@@ -523,6 +553,7 @@ func (m *Machine) CopyFrom(src *Machine) {
 	m.Sys.CopyFrom(src.Sys)
 	m.CSViolation = src.CSViolation
 	m.remoteGuardBreaks = src.remoteGuardBreaks
+	m.memKey, m.memStale, m.keyOwner = src.memKey, src.memStale, src.keyOwner
 	for i, sp := range src.Procs {
 		dp := m.Procs[i]
 		sb, links := dp.SB, dp.links

@@ -611,4 +611,5 @@ func (c *Canonicalizer) applyRenaming(m *Machine, rt *rotation) {
 		dp.SB.CopyFrom(sp.SB)
 		dp.SB.Remap(rt.remapSB)
 	}
+	dst.Invalidate()
 }

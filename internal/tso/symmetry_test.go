@@ -10,27 +10,42 @@ import (
 )
 
 // walkOrbits explores sp's state space the way the model checker does
-// under symmetry — one state kept per canonical collapsed key, successors
-// taken from the live machine — and calls visit on every state it
-// canonicalizes, the kept ones and the duplicates alike, until the space
-// closes or limit states are kept (0: no limit). It returns the number
-// kept. The machine passed to visit is recycled after the call.
+// under symmetry — one state kept per canonical representative,
+// successors taken from the live machine — and calls visit on every
+// state it reaches, the kept ones and the duplicates alike, until the
+// space closes or limit states are kept (0: no limit). It returns the
+// number kept. The machine passed to visit is recycled after the call.
 func walkOrbits(sp *programs.SymProtocol, limit int, visit func(m *tso.Machine)) int {
-	canon := tso.NewCanonicalizer(sp.Sym, sp.Build())
-	col := tso.NewCollapser()
-	seen := make(map[string]bool)
-	var key, scratch []byte
+	return walkStates(sp, true, limit, visit)
+}
+
+// walkStates is walkOrbits with the symmetry optional: without it every
+// state is its own representative. Representatives are told apart by
+// the hash pair of their full Fingerprint, so the walk never touches a
+// machine's state-key cache: visit sees a child exactly as CopyFrom from
+// its (visited) parent and one step left it.
+func walkStates(sp *programs.SymProtocol, sym bool, limit int, visit func(m *tso.Machine)) int {
+	var canon *tso.Canonicalizer
+	if sym {
+		canon = tso.NewCanonicalizer(sp.Sym, sp.Build())
+	}
+	seen := make(map[[2]uint64]bool)
+	var fp []byte
 	var free, stack []*tso.Machine
 	// try claims m's orbit, keeping m on the stack when it is new.
 	try := func(m *tso.Machine) {
 		visit(m)
-		cm, _ := canon.Canonicalize(m)
-		key = col.Collapse(cm, key[:0], &scratch)
-		if seen[string(key)] {
+		cm := m
+		if canon != nil {
+			cm, _ = canon.Canonicalize(m)
+		}
+		fp = cm.Fingerprint(fp[:0])
+		h1, h2 := tso.HashPair(fp)
+		if seen[[2]uint64{h1, h2}] {
 			free = append(free, m)
 			return
 		}
-		seen[string(key)] = true
+		seen[[2]uint64{h1, h2}] = true
 		stack = append(stack, m)
 	}
 	child := func(m *tso.Machine) *tso.Machine {
