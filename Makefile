@@ -105,13 +105,18 @@ chaos:
 	$(GO) test -race -run 'Chaos|Fault|Stall|Abandon|Watchdog|Close|Starvation|Deadline' ./internal/harness/ ./internal/signals/ ./internal/sched/ ./internal/fault/
 	$(GO) run ./cmd/lbmfbench -exp chaos -scale test -faults $(CHAOS_SEEDS)
 
-# Crash recovery: the checkpoint/resume, corpus-journal, and job-runner
-# suites under the race detector, the daemon's event-driven serve loop
-# (wake, freed and drain interleavings) repeated, then the litmus_resume
-# experiment (checkpoint overhead + exact-recovery contract).
+# Crash recovery, mirroring CI's crash-recovery job: the
+# checkpoint/resume, corpus-journal, and job-runner suites under the
+# race detector, the daemon's event-driven serve loop (wake, freed and
+# drain interleavings) repeated, the real kill-and-resume smoke once per
+# on-disk key format (SIGKILL at the first commit, exit 137, resumed
+# summary identical to the reference), then the litmus_resume experiment
+# (checkpoint overhead + exact-recovery contract).
 crash:
 	$(GO) test -race -run 'Checkpoint|Resume|Interrupt|Spill|Journal|Corpus|Daemon' ./internal/litmus/ ./internal/harness/ ./cmd/litmusd/
 	$(GO) test -race -count=5 -run Daemon ./cmd/litmusd/
+	scripts/crash-smoke.sh hashed-128
+	scripts/crash-smoke.sh collapsed -compress
 	$(GO) run ./cmd/lbmfbench -exp litmus_resume -scale test
 
 # Coverage-guided fuzzing: the .litmus parser/compiler/renderer round

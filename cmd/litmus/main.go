@@ -163,6 +163,10 @@ type fileSummary struct {
 	Property    string         `json:"property,omitempty"`
 	Pass        bool           `json:"pass"`
 	Resumed     bool           `json:"resumed,omitempty"`
+	// Keys is what the visited set was keyed on: litmus.KeysHashed, or
+	// litmus.KeysCollapsed under -compress / -membudget; a resumed run
+	// reports its checkpoint's.
+	Keys string `json:"keys"`
 }
 
 // runFile compiles and model-checks one .litmus scenario, reporting its
@@ -221,6 +225,7 @@ func runFile(path string, opts litmus.Options, fc fileCkpt, modelSet bool, jsonO
 			Property:    c.PropertyDoc,
 			Pass:        pass,
 			Resumed:     fc.resume,
+			Keys:        res.Keys(),
 		}
 		for o, n := range res.Outcomes {
 			sum.Outcomes[string(o)] = n

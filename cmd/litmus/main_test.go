@@ -188,6 +188,33 @@ func TestRunFileCheckpointResume(t *testing.T) {
 		t.Errorf("resumed summary diverges:\nresumed:   %+v\nreference: %+v", sum, refSum)
 	}
 
+	if refSum.Keys != litmus.KeysHashed {
+		t.Errorf("keys = %q, want %q: -checkpoint alone selects no key mode", refSum.Keys, litmus.KeysHashed)
+	}
+
+	// The key mode on resume is the file's. A hashed file cannot seed the
+	// exact set -compress asks for; a collapsed one resumes collapsed
+	// with or without the flag.
+	if code := runFile(scenario, litmus.Options{Collapse: true}, fileCkpt{dir: ckpt, every: 50, resume: true}, false, true, io.Discard); code != 2 {
+		t.Errorf("hashed checkpoint resumed under -compress: exit code %d, want 2", code)
+	}
+	ckptC := filepath.Join(t.TempDir(), "ckpt")
+	if code := runFile(scenario, litmus.Options{Collapse: true}, fileCkpt{dir: ckptC, every: 50}, false, true, io.Discard); code != 1 {
+		t.Fatalf("checkpointed -compress run: exit code %d, want 1", code)
+	}
+	out.Reset()
+	if code := runFile(scenario, litmus.Options{}, fileCkpt{dir: ckptC, every: 50, resume: true}, false, true, &out); code != 1 {
+		t.Fatalf("collapsed checkpoint resumed without -compress: exit code %d, want 1\n%s", code, out.String())
+	}
+	sum = fileSummary{}
+	if err := json.Unmarshal(out.Bytes(), &sum); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Keys != litmus.KeysCollapsed || sum.States != refSum.States || sum.Violations != refSum.Violations {
+		t.Errorf("collapsed resume: keys=%q states=%d violations=%d, want %q %d %d",
+			sum.Keys, sum.States, sum.Violations, litmus.KeysCollapsed, refSum.States, refSum.Violations)
+	}
+
 	// Resuming a directory with no checkpoint is an operator error, not
 	// a silent fresh run.
 	empty := filepath.Join(t.TempDir(), "empty")

@@ -97,6 +97,12 @@ type jobVerdict struct {
 	Resumed     bool           `json:"resumed"`
 	Attempts    int            `json:"attempts"`
 	ElapsedMs   int64          `json:"elapsed_ms"`
+	// Keys is what the visited set was keyed on (litmus.KeysHashed /
+	// KeysCollapsed; a resumed job keeps its checkpoint's). Snapshots is
+	// what durability cost the job: checkpoints committed over all its
+	// attempts — 0 for a job that finished inside one cadence.
+	Keys      string `json:"keys"`
+	Snapshots uint64 `json:"snapshots"`
 }
 
 // metricsPayload is the /metrics JSON: daemon-level job counters plus
@@ -399,11 +405,13 @@ func (d *daemon) runJob(name string) {
 	})
 	attempts := 0
 	everResumed := false
+	var snapshots uint64
 	for {
 		attempts++
 		start := time.Now()
 		res, c, didResume, timedOut, err := d.attempt(jobDir)
 		everResumed = everResumed || didResume
+		snapshots += res.Obs.Counters["checkpoint_writes"]
 		switch {
 		case err != nil:
 			var perm errPermanent
@@ -429,7 +437,7 @@ func (d *daemon) runJob(name string) {
 			d.mu.Lock()
 			d.engine.Merge(res.Obs)
 			d.mu.Unlock()
-			d.complete(name, jobDir, res, c, everResumed, attempts, time.Since(start))
+			d.complete(name, jobDir, res, c, everResumed, attempts, snapshots, time.Since(start))
 			return
 		}
 	}
@@ -504,7 +512,7 @@ func (d *daemon) attempt(jobDir string) (res litmus.Result, c *litmuslang.Compil
 }
 
 // complete writes the verdict and moves the job to done/.
-func (d *daemon) complete(name, jobDir string, res litmus.Result, c *litmuslang.Compiled, resumed bool, attempts int, elapsed time.Duration) {
+func (d *daemon) complete(name, jobDir string, res litmus.Result, c *litmuslang.Compiled, resumed bool, attempts int, snapshots uint64, elapsed time.Duration) {
 	outcomes := make(map[string]int, len(res.Outcomes))
 	for o, n := range res.Outcomes {
 		outcomes[string(o)] = n
@@ -522,6 +530,8 @@ func (d *daemon) complete(name, jobDir string, res litmus.Result, c *litmuslang.
 		Resumed:     resumed,
 		Attempts:    attempts,
 		ElapsedMs:   elapsed.Milliseconds(),
+		Keys:        res.Keys(),
+		Snapshots:   snapshots,
 	}
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err == nil {
@@ -531,7 +541,7 @@ func (d *daemon) complete(name, jobDir string, res litmus.Result, c *litmuslang.
 		d.fail(name, jobDir, fmt.Errorf("writing verdict: %w", err))
 		return
 	}
-	os.RemoveAll(filepath.Join(jobDir, "ckpt")) // verdict written; snapshots are dead weight
+	os.RemoveAll(filepath.Join(jobDir, "ckpt")) // verdict written; any periodic snapshot left is dead weight
 	if err := d.moveJob(jobDir, filepath.Join(d.done, name)); err != nil {
 		d.cfg.Log.Printf("job %s: moving to done/: %v", name, err)
 		d.failures.Add(1)

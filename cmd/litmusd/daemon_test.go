@@ -234,6 +234,22 @@ func readVerdict(t *testing.T, root, name string) jobVerdict {
 	return v
 }
 
+// getMetrics serves one GET /metrics from the daemon's handler and
+// returns the decoded payload with the raw body.
+func getMetrics(t *testing.T, d *daemon) (metricsPayload, string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	d.handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != 200 {
+		t.Fatalf("/metrics = %d", rec.Code)
+	}
+	var m metricsPayload
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatalf("/metrics is not JSON: %v\n%s", err, rec.Body.String())
+	}
+	return m, rec.Body.String()
+}
+
 // explainRef explores src directly and returns the reference result the
 // daemon's verdict must reproduce.
 func explainRef(t *testing.T, src string) litmus.Result {
@@ -403,6 +419,103 @@ func TestDaemonRetryResumesAfterCrash(t *testing.T) {
 	if got := d.resumed.Load(); got != 1 {
 		t.Errorf("resumed counter = %d, want 1", got)
 	}
+}
+
+// TestDaemonRetryAfterLastPeriodicCommit kills a job right after its LAST
+// periodic commit. A run that drains writes no final snapshot, so this
+// is the most a finished-but-unrecorded job can have on disk: the retry
+// resumes from that commit, re-explores the tail without committing
+// again, and the verdict says what the job's durability cost.
+func TestDaemonRetryAfterLastPeriodicCommit(t *testing.T) {
+	ref := explainRef(t, dekkerSrc)
+	const every = 200
+	periodic := uint64(ref.States / every) // commits an uninterrupted run makes
+	if periodic < 2 {
+		t.Fatalf("dekker space (%d states) too small for the cadence", ref.States)
+	}
+
+	root := t.TempDir()
+	inj := fault.New(1)
+	inj.Arm(fault.CkptCommit, fault.Plan{Prob: 1, Drop: true, MinArrivals: periodic - 1, MaxFires: 1})
+	d, stop := startDaemon(t, config{
+		Root:      root,
+		Retries:   2,
+		CkptEvery: every,
+		Workers:   1,
+		Faults:    inj,
+	})
+	submit(t, root, "dekker", dekkerSrc)
+	waitFor(t, 30*time.Second, "done/dekker", func() bool {
+		return exists(filepath.Join(root, "done", "dekker", "verdict.json"))
+	})
+	stop()
+
+	v := readVerdict(t, root, "dekker")
+	if v.Attempts != 2 || !v.Resumed {
+		t.Errorf("attempts=%d resumed=%v, want a crash then a successful resume", v.Attempts, v.Resumed)
+	}
+	if v.States != ref.States || v.Transitions != ref.Transitions || v.Violations != ref.Violations || v.Deadlocks != ref.Deadlocks {
+		t.Errorf("resumed verdict states/transitions/violations/deadlocks = %d/%d/%d/%d, want %d/%d/%d/%d",
+			v.States, v.Transitions, v.Violations, v.Deadlocks, ref.States, ref.Transitions, ref.Violations, ref.Deadlocks)
+	}
+	if v.Snapshots != periodic {
+		t.Errorf("snapshots = %d, want the first attempt's %d periodic commits and none from the retry", v.Snapshots, periodic)
+	}
+	if v.Keys != litmus.KeysHashed {
+		t.Errorf("keys = %q, want %q", v.Keys, litmus.KeysHashed)
+	}
+	if got := d.resumed.Load(); got != 1 {
+		t.Errorf("resumed counter = %d, want 1", got)
+	}
+	if exists(filepath.Join(root, "done", "dekker", "ckpt")) {
+		t.Error("done/dekker still carries its checkpoint directory")
+	}
+}
+
+// TestDaemonJobsUnderCadenceCheckpointNothing: a batch of jobs that each
+// finish inside one -ckpt-every cadence pays nothing for durability —
+// no snapshot is committed, the merged engine counters say so, every
+// job ran on hashed keys — and the verdicts are the reference ones.
+func TestDaemonJobsUnderCadenceCheckpointNothing(t *testing.T) {
+	jobs := map[string]string{"fenced": sbFenced, "relaxed": sbRelaxed, "dekker": dekkerSrc}
+	root := t.TempDir()
+	d, stop := startDaemon(t, config{Root: root, Jobs: 2, CkptEvery: 5000})
+	for name, src := range jobs {
+		submit(t, root, name, src)
+	}
+	waitFor(t, 30*time.Second, "all verdicts", func() bool {
+		for name := range jobs {
+			if !exists(filepath.Join(root, "done", name, "verdict.json")) {
+				return false
+			}
+		}
+		return true
+	})
+
+	for name, src := range jobs {
+		ref := explainRef(t, src)
+		v := readVerdict(t, root, name)
+		if v.States != ref.States || v.Transitions != ref.Transitions || v.Violations != ref.Violations ||
+			v.Deadlocks != ref.Deadlocks || v.Pass != (ref.Violations == 0) {
+			t.Errorf("%s: verdict %+v differs from the uncheckpointed reference (%d states, %d transitions, %d violations)",
+				name, v, ref.States, ref.Transitions, ref.Violations)
+		}
+		if v.Snapshots != 0 || v.Keys != litmus.KeysHashed {
+			t.Errorf("%s: snapshots=%d keys=%q, want 0 on %q", name, v.Snapshots, v.Keys, litmus.KeysHashed)
+		}
+	}
+
+	m, _ := getMetrics(t, d)
+	if m.Completed != uint64(len(jobs)) {
+		t.Errorf("jobs_completed = %d, want %d", m.Completed, len(jobs))
+	}
+	if got, ok := m.Engine.Counters["checkpoint_writes"]; !ok || got != 0 {
+		t.Errorf("merged checkpoint_writes = %d (present=%v), want a reported 0", got, ok)
+	}
+	if got := m.Engine.Counters["checkpoint_sync_ns"]; got != 0 {
+		t.Errorf("merged checkpoint_sync_ns = %d with no snapshot committed", got)
+	}
+	stop()
 }
 
 // TestDaemonOrphanResume simulates a daemon killed mid-job: a claimed
@@ -650,15 +763,7 @@ func TestDaemonHTTPEndpoints(t *testing.T) {
 		t.Errorf("/healthz = %d %q, want 200 ok", rec.Code, rec.Body.String())
 	}
 
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/metrics = %d", rec.Code)
-	}
-	var m metricsPayload
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatalf("/metrics is not JSON: %v\n%s", err, rec.Body.String())
-	}
+	m, body := getMetrics(t, d)
 	if m.Claimed != 1 || m.Completed != 1 || m.Draining {
 		t.Errorf("metrics = %+v, want 1 claimed, 1 completed, not draining", m)
 	}
@@ -671,7 +776,7 @@ func TestDaemonHTTPEndpoints(t *testing.T) {
 		t.Errorf("spool_watch/spool_wakeups/spool_scans = %q/%d/%d", m.Watch, m.Wakeups, m.Scans)
 	}
 	for _, field := range []string{`"spool_watch"`, `"spool_wakeups"`, `"spool_scans"`} {
-		if !strings.Contains(rec.Body.String(), field) {
+		if !strings.Contains(body, field) {
 			t.Errorf("/metrics lacks %s", field)
 		}
 	}

@@ -22,14 +22,17 @@ type ResumeRow struct {
 	Name   string
 	States int
 	// PlainNs / CkptNs are the best-of-reps exploration times without
-	// and with periodic checkpointing (≈4 snapshots per run).
+	// and with periodic checkpointing (3 snapshots per run: the cadence
+	// is a quarter of the space, and a run that drains writes no final
+	// one).
 	PlainNs int64
 	CkptNs  int64
 	// Overhead is CkptNs/PlainNs: the guarded number — snapshots are
 	// supposed to cost a bounded fraction of the exploration, not
 	// multiples of it.
 	Overhead float64
-	// Writes is how many snapshots the checkpointed run committed.
+	// Writes is how many snapshots the checkpointed run committed, all
+	// of them periodic.
 	Writes uint64
 	// CkptAgree: the checkpointed run's verdict matches the plain run
 	// (checkpointing must observe, never perturb).
@@ -51,7 +54,7 @@ type ResumeResult struct {
 }
 
 // RunResume measures the durable-checkpoint machinery on the classic
-// protocols: each workload runs plain, runs with ~4 periodic snapshots
+// protocols: each workload runs plain, runs with 3 periodic snapshots
 // (timing both), then is killed at its first snapshot commit by an
 // injected crash and resumed — the resumed result must be exactly the
 // plain one. workers sizes every exploration pool (0 = GOMAXPROCS).
@@ -185,7 +188,7 @@ func (r *ResumeResult) Table() *stats.Table {
 			fmt.Sprintf("%.2fx", row.Overhead),
 			row.Writes, verdict)
 	}
-	t.AddNote("each workload: plain run, ~4-snapshot checkpointed run (same verdict demanded),")
+	t.AddNote("each workload: plain run, 3-snapshot checkpointed run (same verdict demanded),")
 	t.AddNote("then a run killed at its first commit and resumed — exact state count and")
 	t.AddNote("outcome multiset required; overhead is checkpointed/plain wall time")
 	return t

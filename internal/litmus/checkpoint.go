@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/tso"
 )
 
@@ -25,18 +26,25 @@ import (
 //
 // What a snapshot must capture, and why it is consistent:
 //
-//   - The visited set. Checkpointing implies Options.Collapse, so every
-//     visited state is a fixed-width collapsed tuple plus a 4-byte
-//     pruned mask — exactly the record the visited table's spill
-//     segments hold (visited.go). Each stripe's resident slots serialize
-//     as such records in table order; spilled segments append verbatim.
-//     Resume re-inserts them by hashing each key, so nothing about the
-//     table's layout is part of the format.
-//   - The collapser's component tables. Collapsed keys are tuples of
-//     intern-table indices assigned in first-seen order, so the tables
-//     must be persisted in index order and replayed into the resumed
-//     run's fresh Collapser — otherwise every saved key would be
-//     meaningless (tso.Collapser.TableSnapshot/RestoreTables).
+//   - The visited set, as the keys the run already has. Every visited
+//     state is one fixed-width record, key ‖ 4-byte pruned mask, where
+//     key is what the visited table is keyed on: the 16-byte h1 ‖ h2
+//     hash pair (the default), or under Options.Collapse / MemBudget
+//     the collapsed tuple — exactly the record the table's spill
+//     segments hold (visited.go). Checkpointing therefore implies no
+//     key mode and costs nothing until a snapshot is due. Each stripe's
+//     resident slots serialize in table order; spilled segments append
+//     verbatim. Resume re-inserts the records (re-hashing a collapsed
+//     key, reading a hashed one back), so nothing about the table's
+//     layout is part of the format — but the hash pair is: changing
+//     tso.Machine.KeyPair orphans every hashed file and must bump
+//     ckptVersion (testdata/*-hashed.lbmf fail first).
+//   - The collapser's component tables (empty in a hashed file).
+//     Collapsed keys are tuples of intern-table indices assigned in
+//     first-seen order, so the tables must be persisted in index order
+//     and replayed into the resumed run's fresh Collapser — otherwise
+//     every saved key would be meaningless
+//     (tso.Collapser.TableSnapshot/RestoreTables).
 //   - The frontier. Frames are serialized as their action traces from
 //     the root (checkpointing forces trace recording) plus their sleep
 //     masks; resume replays each trace on a fresh machine from build.
@@ -45,6 +53,16 @@ import (
 //     because DFS keeps the frontier shallow.
 //   - The partial Result: states/transitions/outcome counts, violation
 //     verdict and trace, deadlocks.
+//
+// A snapshot records unfinished work. Periodic ones are taken at the
+// cadence CheckpointOptions sets; an interrupted run (Options.Interrupt:
+// a drain, a job timeout) parks what is left in a final one; a run that
+// drained writes none — it has returned its Result, and its directory
+// stays as the last periodic commit left it, or empty. The durability
+// contract is the same at every instant, the one between Explore
+// returning and the caller persisting the Result included: a kill loses
+// at most one cadence of progress, and Resume reaches the identical
+// result. A finished run's directory is not a result cache.
 //
 // Consistency comes from a stop-the-world barrier between frames: a
 // checkpoint request parks every worker at the top of its run loop, and
@@ -70,17 +88,23 @@ import (
 //	         ErrCheckpointTruncated, not ErrCheckpointCorrupt)
 //	uint32   header length
 //	[]byte   header JSON (ckptHeader: version, options hash, root
-//	         fingerprint hash pair, key width, partial result, counts)
+//	         fingerprint hash pair, key width and mode, partial result,
+//	         counts)
 //	[]byte   visited records: VisitedCount × (KeyWidth+4) bytes of
-//	         key + pruned mask
+//	         key + pruned mask; KeyWidth 16 is a hashed file, anything
+//	         else the collapsed width for Procs
 //	[]byte   component tables: 4 × (uvarint count, count × (uvarint
-//	         len, bytes)) in index order
+//	         len, bytes)) in index order; four zero counts in a hashed
+//	         file
 //	[]byte   frontier: FrontierCount × (uvarint sleep mask, uvarint
 //	         trace length, length × uvarint packed action
 //	         (proc<<1 | kind))
 
 // CheckpointOptions configures periodic durable snapshots of an
-// exploration (Options.Checkpoint).
+// exploration (Options.Checkpoint): one at each cadence point below,
+// plus a final one when Options.Interrupt stops the run. A run that
+// drains writes no final snapshot, so one that finishes inside a cadence
+// creates Dir and nothing in it.
 type CheckpointOptions struct {
 	// Dir is the checkpoint directory (created if missing); empty
 	// disables checkpointing. The committed snapshot lives at
@@ -145,6 +169,10 @@ type ckptHeader struct {
 	RootH2   string `json:"root_h2"`
 	Procs    int    `json:"procs"`
 	KeyWidth int    `json:"key_width"`
+	// Keys names the key mode KeyWidth already determines (KeysHashed /
+	// KeysCollapsed), for whoever reads the header; absent in files
+	// written before hashed keys could reach disk, all collapsed.
+	Keys string `json:"keys,omitempty"`
 	// Model is the memory model the snapshot was taken under
 	// (Model.Name()); empty in pre-model checkpoints, which were all
 	// TSO or SC and stay covered by OptionsHash.
@@ -193,9 +221,10 @@ func unpackAction(v uint64) Action {
 
 // optionsHash fingerprints the Options fields that determine an
 // exploration's results, so Resume can refuse a checkpoint taken under
-// different semantics. Workers, MemBudget, and the checkpoint cadence
-// are deliberately excluded — they change performance, not results —
-// and Collapse is implied. Properties are functions, so only their
+// different semantics. Workers, MemBudget, Collapse and the checkpoint
+// cadence are deliberately excluded — they change performance, not
+// results (the key mode is the file's, see Resume). Properties are
+// functions, so only their
 // count is hashable; the root fingerprint pair carries the rest of the
 // program identity. The order of the fields below is part of every
 // checkpoint on disk (TestResumeParentWrittenCheckpoint).
@@ -261,13 +290,19 @@ type ckptCoord struct {
 	writes    uint64
 	errors    uint64
 	lastBytes int
+	// encodeNs / syncNs split the time spent inside the barrier, summed
+	// over commits: building the file image, then write + fsync + rename
+	// + directory fsync.
+	encodeNs, syncNs time.Duration
 
 	stopTimer chan struct{}
 }
 
-func newCkptCoord(e *engine, opts CheckpointOptions) (*ckptCoord, error) {
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
+// newCkptCoord returns nil when the checkpoint directory cannot be
+// created.
+func newCkptCoord(e *engine, opts CheckpointOptions) *ckptCoord {
+	if os.MkdirAll(opts.Dir, 0o755) != nil {
+		return nil
 	}
 	c := &ckptCoord{e: e, opts: opts}
 	c.cond = sync.NewCond(&c.mu)
@@ -286,7 +321,7 @@ func newCkptCoord(e *engine, opts CheckpointOptions) (*ckptCoord, error) {
 			}
 		}()
 	}
-	return c, nil
+	return c
 }
 
 func (c *ckptCoord) stop() {
@@ -343,10 +378,9 @@ func (c *ckptCoord) exit() {
 	}
 }
 
-// writeFinal snapshots after the pool has fully drained (end of
-// explore), so resuming a completed run restores its final result
-// without re-exploration. Skipped after a crash point fired: a dead
-// process writes nothing.
+// writeFinal snapshots after the pool has stopped on an interrupt, so
+// the unexplored remainder is parked for Resume. Skipped after a crash
+// point fired: a dead process writes nothing.
 func (c *ckptCoord) writeFinal() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -372,7 +406,10 @@ func (c *ckptCoord) writeLocked() {
 	if e.crashed.Load() {
 		return
 	}
+	start := time.Now()
 	data := encodeCheckpoint(e)
+	encoded := time.Now()
+	c.encodeNs += encoded.Sub(start)
 
 	tmp := filepath.Join(c.opts.Dir, ckptTempName)
 	final := filepath.Join(c.opts.Dir, ckptFileName)
@@ -391,6 +428,7 @@ func (c *ckptCoord) writeLocked() {
 		return
 	}
 	syncDir(c.opts.Dir)
+	c.syncNs += time.Since(encoded)
 	c.writes++
 	c.lastBytes = len(data)
 	if e.opts.Faults.At(fault.CkptCommit) {
@@ -418,13 +456,19 @@ func rootIdentity(m *tso.Machine) (uint64, uint64) {
 	return fnv64a(buf), hash2(buf)
 }
 
-// stats reports commit/error counts and the last committed size, for
-// the run's obs snapshot. Taken under the coordinator lock after the
-// pool has drained.
-func (c *ckptCoord) stats() (writes, errs uint64, lastBytes int64) {
+// putStats records commit/error counts, the last committed size and
+// the barrier's encode / file-system time split in the run's obs
+// snapshot. Taken under the coordinator lock after the pool has drained.
+func (c *ckptCoord) putStats(o *obs.Snapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.writes, c.errors, int64(c.lastBytes)
+	o.PutCounter("checkpoint_writes", c.writes)
+	if c.errors > 0 {
+		o.PutCounter("checkpoint_errors", c.errors)
+	}
+	o.PutGauge("checkpoint_bytes", float64(c.lastBytes))
+	o.PutCounter("checkpoint_encode_ns", uint64(c.encodeNs))
+	o.PutCounter("checkpoint_sync_ns", uint64(c.syncNs))
 }
 
 func writeFileSync(path string, data []byte) error {
@@ -459,7 +503,11 @@ func encodeCheckpoint(e *engine) []byte {
 
 	// Visited records + component tables.
 	recs, count := e.visited.snapshotRecords()
-	tables := e.collapser.TableSnapshot()
+	keyWidth := e.visited.recKeyWidth()
+	var tables [tso.NumComponentTables][][]byte // stays empty with hashed keys
+	if e.collapser != nil {
+		tables = e.collapser.TableSnapshot()
+	}
 	var tblBuf []byte
 	for _, tbl := range tables {
 		tblBuf = binary.AppendUvarint(tblBuf, uint64(len(tbl)))
@@ -499,7 +547,8 @@ func encodeCheckpoint(e *engine) []byte {
 		RootH1:        hex64(e.rootH1),
 		RootH2:        hex64(e.rootH2),
 		Procs:         e.nprocs,
-		KeyWidth:      e.visited.keyWidth,
+		KeyWidth:      keyWidth,
+		Keys:          keysName(keyWidth),
 		Model:         e.model.Name(),
 		States:        part.States,
 		Transitions:   part.Transitions,
@@ -576,6 +625,9 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	}
 	if ck.hdr.Version != ckptVersion {
 		return nil, fmt.Errorf("%w: format version %d, this build reads %d", ErrCheckpointMismatch, ck.hdr.Version, ckptVersion)
+	}
+	if k := ck.hdr.Keys; k != "" && k != keysName(ck.hdr.KeyWidth) {
+		return nil, fmt.Errorf("%w: header says %q keys at key width %d", ErrCheckpointCorrupt, k, ck.hdr.KeyWidth)
 	}
 	body = body[hlen:]
 
@@ -676,8 +728,16 @@ func Resume(dir string, build func() *tso.Machine, opts Options) (Result, error)
 		return Result{}, fmt.Errorf("%w: checkpointed options hash %s differs from this run's %s (reduction, reorder bound, max states, property count, and outcome registers must all match)",
 			ErrCheckpointMismatch, ck.hdr.OptionsHash, want)
 	}
-	if kw := tso.CollapsedWidth(len(root.Procs)); ck.hdr.KeyWidth != kw {
-		return Result{}, fmt.Errorf("%w: checkpointed key width %d, this build uses %d", ErrCheckpointMismatch, ck.hdr.KeyWidth, kw)
+	// The key mode is the file's: a collapsed file resumes collapsed
+	// whatever opts.Collapse says, a hashed file resumes hashed — and
+	// cannot seed the exact visited set Collapse or MemBudget ask for.
+	if kw := tso.CollapsedWidth(len(root.Procs)); ck.hdr.KeyWidth != hashedKeyWidth && ck.hdr.KeyWidth != kw {
+		return Result{}, fmt.Errorf("%w: checkpointed key width %d, this build uses %d (%s) or %d (%s)",
+			ErrCheckpointMismatch, ck.hdr.KeyWidth, hashedKeyWidth, KeysHashed, kw, KeysCollapsed)
+	}
+	if ck.hdr.KeyWidth == hashedKeyWidth && (opts.Collapse || opts.MemBudget > 0) {
+		return Result{}, fmt.Errorf("%w: checkpoint holds %s keys, which cannot seed the exact visited set Collapse / MemBudget select; resume without them (the run finishes hashed, same results) or start fresh",
+			ErrCheckpointMismatch, KeysHashed)
 	}
 	if opts.Checkpoint.Dir == "" {
 		opts.Checkpoint.Dir = dir

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -57,10 +58,14 @@ func assertSameVerdict(t *testing.T, got, want Result, exact bool) {
 }
 
 // TestCheckpointResumeDifferential is the crash/resume soundness pin:
-// for every catalog test plus the Dekker variants, under several engine
-// configurations, a run killed at a fault-scheduled checkpoint commit
-// and resumed from disk must produce the same result as an
-// uninterrupted run.
+// for every catalog test plus the Dekker variants, under each engine
+// configuration that puts a different record on disk — hashed pairs
+// (plain, reduction) and collapsed tuples (collapse, budget) — a run
+// killed at a fault-scheduled checkpoint commit and resumed from disk
+// must produce the same result as an uninterrupted run, at EVERY commit
+// ordinal the run reaches. The hashed and the collapsed leg must also
+// agree with each other kill for kill: the key mode is a representation,
+// not a semantics.
 func TestCheckpointResumeDifferential(t *testing.T) {
 	type space struct {
 		name  string
@@ -91,53 +96,92 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 	legs := []struct {
 		name  string
 		mod   func(*Options)
+		keys  string
 		exact bool
 	}{
-		{"plain", func(o *Options) {}, true},
-		{"budget", func(o *Options) { o.MemBudget = 1 << 12 }, true},
-		{"reduction", func(o *Options) { o.Reduction = true }, false},
+		{"plain", func(o *Options) {}, KeysHashed, true},
+		{"collapse", func(o *Options) { o.Collapse = true }, KeysCollapsed, true},
+		{"budget", func(o *Options) { o.MemBudget = 1 << 12 }, KeysCollapsed, true},
+		{"reduction", func(o *Options) { o.Reduction = true }, KeysHashed, false},
 	}
 
 	for _, sp := range spaces {
 		sp := sp
+		// resumed[leg] holds the leg's resumed Result per kill ordinal.
+		resumed := make(map[string][]Result)
 		for _, leg := range legs {
 			leg := leg
 			t.Run(sp.name+"/"+leg.name, func(t *testing.T) {
 				base := Options{Properties: sp.props, Workers: 1}
 				leg.mod(&base)
 				ref := Explore(sp.build, base)
+				if ref.Keys() != leg.keys {
+					t.Fatalf("reference ran on %s keys, the leg is meant to cover %s", ref.Keys(), leg.keys)
+				}
 
-				dir := t.TempDir()
-				crashed := base
 				// Size the cadence to the space so even tiny reduced
-				// spaces get several periodic commits before the final
-				// write — the crash needs a second commit to fire on.
-				crashed.Checkpoint = CheckpointOptions{Dir: dir, EveryStates: ref.States/5 + 1}
-				crashed.Faults = crashInjector(fault.CkptCommit, 1)
-				run := Explore(sp.build, crashed)
-				if !run.Crashed {
-					t.Fatalf("crash point never fired (states=%d)", run.States)
-				}
-
-				// Resume with a different worker count: the checkpoint
-				// must be engine-shape independent.
-				resumeOpts := base
-				resumeOpts.Workers = 4
-				res, err := Resume(dir, sp.build, resumeOpts)
-				if err != nil {
-					t.Fatalf("Resume: %v", err)
-				}
-				if res.Obs.Gauges["resumed"] != 1 {
-					t.Error("resumed gauge not set")
-				}
-				assertSameVerdict(t, res, ref, leg.exact)
-				if res.Violations > 0 {
-					m := Replay(sp.build, res.ViolationTrace)
-					if !m.CSViolation {
-						t.Error("resumed violation trace does not replay to a violation")
+				// spaces reach several periodic commits (a drained run
+				// writes no final one). Kill at the 1st, 2nd, ... commit
+				// until a run drains without reaching the ordinal.
+				every := ref.States/5 + 1
+				for kill := uint64(0); ; kill++ {
+					dir := t.TempDir()
+					crashed := base
+					crashed.Checkpoint = CheckpointOptions{Dir: dir, EveryStates: every}
+					crashed.Faults = crashInjector(fault.CkptCommit, kill)
+					run := Explore(sp.build, crashed)
+					if !run.Crashed {
+						if kill < 2 {
+							t.Fatalf("only %d commit(s) to kill at (states=%d, every=%d)", kill, run.States, every)
+						}
+						if got := run.Obs.Counters["checkpoint_writes"]; got != kill {
+							t.Errorf("drained run committed %d snapshots, want its %d periodic ones only", got, kill)
+						}
+						assertSameVerdict(t, run, ref, leg.exact)
+						break
 					}
+					ck, err := loadCheckpoint(filepath.Join(dir, ckptFileName))
+					if err != nil {
+						t.Fatalf("kill at commit %d: %v", kill+1, err)
+					}
+					if got := keysName(ck.hdr.KeyWidth); got != leg.keys || ck.hdr.Keys != leg.keys {
+						t.Fatalf("kill at commit %d: file holds %s keys (header says %q), want %s", kill+1, got, ck.hdr.Keys, leg.keys)
+					}
+
+					// Resume with a different worker count: the checkpoint
+					// must be engine-shape independent.
+					resumeOpts := base
+					resumeOpts.Workers = 4
+					res, err := Resume(dir, sp.build, resumeOpts)
+					if err != nil {
+						t.Fatalf("kill at commit %d: Resume: %v", kill+1, err)
+					}
+					if res.Obs.Gauges["resumed"] != 1 {
+						t.Error("resumed gauge not set")
+					}
+					if res.Keys() != leg.keys {
+						t.Errorf("kill at commit %d: resumed on %s keys, the file holds %s", kill+1, res.Keys(), leg.keys)
+					}
+					assertSameVerdict(t, res, ref, leg.exact)
+					if res.Violations > 0 {
+						m := Replay(sp.build, res.ViolationTrace)
+						if !m.CSViolation {
+							t.Error("resumed violation trace does not replay to a violation")
+						}
+					}
+					resumed[leg.name] = append(resumed[leg.name], res)
 				}
 			})
+		}
+		// Both absent when -run selected a single leg.
+		if h, c := resumed["plain"], resumed["collapse"]; h != nil && c != nil {
+			if len(h) != len(c) {
+				t.Errorf("%s: hashed leg was killed at %d commits, collapsed at %d", sp.name, len(h), len(c))
+				continue
+			}
+			for k := range h {
+				assertSameVerdict(t, h[k], c[k], true)
+			}
 		}
 	}
 }
@@ -169,8 +213,7 @@ func TestRepeatedKillResume(t *testing.T) {
 		// Every resumed run survives its first commit and dies at the
 		// second, so each cycle durably advances by one checkpoint
 		// period. The last cycle's frontier drains before a second
-		// commit can happen — its only commit is the final write — and
-		// the run completes.
+		// commit can happen and the run completes.
 		ropts.Faults = crashInjector(fault.CkptCommit, 1)
 		var err error
 		res, err = Resume(dir, build, ropts)
@@ -252,27 +295,82 @@ func TestInterruptThenResume(t *testing.T) {
 	assertSameVerdict(t, res, ref, true)
 }
 
-// TestResumeOfCompletedRun: the final snapshot written when a
-// checkpointed run drains means resuming it is a no-op restore of the
-// full result, not a re-exploration.
+// TestResumeOfCompletedRun pins what a checkpointed run leaves behind. A
+// snapshot records unfinished work: a run that drained commits its
+// periodic snapshots and no final one, and Resume on whatever it left
+// re-explores the tail to the reference verdict; an interrupted run
+// still parks its remainder in a final snapshot.
 func TestResumeOfCompletedRun(t *testing.T) {
-	p0, p1 := programs.StoreBufferPair()
-	build := machineFor(p0, p1)
-	dir := t.TempDir()
-	opts := Options{Workers: 1, Checkpoint: CheckpointOptions{Dir: dir}}
-	ref := Explore(build, opts)
-	if ref.Obs.Counters["checkpoint_writes"] == 0 {
-		t.Fatal("final checkpoint not written")
-	}
+	t.Run("drained", func(t *testing.T) {
+		// Under the cadence: the run never touches a checkpoint file, and
+		// there is nothing to resume (the caller's os.Stat case).
+		p0, p1 := programs.StoreBufferPair()
+		dir := t.TempDir()
+		sb := Explore(machineFor(p0, p1), Options{Workers: 1, Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 5000}})
+		if got := sb.Obs.Counters["checkpoint_writes"]; got != 0 {
+			t.Errorf("SB pair (%d states) committed %d snapshots under a 5000-state cadence, want 0", sb.States, got)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+			t.Errorf("drained run left %d file(s) in its checkpoint directory", len(ents))
+		}
+		if _, err := Resume(dir, machineFor(p0, p1), Options{Workers: 1}); err == nil {
+			t.Error("Resume of a directory no snapshot was committed to succeeded")
+		}
 
-	res, err := Resume(dir, build, Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("Resume: %v", err)
-	}
-	assertSameVerdict(t, res, ref, true)
-	if got := res.Obs.Gauges["resumed_states"]; int(got) != ref.States {
-		t.Errorf("resumed_states=%v, want %d", got, ref.States)
-	}
+		// Over the cadence: periodic commits only, and the last one
+		// resumes to the reference by re-exploring the tail.
+		d0, d1 := programs.DekkerPair(programs.DekkerNoFence)
+		build := machineFor(d0, d1)
+		base := Options{Properties: []Property{MutualExclusion}, Workers: 1}
+		ref := Explore(build, base)
+		dir = t.TempDir()
+		opts := base
+		opts.Checkpoint = CheckpointOptions{Dir: dir, EveryStates: 500}
+		run := Explore(build, opts)
+		assertSameVerdict(t, run, ref, true)
+		periodic := uint64(ref.States / 500)
+		if got := run.Obs.Counters["checkpoint_writes"]; got != periodic || periodic == 0 {
+			t.Errorf("drained run of %d states committed %d snapshots, want its %d periodic ones only", ref.States, got, periodic)
+		}
+		res, err := Resume(dir, build, base)
+		if err != nil {
+			t.Fatalf("Resume: %v", err)
+		}
+		assertSameVerdict(t, res, ref, true)
+		if got := int(res.Obs.Gauges["resumed_states"]); got != int(periodic)*500 {
+			t.Errorf("resumed_states=%d, want the last periodic commit's %d", got, periodic*500)
+		}
+	})
+
+	t.Run("interrupted", func(t *testing.T) {
+		p0, p1 := programs.DekkerPair(programs.DekkerNoFence)
+		build := machineFor(p0, p1)
+		base := Options{Properties: []Property{MutualExclusion}, Workers: 1}
+		ref := Explore(build, base)
+
+		// Interrupt at the first periodic commit: the run stops at its
+		// next frame and parks the remainder in a final snapshot.
+		dir := t.TempDir()
+		var stop atomic.Bool
+		opts := base
+		opts.Interrupt = &stop
+		opts.Checkpoint = CheckpointOptions{Dir: dir, EveryStates: 500, OnCommit: func(int) { stop.Store(true) }}
+		run := Explore(build, opts)
+		if !run.Interrupted {
+			t.Fatal("Interrupted not set")
+		}
+		if got := run.Obs.Counters["checkpoint_writes"]; got != 2 {
+			t.Errorf("interrupted run committed %d snapshots, want 2 (one periodic, one final)", got)
+		}
+		res, err := Resume(dir, build, base)
+		if err != nil {
+			t.Fatalf("Resume: %v", err)
+		}
+		if got := int(res.Obs.Gauges["resumed_states"]); got != run.States {
+			t.Errorf("resumed_states=%d, want everything the interrupted run explored (%d)", got, run.States)
+		}
+		assertSameVerdict(t, res, ref, true)
+	})
 }
 
 // TestCheckpointOnCommit pins the commit callback: called once per
@@ -291,7 +389,7 @@ func TestCheckpointOnCommit(t *testing.T) {
 		},
 	})
 	if len(commits) < 2 {
-		t.Fatalf("want at least 2 commits (periodic + final), got %v", commits)
+		t.Fatalf("want at least 2 periodic commits, got %v", commits)
 	}
 	for i, n := range commits {
 		if n != i+1 {
@@ -303,24 +401,35 @@ func TestCheckpointOnCommit(t *testing.T) {
 	}
 }
 
-// TestResumeParentWrittenCheckpoint pins the on-disk format across the
-// visited-set unification: testdata holds two mid-run dekker-nofence
-// checkpoints (MutualExclusion, one worker, EveryStates 150, killed at
-// the second commit, 300 states in) written by commit 61917c3, the last
-// whose exact visited set was a map and whose Options still carried a
-// deprecated alias of StopOnViolation. The records, the component tables and the
-// options hash (the stop-on-violation bit included, in its old
-// position) must all still mean what they meant: Resume accepts them
-// and finishes with the uninterrupted run's result.
+// TestResumeParentWrittenCheckpoint pins the on-disk format. testdata
+// holds four mid-run dekker-nofence checkpoints, all from the same
+// recipe: MutualExclusion, one worker, EveryStates 150, killed at the
+// second commit, 300 states in.
+//
+// The two collapsed ones were written by commit 61917c3, the last whose
+// exact visited set was a map and whose Options still carried a
+// deprecated alias of StopOnViolation. The records, the component tables
+// and the options hash (the stop-on-violation bit included, in its old
+// position) must all still mean what they meant — and since that build
+// every checkpoint on disk is collapsed, so they must resume collapsed
+// although these Options do not ask for Collapse.
+//
+// The two -hashed ones were written by the first build that puts hash
+// pairs on disk (PR 21). Their records are tso.Machine.KeyPair values:
+// a key-path change that moves the pair orphans every such file, and
+// these rows are what fails — bump ckptVersion then, do not re-record.
 func TestResumeParentWrittenCheckpoint(t *testing.T) {
 	p0, p1 := programs.DekkerPair(programs.DekkerNoFence)
 	build := machineFor(p0, p1)
 	for _, tc := range []struct {
 		file      string
 		reduction bool
+		keys      string
 	}{
-		{"dekker-nofence-plain.lbmf", false},
-		{"dekker-nofence-reduction.lbmf", true},
+		{"dekker-nofence-plain.lbmf", false, KeysCollapsed},
+		{"dekker-nofence-reduction.lbmf", true, KeysCollapsed},
+		{"dekker-nofence-plain-hashed.lbmf", false, KeysHashed},
+		{"dekker-nofence-reduction-hashed.lbmf", true, KeysHashed},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -346,6 +455,9 @@ func TestResumeParentWrittenCheckpoint(t *testing.T) {
 			if got := res.Obs.Gauges["resumed_states"]; got != 300 {
 				t.Errorf("resumed_states=%v, the checkpoint holds 300", got)
 			}
+			if res.Keys() != tc.keys {
+				t.Errorf("resumed on %s keys, the file holds %s", res.Keys(), tc.keys)
+			}
 			assertSameVerdict(t, res, ref, !tc.reduction)
 			if m := Replay(build, res.ViolationTrace); !m.CSViolation {
 				t.Error("resumed violation trace does not replay to a violation")
@@ -360,10 +472,21 @@ func TestResumeRejections(t *testing.T) {
 	p0, p1 := programs.StoreBufferPair()
 	build := machineFor(p0, p1)
 	opts := Options{Workers: 1}
-	dir := t.TempDir()
-	ckOpts := opts
-	ckOpts.Checkpoint = CheckpointOptions{Dir: dir}
-	Explore(build, ckOpts) // leaves a valid final checkpoint in dir
+	ref := Explore(build, opts)
+	// parked leaves a valid checkpoint — the final snapshot of a run
+	// interrupted at its first frame — in a fresh dir.
+	parked := func(o Options) string {
+		var stop atomic.Bool
+		stop.Store(true)
+		o.Checkpoint = CheckpointOptions{Dir: t.TempDir()}
+		o.Interrupt = &stop
+		if run := Explore(build, o); !run.Interrupted || run.Obs.Counters["checkpoint_writes"] != 1 {
+			t.Fatalf("fixture: interrupted=%v, %d snapshots", run.Interrupted, run.Obs.Counters["checkpoint_writes"])
+		}
+		return o.Checkpoint.Dir
+	}
+	dir := parked(opts) // hashed keys
+	collapsedDir := parked(Options{Workers: 1, Collapse: true})
 
 	good, err := os.ReadFile(filepath.Join(dir, ckptFileName))
 	if err != nil {
@@ -386,7 +509,8 @@ func TestResumeRejections(t *testing.T) {
 		dir   func(t *testing.T) string
 		build func() *tso.Machine
 		opts  Options
-		want  error
+		want  error  // nil: accepted, and resumes to the reference
+		keys  string // on acceptance, the key mode the file dictates
 	}{
 		{
 			name:  "wrong program",
@@ -412,6 +536,30 @@ func TestResumeRejections(t *testing.T) {
 			dir:  func(*testing.T) string { return dir },
 			opts: Options{Workers: 1, Reduction: true},
 			want: ErrCheckpointMismatch,
+		},
+		{
+			name: "hashed file under Collapse",
+			dir:  func(*testing.T) string { return dir },
+			opts: Options{Workers: 1, Collapse: true},
+			want: ErrCheckpointMismatch,
+		},
+		{
+			name: "hashed file under MemBudget",
+			dir:  func(*testing.T) string { return dir },
+			opts: Options{Workers: 1, MemBudget: 1 << 12},
+			want: ErrCheckpointMismatch,
+		},
+		{
+			name: "hashed file as written",
+			dir:  func(*testing.T) string { return dir },
+			opts: opts,
+			keys: KeysHashed,
+		},
+		{
+			name: "collapsed file without Collapse",
+			dir:  func(*testing.T) string { return collapsedDir },
+			opts: opts,
+			keys: KeysCollapsed,
 		},
 		{
 			name: "truncated half",
@@ -457,9 +605,15 @@ func TestResumeRejections(t *testing.T) {
 			if b == nil {
 				b = build
 			}
-			_, err := Resume(tc.dir(t), b, tc.opts)
+			res, err := Resume(tc.dir(t), b, tc.opts)
 			if !errors.Is(err, tc.want) {
-				t.Errorf("Resume error = %v, want errors.Is(%v)", err, tc.want)
+				t.Fatalf("Resume error = %v, want errors.Is(%v)", err, tc.want)
+			}
+			if tc.want == nil {
+				assertSameVerdict(t, res, ref, true)
+				if res.Keys() != tc.keys {
+					t.Errorf("resumed on %s keys, the file holds %s", res.Keys(), tc.keys)
+				}
 			}
 		})
 	}
@@ -510,4 +664,35 @@ func TestCheckpointDirUncreatable(t *testing.T) {
 		t.Error("checkpoint_errors not counted")
 	}
 	assertSameVerdict(t, res, ref, true)
+}
+
+// TestVerifyVisitedRefusesCheckpoint: the audit map is not part of a
+// snapshot, so a checkpointed (or resumed) audit would be wrong after the
+// first resume. Both are refused up front, like an invalid Symmetry.
+func TestVerifyVisitedRefusesCheckpoint(t *testing.T) {
+	p0, p1 := programs.StoreBufferPair()
+	build := machineFor(p0, p1)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil {
+				t.Errorf("%s: ran, want a refusal", name)
+			} else if msg, _ := r.(string); !strings.Contains(msg, "VerifyVisited") {
+				t.Errorf("%s: panic %v does not name the option", name, r)
+			}
+		}()
+		f()
+	}
+	dir := t.TempDir()
+	mustPanic("Explore", func() {
+		Explore(build, Options{Workers: 1, VerifyVisited: true, Checkpoint: CheckpointOptions{Dir: dir}})
+	})
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("refused run touched its checkpoint directory (%d entries)", len(ents))
+	}
+
+	var stop atomic.Bool
+	stop.Store(true)
+	Explore(build, Options{Workers: 1, Interrupt: &stop, Checkpoint: CheckpointOptions{Dir: dir}})
+	mustPanic("Resume", func() { Resume(dir, build, Options{Workers: 1, VerifyVisited: true}) })
 }

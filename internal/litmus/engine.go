@@ -732,6 +732,12 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 		e.rootH1, e.rootH2 = rootIdentity(root)
 	}
 	e.sym = checkedSymmetry(root, opts.Symmetry)
+	if opts.VerifyVisited && ckptOn {
+		// The audit map is not part of a snapshot, so a resumed audit
+		// would re-claim every restored state. Refused like an invalid
+		// Symmetry: a wrong answer is worse than no run.
+		panic("litmus: Options.VerifyVisited cannot be combined with Options.Checkpoint or Resume: the full-fingerprint audit map is not part of a snapshot")
+	}
 	if opts.Reduction && opts.ReorderBound <= 0 && e.model.ReductionOK() {
 		// nil when the machine has too many processors for the reduction's
 		// action masks; the exploration then runs unreduced. A reorder
@@ -741,10 +747,12 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 		e.red = newReducer(root, opts.SequentialConsistency)
 	}
 	keyWidth := 0
-	if opts.Collapse || opts.MemBudget > 0 || ckptOn || ck != nil {
-		// A memory budget and checkpointing imply Collapse: collapsed
-		// tuples are exact fixed-width identities, which is what makes
-		// visited stripes serializable as spill-format records.
+	if opts.Collapse || opts.MemBudget > 0 || ck != nil && ck.hdr.KeyWidth != hashedKeyWidth {
+		// A memory budget implies Collapse: spill segments hold sorted
+		// collapsed tuples. A resumed run keys on what its file holds
+		// (Resume has refused the combinations that contradict it).
+		// Checkpointing itself implies nothing: a snapshot stores
+		// whichever key the run has.
 		e.collapser = tso.NewCollapser()
 		keyWidth = tso.CollapsedWidth(len(root.Procs))
 	}
@@ -765,11 +773,13 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 		}
 	}
 	if ck != nil {
-		// Seed the resumed run: intern tables first (the saved visited
-		// keys are index tuples into them), then the visited records,
+		// Seed the resumed run: intern tables first (saved collapsed keys
+		// are index tuples into them), then the visited records,
 		// the partial totals, and the frontier — each saved frame
 		// replayed from a fresh root and dealt round-robin.
-		e.collapser.RestoreTables(ck.tables)
+		if e.collapser != nil {
+			e.collapser.RestoreTables(ck.tables)
+		}
 		e.visited.restoreRecords(ck.visited)
 		e.base = ck.baseResult()
 		e.states.Store(int64(e.base.States))
@@ -801,12 +811,11 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 		e.pending.Store(1)
 	}
 
-	var ckptSetupErr error
 	if ckptOn {
-		e.ck, ckptSetupErr = newCkptCoord(e, opts.Checkpoint)
 		// An uncreatable checkpoint dir degrades to an uncheckpointed
-		// run (reported via checkpoint_errors) rather than failing the
-		// exploration.
+		// run (e.ck stays nil, reported via checkpoint_errors) rather
+		// than failing the exploration.
+		e.ck = newCkptCoord(e, opts.Checkpoint)
 	}
 
 	if nw == 1 {
@@ -825,11 +834,14 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 
 	if e.ck != nil {
 		e.ck.stop()
-		// A final snapshot after the pool drains lets a resume of a
-		// completed (or interrupted) run restore its result without
-		// re-exploration; skipped when a crash point fired, since a dead
-		// process writes nothing.
-		e.ck.writeFinal()
+		// A snapshot records unfinished work: an interrupted run parks
+		// what is left of it in a final one; a run that drained returns
+		// its Result and leaves the directory as its last periodic commit
+		// left it. Skipped when a crash point fired, since a dead process
+		// writes nothing.
+		if e.interrupted.Load() {
+			e.ck.writeFinal()
+		}
 	}
 
 	res := e.partialResult()
@@ -895,21 +907,11 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 		// the duplicate work the per-worker frontiers did not avoid.
 		res.Obs.PutGauge("visited_hit_rate", float64(tries-wins)/float64(tries))
 	}
-	if ckptOn {
-		var writes, errs uint64
-		var bytes int64
-		if e.ck != nil {
-			writes, errs, bytes = e.ck.stats()
-		}
-		if ckptSetupErr != nil {
-			errs++
-			res.Obs.PutGauge("checkpoint_disabled", 1)
-		}
-		res.Obs.PutCounter("checkpoint_writes", writes)
-		if errs > 0 {
-			res.Obs.PutCounter("checkpoint_errors", errs)
-		}
-		res.Obs.PutGauge("checkpoint_bytes", float64(bytes))
+	if e.ck != nil {
+		e.ck.putStats(&res.Obs)
+	} else if ckptOn {
+		res.Obs.PutGauge("checkpoint_disabled", 1)
+		res.Obs.PutCounter("checkpoint_errors", 1)
 	}
 	if ck != nil {
 		res.Obs.PutGauge("resumed", 1)

@@ -204,9 +204,10 @@ type Options struct {
 	// the hashed keys would have merged distinct states (reported as
 	// visited_128bit_collisions in Result.Obs). Costs memory and speed;
 	// meant for soundness audits and tests, not routine exploration.
-	// Vacuous with exact keys (Collapse, MemBudget, Checkpoint): those
-	// already compare the whole key, there is no hashed merge to audit,
-	// and no counter is reported.
+	// Vacuous with exact keys (Collapse, MemBudget): those already
+	// compare the whole key, there is no hashed merge to audit, and no
+	// counter is reported. Refused (panic, like an invalid Symmetry) with
+	// Checkpoint or Resume: the audit map is not part of a snapshot.
 	VerifyVisited bool
 
 	// ReorderBound, when positive, explores a *reorder-bounded
@@ -231,10 +232,11 @@ type Options struct {
 	// Checkpoint configures periodic durable snapshots of the
 	// exploration (visited set + frontier) so a killed run resumes via
 	// Resume instead of restarting; see CheckpointOptions. A set Dir
-	// implies Collapse — the visited table serializes as the fixed-width
-	// key ‖ pruned records its spill segments already use — and forces
-	// trace recording so the frontier can be serialized as replayable
-	// action traces. Ignored by ExploreSerial.
+	// implies no key mode — a snapshot stores the keys the run has,
+	// hash pairs or collapsed tuples — and forces trace recording so the
+	// frontier can be serialized as replayable action traces. A run that
+	// drains writes no final snapshot; only an interrupted one does.
+	// Ignored by ExploreSerial.
 	Checkpoint CheckpointOptions
 
 	// Interrupt, when non-nil, is polled by every worker between frames:
@@ -320,6 +322,31 @@ type Result struct {
 	// reporting-only and deliberately excluded from the differential
 	// comparison against the serial engine.
 	Obs obs.Snapshot
+}
+
+// The two things a visited set can be keyed on, as Result.Keys, a
+// checkpoint header, verdict.json and cmd/litmus -json name them.
+const (
+	KeysHashed    = "hashed-128"
+	KeysCollapsed = "collapsed"
+)
+
+// keysName names the key mode a snapshot record's key width implies.
+func keysName(recKeyWidth int) string {
+	if recKeyWidth == hashedKeyWidth {
+		return KeysHashed
+	}
+	return KeysCollapsed
+}
+
+// Keys reports what the parallel engine's visited set was keyed on:
+// KeysCollapsed under Options.Collapse, MemBudget or a resumed collapsed
+// checkpoint, KeysHashed otherwise.
+func (r *Result) Keys() string {
+	if r.Obs.Gauges["collapse"] == 1 {
+		return KeysCollapsed
+	}
+	return KeysHashed
 }
 
 // StatesPerSec reports exploration throughput; cmd/litmus -json emits it

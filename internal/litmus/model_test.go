@@ -150,14 +150,18 @@ func TestClassicProtocolsUnderPSO(t *testing.T) {
 // different memory model must fail with a message naming both models
 // — the one fixable mismatch a user should not have to decode from
 // the options-hash dump — and resuming a PSO snapshot under PSO must
-// restore the completed result exactly.
+// reach the uninterrupted result exactly. The snapshots are the last
+// periodic commits of runs that drained (a drained run writes no final
+// one).
 func TestModelCheckpointMismatchPSO(t *testing.T) {
 	p0, p1 := programs.StoreBufferPair()
 	build := machineFor(p0, p1)
+	every := CheckpointOptions{EveryStates: 20}
 
-	tsoDir := t.TempDir()
-	Explore(build, Options{Workers: 1, Checkpoint: CheckpointOptions{Dir: tsoDir}})
-	_, err := Resume(tsoDir, build, Options{Workers: 1, Model: arch.PSO})
+	tsoCk := every
+	tsoCk.Dir = t.TempDir()
+	Explore(build, Options{Workers: 1, Checkpoint: tsoCk})
+	_, err := Resume(tsoCk.Dir, build, Options{Workers: 1, Model: arch.PSO})
 	if !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("resume tso snapshot under pso: err = %v, want ErrCheckpointMismatch", err)
 	}
@@ -165,18 +169,21 @@ func TestModelCheckpointMismatchPSO(t *testing.T) {
 		t.Errorf("mismatch message must name both models, got: %v", err)
 	}
 
-	psoDir := t.TempDir()
-	psoRef := Explore(build, Options{Workers: 1, Model: arch.PSO,
-		Checkpoint: CheckpointOptions{Dir: psoDir}})
-	if _, err := Resume(psoDir, build, Options{Workers: 1}); !errors.Is(err, ErrCheckpointMismatch) {
+	psoCk := every
+	psoCk.Dir = t.TempDir()
+	psoRef := Explore(build, Options{Workers: 1, Model: arch.PSO, Checkpoint: psoCk})
+	if _, err := Resume(psoCk.Dir, build, Options{Workers: 1}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("resume pso snapshot under tso: err = %v, want ErrCheckpointMismatch", err)
 	}
-	res, err := Resume(psoDir, build, Options{Workers: 1, Model: arch.PSO})
+	res, err := Resume(psoCk.Dir, build, Options{Workers: 1, Model: arch.PSO})
 	if err != nil {
 		t.Fatalf("resume pso snapshot under pso: %v", err)
 	}
+	if got := int(res.Obs.Gauges["resumed_states"]); got == 0 || got >= psoRef.States {
+		t.Errorf("resumed_states=%d of %d: the snapshot is not a mid-run commit", got, psoRef.States)
+	}
 	if res.States != psoRef.States || res.Violations != psoRef.Violations {
-		t.Errorf("restored result %d states / %d violations, reference %d / %d",
+		t.Errorf("resumed result %d states / %d violations, reference %d / %d",
 			res.States, res.Violations, psoRef.States, psoRef.Violations)
 	}
 }

@@ -40,8 +40,9 @@ import (
 // entries serialize as a sorted run of key ‖ 4-byte pruned records that
 // a binary search answers after eviction — which is what lets
 // Options.MemBudget degrade an over-budget run to slower-but-exact
-// instead of truncated-and-partial, and what a checkpoint stores. Only
-// FINALIZED entries spill (pruned is settled, sleepAcc is dead). A
+// instead of truncated-and-partial, and what a checkpoint of an exact run
+// stores (a hashed run's records carry the hash pair: snapshotRecords).
+// Only FINALIZED entries spill (pruned is settled, sleepAcc is dead). A
 // claim-winning entry under Options.Reduction is not finalized until its
 // expansion is chosen, and the winner holds the frame until then, so an
 // entry can never spill between its claim and its finalize. An eviction
@@ -127,6 +128,14 @@ type exactStripe struct {
 // key returns the arena key sl points at.
 func (x *exactStripe) key(sl *slot) []byte {
 	return x.keys[int(sl.h2)*x.kw:][:x.kw]
+}
+
+// segs is the stripe's spilled runs; none with hashed keys.
+func (s *visitedStripe) segs() []*spillSeg {
+	if s.x == nil {
+		return nil
+	}
+	return s.x.segs
 }
 
 // findSpilled searches the spilled runs, newest first, for key and
@@ -550,23 +559,39 @@ func (vs *visitedSet) spillStripe(s *visitedStripe) {
 	vs.spilledBytes.Add(int64(len(buf)))
 }
 
+// hashedKeyWidth is the width of a hashed-mode key in a snapshot record:
+// the slot's h1 ‖ h2 pair, little-endian. No collapsed tuple is 16 bytes
+// wide (tso.CollapsedWidth is odd), so a record's key width alone says
+// which keys a checkpoint file holds.
+const hashedKeyWidth = 16
+
+// recKeyWidth is the key width of the set's snapshot records.
+func (vs *visitedSet) recKeyWidth() int {
+	if vs.keyWidth == 0 {
+		return hashedKeyWidth
+	}
+	return vs.keyWidth
+}
+
 // snapshotRecords serializes every visited entry — resident slots and
-// spilled segments alike — as a flat run of fixed-width spill-format
-// records (key bytes + 4-byte little-endian pruned mask). Callers must
-// have quiesced the run (the checkpoint barrier does); the stripe locks
-// are taken only against torn reads. Entries that are still unfinalized
-// at the barrier are terminal states under Reduction (their winner
-// returned without a finalize call, pruned is zero and will stay zero),
-// so recording them as finalized-with-zero-pruned is behaviorally
-// identical. Returns the records and the entry count.
+// spilled segments alike — as a flat run of fixed-width key ‖ 4-byte
+// little-endian pruned mask records, the key being what the set is keyed
+// on: the exact collapsed tuple (the spill segments' own record format),
+// or with hashed keys the slot's hash pair. Callers must have quiesced
+// the run (the checkpoint barrier does); the stripe locks are taken only
+// against torn reads. Entries that are still unfinalized at the barrier
+// are terminal states under Reduction (their winner returned without a
+// finalize call, pruned is zero and will stay zero), so recording them
+// as finalized-with-zero-pruned is behaviorally identical. Returns the
+// records and the entry count.
 func (vs *visitedSet) snapshotRecords() ([]byte, int) {
-	recWidth := vs.keyWidth + 4
+	recWidth := vs.recKeyWidth() + 4
 	count := 0
 	for i := range vs.stripes {
 		s := &vs.stripes[i]
 		s.mu.Lock()
 		count += s.n
-		for _, seg := range s.x.segs {
+		for _, seg := range s.segs() {
 			count += len(seg.data) / recWidth
 		}
 		s.mu.Unlock()
@@ -576,12 +601,19 @@ func (vs *visitedSet) snapshotRecords() ([]byte, int) {
 		s := &vs.stripes[i]
 		s.mu.Lock()
 		for j := range s.slots {
-			if sl := &s.slots[j]; sl.meta&slotOccupied != 0 {
-				out = append(out, s.x.key(sl)...)
-				out = binary.LittleEndian.AppendUint32(out, sl.meta&slotPruned)
+			sl := &s.slots[j]
+			if sl.meta&slotOccupied == 0 {
+				continue
 			}
+			if s.x != nil {
+				out = append(out, s.x.key(sl)...)
+			} else {
+				out = binary.LittleEndian.AppendUint64(out, sl.h1)
+				out = binary.LittleEndian.AppendUint64(out, sl.h2)
+			}
+			out = binary.LittleEndian.AppendUint32(out, sl.meta&slotPruned)
 		}
-		for _, seg := range s.x.segs {
+		for _, seg := range s.segs() {
 			out = append(out, seg.data...)
 		}
 		s.mu.Unlock()
@@ -595,12 +627,19 @@ func (vs *visitedSet) snapshotRecords() ([]byte, int) {
 // is settled — so the records land as ordinary resident entries,
 // spillable as usual if a budget later demands it.
 func (vs *visitedSet) restoreRecords(recs []byte) {
-	for recWidth := vs.keyWidth + 4; len(recs) >= recWidth; recs = recs[recWidth:] {
-		key := recs[:vs.keyWidth]
-		h1, h2 := hashPair(key)
+	kw := vs.recKeyWidth()
+	for ; len(recs) >= kw+4; recs = recs[kw+4:] {
+		var h1, h2 uint64
+		var key []byte
+		if vs.keyWidth == 0 {
+			h1, h2 = binary.LittleEndian.Uint64(recs), binary.LittleEndian.Uint64(recs[8:])
+		} else {
+			key = recs[:kw]
+			h1, h2 = hashPair(key)
+		}
 		s := &vs.stripes[h1&(visitedStripes-1)]
 		if sl, found, _ := s.find(h1, h2, key); !found {
-			vs.add(s, sl, h1, h2, key, 0, slotFinalized|binary.LittleEndian.Uint32(recs[vs.keyWidth:]))
+			vs.add(s, sl, h1, h2, key, 0, slotFinalized|binary.LittleEndian.Uint32(recs[kw:]))
 		}
 	}
 }

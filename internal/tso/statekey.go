@@ -107,8 +107,8 @@ func (m *Machine) refreshKeys(c *Collapser, scratch *[]byte) {
 // two mixers over the words of enc, with the odd bytes at the end taken
 // as one zero-padded word with the length in its top byte (HashPair's
 // byte-at-a-time tail is a dependent multiply per byte, and a core
-// encoding ends in six of them). Digests live only in the key cache, so
-// unlike HashPair they are pinned to no recorded value.
+// encoding ends in six of them). Digests are what KeyPair folds, so they
+// are pinned the way it is (see there).
 func (k *compKey) set(t *internTable, enc []byte) {
 	if t != nil {
 		k[0] = uint64(t.intern(enc))
@@ -141,6 +141,12 @@ func (k *compKey) set(t *internTable, enc []byte) {
 // digest does, and exchanging two components' or two processors'
 // encodings changes the key. scratch is a caller-owned encoding buffer,
 // as for Collapser.Collapse.
+//
+// The pair is on disk: a litmus checkpoint of a hashed run stores it as
+// each visited state's record. Changing what KeyPair returns for a state
+// (the digests, the fold, a component's encoding) orphans those files
+// and means bumping litmus's ckptVersion; the testdata/*-hashed.lbmf rows
+// of TestResumeParentWrittenCheckpoint are what fails first.
 func (m *Machine) KeyPair(scratch *[]byte) (h1, h2 uint64) {
 	m.refreshKeys(nil, scratch)
 	h1, h2 = pairSeed1, pairSeed2
