@@ -338,8 +338,14 @@ func printNProc(n int, catOpts litmus.Options) bool {
 			if wantViolation {
 				expect = "violates"
 			}
-			fmt.Printf("  %-18s %9d orbits  %9.0f states/sec  expect %-8s  %s\n",
+			fmt.Printf("  %-18s %9d orbits  %9.0f states/sec  expect %-8s  %s",
 				sp.Name, res.States, res.StatesPerSec(), expect, verdict)
+			if rotated, ok := res.Obs.Counters["symmetry_rotated_keys"]; ok {
+				// Exact keys: how many took a proper rotation, and how many
+				// of those built the representative instead of renaming ids.
+				fmt.Printf("  (%d rotated keys, %d built)", rotated, res.Obs.Counters["symmetry_map_misses"])
+			}
+			fmt.Println()
 		}
 	}
 	fmt.Println()

@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -57,6 +58,55 @@ func assertSameVerdict(t *testing.T, got, want Result, exact bool) {
 	}
 }
 
+// ringSB3 is store buffering around a ring of three threads, with its C_3
+// symmetry: thread i raises flag[i], names itself in a shared pid-valued
+// word, then reads its successor's flag and the pid word into a pid
+// register. Small enough to kill at every commit under the race detector,
+// and every renaming a rotation does (block words, pid word, pid
+// register, store buffers, caches) happens in it. With bystander, a
+// fourth thread outside the ring runs beside it on words of its own and
+// passes through a core state (PC 4, r1 = 0, r2 = 1) that ring member 0
+// also takes; a rotation relabels the member's r2 and leaves the
+// bystander's alone.
+func ringSB3(bystander bool) (func() *tso.Machine, *tso.Symmetry) {
+	// Word 0 stays out of the block: an unset LEAddr is 0, and renaming
+	// moves it like any block address, which would split every orbit.
+	const n, flag0, turn = 3, arch.Addr(1), arch.Addr(5)
+	progs := make([]*tso.Program, n)
+	ring := make([]arch.ProcID, n)
+	for i := range progs {
+		ring[i] = arch.ProcID(i)
+		progs[i] = tso.NewBuilder(fmt.Sprintf("ring%d", i)).
+			StoreI(flag0+arch.Addr(i), 1).
+			StoreI(turn, arch.Word(i+1)).
+			Load(1, flag0+arch.Addr((i+1)%n)).
+			Load(2, turn).
+			Halt().
+			Build()
+	}
+	if bystander {
+		progs = append(progs, tso.NewBuilder("bystander").
+			StoreI(6, 1).
+			Nop().
+			Load(1, 7).
+			Load(2, 6).
+			Halt().
+			Build())
+	}
+	cfg := arch.DefaultConfig()
+	cfg.Procs, cfg.MemWords, cfg.StoreBufferDepth = len(progs), 8, 2
+	if bystander {
+		cfg.StoreBufferDepth = 1 // four threads: keep the space in the tens of thousands
+	}
+	sym := &tso.Symmetry{
+		Procs:    ring,
+		Blocks:   []tso.SymBlock{{Base: flag0, Stride: 1}},
+		PidWords: []arch.Addr{turn},
+		PidRegs:  []tso.Reg{2},
+	}
+	return func() *tso.Machine { return tso.NewMachine(cfg, progs...) }, sym
+}
+
 // TestCheckpointResumeDifferential is the crash/resume soundness pin:
 // for every catalog test plus the Dekker variants, under each engine
 // configuration that puts a different record on disk — hashed pairs
@@ -65,12 +115,20 @@ func assertSameVerdict(t *testing.T, got, want Result, exact bool) {
 // must produce the same result as an uninterrupted run, at EVERY commit
 // ordinal the run reaches. The hashed and the collapsed leg must also
 // agree with each other kill for kill: the key mode is a representation,
-// not a semantics.
+// not a semantics. One more space, a ring of three store-buffering
+// threads (ringSB3), runs a single leg of its own, collapsed tuples under
+// its C_3 symmetry: the case where the intern tables come back warm from
+// the file while every worker's canonicalizer starts with empty id maps,
+// so the first rotated keys after a resume go down the definition against
+// ids the maps have never seen assigned. (peterson3, 460,188 orbits with
+// one-entry buffers, passes the same leg in 7 s and in 3 min under the
+// race detector, which is why it is not the space here.)
 func TestCheckpointResumeDifferential(t *testing.T) {
 	type space struct {
 		name  string
 		build func() *tso.Machine
 		props []Property
+		sym   *tso.Symmetry // runs the symmetry leg, and only that one
 	}
 	var spaces []space
 	for _, ct := range Catalog() {
@@ -92,6 +150,8 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 			props: []Property{MutualExclusion},
 		})
 	}
+	ring, ringSym := ringSB3(false)
+	spaces = append(spaces, space{name: "ring-sb3", build: ring, sym: ringSym})
 
 	legs := []struct {
 		name  string
@@ -103,6 +163,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 		{"collapse", func(o *Options) { o.Collapse = true }, KeysCollapsed, true},
 		{"budget", func(o *Options) { o.MemBudget = 1 << 12 }, KeysCollapsed, true},
 		{"reduction", func(o *Options) { o.Reduction = true }, KeysHashed, false},
+		{"symmetry", func(o *Options) { o.Collapse = true }, KeysCollapsed, true},
 	}
 
 	for _, sp := range spaces {
@@ -111,8 +172,11 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 		resumed := make(map[string][]Result)
 		for _, leg := range legs {
 			leg := leg
+			if (leg.name == "symmetry") != (sp.sym != nil) {
+				continue
+			}
 			t.Run(sp.name+"/"+leg.name, func(t *testing.T) {
-				base := Options{Properties: sp.props, Workers: 1}
+				base := Options{Properties: sp.props, Workers: 1, Symmetry: sp.sym}
 				leg.mod(&base)
 				ref := Explore(sp.build, base)
 				if ref.Keys() != leg.keys {
@@ -163,6 +227,9 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 						t.Errorf("kill at commit %d: resumed on %s keys, the file holds %s", kill+1, res.Keys(), leg.keys)
 					}
 					assertSameVerdict(t, res, ref, leg.exact)
+					if sp.sym != nil && res.Obs.Counters["symmetry_map_misses"] == 0 {
+						t.Errorf("kill at commit %d: the resumed run learned no id pair: its canonicalizers cannot have started empty", kill+1)
+					}
 					if res.Violations > 0 {
 						m := Replay(sp.build, res.ViolationTrace)
 						if !m.CSViolation {

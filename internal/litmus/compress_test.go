@@ -313,6 +313,24 @@ func TestSymmetryDifferential(t *testing.T) {
 	}
 }
 
+// TestSymmetryBystanderDifferential: a processor outside the ring is
+// renamed differently from a member (its pid registers stay), so an
+// exact-keyed run, which renames component ids rather than machines,
+// must not answer for a bystander's core with what it learned from a
+// member's equal encoding. ringSB3's bystander passes through such an
+// encoding; the parallel engine must match the serial reference exactly.
+func TestSymmetryBystanderDifferential(t *testing.T) {
+	build, sym := ringSB3(true)
+	ref := ExploreSerial(build, Options{Symmetry: sym})
+	for _, collapse := range []bool{false, true} {
+		par := Explore(build, Options{Workers: 2, Symmetry: sym, Collapse: collapse})
+		requireExactMatch(t, fmt.Sprintf("collapse=%v", collapse), par, ref, build)
+		if rotated, misses := par.Obs.Counters["symmetry_rotated_keys"], par.Obs.Counters["symmetry_map_misses"]; collapse && (rotated == 0 || misses*10 > rotated) {
+			t.Errorf("%d rotated keys, %d map misses: the id maps were not what answered", rotated, misses)
+		}
+	}
+}
+
 // TestSymmetryReducedDifferential layers all three features: symmetry,
 // POR, and the budgeted collapsed set. Outcomes and deadlocks follow
 // the reduction contract against the symmetric unreduced reference.

@@ -443,25 +443,33 @@ func (w *worker) pushChild(m *tso.Machine, node *traceNode, a Action, inPlace bo
 // stateKey is the engine's one key routine: it returns what the visited
 // set is keyed with for m, the hash pair and, with exact keys, the
 // collapsed tuple appended to buf[:0] (key is nil with hashed keys).
-// Both come from the canonical orbit representative under symmetry and
-// from the machine's cached component keys (tso/statekey.go), so a state
-// costs the re-encoding of what the action that produced it wrote. It
-// also returns that representative (m itself without symmetry) and the
-// processor permutation that produced it: nil for identity, otherwise
-// the canonicalizer's read-only table for that rotation.
+// Both are those of the canonical orbit representative under symmetry and
+// come from the machine's cached component keys (tso/statekey.go), so a
+// state costs the re-encoding of what the action that produced it wrote.
+// It also returns the processor permutation that takes m to that
+// representative: nil for identity, otherwise the canonicalizer's
+// read-only table for the rotation. The representative itself is built
+// only where its bytes are read: never for an exact key whose component
+// ids the canonicalizer has already seen renamed
+// (tso.Canonicalizer.CollapsedKey), always for a hashed one, which has
+// digests where the id maps need dense ids.
 //
 // Under Options.VerifyVisited key is the full fingerprint, computed from
 // scratch, while the pair still comes from the cached digests: the audit
 // holds the hash in use against the definition it must agree with.
-func (w *worker) stateKey(buf []byte, m *tso.Machine) (h1, h2 uint64, key []byte, cm *tso.Machine, slot []int) {
-	cm = m
-	if w.canon != nil {
-		cm, slot = w.canon.Canonicalize(m)
-	}
+func (w *worker) stateKey(buf []byte, m *tso.Machine) (h1, h2 uint64, key []byte, slot []int) {
 	if c := w.eng.collapser; c != nil {
-		key = c.Collapse(cm, buf[:0], &w.colBuf)
+		if w.canon != nil {
+			key, slot = w.canon.CollapsedKey(c, m, buf[:0], &w.colBuf)
+		} else {
+			key = c.Collapse(m, buf[:0], &w.colBuf)
+		}
 		h1, h2 = tso.HashPair(key)
 	} else {
+		cm := m
+		if w.canon != nil {
+			cm, slot = w.canon.Canonicalize(m)
+		}
 		h1, h2 = cm.KeyPair(&w.colBuf)
 		if w.eng.opts.VerifyVisited {
 			key = cm.Fingerprint(buf[:0])
@@ -470,7 +478,7 @@ func (w *worker) stateKey(buf []byte, m *tso.Machine) (h1, h2 uint64, key []byte
 	if pairFilter != nil {
 		h1, h2 = pairFilter(h1, h2, key)
 	}
-	return h1, h2, key, cm, slot
+	return h1, h2, key, slot
 }
 
 // process claims, checks, and expands one frame.
@@ -486,11 +494,11 @@ func (w *worker) process(f pframe) {
 		return
 	}
 
-	// cm is the canonical representative of the frame (m itself without
-	// symmetry) and slot the permutation that produced it, nil for
-	// identity. Sleep masks cross into the visited set in canonical
-	// processor numbering (see permuteMask).
-	h1, h2, key, cm, slot := w.stateKey(w.fpBuf, m)
+	// slot is the permutation that takes the frame to its canonical
+	// representative, nil for identity (always, without symmetry). Sleep
+	// masks cross into the visited set in canonical processor numbering
+	// (see permuteMask).
+	h1, h2, key, slot := w.stateKey(w.fpBuf, m)
 	if key != nil {
 		w.fpBuf = key
 	}
@@ -537,9 +545,13 @@ func (w *worker) process(f pframe) {
 		if m.Quiesced() {
 			// Outcomes are recorded from the canonical representative so
 			// every member of an orbit contributes the same outcome string,
-			// whichever member a worker reaches first. cm is still valid:
-			// the proviso probes (the only other canonicalizer use) never
-			// run on a quiesced state.
+			// whichever member a worker reaches first. This is the one
+			// place an exact-keyed run reads the representative machine
+			// rather than its key, so it is built here.
+			cm := m
+			if w.canon != nil {
+				cm, _ = w.canon.Canonicalize(m)
+			}
 			w.outBuf = appendOutcome(w.outBuf[:0], cm)
 			w.res.Outcomes[Outcome(w.outBuf)]++
 		} else {
@@ -623,7 +635,7 @@ func (w *worker) ampleSuccessorSeen(m *tso.Machine, enabled []Action) bool {
 		e.model.Apply(child, enabled[i])
 		// Keyed into probeBuf: the claimed state's key in fpBuf and its
 		// permutation must stay live across the probes.
-		h1, h2, key, _, _ := w.stateKey(w.probeBuf, child)
+		h1, h2, key, _ := w.stateKey(w.probeBuf, child)
 		if key != nil {
 			w.probeBuf = key
 		}
@@ -869,6 +881,10 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 		components, tblBytes := e.collapser.Stats()
 		peak := vs.peak.Load()
 		res.Obs.PutGauge("collapse", 1)
+		// Under Symmetry the tables hold a rotated state's components as
+		// they stand as well as renamed (the id maps are indexed by the
+		// former), a few percent more entries than the representatives'
+		// alone.
 		res.Obs.PutCounter("collapse_components", components)
 		res.Obs.PutGauge("collapse_table_bytes", float64(tblBytes))
 		res.Obs.PutGauge("visited_resident_bytes", float64(peak))
@@ -894,6 +910,17 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 	}
 	if e.sym != nil {
 		res.Obs.PutGauge("symmetry", 1)
+		if e.collapser != nil {
+			// What the learned id maps did (tso.Canonicalizer.CollapsedKey):
+			// a miss is a rotated key that built its representative.
+			var rotated, misses uint64
+			for _, w := range e.workers {
+				rot, miss := w.canon.KeyStats()
+				rotated, misses = rotated+rot, misses+miss
+			}
+			res.Obs.PutCounter("symmetry_rotated_keys", rotated)
+			res.Obs.PutCounter("symmetry_map_misses", misses)
+		}
 	}
 	if e.red != nil {
 		res.Obs.PutGauge("reduction", 1)

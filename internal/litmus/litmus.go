@@ -172,17 +172,22 @@ type Options struct {
 	// exact string-keyed map is already its own specification.
 	Collapse bool
 
-	// Symmetry declares a full symmetric group over interchangeable
+	// Symmetry declares a cyclic symmetry over a ring of interchangeable
 	// processors (tso.Symmetry, produced by the N-process protocol
-	// generators in internal/programs). Both engines then canonicalize
-	// every state to one representative per processor-permutation orbit
-	// before consulting the visited set, collapsing the factorial
-	// blow-up of symmetric protocols. States/Transitions shrink and
-	// Outcomes keep one representative per orbit; violation verdicts and
-	// Deadlocks are preserved (a violating or deadlocked state's orbit
-	// representative violates or deadlocks identically). The declaration
-	// is Validated against the loaded programs at exploration start and
-	// the engine panics on a declaration the programs do not satisfy.
+	// generators in internal/programs): the group is the rotations C_n of
+	// the ring, not the symmetric group, which merges inequivalent states
+	// (tso/symmetry.go says why). Both engines then key the visited set on
+	// one representative per rotation orbit, so States and Transitions
+	// shrink by at most the ring size n, and Outcomes keep one
+	// representative per orbit; violation verdicts and Deadlocks are
+	// preserved (a violating or deadlocked state's orbit representative
+	// violates or deadlocks identically). The declaration is Validated
+	// against the loaded programs at exploration start and the engine
+	// panics on a declaration the programs do not satisfy. With Collapse
+	// the parallel engine reports symmetry_rotated_keys and
+	// symmetry_map_misses in Result.Obs: the keys whose representative is
+	// a proper rotation, and those among them that had to build it
+	// (tso.Canonicalizer.CollapsedKey).
 	Symmetry *tso.Symmetry
 
 	// MemBudget caps the resident bytes of the parallel engine's visited

@@ -3,8 +3,10 @@ package litmus
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
+	"repro/internal/programs"
 	"repro/internal/tso"
 )
 
@@ -98,4 +100,99 @@ func TestStateKeyMatchesReferenceCatalog(t *testing.T) {
 		}
 	}
 	t.Logf("%d states, %d keys compared", states, compared)
+}
+
+// TestCanonicalKeyMatchesDefinitionEngine holds worker.stateKey, the
+// engine's key routine, to the definition under Collapse + Symmetry:
+// every key it returns equals tso.Collapser.Collapse of
+// tso.Canonicalizer.Canonicalize(m) interned into the same tables. The
+// walk is the engine's own — children CopyFrom'd or stepped in place from
+// a keyed parent, orbits told apart by the key under test — over bakery3
+// under mfence and l-mfence, unreduced and with the reducer choosing what
+// to expand (ample sets, and the cycle proviso's successor probes keyed
+// like any other state), which reaches a different population in a
+// different order, so the id maps are learned differently. Each leg stops
+// at 60,000 orbits (20,000 under -short): the walk is one goroutine that
+// the race step runs whole, and internal/tso's
+// TestCanonicalKeyMatchesDefinition is the same comparison below the
+// engine on the whole spaces, next to the test that it bites.
+func TestCanonicalKeyMatchesDefinitionEngine(t *testing.T) {
+	for _, v := range []programs.DekkerVariant{programs.DekkerMfence, programs.DekkerLmfence} {
+		for _, reduction := range []bool{false, true} {
+			sp := programs.BakeryN(3, v)
+			sp.Cfg.StoreBufferDepth = 2
+			t.Run(fmt.Sprintf("%s/reduction=%v", sp.Name, reduction), func(t *testing.T) {
+				limit := 60_000
+				if testing.Short() {
+					limit = 20_000
+				}
+				root := sp.Build()
+				e := &engine{model: tsoModel{}, collapser: tso.NewCollapser()}
+				w := &worker{eng: e, canon: tso.NewCanonicalizer(checkedSymmetry(root, sp.Sym), root)}
+				if reduction {
+					e.red = newReducer(root, false)
+				}
+				ref := tso.NewCanonicalizer(sp.Sym, root)
+				var want, scratch []byte
+				compared, mismatches := 0, 0
+				// key is stateKey into buf, checked against the definition.
+				key := func(buf *[]byte, m *tso.Machine) string {
+					_, _, got, _ := w.stateKey(*buf, m)
+					*buf = got
+					cm, _ := ref.Canonicalize(m)
+					want = e.collapser.Collapse(cm, want[:0], &scratch)
+					compared++
+					if !bytes.Equal(got, want) {
+						if mismatches++; mismatches <= 3 {
+							t.Errorf("key %d: engine %x, definition %x", compared, got, want)
+						}
+					}
+					return string(got)
+				}
+				seen := make(map[string]bool)
+				stack := []*tso.Machine{root}
+				for len(stack) > 0 && len(seen) < limit {
+					m := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					k := key(&w.fpBuf, m)
+					if seen[k] {
+						w.recycle(m)
+						continue
+					}
+					seen[k] = true
+					enabled := e.model.Enabled(nil, m, 0)
+					w.pl.fullExpand(enabled)
+					if e.red != nil {
+						e.red.analyze(m, enabled, &w.pl)
+						for skip := uint32(0); w.pl.ample; e.red.choose(m, enabled, &w.pl, skip) {
+							tripped := false
+							for _, i := range w.pl.tidx {
+								c := w.clone(m)
+								e.model.Apply(c, enabled[i])
+								tripped = tripped || seen[key(&w.probeBuf, c)]
+								w.recycle(c)
+							}
+							if !tripped {
+								break
+							}
+							skip |= 1 << uint(enabled[w.pl.tidx[0]].Proc)
+						}
+					}
+					for k, i := range w.pl.tidx {
+						c := m
+						if k < len(w.pl.tidx)-1 {
+							c = w.clone(m)
+						}
+						e.model.Apply(c, enabled[i])
+						stack = append(stack, c)
+					}
+				}
+				rotated, misses := w.canon.KeyStats()
+				t.Logf("%d orbits, %d keys compared, %d mismatches; %d rotated, %d map misses", len(seen), compared, mismatches, rotated, misses)
+				if rotated == 0 || misses*10 > rotated {
+					t.Errorf("%d rotated keys, %d map misses: the maps were not what answered", rotated, misses)
+				}
+			})
+		}
+	}
 }

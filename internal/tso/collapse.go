@@ -208,7 +208,9 @@ func appendU32(dst []byte, v uint32) []byte {
 // (or the machine it was copied from) was last collapsed by c are
 // re-encoded and re-interned; the rest of the tuple is m's cached ids
 // (statekey.go), so the call writes to m and one machine must not be
-// collapsed from two goroutines at once.
+// collapsed from two goroutines at once. Under symmetry the orbit
+// representative's key is Canonicalizer.CollapsedKey, which Collapse of
+// the representative machine defines.
 func (c *Collapser) Collapse(m *Machine, dst []byte, scratch *[]byte) []byte {
 	m.refreshKeys(c, scratch)
 	for _, p := range m.Procs {

@@ -47,3 +47,9 @@ func (m *Machine) StaleComponents() []bool {
 	}
 	return append(out, m.memStale || m.Sys.MemDirty())
 }
+
+// IDMaps returns the id maps CollapsedKey has learned for rotation r, in
+// map order (core, store buffer, cache, memory, bystander core), sharing
+// their storage: a test can overwrite a recorded pair (an entry is the
+// renamed id plus one) or zero it to make the canonicalizer forget it.
+func (c *Canonicalizer) IDMaps(r int) [][]uint32 { return c.renamed[r-1][:] }

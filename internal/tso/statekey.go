@@ -30,6 +30,9 @@ import "encoding/binary"
 // child forked from a keyed parent re-encodes only what its action
 // wrote. Code that writes machine state any other way (the symmetry
 // canonicalizer's renaming; a test poking a register) calls Invalidate.
+// A Collapser-owned cache is also what Canonicalizer.CollapsedKey reads
+// to key a rotated state without renaming it: the ids cached here, sent
+// through per-rotation id maps.
 // Fingerprint never reads the cache: it is the definition the cached
 // keys are tested against.
 

@@ -241,9 +241,10 @@ func TestStateKeyMatchesReference(t *testing.T) {
 }
 
 // TestStateKeyDoesNotAllocate: the model checker keys every state it
-// produces, through KeyPair with hashed keys and Collapse (warm tables)
-// with exact ones, each right after the CopyFrom and step that produced
-// the state; none of the three may allocate.
+// produces, through KeyPair with hashed keys, Collapse (warm tables) with
+// exact ones and CollapsedKey (warm tables and id maps) with exact ones
+// under symmetry, each right after the CopyFrom and step that produced
+// the state; none of the four may allocate.
 func TestStateKeyDoesNotAllocate(t *testing.T) {
 	sp := depth2(programs.BakeryN(3, programs.DekkerMfence))
 	var states []*tso.Machine
@@ -276,6 +277,17 @@ func TestStateKeyDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(400, func() { key = col.Collapse(step(), key[:0], &scratch) }); n != 0 {
 		t.Errorf("CopyFrom + step + Collapse allocate %v times per state, want 0", n)
 	}
+	canon := tso.NewCanonicalizer(sp.Sym, sp.Build())
+	for range states { // one lap of step's successors: every id they hold is learned
+		key, _ = canon.CollapsedKey(col, step(), key[:0], &scratch)
+	}
+	_, misses := canon.KeyStats()
+	if n := testing.AllocsPerRun(2*len(states), func() { key, _ = canon.CollapsedKey(col, step(), key[:0], &scratch) }); n != 0 {
+		t.Errorf("CopyFrom + step + CollapsedKey allocate %v times per state, want 0", n)
+	}
+	if rotated, after := canon.KeyStats(); rotated == 0 || after != misses {
+		t.Errorf("CollapsedKey on warm maps: %d rotated keys, %d misses after %d: the mapped path is not what was measured", rotated, after, misses)
+	}
 	for _, s := range states { // hand the caches over to digests
 		keySink, _ = s.KeyPair(&scratch)
 	}
@@ -286,29 +298,24 @@ func TestStateKeyDoesNotAllocate(t *testing.T) {
 
 var keySink uint64
 
-// BenchmarkStateKey times keying the successor of a kept state, the
-// model checker's per-transition sequence: CopyFrom a state, take one
-// step, key the result. It runs over the first 20,000 states of
-// bakery3 the walk keeps, each with one enabled step chosen up front.
-// step is the sequence without a key (the floor the other two sit on),
-// incremental keys with KeyPair from the machine's cache, and
-// fingerprint is the from-scratch definition the engine used before:
-// the full Fingerprint, then HashPair over it.
-func BenchmarkStateKey(b *testing.B) {
-	sp := depth2(programs.BakeryN(3, programs.DekkerMfence))
+// keptSuccessors keeps the first 20,000 states the quotient walk of sp
+// visits, each keyed by key (as the engine keeps a parent: keyed, every
+// flag clear) and with one enabled step chosen up front, and returns the
+// model checker's per-transition sequence short of the key: CopyFrom kept
+// state i into one reused machine and take its step.
+func keptSuccessors(sp *programs.SymProtocol, key func(m *tso.Machine)) func(i int) *tso.Machine {
 	type kept struct {
 		m     *tso.Machine
 		pid   arch.ProcID
 		drain bool
 	}
 	var states []kept
-	var scratch []byte
 	walkOrbits(sp, 8_000, func(m *tso.Machine) {
 		if len(states) >= 20_000 {
 			return
 		}
 		k := kept{m: m.Clone()}
-		k.m.KeyPair(&scratch) // kept as the engine keeps a parent: keyed, every flag clear
+		key(k.m)
 		for p := range m.Procs {
 			p := arch.ProcID((p + len(states)) % len(m.Procs))
 			if m.CanDrain(p) && len(states)%3 == 0 {
@@ -327,7 +334,7 @@ func BenchmarkStateKey(b *testing.B) {
 		states = append(states, k)
 	})
 	dst := sp.Build()
-	step := func(i int) *tso.Machine {
+	return func(i int) *tso.Machine {
 		k := &states[i%len(states)]
 		dst.CopyFrom(k.m)
 		switch {
@@ -338,26 +345,60 @@ func BenchmarkStateKey(b *testing.B) {
 		}
 		return dst
 	}
-	var fp []byte
+}
+
+// BenchmarkStateKey times keying the successor of a kept state, the
+// model checker's per-transition sequence: CopyFrom a state, take one
+// step, key the result (keptSuccessors). On bakery3, step is the sequence
+// without a key (the floor the others sit on), incremental keys with
+// KeyPair from the machine's cache, and fingerprint is the from-scratch
+// definition the engine used before: the full Fingerprint, then HashPair
+// over it. On peterson3 under its C_3 symmetry, canonical-mapped is the
+// exact key of the orbit representative through CollapsedKey's learned id
+// maps (warm: every mode takes one untimed lap first) and
+// canonical-materialized is its definition, Canonicalize onto the scratch
+// machine and Collapse of that, which is what the engine ran per rotated
+// state before.
+func BenchmarkStateKey(b *testing.B) {
+	var scratch, fp, key []byte
+	bakery := keptSuccessors(depth2(programs.BakeryN(3, programs.DekkerMfence)), func(m *tso.Machine) { m.KeyPair(&scratch) })
+	sp := depth2(programs.PetersonN(3, programs.DekkerMfence))
+	col := tso.NewCollapser()
+	canon := tso.NewCanonicalizer(sp.Sym, sp.Build())
+	peterson := keptSuccessors(sp, func(m *tso.Machine) { key = col.Collapse(m, key[:0], &scratch) })
 	for _, mode := range []struct {
 		name string
+		step func(i int) *tso.Machine
 		key  func(m *tso.Machine) uint64
 	}{
-		{"step", func(m *tso.Machine) uint64 { return 0 }},
-		{"incremental", func(m *tso.Machine) uint64 {
+		{"step", bakery, func(m *tso.Machine) uint64 { return 0 }},
+		{"incremental", bakery, func(m *tso.Machine) uint64 {
 			h1, h2 := m.KeyPair(&scratch)
 			return h1 ^ h2
 		}},
-		{"fingerprint", func(m *tso.Machine) uint64 {
+		{"fingerprint", bakery, func(m *tso.Machine) uint64 {
 			fp = m.Fingerprint(fp[:0])
 			h1, h2 := tso.HashPair(fp)
 			return h1 ^ h2
 		}},
+		{"canonical-mapped", peterson, func(m *tso.Machine) uint64 {
+			key, _ = canon.CollapsedKey(col, m, key[:0], &scratch)
+			return uint64(key[0])
+		}},
+		{"canonical-materialized", peterson, func(m *tso.Machine) uint64 {
+			cm, _ := canon.Canonicalize(m)
+			key = col.Collapse(cm, key[:0], &scratch)
+			return uint64(key[0])
+		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
+			for i := 0; i < 20_000; i++ {
+				keySink += mode.key(mode.step(i))
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				keySink += mode.key(step(i))
+				keySink += mode.key(mode.step(i))
 			}
 		})
 	}

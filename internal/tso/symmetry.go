@@ -2,6 +2,7 @@ package tso
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/arch"
@@ -17,11 +18,14 @@ import (
 // address block, and processor identities appear in data only through a
 // declared pid encoding. Rotating the ring then maps reachable states
 // to reachable states, so the checker may explore one representative
-// per rotation orbit: before fingerprinting, a canonicalizer picks the
+// per rotation orbit: before keying, a canonicalizer picks the
 // lexicographically minimal rotation by a renaming-invariant signature
-// and physically applies it to a scratch machine (moving cores, store
-// buffers, and caches; rotating block addresses; relabeling pid-encoded
-// values).
+// (Choose). Applying it — moving cores, store buffers, and caches;
+// rotating block addresses; relabeling pid-encoded values, onto a
+// scratch machine (Canonicalize) — is the definition of the
+// representative; an exact collapsed key of it is assembled without
+// applying anything, by renaming the state's component ids through maps
+// learned from that definition (CollapsedKey).
 //
 // The group is the CYCLIC group C_n, not the full symmetric group, and
 // that is forced by the programs, not chosen for convenience: a
@@ -47,8 +51,8 @@ import (
 // at most n members, so symmetry reduces state counts by at most a
 // factor of n.
 //
-// Cost: Canonicalize runs once per explored state, so it encodes only
-// what the comparison needs. A member's signature is a head, read off
+// Cost: Choose runs once per explored state, so it encodes only what
+// the comparison needs. A member's signature is a head, read off
 // the processor alone, followed by a tail that walks memory and the
 // member's cache (sigHead, sigTail). Heads are self-delimiting — each
 // variable-length part follows its own length byte — so no head is a
@@ -290,7 +294,27 @@ type Canonicalizer struct {
 	touched []arch.Addr
 	keys    [][]byte
 	lines   []sigLine
+
+	// The learned component-id maps CollapsedKey reads (see there):
+	// renamed[r-1][kind][id] is one more than the id, in col's tables, of
+	// what rotation r turns the component interned as id into, or zero
+	// when no materialized state has shown that pair yet. rotated and
+	// misses count the keys that took a non-identity rotation and those
+	// among them the maps could not answer.
+	col             *Collapser
+	renamed         [][numIDMaps][]uint32
+	rotated, misses uint64
 }
+
+// The id maps of one rotation: one per component table and a second one
+// for cores, because a core outside the ring keeps its pid registers
+// where a member's are relabeled, so one core encoding renames to two.
+const (
+	idMapMem        = NumComponentTables - 1
+	idMapBystander  = NumComponentTables
+	numIDMaps       = NumComponentTables + 1
+	collapsedStride = 4 * (NumComponentTables - 1) // a processor's bytes in a collapsed key
+)
 
 // rotation is everything applying one non-identity rotation needs,
 // precomputed once per canonicalizer.
@@ -526,18 +550,14 @@ func less(a, b sigLine) bool {
 	return a.val < b.val
 }
 
-// Canonicalize returns the canonical orbit representative of m and the
-// processor permutation that produced it: slotOf[p] is the slot
-// processor p's state landed in (nil when the chosen rotation is the
-// identity and m itself was returned; otherwise that rotation's
-// precomputed table, which the caller must not modify). The
-// representative is the rotation minimizing the ring's signature
-// sequence lexicographically; the signatures are rotation-invariant per
-// member, so every orbit member computes the same minimal sequence and
-// lands on the same representative. The returned machine is the canonicalizer's scratch —
-// valid only until the next Canonicalize call and only for read-side
-// use (fingerprinting); it must never be stepped.
-func (c *Canonicalizer) Canonicalize(m *Machine) (*Machine, []int) {
+// Choose returns the rotation that takes m to its orbit's canonical
+// representative: 0 for the identity, r for the renaming of ring position
+// k to k+r mod n. The representative is the rotation minimizing the
+// ring's signature sequence lexicographically; the signatures are
+// rotation-invariant per member, so every orbit member computes the same
+// minimal sequence and lands on the same representative. Choose only
+// reads m.
+func (c *Canonicalizer) Choose(m *Machine) int {
 	if m == c.scratch {
 		panic("tso: Canonicalize of the canonicalizer's own scratch machine")
 	}
@@ -571,12 +591,118 @@ func (c *Canonicalizer) Canonicalize(m *Machine) (*Machine, []int) {
 			}
 		}
 	}
-	if best == 0 {
+	return best
+}
+
+// Canonicalize returns the canonical orbit representative of m (the
+// rotation Choose picks, applied) and the processor permutation that
+// produced it: slotOf[p] is the slot processor p's state landed in (nil
+// when the chosen rotation is the identity and m itself was returned;
+// otherwise that rotation's precomputed table, which the caller must not
+// modify).
+//
+// The returned machine is the canonicalizer's scratch — valid only until
+// the next Canonicalize or CollapsedKey call and only for read-side use
+// (fingerprinting); it must never be stepped.
+func (c *Canonicalizer) Canonicalize(m *Machine) (*Machine, []int) {
+	r := c.Choose(m)
+	if r == 0 {
 		return m, nil
 	}
-	rt := &c.rots[best-1]
+	rt := &c.rots[r-1]
 	c.applyRenaming(m, rt)
 	return c.scratch, rt.slotOf
+}
+
+// CollapsedKey appends to dst the collapsed key, in col's tables, of m's
+// canonical representative, and returns it with Canonicalize's
+// permutation: byte for byte what col.Collapse of Canonicalize(m)
+// appends, without building the representative. Renaming moves core,
+// store buffer and cache i to slot slotOf[i] reading nothing but that
+// component, and memory likewise, so a renamed component's encoding is a
+// function of the component's own encoding and the rotation. m is
+// therefore keyed where it stands, from its own component cache, and
+// each cached id goes through the rotation's id map into its slot's
+// position. The maps are learned from the definition, never computed: an
+// id without an entry sends the state down Canonicalize + Collapse, and
+// the 3n+1 (id, renamed id) pairs of that result are what gets recorded.
+// A pair contradicting a recorded one means renaming is not the function
+// the maps assume; that is refused (panic) like an invalid Symmetry,
+// because a wrong merge is worse than no run. One canonicalizer serves
+// one Collapser at a time: a different col starts the maps over.
+func (c *Canonicalizer) CollapsedKey(col *Collapser, m *Machine, dst []byte, scratch *[]byte) ([]byte, []int) {
+	r := c.Choose(m)
+	if r == 0 {
+		return col.Collapse(m, dst, scratch), nil
+	}
+	if c.col != col {
+		c.col, c.renamed = col, make([][numIDMaps][]uint32, len(c.rots))
+	}
+	c.rotated++
+	rt, maps := &c.rots[r-1], &c.renamed[r-1]
+	m.refreshKeys(col, scratch)
+	at, np := len(dst), len(m.Procs)
+	dst = append(dst, make([]byte, CollapsedWidth(np))...)
+	key := dst[at:]
+	hit := mapID(maps[idMapMem], m.memKey, key[collapsedStride*np:])
+	for i, p := range m.Procs {
+		out := key[collapsedStride*rt.slotOf[i]:]
+		for t := range p.keys {
+			hit = hit && mapID(maps[c.idMap(i, t)], p.keys[t], out[4*t:])
+		}
+	}
+	if hit {
+		if m.CSViolation {
+			key[len(key)-1] = 1
+		}
+		return dst, rt.slotOf
+	}
+	c.misses++
+	c.applyRenaming(m, rt)
+	dst = col.Collapse(c.scratch, dst[:at], scratch)
+	learnID(&maps[idMapMem], m.memKey, c.scratch.memKey)
+	for i, p := range m.Procs {
+		for t := range p.keys {
+			learnID(&maps[c.idMap(i, t)], p.keys[t], c.scratch.Procs[rt.slotOf[i]].keys[t])
+		}
+	}
+	return dst, rt.slotOf
+}
+
+// KeyStats reports how many CollapsedKey calls chose a non-identity
+// rotation and how many of those had to build the representative because
+// an id map had no entry yet.
+func (c *Canonicalizer) KeyStats() (rotated, misses uint64) { return c.rotated, c.misses }
+
+// idMap picks the id map for processor i's component t (Proc.keys order).
+func (c *Canonicalizer) idMap(i, t int) int {
+	if t == 0 && !c.inClass[i] {
+		return idMapBystander
+	}
+	return t
+}
+
+// mapID writes the renamed id tab records for the component keyed id
+// into out, and reports whether it records one.
+func mapID(tab []uint32, id compKey, out []byte) bool {
+	if id[0] >= uint64(len(tab)) || tab[id[0]] == 0 {
+		return false
+	}
+	binary.LittleEndian.PutUint32(out, tab[id[0]]-1)
+	return true
+}
+
+// learnID records that the component keyed from renames to the one keyed
+// to, and refuses a pair that contradicts the record.
+func learnID(tab *[]uint32, from, to compKey) {
+	if n := int(from[0]) + 1 - len(*tab); n > 0 {
+		*tab = append(*tab, make([]uint32, n)...)
+	}
+	if old := (*tab)[from[0]]; old != 0 && old != uint32(to[0])+1 {
+		panic(fmt.Sprintf("tso: component %d renames to %d and to %d under one rotation: renaming is not a function of the component's encoding",
+			from[0], old-1, to[0]))
+	}
+	(*tab)[from[0]] = uint32(to[0]) + 1
 }
 
 // applyRenaming overwrites the scratch machine with the renamed copy of

@@ -2,6 +2,7 @@ package tso_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/arch"
@@ -158,4 +159,114 @@ func BenchmarkCanonicalize(b *testing.B) {
 		cm, _ := canon.Canonicalize(states[i%len(states)])
 		canonSink += len(cm.Procs)
 	}
+}
+
+// definitionKey is the collapsed key of m's canonical representative by
+// definition: the representative built on ref's scratch machine, every
+// component of it encoded and interned.
+func definitionKey(ref *tso.Canonicalizer, col *tso.Collapser, m *tso.Machine, dst []byte, scratch *[]byte) []byte {
+	cm, _ := ref.Canonicalize(m)
+	return col.Collapse(cm, dst[:0], scratch)
+}
+
+// TestCanonicalKeyMatchesDefinition: the key CollapsedKey assembles by
+// sending m's own component ids through the learned per-rotation id maps
+// is, byte for byte, Collapse(Canonicalize(m)) interned into the same
+// Collapser. Checked on every key the quotient exploration takes — kept
+// states and duplicates alike, each machine CopyFrom'd from a keyed
+// parent and stepped once, as the engine leaves it — of peterson3 with
+// two-entry buffers (1,444,528 keys) and of bakery3 under mfence and
+// under l-mfence; the bakery spaces stop at 60,000 orbits under -short.
+// internal/litmus repeats it through the engine's own key routine with
+// the partial-order reducer steering the walk.
+func TestCanonicalKeyMatchesDefinition(t *testing.T) {
+	for _, sp := range []*programs.SymProtocol{
+		programs.PetersonN(3, programs.DekkerMfence),
+		programs.BakeryN(3, programs.DekkerMfence),
+		programs.BakeryN(3, programs.DekkerLmfence),
+	} {
+		sp := depth2(sp)
+		t.Run(sp.Name, func(t *testing.T) {
+			limit := 0
+			if testing.Short() {
+				limit = 60_000
+			}
+			col := tso.NewCollapser()
+			canon := tso.NewCanonicalizer(sp.Sym, sp.Build())
+			ref := tso.NewCanonicalizer(sp.Sym, sp.Build())
+			var got, want, scratch []byte
+			compared, mismatches := 0, 0
+			orbits := walkOrbits(sp, limit, func(m *tso.Machine) {
+				got, _ = canon.CollapsedKey(col, m, got[:0], &scratch)
+				want = definitionKey(ref, col, m, want, &scratch)
+				compared++
+				if !bytes.Equal(got, want) {
+					if mismatches++; mismatches <= 3 {
+						t.Errorf("key %d: mapped %x, definition %x", compared, got, want)
+					}
+				}
+			})
+			rotated, misses := canon.KeyStats()
+			t.Logf("%d orbits, %d keys compared, %d mismatches; %d rotated, %d of them built the representative (map misses)",
+				orbits, compared, mismatches, rotated, misses)
+			if rotated == 0 || misses == 0 || misses*10 > rotated {
+				t.Errorf("%d rotated keys, %d map misses: the maps were not what answered", rotated, misses)
+			}
+		})
+	}
+}
+
+// TestCanonicalKeyMapIsChecked shows the differential above bites and the
+// learn-from-definition rule refuses what it cannot reconcile: with one
+// recorded (id, renamed id) pair perturbed, a state that uses the pair
+// gets a key that differs from the definition's; and when such a state is
+// then sent back down the definition (another of its pairs forgotten),
+// the pair it produces contradicts the record and CollapsedKey panics.
+func TestCanonicalKeyMapIsChecked(t *testing.T) {
+	sp := depth2(programs.PetersonN(3, programs.DekkerMfence))
+	col := tso.NewCollapser()
+	canon := tso.NewCanonicalizer(sp.Sym, sp.Build())
+	ref := tso.NewCanonicalizer(sp.Sym, sp.Build())
+	var got, want, scratch []byte
+	var rotated *tso.Machine
+	walkOrbits(sp, 2_000, func(m *tso.Machine) {
+		got, _ = canon.CollapsedKey(col, m, got[:0], &scratch)
+		if canon.Choose(m) != 0 {
+			rotated = m.Clone()
+		}
+	})
+	if rotated == nil {
+		t.Fatal("no rotated state in the first 2,000 orbits")
+	}
+	same := func() bool {
+		got, _ = canon.CollapsedKey(col, rotated, got[:0], &scratch)
+		want = definitionKey(ref, col, rotated, want, &scratch)
+		return bytes.Equal(got, want)
+	}
+	_, before := canon.KeyStats()
+	if !same() {
+		t.Fatalf("unperturbed: mapped %x, definition %x", got, want)
+	}
+	if _, after := canon.KeyStats(); after != before {
+		t.Fatal("the kept state missed the maps: the perturbation below would go unread")
+	}
+	// The state's own tuple holds the ids the maps are indexed by: core 0
+	// first, memory last before the CS byte.
+	own := col.Collapse(rotated, nil, &scratch)
+	core0 := binary.LittleEndian.Uint32(own)
+	mem := binary.LittleEndian.Uint32(own[len(own)-5:])
+	maps := canon.IDMaps(canon.Choose(rotated))
+	maps[3][mem]++
+	if same() {
+		t.Error("a perturbed memory pair left the mapped key equal to the definition's: the differential compares too little")
+	}
+	maps[0][core0] = 0
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a definition result contradicting a recorded pair did not panic")
+			}
+		}()
+		same()
+	}()
 }
