@@ -62,12 +62,14 @@ bench-por:
 # the successor of a kept bakery3 state from the component cache against
 # Fingerprint + HashPair; benchstat-compatible) and the catalog plus the
 # 3-process generators through the whole stack under a deliberately
-# starved 1MB budget so cold stripes actually spill mid-run.
+# starved 1MB budget so cold stripes actually spill mid-run, then the
+# catalog under the same budget with hashed keys (no -compress).
 bench-compress:
 	$(GO) test -race -run 'Collapse|Symmetry|Spill|Budget|Compress|Visited|Checkpoint|Resume|Intern|Canonical|StateKey|DirtyContract' -short ./internal/litmus/ ./internal/tso/ ./internal/mesi/
 	$(GO) test -count=10 -race -run Intern ./internal/tso/
 	$(GO) test -run '^$$' -bench 'BenchmarkIntern|BenchmarkCanonicalize|BenchmarkStateKey' -benchmem -count $(COUNT) ./internal/tso/
 	$(GO) run ./cmd/litmus -compress -membudget 1048576 -nproc 3
+	$(GO) run ./cmd/litmus -membudget 1048576
 
 # Machine-readable verification summary (states, states/sec per test);
 # redirect into BENCH_litmus.json to track checker throughput across PRs.
@@ -117,6 +119,7 @@ crash:
 	$(GO) test -race -count=5 -run Daemon ./cmd/litmusd/
 	scripts/crash-smoke.sh hashed-128
 	scripts/crash-smoke.sh collapsed -compress
+	scripts/crash-smoke.sh hashed-128 -membudget 4096
 	$(GO) run ./cmd/lbmfbench -exp litmus_resume -scale test
 
 # Coverage-guided fuzzing: the .litmus parser/compiler/renderer round

@@ -7,10 +7,11 @@
 // suitable for tracking checker throughput across changes. -reduction
 // explores the catalog with sleep-set partial-order reduction (same
 // verdicts, fewer states), and -por prints the reduced-vs-unreduced
-// state-count comparison over the protocol suite. -compress stores
-// visited states collapse-compressed (interned component tables plus
-// index tuples), -membudget caps the visited set's resident bytes and
-// spills cold stripes to disk instead of truncating, and -nproc N
+// state-count comparison over the protocol suite. -compress keys the
+// visited set on exact collapsed states (interned component tables plus
+// index tuples) instead of 128-bit hash pairs, -membudget caps the
+// visited set's resident bytes and spills cold stripes to disk instead
+// of truncating, whichever keys it holds, and -nproc N
 // additionally model-checks the N-process bakery and Peterson
 // generators under cyclic-symmetry reduction.
 package main
@@ -39,7 +40,7 @@ func main() {
 	reduction := flag.Bool("reduction", false, "explore the catalog with partial-order reduction")
 	por := flag.Bool("por", false, "print the reduced-vs-unreduced comparison over the protocol suite")
 	compress := flag.Bool("compress", false, "store visited states collapse-compressed")
-	memBudget := flag.Int64("membudget", 0, "visited-set resident-byte budget, spilling cold stripes to disk (0 = unlimited; requires -compress)")
+	memBudget := flag.Int64("membudget", 0, "visited-set resident-byte budget, spilling cold stripes to disk (0 = unlimited)")
 	nproc := flag.Int("nproc", 0, "also model-check the N-process bakery/Peterson generators under symmetry reduction (0 = skip)")
 	file := flag.String("file", "", "model-check a single .litmus scenario file instead of the built-in suite")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON summary instead of tables")
@@ -68,7 +69,7 @@ func main() {
 	catOpts := litmus.Options{
 		Workers:   *workers,
 		Reduction: *reduction,
-		Collapse:  *compress || *memBudget > 0,
+		Collapse:  *compress,
 		MemBudget: *memBudget,
 		Model:     mm,
 	}
@@ -111,9 +112,6 @@ func main() {
 // flags the user passed explicitly (collected via flag.Visit), which
 // distinguishes "-catalog=true" spelled out from the same default.
 func validateFlags(set map[string]bool, model arch.MemModel) error {
-	if set["membudget"] && !set["compress"] {
-		return fmt.Errorf("-membudget requires -compress: the disk-spill store holds collapse-compressed states, so a budget without compression has nothing to spill")
-	}
 	if model != arch.TSO {
 		if set["reduction"] {
 			return fmt.Errorf("-reduction is incompatible with -model %s: sleep-set reduction assumes TSO's FIFO drain enabledness and the %s engine runs unreduced", model, model)
@@ -164,8 +162,8 @@ type fileSummary struct {
 	Pass        bool           `json:"pass"`
 	Resumed     bool           `json:"resumed,omitempty"`
 	// Keys is what the visited set was keyed on: litmus.KeysHashed, or
-	// litmus.KeysCollapsed under -compress / -membudget; a resumed run
-	// reports its checkpoint's.
+	// litmus.KeysCollapsed under -compress; a resumed run reports its
+	// checkpoint's.
 	Keys string `json:"keys"`
 }
 

@@ -23,14 +23,14 @@ func TestValidateFlags(t *testing.T) {
 		{"empty", nil, ""},
 		{"suite flags", []string{"trace", "por", "nproc", "workers"}, ""},
 		{"membudget with compress", []string{"membudget", "compress"}, ""},
-		{"membudget alone", []string{"membudget"}, "-membudget requires -compress"},
+		{"membudget alone", []string{"membudget"}, ""},
 		{"file alone", []string{"file"}, ""},
 		{"file with engine knobs", []string{"file", "workers", "reduction", "compress", "json"}, ""},
 		{"file with nproc", []string{"file", "nproc"}, "-file is incompatible with -nproc"},
 		{"file with trace", []string{"file", "trace"}, "-file is incompatible with -trace"},
 		{"file with por", []string{"file", "por"}, "-file is incompatible with -por"},
 		{"file with explicit catalog", []string{"file", "catalog"}, "-file is incompatible with -catalog"},
-		{"file with membudget alone", []string{"file", "membudget"}, "-membudget requires -compress"},
+		{"file with membudget alone", []string{"file", "membudget"}, ""},
 		{"file with checkpoint", []string{"file", "checkpoint"}, ""},
 		{"full checkpoint family", []string{"file", "checkpoint", "checkpoint-every", "resume", "crash-after"}, ""},
 		{"checkpoint without file", []string{"checkpoint"}, "-checkpoint requires -file"},
@@ -192,11 +192,20 @@ func TestRunFileCheckpointResume(t *testing.T) {
 		t.Errorf("keys = %q, want %q: -checkpoint alone selects no key mode", refSum.Keys, litmus.KeysHashed)
 	}
 
-	// The key mode on resume is the file's. A hashed file cannot seed the
-	// exact set -compress asks for; a collapsed one resumes collapsed
-	// with or without the flag.
-	if code := runFile(scenario, litmus.Options{Collapse: true}, fileCkpt{dir: ckpt, every: 50, resume: true}, false, true, io.Discard); code != 2 {
-		t.Errorf("hashed checkpoint resumed under -compress: exit code %d, want 2", code)
+	// The key mode on resume is the file's: a hashed one resumes hashed
+	// under -compress, a collapsed one resumes collapsed with or without
+	// the flag.
+	out.Reset()
+	if code := runFile(scenario, litmus.Options{Collapse: true}, fileCkpt{dir: ckpt, every: 50, resume: true}, false, true, &out); code != 1 {
+		t.Fatalf("hashed checkpoint resumed under -compress: exit code %d, want 1\n%s", code, out.String())
+	}
+	sum = fileSummary{}
+	if err := json.Unmarshal(out.Bytes(), &sum); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Keys != litmus.KeysHashed || sum.States != refSum.States || sum.Violations != refSum.Violations {
+		t.Errorf("hashed resume under -compress: keys=%q states=%d violations=%d, want %q %d %d",
+			sum.Keys, sum.States, sum.Violations, litmus.KeysHashed, refSum.States, refSum.Violations)
 	}
 	ckptC := filepath.Join(t.TempDir(), "ckpt")
 	if code := runFile(scenario, litmus.Options{Collapse: true}, fileCkpt{dir: ckptC, every: 50}, false, true, io.Discard); code != 1 {

@@ -29,16 +29,17 @@ import (
 //   - The visited set, as the keys the run already has. Every visited
 //     state is one fixed-width record, key ‖ 4-byte pruned mask, where
 //     key is what the visited table is keyed on: the 16-byte h1 ‖ h2
-//     hash pair (the default), or under Options.Collapse / MemBudget
-//     the collapsed tuple — exactly the record the table's spill
-//     segments hold (visited.go). Checkpointing therefore implies no
-//     key mode and costs nothing until a snapshot is due. Each stripe's
-//     resident slots serialize in table order; spilled segments append
-//     verbatim. Resume re-inserts the records (re-hashing a collapsed
-//     key, reading a hashed one back), so nothing about the table's
-//     layout is part of the format — but the hash pair is: changing
-//     tso.Machine.KeyPair orphans every hashed file and must bump
-//     ckptVersion (testdata/*-hashed.lbmf fail first).
+//     hash pair (the default), or under Options.Collapse the collapsed
+//     tuple — the very record the table's spill segments hold, in
+//     either mode (visited.go, appendRecord). Checkpointing therefore
+//     selects no key mode and costs nothing until a snapshot is due.
+//     Each stripe's resident slots serialize in table order; spilled
+//     segments append verbatim. Resume re-inserts the records
+//     (re-hashing a collapsed key, reading a hashed one back), so
+//     nothing about the table's layout is part of the format — but the
+//     hash pair is: changing tso.Machine.KeyPair orphans every hashed
+//     file and must bump ckptVersion (testdata/*-hashed.lbmf fail
+//     first). The key mode of a resumed run is the file's (resolve).
 //   - The collapser's component tables (empty in a hashed file).
 //     Collapsed keys are tuples of intern-table indices assigned in
 //     first-seen order, so the tables must be persisted in index order
@@ -46,8 +47,9 @@ import (
 //     every saved key would be meaningless
 //     (tso.Collapser.TableSnapshot/RestoreTables).
 //   - The frontier. Frames are serialized as their action traces from
-//     the root (checkpointing forces trace recording) plus their sleep
-//     masks; resume replays each trace on a fresh machine from build.
+//     the root (a checkpointed run records traces: resolve) plus their
+//     sleep masks; resume replays each trace on a fresh machine from
+//     build.
 //     tso.Machine.Fingerprint is deliberately one-way, so traces are
 //     the only faithful frame serialization — and they stay small
 //     because DFS keeps the frontier shallow.
@@ -221,18 +223,14 @@ func unpackAction(v uint64) Action {
 
 // optionsHash fingerprints the Options fields that determine an
 // exploration's results, so Resume can refuse a checkpoint taken under
-// different semantics. Workers, MemBudget, Collapse and the checkpoint
-// cadence are deliberately excluded — they change performance, not
-// results (the key mode is the file's, see Resume). Properties are
-// functions, so only their
-// count is hashable; the root fingerprint pair carries the rest of the
-// program identity. The order of the fields below is part of every
-// checkpoint on disk (TestResumeParentWrittenCheckpoint).
-func optionsHash(o Options) uint64 {
-	max := o.MaxStates
-	if max == 0 {
-		max = DefaultMaxStates
-	}
+// different semantics; maxStates is the plan's state cap. Workers,
+// MemBudget, Collapse and the checkpoint cadence are deliberately
+// excluded — they change performance, not results (the key mode is the
+// file's, see resolve). Properties are functions, so only their count is
+// hashable; the root fingerprint pair carries the rest of the program
+// identity. The order of the fields below is part of every checkpoint on
+// disk (TestResumeParentWrittenCheckpoint).
+func optionsHash(o Options, maxStates int64) uint64 {
 	var b []byte
 	app := func(v int) {
 		b = strconv.AppendInt(b, int64(v), 10)
@@ -245,7 +243,7 @@ func optionsHash(o Options) uint64 {
 			app(0)
 		}
 	}
-	app(max)
+	app(int(maxStates))
 	app(o.ReorderBound)
 	appBool(o.Reduction)
 	appBool(o.SequentialConsistency)
@@ -263,7 +261,8 @@ func optionsHash(o Options) uint64 {
 		b = append(b, o.Model.String()...)
 		b = append(b, 0)
 	}
-	return fnv64a(b)
+	h1, _ := tso.HashPair(b)
+	return h1
 }
 
 func hex64(v uint64) string { return strconv.FormatUint(v, 16) }
@@ -453,7 +452,7 @@ func rootIdentity(m *tso.Machine) (uint64, uint64) {
 		buf = append(buf, 0)
 		buf = append(buf, m.Procs[i].Prog.Disasm()...)
 	}
-	return fnv64a(buf), hash2(buf)
+	return tso.HashPair(buf)
 }
 
 // putStats records commit/error counts, the last committed size and
@@ -543,7 +542,7 @@ func encodeCheckpoint(e *engine) []byte {
 
 	hdr := ckptHeader{
 		Version:       ckptVersion,
-		OptionsHash:   hex64(optionsHash(e.opts)),
+		OptionsHash:   hex64(optionsHash(e.opts, e.maxStates)),
 		RootH1:        hex64(e.rootH1),
 		RootH2:        hex64(e.rootH2),
 		Procs:         e.nprocs,
@@ -629,6 +628,10 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 	if k := ck.hdr.Keys; k != "" && k != keysName(ck.hdr.KeyWidth) {
 		return nil, fmt.Errorf("%w: header says %q keys at key width %d", ErrCheckpointCorrupt, k, ck.hdr.KeyWidth)
 	}
+	if kw := tso.CollapsedWidth(ck.hdr.Procs); ck.hdr.KeyWidth != hashedKeyWidth && ck.hdr.KeyWidth != kw {
+		return nil, fmt.Errorf("%w: checkpointed key width %d, this build uses %d (%s) or, for %d procs, %d (%s)",
+			ErrCheckpointMismatch, ck.hdr.KeyWidth, hashedKeyWidth, KeysHashed, ck.hdr.Procs, kw, KeysCollapsed)
+	}
 	body = body[hlen:]
 
 	recWidth := ck.hdr.KeyWidth + 4
@@ -702,47 +705,38 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 //
 // The resumed run keeps checkpointing into dir (opts.Checkpoint.Dir
 // defaults to dir when unset), so repeated kill/resume cycles make
-// monotonic progress.
+// monotonic progress. It keys its visited set as the file does,
+// whatever opts.Collapse says (resolve).
 func Resume(dir string, build func() *tso.Machine, opts Options) (Result, error) {
 	ck, err := loadCheckpoint(filepath.Join(dir, ckptFileName))
 	if err != nil {
 		return Result{}, err
 	}
+	if opts.Checkpoint.Dir == "" {
+		opts.Checkpoint.Dir = dir
+	}
+	root := build()
+	p := resolve(root, opts, ck)
 	// Check the memory model first and by name: resuming a TSO snapshot
 	// under -model pso (or vice versa) is the mismatch a user can
 	// actually fix from the message, so it must not hide behind the
 	// generic options-hash hex dump. Pre-model checkpoints have no
 	// Model field; they were all TSO or SC and the options hash below
 	// still distinguishes those.
-	if want := modelFor(opts).Name(); ck.hdr.Model != "" && ck.hdr.Model != want {
+	if want := p.model.Name(); ck.hdr.Model != "" && ck.hdr.Model != want {
 		return Result{}, fmt.Errorf("%w: checkpoint was taken under the %s memory model but this run selects %s; resume with the original model or start fresh",
 			ErrCheckpointMismatch, ck.hdr.Model, want)
 	}
-	root := build()
 	h1, h2 := rootIdentity(root)
 	if ck.hdr.RootH1 != hex64(h1) || ck.hdr.RootH2 != hex64(h2) || ck.hdr.Procs != len(root.Procs) {
 		return Result{}, fmt.Errorf("%w: checkpointed program/config fingerprint %s/%s (%d procs) differs from this build's %s/%s (%d procs)",
 			ErrCheckpointMismatch, ck.hdr.RootH1, ck.hdr.RootH2, ck.hdr.Procs, hex64(h1), hex64(h2), len(root.Procs))
 	}
-	if want := hex64(optionsHash(opts)); ck.hdr.OptionsHash != want {
+	if want := hex64(optionsHash(opts, p.maxStates)); ck.hdr.OptionsHash != want {
 		return Result{}, fmt.Errorf("%w: checkpointed options hash %s differs from this run's %s (reduction, reorder bound, max states, property count, and outcome registers must all match)",
 			ErrCheckpointMismatch, ck.hdr.OptionsHash, want)
 	}
-	// The key mode is the file's: a collapsed file resumes collapsed
-	// whatever opts.Collapse says, a hashed file resumes hashed — and
-	// cannot seed the exact visited set Collapse or MemBudget ask for.
-	if kw := tso.CollapsedWidth(len(root.Procs)); ck.hdr.KeyWidth != hashedKeyWidth && ck.hdr.KeyWidth != kw {
-		return Result{}, fmt.Errorf("%w: checkpointed key width %d, this build uses %d (%s) or %d (%s)",
-			ErrCheckpointMismatch, ck.hdr.KeyWidth, hashedKeyWidth, KeysHashed, kw, KeysCollapsed)
-	}
-	if ck.hdr.KeyWidth == hashedKeyWidth && (opts.Collapse || opts.MemBudget > 0) {
-		return Result{}, fmt.Errorf("%w: checkpoint holds %s keys, which cannot seed the exact visited set Collapse / MemBudget select; resume without them (the run finishes hashed, same results) or start fresh",
-			ErrCheckpointMismatch, KeysHashed)
-	}
-	if opts.Checkpoint.Dir == "" {
-		opts.Checkpoint.Dir = dir
-	}
-	return exploreFrom(build, opts, ck), nil
+	return exploreFrom(build, root, opts, p, ck), nil
 }
 
 // baseResult converts a decoded checkpoint's partial result into the

@@ -110,7 +110,8 @@ func ringSB3(bystander bool) (func() *tso.Machine, *tso.Symmetry) {
 // TestCheckpointResumeDifferential is the crash/resume soundness pin:
 // for every catalog test plus the Dekker variants, under each engine
 // configuration that puts a different record on disk — hashed pairs
-// (plain, reduction) and collapsed tuples (collapse, budget) — a run
+// (plain, reduction), collapsed tuples (collapse), and either one with
+// spilled segments appended verbatim (budget, budget+collapse) — a run
 // killed at a fault-scheduled checkpoint commit and resumed from disk
 // must produce the same result as an uninterrupted run, at EVERY commit
 // ordinal the run reaches. The hashed and the collapsed leg must also
@@ -161,7 +162,8 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 	}{
 		{"plain", func(o *Options) {}, KeysHashed, true},
 		{"collapse", func(o *Options) { o.Collapse = true }, KeysCollapsed, true},
-		{"budget", func(o *Options) { o.MemBudget = 1 << 12 }, KeysCollapsed, true},
+		{"budget", func(o *Options) { o.MemBudget = 1 << 12 }, KeysHashed, true},
+		{"budget+collapse", func(o *Options) { o.MemBudget, o.Collapse = 1<<12, true }, KeysCollapsed, true},
 		{"reduction", func(o *Options) { o.Reduction = true }, KeysHashed, false},
 		{"symmetry", func(o *Options) { o.Collapse = true }, KeysCollapsed, true},
 	}
@@ -534,7 +536,9 @@ func TestResumeParentWrittenCheckpoint(t *testing.T) {
 }
 
 // TestResumeRejections is the rejection table: every way a checkpoint
-// can be unusable must map to the right sentinel, with no panics.
+// can be unusable must map to the right sentinel, with no panics. Its
+// accepted rows are the key-mode ones: a file resumes on its own keys,
+// whatever Collapse or MemBudget say.
 func TestResumeRejections(t *testing.T) {
 	p0, p1 := programs.StoreBufferPair()
 	build := machineFor(p0, p1)
@@ -608,13 +612,13 @@ func TestResumeRejections(t *testing.T) {
 			name: "hashed file under Collapse",
 			dir:  func(*testing.T) string { return dir },
 			opts: Options{Workers: 1, Collapse: true},
-			want: ErrCheckpointMismatch,
+			keys: KeysHashed,
 		},
 		{
 			name: "hashed file under MemBudget",
 			dir:  func(*testing.T) string { return dir },
 			opts: Options{Workers: 1, MemBudget: 1 << 12},
-			want: ErrCheckpointMismatch,
+			keys: KeysHashed,
 		},
 		{
 			name: "hashed file as written",
@@ -733,33 +737,48 @@ func TestCheckpointDirUncreatable(t *testing.T) {
 	assertSameVerdict(t, res, ref, true)
 }
 
-// TestVerifyVisitedRefusesCheckpoint: the audit map is not part of a
-// snapshot, so a checkpointed (or resumed) audit would be wrong after the
-// first resume. Both are refused up front, like an invalid Symmetry.
+// TestVerifyVisitedRefusesCheckpoint: the audit checks hash pairs
+// against full fingerprints it keeps in memory, so every option that
+// contradicts that is refused up front by resolve, like an invalid
+// Symmetry — a snapshot (Checkpoint, Resume) does not carry the audit
+// map, Collapse has no hash pair to audit, and a MemBudget cannot spill
+// the map. A refused run touches no checkpoint directory.
 func TestVerifyVisitedRefusesCheckpoint(t *testing.T) {
 	p0, p1 := programs.StoreBufferPair()
 	build := machineFor(p0, p1)
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r == nil {
-				t.Errorf("%s: ran, want a refusal", name)
-			} else if msg, _ := r.(string); !strings.Contains(msg, "VerifyVisited") {
-				t.Errorf("%s: panic %v does not name the option", name, r)
+	parked, dir := t.TempDir(), t.TempDir()
+	var stop atomic.Bool
+	stop.Store(true)
+	Explore(build, Options{Workers: 1, Interrupt: &stop, Checkpoint: CheckpointOptions{Dir: parked}})
+
+	for _, tc := range []struct {
+		name   string
+		mod    func(*Options)
+		resume bool
+	}{
+		{"Checkpoint", func(o *Options) { o.Checkpoint.Dir = dir }, false},
+		{"Resume", func(*Options) {}, true},
+		{"Collapse", func(o *Options) { o.Collapse = true }, false},
+		{"MemBudget", func(o *Options) { o.MemBudget = 1 << 12 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Workers: 1, VerifyVisited: true}
+			tc.mod(&opts)
+			defer func() {
+				if r := recover(); r == nil {
+					t.Error("ran, want a refusal")
+				} else if msg, _ := r.(string); !strings.Contains(msg, "VerifyVisited") {
+					t.Errorf("panic %v does not name the option", r)
+				}
+			}()
+			if tc.resume {
+				Resume(parked, build, opts)
+			} else {
+				Explore(build, opts)
 			}
-		}()
-		f()
+		})
 	}
-	dir := t.TempDir()
-	mustPanic("Explore", func() {
-		Explore(build, Options{Workers: 1, VerifyVisited: true, Checkpoint: CheckpointOptions{Dir: dir}})
-	})
 	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
 		t.Errorf("refused run touched its checkpoint directory (%d entries)", len(ents))
 	}
-
-	var stop atomic.Bool
-	stop.Store(true)
-	Explore(build, Options{Workers: 1, Interrupt: &stop, Checkpoint: CheckpointOptions{Dir: dir}})
-	mustPanic("Resume", func() { Resume(dir, build, Options{Workers: 1, VerifyVisited: true}) })
 }

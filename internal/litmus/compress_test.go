@@ -108,82 +108,112 @@ func TestCollapseDifferential(t *testing.T) {
 	}
 }
 
+// spillBudget is a memory budget a space of the given unreduced state
+// count overruns in either key mode: 32 KB, or for a space of fewer than
+// 4,096 states 8 bytes a state, well under the 96 bytes of the first
+// table of each stripe its states land in.
+func spillBudget(states int) int64 { return min(32<<10, 8*int64(states)) }
+
+// requireSpilled asserts a budgeted hashed run evicted to disk. A
+// collapsed run's stripes are larger (arena plus table), so its legs
+// spill at least as early; the hashed legs are the ones that show the
+// budget is not a collapsed-only path.
+func requireSpilled(t *testing.T, tag string, res Result) {
+	t.Helper()
+	if res.Keys() == KeysHashed && res.Obs.Counters["visited_spill_events"] == 0 {
+		t.Errorf("%s: hashed run never spilled (%d states)", tag, res.States)
+	}
+}
+
 // TestSpillDifferential runs the same corpus under a deliberately tiny
 // memory budget so the visited set is forced to evict stripes to spill
-// segments mid-run. The contract is "slower, never truncated": every
-// statistic still matches the in-memory reference exactly.
+// segments mid-run, in both key modes. The contract is "slower, never
+// truncated": every statistic still matches the in-memory reference
+// exactly.
 func TestSpillDifferential(t *testing.T) {
 	for _, sp := range diffSpaces() {
 		sp := sp
 		t.Run(sp.name, func(t *testing.T) {
 			serial := ExploreSerial(sp.build, Options{Properties: sp.props})
-			for _, workers := range []int{1, 4} {
-				par := Explore(sp.build, Options{
-					Properties: sp.props, Workers: workers, MemBudget: 16 << 10,
-				})
-				requireExactMatch(t, fmt.Sprintf("spill/workers=%d", workers), par, serial, sp.build)
+			for _, collapse := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					par := Explore(sp.build, Options{
+						Properties: sp.props, Workers: workers, MemBudget: spillBudget(serial.States), Collapse: collapse,
+					})
+					tag := fmt.Sprintf("spill/collapse=%v/workers=%d", collapse, workers)
+					requireExactMatch(t, tag, par, serial, sp.build)
+					requireSpilled(t, tag, par)
+				}
 			}
 		})
 	}
 }
 
 // TestSpillRoundTrip forces heavy eviction on a space with a reachable
-// violation and checks the full spill lifecycle: spill events happen,
-// states are served back out of segments (the run stays exact), and a
-// counterexample discovered while most of the visited set lives on disk
-// still replays. Run under -race this also exercises the spill path's
-// locking.
+// violation and checks the full spill lifecycle in both key modes: spill
+// events happen, states are served back out of segments (the run stays
+// exact), and a counterexample discovered while most of the visited set
+// lives on disk still replays. Run under -race this also exercises the
+// spill path's locking.
 func TestSpillRoundTrip(t *testing.T) {
 	p0, p1 := programs.DekkerPair(programs.DekkerNoFence)
 	build := machineFor(p0, p1)
 	serial := ExploreSerial(build, Options{Properties: []Property{MutualExclusion}})
-	res := Explore(build, Options{
-		Properties: []Property{MutualExclusion},
-		Workers:    4,
-		MemBudget:  4 << 10, // a few KB: far below the space's footprint
-	})
-	requireExactMatch(t, "tiny-budget", res, serial, build)
-	if res.Obs.Counters["visited_spill_events"] == 0 {
-		t.Fatal("budget never triggered a spill")
-	}
-	if res.Obs.Counters["visited_spilled_states"] == 0 {
-		t.Fatal("no states were spilled")
-	}
-	if res.Obs.Gauges["visited_spill_disabled"] != 0 {
-		t.Fatal("spilling was disabled by an I/O failure")
-	}
-	if res.Violations == 0 {
-		t.Fatal("nofence Dekker must violate mutual exclusion")
+	for _, collapse := range []bool{false, true} {
+		tag := fmt.Sprintf("tiny-budget/collapse=%v", collapse)
+		res := Explore(build, Options{
+			Properties: []Property{MutualExclusion},
+			Workers:    4,
+			MemBudget:  4 << 10, // a few KB: far below the space's footprint
+			Collapse:   collapse,
+		})
+		requireExactMatch(t, tag, res, serial, build)
+		if res.Obs.Counters["visited_spill_events"] == 0 {
+			t.Fatalf("%s: budget never triggered a spill", tag)
+		}
+		if res.Obs.Counters["visited_spilled_states"] == 0 {
+			t.Fatalf("%s: no states were spilled", tag)
+		}
+		if res.Obs.Gauges["visited_spill_disabled"] != 0 {
+			t.Fatalf("%s: spilling was disabled by an I/O failure", tag)
+		}
+		if res.Violations == 0 {
+			t.Fatalf("%s: nofence Dekker must violate mutual exclusion", tag)
+		}
 	}
 }
 
 // TestSpillWithReduction combines the budgeted set with the partial
-// order reduction: entries spill only once finalized, and duplicate
-// arrivals must still find the pruned masks in the segments. The
-// reduced parallel engine is arrival-order dependent, so the assertions
-// are the reduction contract (verdicts, outcomes, deadlocks), not state
-// counts.
+// order reduction, in both key modes: entries spill only once finalized,
+// and duplicate arrivals must still find the pruned masks in the
+// segments. The reduced parallel engine is arrival-order dependent, so
+// the assertions are the reduction contract (verdicts, outcomes,
+// deadlocks), not state counts.
 func TestSpillWithReduction(t *testing.T) {
 	for _, sp := range diffSpaces() {
 		sp := sp
 		t.Run(sp.name, func(t *testing.T) {
 			full := ExploreSerial(sp.build, Options{Properties: sp.props})
-			red := Explore(sp.build, Options{
-				Properties: sp.props, Workers: 4, Reduction: true, MemBudget: 16 << 10,
-			})
-			if !reflect.DeepEqual(red.Outcomes, full.Outcomes) {
-				t.Errorf("Outcomes diverge:\nreduced:   %v\nreference: %v", red.Outcomes, full.Outcomes)
-			}
-			if red.Deadlocks != full.Deadlocks {
-				t.Errorf("Deadlocks=%d, reference=%d", red.Deadlocks, full.Deadlocks)
-			}
-			if (red.Violations > 0) != (full.Violations > 0) {
-				t.Errorf("violation verdict %v, reference %v", red.Violations > 0, full.Violations > 0)
-			}
-			if red.Violations > 0 {
-				if m := Replay(sp.build, red.ViolationTrace); !m.CSViolation {
-					t.Error("violation trace does not replay to a violation")
+			for _, collapse := range []bool{false, true} {
+				red := Explore(sp.build, Options{
+					Properties: sp.props, Workers: 4, Reduction: true, MemBudget: spillBudget(full.States), Collapse: collapse,
+				})
+				tag := fmt.Sprintf("collapse=%v", collapse)
+				if !reflect.DeepEqual(red.Outcomes, full.Outcomes) {
+					t.Errorf("%s: Outcomes diverge:\nreduced:   %v\nreference: %v", tag, red.Outcomes, full.Outcomes)
 				}
+				if red.Deadlocks != full.Deadlocks {
+					t.Errorf("%s: Deadlocks=%d, reference=%d", tag, red.Deadlocks, full.Deadlocks)
+				}
+				if (red.Violations > 0) != (full.Violations > 0) {
+					t.Errorf("%s: violation verdict %v, reference %v", tag, red.Violations > 0, full.Violations > 0)
+				}
+				if red.Violations > 0 {
+					if m := Replay(sp.build, red.ViolationTrace); !m.CSViolation {
+						t.Errorf("%s: violation trace does not replay to a violation", tag)
+					}
+				}
+				requireSpilled(t, tag, red)
 			}
 		})
 	}
@@ -332,8 +362,9 @@ func TestSymmetryBystanderDifferential(t *testing.T) {
 }
 
 // TestSymmetryReducedDifferential layers all three features: symmetry,
-// POR, and the budgeted collapsed set. Outcomes and deadlocks follow
-// the reduction contract against the symmetric unreduced reference.
+// POR, and the budgeted set, hashed and collapsed. Outcomes and
+// deadlocks follow the reduction contract against the symmetric
+// unreduced reference.
 func TestSymmetryReducedDifferential(t *testing.T) {
 	for _, sp := range symSpaces(2) {
 		sp := sp
@@ -364,14 +395,20 @@ func TestSymmetryReducedDifferential(t *testing.T) {
 			check("serial", ExploreSerial(sp.Build, Options{
 				Properties: []Property{MutualExclusion}, Symmetry: sp.Sym, Reduction: true,
 			}))
-			for _, workers := range []int{1, 4} {
-				check(fmt.Sprintf("parallel/workers=%d", workers), Explore(sp.Build, Options{
-					Properties: []Property{MutualExclusion},
-					Workers:    workers,
-					Symmetry:   sp.Sym,
-					Reduction:  true,
-					MemBudget:  32 << 10,
-				}))
+			for _, collapse := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					tag := fmt.Sprintf("parallel/collapse=%v/workers=%d", collapse, workers)
+					res := Explore(sp.Build, Options{
+						Properties: []Property{MutualExclusion},
+						Workers:    workers,
+						Symmetry:   sp.Sym,
+						Reduction:  true,
+						MemBudget:  spillBudget(ref.States),
+						Collapse:   collapse,
+					})
+					check(tag, res)
+					requireSpilled(t, tag, res)
+				}
 			}
 		})
 	}
@@ -435,6 +472,7 @@ func TestPeterson3ExactUnderBudget(t *testing.T) {
 		Reduction:  true,
 		Symmetry:   sp.Sym,
 		MemBudget:  64 << 20,
+		Collapse:   true,
 	})
 	requireExactAtScale(t, "peterson3-lmfence", res)
 }

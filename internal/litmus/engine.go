@@ -1,7 +1,6 @@
 package litmus
 
 import (
-	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -91,63 +90,8 @@ func (n *traceNode) materialize() []Action {
 	return out
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnv64a hashes a state fingerprint to the 64-bit visited-set key. The
-// key never leaves the process, so it only has to be a well-mixed 64-bit
-// hash, not canonical FNV: the hot loop folds in eight bytes per
-// multiply (FNV-1a lanes plus a downward xor-shift so low input bits
-// still reach low output bits), with a byte-at-a-time FNV-1a tail and a
-// final avalanche. One multiply per word instead of per byte keeps the
-// hash off the exploration profile.
-func fnv64a(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for len(b) >= 8 {
-		h ^= binary.LittleEndian.Uint64(b)
-		h *= fnvPrime64
-		h ^= h >> 29
-		b = b[8:]
-	}
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	h ^= h >> 32
-	h *= fnvPrime64
-	h ^= h >> 29
-	return h
-}
-
-// hash2 is the second visited-set key: a murmur-style word mixer with
-// constants unrelated to FNV's, so a state colliding with another on
-// fnv64a has no structural reason to collide on hash2 too. Together the
-// two hashes form an effective 128-bit key — a single 64-bit key can
-// collide and silently merge two distinct states, which for a model
-// checker is a soundness bug (a merged state's subtree is never
-// explored).
-func hash2(b []byte) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for len(b) >= 8 {
-		h = (h ^ binary.LittleEndian.Uint64(b)) * 0xFF51AFD7ED558CCD
-		h ^= h >> 31
-		b = b[8:]
-	}
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 0xC4CEB9FE1A85EC53
-	}
-	h ^= h >> 33
-	h *= 0xFF51AFD7ED558CCD
-	h ^= h >> 29
-	return h
-}
-
-// hashPair returns the visited-set hash pair of an exact key, fnv64a(b)
-// and hash2(b), from tso.HashPair's one pass over b. fnv64a and hash2
-// stay as the definition (checkpoint headers record their values;
-// TestVisitedHashPair pins the equality).
+// hashPair returns the visited-set hash pair of an exact key:
+// tso.HashPair's, through the test hook.
 func hashPair(b []byte) (uint64, uint64) {
 	h1, h2 := tso.HashPair(b)
 	if pairFilter != nil {
@@ -165,11 +109,9 @@ var pairFilter func(h1, h2 uint64, key []byte) (uint64, uint64)
 
 // engine is the shared state of one Explore call.
 type engine struct {
-	opts      Options
-	model     Model
-	traces    bool // record action traces (violation reports, checkpoint frontiers)
-	maxStates int64
-	workers   []*worker
+	plan
+	opts    Options
+	workers []*worker
 	// ck coordinates checkpoint barriers; nil when Options.Checkpoint is
 	// off. base holds the partial totals restored by Resume (zero for a
 	// fresh run); rootH1/rootH2 fingerprint the root machine for the
@@ -182,12 +124,6 @@ type engine struct {
 	// collapser holds the shared component intern tables when the visited
 	// set keys on exact collapsed tuples; nil when it keys on hash pairs.
 	collapser *tso.Collapser
-	// sym is the validated symmetry declaration; workers canonicalize
-	// states through per-worker tso.Canonicalizers when set.
-	sym *tso.Symmetry
-	// red is non-nil when Options.Reduction is on and the machine shape
-	// supports it; it holds the static footprint analysis.
-	red *reducer
 
 	// h1Collisions counts distinct states sharing a 64-bit primary hash
 	// (resolved by the second hash or the exact key); verifyCollisions
@@ -278,7 +214,7 @@ type worker struct {
 	probeBuf []byte // successor keys for the cycle proviso
 	actBuf   []Action
 	outBuf   []byte
-	pl       plan // reduction scratch
+	pl       porScratch // reduction scratch
 
 	// canon is this worker's symmetry canonicalizer (its scratch machine
 	// is worker-private).
@@ -655,8 +591,8 @@ func (w *worker) expandFrom(f *pframe, mask actionMask) {
 	e := w.eng
 	m := f.m
 	w.actBuf = e.model.Enabled(w.actBuf[:0], m, e.opts.ReorderBound)
-	// A duplicate arrival has no plan of its own, so the plan's index
-	// scratch is free to hold the picks.
+	// A duplicate arrival chooses no expansion of its own, so the
+	// reduction scratch's index slice is free to hold the picks.
 	picked := w.pl.idx[:0]
 	for i, a := range w.actBuf {
 		if mask&maskOf(a) != 0 {
@@ -692,85 +628,31 @@ func (e *engine) recordViolation(err error, tr *traceNode) {
 // it forks. The merged result is deterministic — identical to a serial
 // exploration — except for which violation is designated first.
 func Explore(build func() *tso.Machine, opts Options) Result {
-	return exploreFrom(build, opts, nil)
+	root := build()
+	return exploreFrom(build, root, opts, resolve(root, opts, nil), nil)
 }
 
-// checkedSymmetry validates a symmetry declaration against the root
-// machine's programs and returns it; nil when none is declared. An
-// invalid declaration would silently merge inequivalent states, so both
-// engines refuse to run rather than return unsound results.
-func checkedSymmetry(root *tso.Machine, sym *tso.Symmetry) *tso.Symmetry {
-	if sym == nil {
-		return nil
-	}
-	progs := make([]*tso.Program, len(root.Procs))
-	for i, p := range root.Procs {
-		progs[i] = p.Prog
-	}
-	if err := sym.Validate(progs, root.Cfg.MemWords); err != nil {
-		panic(err)
-	}
-	return sym
-}
-
-// exploreFrom runs one exploration, from the root or, when ck is
-// non-nil, from that decoded checkpoint: restored component tables and
-// visited records seed the visited set, the saved partial result seeds
-// the totals, and the saved frontier traces replay into the workers'
-// stacks in place of the root frame.
-func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result {
-	nw := opts.Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	maxStates := opts.MaxStates
-	if maxStates == 0 {
-		maxStates = DefaultMaxStates
-	}
+// exploreFrom runs the exploration p plans, from root (a machine build
+// returned) or, when ck is non-nil, from that decoded checkpoint:
+// restored component tables and visited records seed the visited set,
+// the saved partial result seeds the totals, and the saved frontier
+// traces replay into the workers' stacks in place of the root frame.
+func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p plan, ck *checkpoint) Result {
 	start := time.Now()
 	ckptOn := opts.Checkpoint.enabled()
+	nw := p.nworkers
 
-	e := &engine{
-		opts:  opts,
-		model: modelFor(opts),
-		// Checkpoints serialize frontier frames as action traces, so
-		// checkpointed runs record traces even without properties.
-		traces:    len(opts.Properties) > 0 || ckptOn,
-		maxStates: int64(maxStates),
-	}
-	root := build()
+	e := &engine{plan: p, opts: opts}
 	e.nprocs = len(root.Procs)
 	if ckptOn || ck != nil {
 		e.rootH1, e.rootH2 = rootIdentity(root)
 	}
-	e.sym = checkedSymmetry(root, opts.Symmetry)
-	if opts.VerifyVisited && ckptOn {
-		// The audit map is not part of a snapshot, so a resumed audit
-		// would re-claim every restored state. Refused like an invalid
-		// Symmetry: a wrong answer is worse than no run.
-		panic("litmus: Options.VerifyVisited cannot be combined with Options.Checkpoint or Resume: the full-fingerprint audit map is not part of a snapshot")
-	}
-	if opts.Reduction && opts.ReorderBound <= 0 && e.model.ReductionOK() {
-		// nil when the machine has too many processors for the reduction's
-		// action masks; the exploration then runs unreduced. A reorder
-		// bound forces the unreduced path the same way, as does a model
-		// whose enabledness relation the ample-set analysis does not
-		// cover (PSO): Model.ReductionOK gates it per model.
-		e.red = newReducer(root, opts.SequentialConsistency)
-	}
-	keyWidth := 0
-	if opts.Collapse || opts.MemBudget > 0 || ck != nil && ck.hdr.KeyWidth != hashedKeyWidth {
-		// A memory budget implies Collapse: spill segments hold sorted
-		// collapsed tuples. A resumed run keys on what its file holds
-		// (Resume has refused the combinations that contradict it).
-		// Checkpointing itself implies nothing: a snapshot stores
-		// whichever key the run has.
+	if e.keyWidth > 0 {
 		e.collapser = tso.NewCollapser()
-		keyWidth = tso.CollapsedWidth(len(root.Procs))
 	}
 	// Without a reducer no finalize call ever comes, so entries are born
 	// finalized (pruned stays zero) and immediately spillable.
-	e.visited.init(keyWidth, opts.MemBudget, e.red == nil, opts.VerifyVisited)
+	e.visited.init(e.keyWidth, opts.MemBudget, e.red == nil, opts.VerifyVisited)
 	e.visited.faults = opts.Faults
 	e.workers = make([]*worker, nw)
 	for i := range e.workers {
@@ -895,16 +777,16 @@ func exploreFrom(build func() *tso.Machine, opts Options, ck *checkpoint) Result
 		if total > 0 {
 			res.Obs.PutGauge("states_per_byte", float64(res.States)/float64(total))
 		}
-		if vs.budget > 0 {
-			res.Obs.PutCounter("visited_spill_events", vs.spillEvents.Load())
-			res.Obs.PutCounter("visited_spilled_states", vs.spilledStates.Load())
-			res.Obs.PutGauge("visited_spilled_bytes", float64(vs.spilledBytes.Load()))
-			if vs.disabled.Load() {
-				res.Obs.PutGauge("visited_spill_disabled", 1)
-			}
-			if f := vs.spillFailures.Load(); f > 0 {
-				res.Obs.PutCounter("visited_spill_failures", f)
-			}
+	}
+	if vs := &e.visited; vs.budget > 0 {
+		res.Obs.PutCounter("visited_spill_events", vs.spillEvents.Load())
+		res.Obs.PutCounter("visited_spilled_states", vs.spilledStates.Load())
+		res.Obs.PutGauge("visited_spilled_bytes", float64(vs.spilledBytes.Load()))
+		if vs.disabled.Load() {
+			res.Obs.PutGauge("visited_spill_disabled", 1)
+		}
+		if f := vs.spillFailures.Load(); f > 0 {
+			res.Obs.PutCounter("visited_spill_failures", f)
 		}
 		vs.close()
 	}

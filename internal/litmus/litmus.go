@@ -147,7 +147,7 @@ type Options struct {
 	// full space and is unchanged.
 	StopOnViolation bool
 
-	// Reduction enables partial-order reduction: ample sets over a
+	// Reduction asks for partial-order reduction: ample sets over a
 	// footprint-based independence relation plus sleep sets, with a
 	// cycle proviso so reduced cycles cannot postpone a processor
 	// forever (reduce.go). The reduced search visits every quiesced
@@ -156,8 +156,10 @@ type Options struct {
 	// violations for *stable* properties (once true, true on every
 	// extension — MutualExclusion's latched CSViolation qualifies).
 	// Violations counts per-state hits and may shrink;
-	// States/Transitions shrink, which is the point. Machines with more
-	// than 8 processors (maxReductionProcs) silently run unreduced.
+	// States/Transitions shrink, which is the point. Whether a run
+	// reduces is resolve's decision (plan.go): not under a ReorderBound,
+	// a Model whose ReductionOK is false, or more than 8 processors.
+	// Result.Obs carries the gauge "reduction" when it did.
 	Reduction bool
 
 	// Collapse keys the parallel engine's visited set on exact collapsed
@@ -168,8 +170,9 @@ type Options struct {
 	// a fraction of the full serialization per state (24 B + ¾ of a key
 	// per table slot). It is the same table, claim path and sleep-set
 	// protocol either way; results are identical to the hashed engine's
-	// (differential tests pin this). Ignored by ExploreSerial, whose
-	// exact string-keyed map is already its own specification.
+	// (differential tests pin this). It is the one input to a fresh run's
+	// key mode; a resumed run keys as its file does (resolve, plan.go).
+	// ExploreSerial keys on full fingerprints, its own specification.
 	Collapse bool
 
 	// Symmetry declares a cyclic symmetry over a ring of interchangeable
@@ -192,15 +195,16 @@ type Options struct {
 
 	// MemBudget caps the resident bytes of the parallel engine's visited
 	// set (0 = unlimited), counted as what its tables and key arenas
-	// actually hold. It implies Collapse: collapsed keys are fixed-width,
-	// so cold stripes of the visited set can spill to mmap'd temp files
-	// as sorted record runs and still answer exact membership queries.
-	// Exceeding the budget makes the run slower, not truncated —
-	// exploration stays exhaustive and exact. A stripe's table never
-	// shrinks below what its unfinalized entries need, so a budget under
-	// that floor is exceeded however much spills. The collapse component
-	// tables are shared across the run and are NOT counted against the
-	// budget (reported separately via Obs). Ignored by ExploreSerial.
+	// actually hold. Either key is fixed-width — a 16-byte hash pair or a
+	// collapsed tuple — so cold stripes of the visited set spill to
+	// mmap'd temp files as sorted record runs and still answer membership
+	// queries, hashed or exact as the run keys. Exceeding the budget
+	// makes the run slower, not truncated — exploration stays exhaustive.
+	// A stripe's table never shrinks below what its unfinalized entries
+	// need, so a budget under that floor is exceeded however much spills.
+	// The collapse component tables are shared across the run and are
+	// NOT counted against the budget (reported separately via Obs).
+	// ExploreSerial keeps its whole visited map in memory.
 	MemBudget int64
 
 	// VerifyVisited makes the parallel engine keep every full state
@@ -208,11 +212,11 @@ type Options struct {
 	// fingerprints as the authoritative identity and counting how often
 	// the hashed keys would have merged distinct states (reported as
 	// visited_128bit_collisions in Result.Obs). Costs memory and speed;
-	// meant for soundness audits and tests, not routine exploration.
-	// Vacuous with exact keys (Collapse, MemBudget): those already
-	// compare the whole key, there is no hashed merge to audit, and no
-	// counter is reported. Refused (panic, like an invalid Symmetry) with
-	// Checkpoint or Resume: the audit map is not part of a snapshot.
+	// meant for soundness audits and tests, not routine exploration. The
+	// audit runs with hashed keys, no MemBudget, no Checkpoint and no
+	// Resume; resolve (plan.go) refuses each of those with it, by panic
+	// like an invalid Symmetry: exact keys leave no hashed merge to audit,
+	// and the in-memory audit map is neither spillable nor in a snapshot.
 	VerifyVisited bool
 
 	// ReorderBound, when positive, explores a *reorder-bounded
@@ -227,21 +231,19 @@ type Options struct {
 	// violation found under a bound is a genuine violation (and its
 	// trace replays on the unbounded machine), while a bounded-safe
 	// verdict proves nothing. The fence synthesizer uses it as a fast
-	// UNSAT screen before paying for the exact reduced check.
-	//
-	// Reduction is ignored (forced off) under a bound: the ample-set
-	// analysis assumes the full TSO enabledness relation. 0 means
-	// unbounded (exact TSO).
+	// UNSAT screen before paying for the exact reduced check. 0 means
+	// unbounded (exact TSO). A bounded run explores unreduced (resolve,
+	// plan.go): the ample-set analysis assumes the full TSO enabledness
+	// relation.
 	ReorderBound int
 
-	// Checkpoint configures periodic durable snapshots of the
-	// exploration (visited set + frontier) so a killed run resumes via
-	// Resume instead of restarting; see CheckpointOptions. A set Dir
-	// implies no key mode — a snapshot stores the keys the run has,
-	// hash pairs or collapsed tuples — and forces trace recording so the
-	// frontier can be serialized as replayable action traces. A run that
-	// drains writes no final snapshot; only an interrupted one does.
-	// Ignored by ExploreSerial.
+	// Checkpoint configures periodic durable snapshots of the parallel
+	// engine's exploration (visited set + frontier) so a killed run
+	// resumes via Resume instead of restarting; see CheckpointOptions. A
+	// snapshot stores the keys the run has, hash pairs or collapsed
+	// tuples, and its frontier as replayable action traces, which a run
+	// with a Dir therefore records (resolve, plan.go). A run that drains
+	// writes no final snapshot; only an interrupted one does.
 	Checkpoint CheckpointOptions
 
 	// Interrupt, when non-nil, is polled by every worker between frames:
@@ -249,7 +251,7 @@ type Options struct {
 	// partial result returned) once it reads true. External controllers
 	// — per-job timeouts, drain requests — use it to stop a run they
 	// cannot otherwise reach; combined with Checkpoint the interrupted
-	// run is resumable. Ignored by ExploreSerial.
+	// run is resumable. ExploreSerial does not poll it.
 	Interrupt *atomic.Bool
 
 	// Faults is the chaos hook schedule for the robustness tests: the
@@ -277,8 +279,9 @@ type Options struct {
 	// are byte-identical to pre-Model results. arch.PSO explores
 	// per-address store buffers: one drain transition per distinct
 	// pending address, so stores to different addresses complete out of
-	// order. Reduction is silently forced off under PSO, like under
-	// ReorderBound: the ample-set analysis assumes TSO's enabledness.
+	// order. A model says whether the ample-set analysis holds for its
+	// enabledness (Model.ReductionOK; false for PSO), and resolve
+	// (plan.go) reduces only where it does.
 	Model arch.MemModel
 }
 
@@ -336,7 +339,7 @@ const (
 	KeysCollapsed = "collapsed"
 )
 
-// keysName names the key mode a snapshot record's key width implies.
+// keysName names the key mode of records whose keys are recKeyWidth wide.
 func keysName(recKeyWidth int) string {
 	if recKeyWidth == hashedKeyWidth {
 		return KeysHashed
@@ -344,9 +347,9 @@ func keysName(recKeyWidth int) string {
 	return KeysCollapsed
 }
 
-// Keys reports what the parallel engine's visited set was keyed on:
-// KeysCollapsed under Options.Collapse, MemBudget or a resumed collapsed
-// checkpoint, KeysHashed otherwise.
+// Keys reports what the parallel engine's visited set was keyed on, as
+// resolve (plan.go) decided it: KeysCollapsed under Options.Collapse or
+// when resumed from a collapsed checkpoint, KeysHashed otherwise.
 func (r *Result) Keys() string {
 	if r.Obs.Gauges["collapse"] == 1 {
 		return KeysCollapsed

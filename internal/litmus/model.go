@@ -33,9 +33,9 @@ type Model interface {
 	Apply(m *tso.Machine, a Action)
 
 	// ReductionOK reports whether reduce.go's ample-set analysis is
-	// sound for this model's enabledness relation. Models returning
-	// false silently run unreduced even when Options.Reduction is set
-	// (exactly like ReorderBound does for every model).
+	// sound for this model's enabledness relation. resolve (plan.go)
+	// gives a run under a model returning false no reducer, whatever
+	// Options.Reduction says.
 	ReductionOK() bool
 }
 
@@ -128,7 +128,7 @@ func (psoModel) Apply(m *tso.Machine, a Action) {
 // ReductionOK is false for PSO: reduce.go's footprint analysis models
 // "the" drain of a processor (its oldest entry) and its enabledness
 // assumes the FIFO relation, neither of which holds for per-class
-// drains. PSO explorations silently run unreduced.
+// drains. PSO explorations therefore run unreduced.
 func (psoModel) ReductionOK() bool { return false }
 
 // scModel is sequential consistency, the reference model of the

@@ -141,7 +141,7 @@ func independent(a, b footprint) bool {
 
 // reducer holds the per-exploration static analysis: which memory words
 // each processor's program can ever touch. Built once from the root
-// machine; nil when the machine has too many processors for the masks.
+// machine.
 type reducer struct {
 	sc bool
 	// othersMay[p] is the union of the address resource bits statically
@@ -154,12 +154,10 @@ type reducer struct {
 	ownAllowed []uint64
 }
 
-// newReducer builds the reducer for the machine rooted at m, or returns
-// nil when the reduction does not apply (too many processors).
+// newReducer builds the reducer for the machine rooted at m, which has at
+// most maxReductionProcs processors (resolve decides whether a run
+// reduces).
 func newReducer(m *tso.Machine, sc bool) *reducer {
-	if len(m.Procs) > maxReductionProcs {
-		return nil
-	}
 	rd := &reducer{
 		sc:         sc,
 		othersMay:  make([]uint64, len(m.Procs)),
@@ -336,8 +334,8 @@ func (rd *reducer) footprintOf(m *tso.Machine, a Action) footprint {
 	return fp
 }
 
-// plan is the reusable scratch for one state's reduced expansion.
-type plan struct {
+// porScratch is the reusable scratch for one state's reduced expansion.
+type porScratch struct {
 	fps []footprint
 	// tidx lists the chosen persistent set as indices into enabled.
 	tidx  []int
@@ -360,7 +358,7 @@ type plan struct {
 // comment). Only the claim-winning visit of a state expands it, so the
 // proviso's dependence on visited-set contents cannot split one state's
 // expansion across different chosen sets.
-func (rd *reducer) analyze(m *tso.Machine, enabled []Action, pl *plan) {
+func (rd *reducer) analyze(m *tso.Machine, enabled []Action, pl *porScratch) {
 	pl.fps = pl.fps[:0]
 	for _, a := range enabled {
 		pl.fps = append(pl.fps, rd.footprintOf(m, a))
@@ -374,7 +372,7 @@ func (rd *reducer) analyze(m *tso.Machine, enabled []Action, pl *plan) {
 // filled (analyze does both). The engines call it again with a grown
 // skip each time a candidate's successor probe trips, so a state tries
 // every ample candidate before being demoted to full expansion.
-func (rd *reducer) choose(m *tso.Machine, enabled []Action, pl *plan, skip uint32) {
+func (rd *reducer) choose(m *tso.Machine, enabled []Action, pl *porScratch, skip uint32) {
 	pl.tidx = pl.tidx[:0]
 	pl.tmask = 0
 	pl.ample = false
@@ -460,7 +458,7 @@ func (rd *reducer) choose(m *tso.Machine, enabled []Action, pl *plan, skip uint3
 // fallback when no processor qualifies as ample, and the cycle-proviso
 // demotion applied by the engines when a chosen ample subset has an
 // already-visited successor.
-func (pl *plan) fullExpand(enabled []Action) {
+func (pl *porScratch) fullExpand(enabled []Action) {
 	pl.tidx = pl.tidx[:0]
 	pl.tmask = 0
 	pl.ample = false
@@ -475,7 +473,7 @@ func (pl *plan) fullExpand(enabled []Action) {
 // entry), and each expanded child inherits the sleeping actions that
 // stay independent of the action taken, plus the already-expanded
 // siblings that commute with it.
-func (rd *reducer) expansion(enabled []Action, pl *plan, z actionMask) {
+func (rd *reducer) expansion(enabled []Action, pl *porScratch, z actionMask) {
 	pl.idx = pl.idx[:0]
 	pl.childSleep = pl.childSleep[:0]
 	pl.pruned = 0
@@ -517,4 +515,4 @@ func (rd *reducer) expansion(enabled []Action, pl *plan, z actionMask) {
 }
 
 // sleptCount reports how many actions pl withheld.
-func (pl *plan) sleptCount() int { return bits.OnesCount32(uint32(pl.pruned)) }
+func (pl *porScratch) sleptCount() int { return bits.OnesCount32(uint32(pl.pruned)) }

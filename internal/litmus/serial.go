@@ -34,25 +34,12 @@ type serialFrame struct {
 // pruned action. TestExploreSerialPins holds both to absolute numbers.
 func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 	start := time.Now()
-	maxStates := opts.MaxStates
-	if maxStates == 0 {
-		maxStates = DefaultMaxStates
-	}
-	mdl := modelFor(opts)
 	root := build()
-	// A reorder bound changes the enabledness relation the ample-set
-	// analysis was derived for, so bounded runs always explore unreduced
-	// (Options.ReorderBound documents this); so does a model whose
-	// relation the analysis does not cover (Model.ReductionOK), and a
-	// machine with too many processors for the action masks (newReducer
-	// returns nil).
-	var rd *reducer
-	if opts.Reduction && opts.ReorderBound <= 0 && mdl.ReductionOK() {
-		rd = newReducer(root, opts.SequentialConsistency)
-	}
+	p := resolve(root, opts, nil)
+	mdl, rd := p.model, p.red
 	var canon *tso.Canonicalizer
-	if sym := checkedSymmetry(root, opts.Symmetry); sym != nil {
-		canon = tso.NewCanonicalizer(sym, root)
+	if p.sym != nil {
+		canon = tso.NewCanonicalizer(p.sym, root)
 	}
 	// Sleep sets are sound only on the CONCRETE graph: sleeping an action
 	// at child a(s) is justified by the sibling branch b(s), and the
@@ -75,7 +62,7 @@ func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 	stack := []serialFrame{{m: root}}
 	buf := make([]byte, 0, 256)
 	probeBuf := make([]byte, 0, 256)
-	var pl plan
+	var pl porScratch
 	var ample, slept, reexp, proviso uint64
 
 	// push clones f.m, takes a on the clone and stacks the result.
@@ -120,7 +107,7 @@ func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 			}
 			continue
 		}
-		if res.States >= maxStates {
+		if int64(res.States) >= p.maxStates {
 			res.Truncated = true
 			break
 		}

@@ -127,11 +127,11 @@ func TestCanonicalKeyMatchesDefinitionEngine(t *testing.T) {
 					limit = 20_000
 				}
 				root := sp.Build()
-				e := &engine{model: tsoModel{}, collapser: tso.NewCollapser()}
-				w := &worker{eng: e, canon: tso.NewCanonicalizer(checkedSymmetry(root, sp.Sym), root)}
-				if reduction {
-					e.red = newReducer(root, false)
+				e := &engine{
+					plan:      resolve(root, Options{Symmetry: sp.Sym, Reduction: reduction, Collapse: true}, nil),
+					collapser: tso.NewCollapser(),
 				}
+				w := &worker{eng: e, canon: tso.NewCanonicalizer(e.sym, root)}
 				ref := tso.NewCanonicalizer(sp.Sym, root)
 				var want, scratch []byte
 				compared, mismatches := 0, 0

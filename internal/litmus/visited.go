@@ -23,7 +23,7 @@ import (
 //     with it. Options.VerifyVisited additionally keys an authoritative
 //     map by the full fingerprint and counts what the hashed keys would
 //     have merged.
-//   - Exact keys (Options.Collapse and what implies it): the key is the
+//   - Exact keys (the plan's key width, resolve): the key is the
 //     fixed-width collapsed tuple (tso.Collapser). The stripe owns a
 //     dense arena of them, the slot's second word holds the key's arena
 //     index, and a match is the primary hash AND bytes.Equal on the
@@ -36,12 +36,20 @@ import (
 // The arena is sized with the table, ¾·len(slots) keys, so an exact
 // state costs 24 B + ¾·keyWidth per slot.
 //
-// Spilling. Because exact keys are fixed-width, a stripe's finalized
-// entries serialize as a sorted run of key ‖ 4-byte pruned records that
-// a binary search answers after eviction — which is what lets
-// Options.MemBudget degrade an over-budget run to slower-but-exact
-// instead of truncated-and-partial, and what a checkpoint of an exact run
-// stores (a hashed run's records carry the hash pair: snapshotRecords).
+// Records. Either key is fixed-width: the 16-byte h1 ‖ h2 pair,
+// little-endian, or the collapsed tuple. So an entry serializes as one
+// fixed-width record, key ‖ 4-byte little-endian pruned mask
+// (appendRecord), and a run of them sorted on the key bytes answers
+// membership by binary search. Spill segments and checkpoint snapshots
+// are both such records, byte for byte: a snapshot appends the segments
+// verbatim.
+//
+// Spilling. Under Options.MemBudget, in either key mode, a stripe's
+// finalized entries leave its table as one sorted run of records in a
+// spill segment — which is what degrades an over-budget run to
+// slower-but-exact instead of truncated-and-partial. The segments and
+// the eviction recency are the stripe's spill column, allocated only
+// under a budget.
 // Only FINALIZED entries spill (pruned is settled, sleepAcc is dead). A
 // claim-winning entry under Options.Reduction is not finalized until its
 // expansion is chosen, and the winner holds the frame until then, so an
@@ -111,7 +119,9 @@ type visitedStripe struct {
 	full map[string]*slot
 	// x holds the exact-mode columns; nil in hashed mode.
 	x *exactStripe
-	_ [8]byte // pad to a cache line so stripes don't false-share
+	// sp holds the spill column; nil without a memory budget. It takes
+	// the word that would otherwise pad the stripe to its cache line.
+	sp *spillColumn
 }
 
 // exactStripe is what a stripe owns besides its table when keys are
@@ -119,8 +129,13 @@ type visitedStripe struct {
 type exactStripe struct {
 	// keys is the dense key arena: the n resident keys back to back in
 	// insertion order, capacity ¾·len(slots) keys.
-	keys  []byte
-	kw    int         // key width
+	keys []byte
+	kw   int // key width
+}
+
+// spillColumn is what a stripe owns besides its table under a memory
+// budget.
+type spillColumn struct {
 	segs  []*spillSeg // spilled runs, oldest first
 	touch uint64      // tick of the most recent claim (eviction recency)
 }
@@ -130,20 +145,43 @@ func (x *exactStripe) key(sl *slot) []byte {
 	return x.keys[int(sl.h2)*x.kw:][:x.kw]
 }
 
-// segs is the stripe's spilled runs; none with hashed keys.
-func (s *visitedStripe) segs() []*spillSeg {
-	if s.x == nil {
-		return nil
-	}
-	return s.x.segs
+// pairKey writes a hashed key's record bytes, h1 ‖ h2 little-endian,
+// into buf.
+func pairKey(buf *[hashedKeyWidth]byte, h1, h2 uint64) []byte {
+	binary.LittleEndian.PutUint64(buf[:8], h1)
+	binary.LittleEndian.PutUint64(buf[8:], h2)
+	return buf[:]
 }
 
-// findSpilled searches the spilled runs, newest first, for key and
-// returns the segment and record offset holding it, or a nil segment.
-func (x *exactStripe) findSpilled(key []byte) (*spillSeg, int) {
-	for i := len(x.segs) - 1; i >= 0; i-- {
-		if off, ok := x.segs[i].find(key, x.kw+4); ok {
-			return x.segs[i], off
+// recKey is the record key of the entry in sl: its arena key, or its
+// hash pair encoded into buf.
+func (s *visitedStripe) recKey(sl *slot, buf *[hashedKeyWidth]byte) []byte {
+	if s.x != nil {
+		return s.x.key(sl)
+	}
+	return pairKey(buf, sl.h1, sl.h2)
+}
+
+// appendRecord appends sl's record, key ‖ pruned, to dst: the one
+// encoder of spill segments and snapshots alike.
+func (s *visitedStripe) appendRecord(dst []byte, sl *slot) []byte {
+	var buf [hashedKeyWidth]byte
+	dst = append(dst, s.recKey(sl, &buf)...)
+	return binary.LittleEndian.AppendUint32(dst, sl.meta&slotPruned)
+}
+
+// findSpilled searches the spill column's runs, newest first, for the
+// record of the state keyed (h1, h2, key), and returns the segment
+// holding it and the offset of the record's pruned field; a nil segment
+// when none does. The stripe must have a spill column.
+func (s *visitedStripe) findSpilled(h1, h2 uint64, key []byte) (*spillSeg, int) {
+	var buf [hashedKeyWidth]byte
+	if s.x == nil {
+		key = pairKey(&buf, h1, h2)
+	}
+	for i := len(s.sp.segs) - 1; i >= 0; i-- {
+		if off, ok := s.sp.segs[i].find(key); ok {
+			return s.sp.segs[i], off + len(key)
 		}
 	}
 	return nil, 0
@@ -263,9 +301,9 @@ type visitedSet struct {
 	// and immediately eligible to spill. Zero otherwise.
 	bornFinal uint32
 
-	// The rest is the exact mode's memory budget (Options.MemBudget).
-	// resident and peak count the bytes the tables and arenas actually
-	// hold.
+	// The rest is the memory budget (Options.MemBudget). resident and
+	// peak count the bytes the tables and arenas actually hold, under a
+	// budget or with exact keys.
 	budget   int64
 	tick     atomic.Uint64
 	resident atomic.Int64
@@ -283,11 +321,11 @@ type visitedSet struct {
 }
 
 // init sets the set up with exact keys of keyWidth bytes, or hashed keys
-// when keyWidth is 0 (audit then adds the VerifyVisited maps). It
-// allocates no table: synthesis issues thousands of explorations of a
-// few hundred states, where pre-sizing 256 stripes was most of each
-// run's allocation, and a large space grows them within its first few
-// thousand claims.
+// when keyWidth is 0 (audit then adds the VerifyVisited maps), and with
+// spill columns when budget is positive. It allocates no table:
+// synthesis issues thousands of explorations of a few hundred states,
+// where pre-sizing 256 stripes was most of each run's allocation, and a
+// large space grows them within its first few thousand claims.
 func (vs *visitedSet) init(keyWidth int, budget int64, bornFinal, audit bool) {
 	vs.stripes = new([visitedStripes]visitedStripe)
 	vs.keyWidth, vs.budget = keyWidth, budget
@@ -298,12 +336,20 @@ func (vs *visitedSet) init(keyWidth int, budget int64, bornFinal, audit bool) {
 	if keyWidth > 0 {
 		xs = make([]exactStripe, visitedStripes)
 	}
+	var sps []spillColumn
+	if budget > 0 {
+		sps = make([]spillColumn, visitedStripes)
+	}
 	for i := range vs.stripes {
+		s := &vs.stripes[i]
 		if xs != nil {
 			xs[i].kw = keyWidth
-			vs.stripes[i].x = &xs[i]
+			s.x = &xs[i]
 		} else if audit {
-			vs.stripes[i].full = make(map[string]*slot)
+			s.full = make(map[string]*slot)
+		}
+		if sps != nil {
+			s.sp = &sps[i]
 		}
 	}
 }
@@ -323,7 +369,10 @@ func (vs *visitedSet) addResident(delta int64) {
 // returned: the table doubles first when the insert would overfill it.
 func (vs *visitedSet) add(s *visitedStripe, sl *slot, h1, h2 uint64, key []byte, sleepAcc actionMask, meta uint32) {
 	if grew := s.reserve(); grew != 0 {
-		if s.x != nil {
+		if s.x != nil || s.sp != nil {
+			// Read by the budget and the exact mode's gauges only: an
+			// unbudgeted hashed run, synthesis's thousands of small
+			// explorations, skips the contended atomics.
 			vs.addResident(grew)
 		}
 		sl, _, _ = s.find(h1, h2, key)
@@ -367,8 +416,8 @@ func (e *engine) claim(h1, h2 uint64, key []byte, z actionMask) (claimStatus, ac
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if vs.budget > 0 {
-		s.x.touch = vs.tick.Add(1)
+	if s.sp != nil {
+		s.sp.touch = vs.tick.Add(1)
 	}
 	if s.full != nil {
 		// VerifyVisited: the full-fingerprint map decides identity; the
@@ -382,14 +431,14 @@ func (e *engine) claim(h1, h2 uint64, key []byte, z actionMask) (claimStatus, ac
 	if found && s.full == nil {
 		return claimDup, dupMerge(sl, z)
 	}
-	if x := s.x; x != nil {
-		if seg, off := x.findSpilled(key); seg != nil {
+	if s.sp != nil {
+		if seg, off := s.findSpilled(h1, h2, key); seg != nil {
 			// Spilled entries are always finalized; run the finalized arm
 			// of dupMerge against the record's pruned field in place.
-			pruned := actionMask(seg.prunedAt(off, x.kw))
+			pruned := actionMask(seg.prunedAt(off))
 			missing := pruned &^ z
 			if missing != 0 {
-				seg.setPrunedAt(off, x.kw, uint32(pruned&z))
+				seg.setPrunedAt(off, uint32(pruned&z))
 			}
 			return claimDup, missing
 		}
@@ -429,10 +478,10 @@ func (e *engine) seen(h1, h2 uint64, key []byte) bool {
 	if s.full != nil {
 		return s.full[string(key)] != nil
 	}
-	if _, found, _ := s.find(h1, h2, key); found || s.x == nil {
+	if _, found, _ := s.find(h1, h2, key); found || s.sp == nil {
 		return found
 	}
-	seg, _ := s.x.findSpilled(key)
+	seg, _ := s.findSpilled(h1, h2, key)
 	return seg != nil
 }
 
@@ -501,7 +550,7 @@ func (vs *visitedSet) maybeSpill() {
 		s := &vs.stripes[i]
 		s.mu.Lock()
 		if s.n > 0 {
-			cands = append(cands, cand{s, s.x.touch})
+			cands = append(cands, cand{s, s.sp.touch})
 		}
 		s.mu.Unlock()
 	}
@@ -514,15 +563,14 @@ func (vs *visitedSet) maybeSpill() {
 	}
 }
 
-// spillStripe moves the stripe's finalized entries into one sorted
-// fixed-width spill segment and rebuilds its table from the rest. On
-// segment-creation failure the budget is disabled for the rest of the
-// run (exploration continues, in memory, exact).
+// spillStripe moves the stripe's finalized entries into one spill
+// segment of records sorted on their key bytes and rebuilds its table
+// from the rest. On segment-creation failure the budget is disabled for
+// the rest of the run (exploration continues, in memory, exact).
 func (vs *visitedSet) spillStripe(s *visitedStripe) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	x := s.x
 	var fin []*slot
 	for i := range s.slots {
 		if s.slots[i].meta&slotFinalized != 0 {
@@ -532,11 +580,11 @@ func (vs *visitedSet) spillStripe(s *visitedStripe) {
 	if len(fin) == 0 {
 		return
 	}
-	sort.Slice(fin, func(i, j int) bool { return bytes.Compare(x.key(fin[i]), x.key(fin[j])) < 0 })
-	buf := make([]byte, 0, len(fin)*(x.kw+4))
+	var ka, kb [hashedKeyWidth]byte
+	sort.Slice(fin, func(i, j int) bool { return bytes.Compare(s.recKey(fin[i], &ka), s.recKey(fin[j], &kb)) < 0 })
+	buf := make([]byte, 0, len(fin)*(vs.recKeyWidth()+4))
 	for _, sl := range fin {
-		buf = append(buf, x.key(sl)...)
-		buf = binary.LittleEndian.AppendUint32(buf, sl.meta&slotPruned)
+		buf = s.appendRecord(buf, sl)
 	}
 	var seg *spillSeg
 	var err error
@@ -550,7 +598,7 @@ func (vs *visitedSet) spillStripe(s *visitedStripe) {
 		vs.disabled.Store(true)
 		return
 	}
-	x.segs = append(x.segs, seg)
+	s.sp.segs = append(s.sp.segs, seg)
 	before := s.bytes()
 	s.retable(slotsFor(s.n-len(fin)), true)
 	vs.addResident(s.bytes() - before)
@@ -559,13 +607,13 @@ func (vs *visitedSet) spillStripe(s *visitedStripe) {
 	vs.spilledBytes.Add(int64(len(buf)))
 }
 
-// hashedKeyWidth is the width of a hashed-mode key in a snapshot record:
-// the slot's h1 ‖ h2 pair, little-endian. No collapsed tuple is 16 bytes
-// wide (tso.CollapsedWidth is odd), so a record's key width alone says
-// which keys a checkpoint file holds.
+// hashedKeyWidth is the width of a hashed-mode record key: the slot's
+// h1 ‖ h2 pair, little-endian. No collapsed tuple is 16 bytes wide
+// (tso.CollapsedWidth is odd), so a record's key width alone says which
+// keys a checkpoint file holds.
 const hashedKeyWidth = 16
 
-// recKeyWidth is the key width of the set's snapshot records.
+// recKeyWidth is the key width of the set's records.
 func (vs *visitedSet) recKeyWidth() int {
 	if vs.keyWidth == 0 {
 		return hashedKeyWidth
@@ -573,17 +621,23 @@ func (vs *visitedSet) recKeyWidth() int {
 	return vs.keyWidth
 }
 
-// snapshotRecords serializes every visited entry — resident slots and
-// spilled segments alike — as a flat run of fixed-width key ‖ 4-byte
-// little-endian pruned mask records, the key being what the set is keyed
-// on: the exact collapsed tuple (the spill segments' own record format),
-// or with hashed keys the slot's hash pair. Callers must have quiesced
-// the run (the checkpoint barrier does); the stripe locks are taken only
-// against torn reads. Entries that are still unfinalized at the barrier
-// are terminal states under Reduction (their winner returned without a
-// finalize call, pruned is zero and will stay zero), so recording them
-// as finalized-with-zero-pruned is behaviorally identical. Returns the
-// records and the entry count.
+// spillSegs is the stripe's spilled runs; none without a budget.
+func (s *visitedStripe) spillSegs() []*spillSeg {
+	if s.sp == nil {
+		return nil
+	}
+	return s.sp.segs
+}
+
+// snapshotRecords serializes every visited entry — resident slots
+// through appendRecord, spilled segments verbatim, which are the same
+// records. Callers must have quiesced the run (the checkpoint barrier
+// does); the stripe locks are taken only against torn reads. Entries
+// that are still unfinalized at the barrier are terminal states under
+// Reduction (their winner returned without a finalize call, pruned is
+// zero and will stay zero), so recording them as finalized-with-zero-
+// pruned is behaviorally identical. Returns the records and the entry
+// count.
 func (vs *visitedSet) snapshotRecords() ([]byte, int) {
 	recWidth := vs.recKeyWidth() + 4
 	count := 0
@@ -591,7 +645,7 @@ func (vs *visitedSet) snapshotRecords() ([]byte, int) {
 		s := &vs.stripes[i]
 		s.mu.Lock()
 		count += s.n
-		for _, seg := range s.segs() {
+		for _, seg := range s.spillSegs() {
 			count += len(seg.data) / recWidth
 		}
 		s.mu.Unlock()
@@ -601,19 +655,11 @@ func (vs *visitedSet) snapshotRecords() ([]byte, int) {
 		s := &vs.stripes[i]
 		s.mu.Lock()
 		for j := range s.slots {
-			sl := &s.slots[j]
-			if sl.meta&slotOccupied == 0 {
-				continue
+			if sl := &s.slots[j]; sl.meta&slotOccupied != 0 {
+				out = s.appendRecord(out, sl)
 			}
-			if s.x != nil {
-				out = append(out, s.x.key(sl)...)
-			} else {
-				out = binary.LittleEndian.AppendUint64(out, sl.h1)
-				out = binary.LittleEndian.AppendUint64(out, sl.h2)
-			}
-			out = binary.LittleEndian.AppendUint32(out, sl.meta&slotPruned)
 		}
-		for _, seg := range s.segs() {
+		for _, seg := range s.spillSegs() {
 			out = append(out, seg.data...)
 		}
 		s.mu.Unlock()
@@ -649,19 +695,20 @@ func (vs *visitedSet) close() {
 	for i := range vs.stripes {
 		s := &vs.stripes[i]
 		s.mu.Lock()
-		if s.x != nil {
-			for _, seg := range s.x.segs {
+		if sp := s.sp; sp != nil {
+			for _, seg := range sp.segs {
 				seg.close()
 			}
-			s.x.segs = nil
+			sp.segs = nil
 		}
 		s.mu.Unlock()
 	}
 }
 
-// find binary-searches the segment's sorted fixed-width records for key,
-// returning the record offset.
-func (g *spillSeg) find(key []byte, recWidth int) (int, bool) {
+// find binary-searches the segment's records, key ‖ pruned sorted on
+// the key bytes, for key, returning the record offset.
+func (g *spillSeg) find(key []byte) (int, bool) {
+	recWidth := len(key) + 4
 	lo, hi := 0, len(g.data)/recWidth
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -678,12 +725,14 @@ func (g *spillSeg) find(key []byte, recWidth int) (int, bool) {
 	return 0, false
 }
 
-func (g *spillSeg) prunedAt(off, keyWidth int) uint32 {
-	return binary.LittleEndian.Uint32(g.data[off+keyWidth:])
+// prunedAt and setPrunedAt access the pruned field at off, as
+// findSpilled returns it.
+func (g *spillSeg) prunedAt(off int) uint32 {
+	return binary.LittleEndian.Uint32(g.data[off:])
 }
 
-func (g *spillSeg) setPrunedAt(off, keyWidth int, v uint32) {
-	binary.LittleEndian.PutUint32(g.data[off+keyWidth:], v)
+func (g *spillSeg) setPrunedAt(off int, v uint32) {
+	binary.LittleEndian.PutUint32(g.data[off:], v)
 }
 
 // permuteMask translates an action mask through a processor permutation:

@@ -54,8 +54,8 @@ func (k modelKey) id() string {
 
 // stripeAudit checks one stripe against the reference: the resident
 // population, every resident reference key found with an equal entry,
-// load within the ¾ bound, and in exact mode a dense arena sized with
-// the table, each slot pointing at its own key, spilled keys gone from
+// load within the ¾ bound, in exact mode a dense arena sized with the
+// table and each slot pointing at its own key, spilled keys gone from
 // the table but answered by a segment with the reference's pruned mask,
 // and the set's resident gauge equal to the bytes actually held.
 func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEntry) {
@@ -101,20 +101,20 @@ func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEn
 				t.Fatalf("arena index %d of %d", i, s.n)
 			}
 		}
-		if got := e.visited.resident.Load(); got != s.bytes() {
-			t.Fatalf("resident gauge %d, stripe holds %d bytes", got, s.bytes())
-		}
+	}
+	if got := e.visited.resident.Load(); got != s.bytes() {
+		t.Fatalf("resident gauge %d, stripe holds %d bytes", got, s.bytes())
 	}
 	for _, k := range keys {
 		want := ref[k.id()]
 		sl, found, _ := s.find(k.h1, k.h2, k.key)
 		if want.spilled {
-			seg, off := s.x.findSpilled(k.key)
+			seg, off := s.findSpilled(k.h1, k.h2, k.key)
 			if found || seg == nil {
-				t.Fatalf("spilled key %x: in table %v, in a segment %v", k.key, found, seg != nil)
+				t.Fatalf("spilled key %s: in table %v, in a segment %v", k.id(), found, seg != nil)
 			}
-			if got := actionMask(seg.prunedAt(off, s.x.kw)); got != want.pruned {
-				t.Fatalf("spilled key %x: pruned %b, reference %b", k.key, got, want.pruned)
+			if got := actionMask(seg.prunedAt(off)); got != want.pruned {
+				t.Fatalf("spilled key %s: pruned %b, reference %b", k.id(), got, want.pruned)
 			}
 			continue
 		}
@@ -135,25 +135,26 @@ func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEn
 // (audited at each), and the MaxStates edge, where a claim must insert
 // nothing. Exact mode routes 13-byte keys through a pairFilter that
 // reads h1 out of the key (so groups of keys share one h1 and h2 carries
-// nothing), evicts twice on the way — the unfinalized entries must
-// survive the rebuild and the spilled ones keep answering from their
-// segments — and ends with a snapshot restored into a fresh set.
+// nothing). Both modes evict twice on the way — the unfinalized entries
+// must survive the rebuild and the spilled ones keep answering from
+// their segments — and end with a snapshot restored into a fresh set.
 func TestVisitedStripeModel(t *testing.T) {
 	t.Cleanup(func() { pairFilter = nil })
 	// Low 8 bits zero: every key lands in stripe 0.
 	pairFilter = func(_, _ uint64, b []byte) (uint64, uint64) { return binary.LittleEndian.Uint64(b) << 8, 0 }
 
 	const distinct = 3500 // the 3,073rd key doubles the table to 8,192 slots
-	const keyWidth = 13
 	for _, exact := range []bool{false, true} {
+		keyWidth := 0
+		if exact {
+			keyWidth = 13
+		}
 		for _, seed := range []int64{1, 2, 3} {
 			rng := rand.New(rand.NewSource(seed))
-			e := &engine{maxStates: distinct}
-			if exact {
-				e.visited.init(keyWidth, 0, false, false)
-			} else {
-				e.visited.init(0, 0, false, false)
-			}
+			e := &engine{plan: plan{maxStates: distinct}}
+			// A budget gives the stripes spill columns; nothing here calls
+			// maybeSpill, so the test evicts when it chooses.
+			e.visited.init(keyWidth, 1, false, false)
 			defer e.visited.close()
 			s := &e.visited.stripes[0]
 			ref := map[string]*refEntry{}
@@ -233,7 +234,7 @@ func TestVisitedStripeModel(t *testing.T) {
 				switch op := rng.Intn(20); {
 				case op < 7:
 					insert(freshKey())
-					if exact && (len(ref) == 3200 || len(ref) == 3400) {
+					if len(ref) == 3200 || len(ref) == 3400 {
 						spill()
 					}
 				case op < 17: // duplicate arrival, the workload's common case
@@ -292,18 +293,14 @@ func TestVisitedStripeModel(t *testing.T) {
 					t.Fatalf("stripe %d allocated by keys of stripe 0", i)
 				}
 			}
-			if !exact {
-				continue
-			}
-
-			// A snapshot holds every entry, resident or spilled, and a fresh
-			// set restored from it answers each as a finalized duplicate
-			// with the pruned mask it had.
+			// A snapshot holds every entry, resident or spilled (its segments
+			// appended verbatim), and a fresh set restored from it answers
+			// each as a finalized duplicate with the pruned mask it had.
 			recs, n := e.visited.snapshotRecords()
-			if n != len(ref) || len(recs) != n*(keyWidth+4) {
+			if n != len(ref) || len(recs) != n*(e.visited.recKeyWidth()+4) {
 				t.Fatalf("%s: snapshot of %d records in %d bytes, reference %d", tag, n, len(recs), len(ref))
 			}
-			r := &engine{maxStates: distinct}
+			r := &engine{plan: plan{maxStates: distinct}}
 			r.visited.init(keyWidth, 0, false, false)
 			r.visited.restoreRecords(recs)
 			if got := r.visited.stripes[0].n; got != len(ref) {
@@ -312,28 +309,19 @@ func TestVisitedStripeModel(t *testing.T) {
 			for _, k := range keys {
 				st, missing := r.claim(k.h1, k.h2, k.key, 0)
 				if want := ref[k.id()].pruned; st != claimDup || missing != want {
-					t.Fatalf("%s: restored key %x: status %d missing %b, want %b", tag, k.key, st, missing, want)
+					t.Fatalf("%s: restored key %s: status %d missing %b, want %b", tag, k.id(), st, missing, want)
 				}
 			}
 		}
 	}
 }
 
-// TestVisitedHashPair pins the one-pass hashPair to the two functions it
-// replaced, at every length across the word loop and the byte tail, and
-// to values recorded before it existed: checkpoint headers carry
-// rootIdentity's pair, so a drift would orphan every saved checkpoint.
+// TestVisitedHashPair pins tso.HashPair, through hashPair, to values
+// recorded before it existed, across the word loop and the byte tail, and
+// the dekker-nofence root identity: checkpoint headers carry
+// rootIdentity's pair and optionsHash's first half, so a drift would
+// orphan every saved checkpoint.
 func TestVisitedHashPair(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for n := 0; n <= 257; n++ {
-		b := make([]byte, n)
-		rng.Read(b)
-		h1, h2 := hashPair(b)
-		if w1, w2 := fnv64a(b), hash2(b); h1 != w1 || h2 != w2 {
-			t.Fatalf("len %d: hashPair=(%#x,%#x), fnv64a/hash2=(%#x,%#x)", n, h1, h2, w1, w2)
-		}
-	}
-
 	long := make([]byte, 257)
 	for i := range long {
 		long[i] = byte(i*131 + 7)
@@ -360,7 +348,7 @@ func TestVisitedHashPair(t *testing.T) {
 // the slot matches on the second hash or on the exact key.
 func TestVisitedDuplicateClaimAllocs(t *testing.T) {
 	for _, keyWidth := range []int{0, 256} {
-		e := &engine{maxStates: 1 << 20}
+		e := &engine{plan: plan{maxStates: 1 << 20}}
 		e.visited.init(keyWidth, 0, true, false)
 		fp := make([]byte, 256)
 		h1, h2 := hashPair(fp)
@@ -417,7 +405,7 @@ func BenchmarkVisitedClaim(b *testing.B) {
 			b.Run(fmt.Sprintf("%sgoroutines=%d", mode.prefix, g), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					e := &engine{maxStates: 1 << 30}
+					e := &engine{plan: plan{maxStates: 1 << 30}}
 					e.visited.init(mode.keyWidth, 0, true, false)
 					var wg sync.WaitGroup
 					for w := 0; w < g; w++ {

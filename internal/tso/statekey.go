@@ -170,9 +170,10 @@ func (m *Machine) KeyPair(scratch *[]byte) (h1, h2 uint64) {
 // bytes per multiply with a downward xor-shift so low input bits still
 // reach low output bits; the second a murmur-style word mixer with
 // unrelated constants, so a collision on one has no structural reason
-// to be a collision on the other. litmus.fnv64a and litmus.hash2 are
-// the byte-string definitions (checkpoint headers record their values);
-// the constants here must match theirs.
+// to be a collision on the other. HashPair is the one byte-string hash
+// of the model checker: checkpoint headers record its values (root
+// identity, options hash), so the constants here are part of every
+// checkpoint on disk (litmus.TestVisitedHashPair pins them).
 const (
 	pairSeed1  = 14695981039346656037
 	pairPrime1 = 1099511628211

@@ -4,8 +4,9 @@
 # snapshot the kill left behind, and diff the resumed -json summary
 # field by field against an uninterrupted reference run.
 #
-#   scripts/crash-smoke.sh hashed-128              # -checkpoint alone: hash pairs on disk
-#   scripts/crash-smoke.sh collapsed -compress     # collapsed tuples + component tables
+#   scripts/crash-smoke.sh hashed-128                   # -checkpoint alone: hash pairs on disk
+#   scripts/crash-smoke.sh collapsed -compress          # collapsed tuples + component tables
+#   scripts/crash-smoke.sh hashed-128 -membudget 4096   # hash pairs, spilled segments included
 #
 # The first argument is the "keys" value every summary must report (the
 # key mode is the file's on resume); the rest are extra litmus flags
