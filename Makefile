@@ -45,10 +45,12 @@ bench-litmus:
 	$(GO) test -run '^$$' -bench 'BenchmarkVisitedClaim|BenchmarkHashPair' -benchmem -count $(COUNT) ./internal/litmus/
 
 # Partial-order reduction: the differential tests (reduced exploration
-# must reproduce the unreduced reference semantics) under the race
-# detector, then the reduced-vs-unreduced state-count table.
+# must reproduce the unreduced reference semantics) and the loop-interval
+# oracle (every transition on a state cycle is one the cycle proviso
+# probes) under the race detector, then the reduced-vs-unreduced
+# state-count table.
 bench-por:
-	$(GO) test -race -run 'Reduction|Visited|Frontier' ./internal/litmus/
+	$(GO) test -race -run 'Reduction|Visited|Frontier|LoopInterval' ./internal/litmus/
 	$(GO) run ./cmd/litmus -por -reduction
 
 # Representation-level scaling: the collapse/symmetry/spill

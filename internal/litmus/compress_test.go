@@ -361,12 +361,46 @@ func TestSymmetryBystanderDifferential(t *testing.T) {
 	}
 }
 
+// loopRing is a C_n ring whose members cycle: member i raises flag[i]
+// and gives up if its successor's flag is already up (a straight-line
+// doorway), else spins storing to its own word priv[i] until a bystander
+// releaser's go word lands, then enters the critical section. The spin
+// closes state cycles through ample candidates; the doorway and the CS
+// lie outside every loop span. n is at most 3 (the blocks fill words 1–6).
+func loopRing(n int) *programs.SymProtocol {
+	const flag0, priv0, goWord = arch.Addr(1), arch.Addr(4), arch.Addr(7)
+	sp := &programs.SymProtocol{Name: fmt.Sprintf("loopring%d", n)}
+	ring := make([]arch.ProcID, n)
+	for i := 0; i < n; i++ {
+		ring[i] = arch.ProcID(i)
+		sp.Progs = append(sp.Progs, tso.NewBuilder(fmt.Sprintf("loopring%d-t%d", n, i)).
+			StoreI(flag0+arch.Addr(i), 1).
+			Load(1, flag0+arch.Addr((i+1)%n)).
+			Bne(1, 0, "out").
+			Label("L").StoreI(priv0+arch.Addr(i), 1).Load(3, goWord).Beq(3, 0, "L").
+			CSEnter().CSExit().
+			Label("out").Halt().
+			Build())
+	}
+	sp.Progs = append(sp.Progs, tso.NewBuilder("release").StoreI(goWord, 1).Halt().Build())
+	sp.Cfg = arch.DefaultConfig()
+	sp.Cfg.Procs, sp.Cfg.MemWords, sp.Cfg.StoreBufferDepth = len(sp.Progs), 8, 1
+	sp.Sym = &tso.Symmetry{
+		Procs:  ring,
+		Blocks: []tso.SymBlock{{Base: flag0, Stride: 1}, {Base: priv0, Stride: 1}},
+	}
+	return sp
+}
+
 // TestSymmetryReducedDifferential layers all three features: symmetry,
 // POR, and the budgeted set, hashed and collapsed. Outcomes and
 // deadlocks follow the reduction contract against the symmetric
-// unreduced reference.
+// unreduced reference. The looped ring is the leg on which the cycle
+// proviso probes and demotes under symmetry (C_2 here, which keeps the
+// race lane short; TestLoopIntervalsCoverStateCycles walks loopRing(3)'s
+// C_3 quotient).
 func TestSymmetryReducedDifferential(t *testing.T) {
-	for _, sp := range symSpaces(2) {
+	for _, sp := range append(symSpaces(2), loopRing(2)) {
 		sp := sp
 		t.Run(sp.Name, func(t *testing.T) {
 			ref := ExploreSerial(sp.Build, Options{

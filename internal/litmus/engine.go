@@ -223,12 +223,13 @@ type worker struct {
 
 	// Reduction accounting: states where a single-processor ample set was
 	// chosen, transitions withheld by sleep sets, transitions re-expanded
-	// when a later path needed a previously pruned action, and ample
-	// choices demoted to full expansion by the cycle proviso.
-	ampleStates  uint64
-	slept        uint64
-	reexpanded   uint64
-	provisoFalls uint64
+	// when a later path needed a previously pruned action, states whose
+	// ample choice the cycle proviso probed, and ample choices it demoted.
+	ampleStates   uint64
+	slept         uint64
+	reexpanded    uint64
+	provisoProbes uint64
+	provisoFalls  uint64
 
 	// Claim accounting, owner-written plain counters (obs enters only at
 	// merge time): claimTries is visited-set claim attempts, claimWins the
@@ -502,8 +503,15 @@ func (w *worker) process(f pframe) {
 		// Cycle proviso: an ample set with an already-visited successor
 		// could close a cycle that ignores the excluded processors
 		// forever. Reject such candidates one processor at a time; when
-		// none survives, choose falls through to full expansion.
-		for skip := uint32(0); w.pl.ample && w.ampleSuccessorSeen(m, enabled); {
+		// none survives, choose falls through to full expansion. A
+		// candidate mayCycle clears lies on no cycle and is not probed.
+		for skip := uint32(0); w.pl.ample && e.red.mayCycle(m, enabled, &w.pl); {
+			if skip == 0 {
+				w.provisoProbes++
+			}
+			if !w.ampleSuccessorSeen(m, enabled) {
+				break
+			}
 			skip |= 1 << uint(enabled[w.pl.tidx[0]].Proc)
 			w.provisoFalls++
 			e.red.choose(m, enabled, &w.pl, skip)
@@ -741,13 +749,14 @@ func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p p
 	res := e.partialResult()
 	res.Interrupted = e.interrupted.Load()
 	res.Crashed = e.crashed.Load()
-	var tries, wins, ample, slept, reexp, proviso uint64
+	var tries, wins, ample, slept, reexp, probes, proviso uint64
 	for _, w := range e.workers {
 		tries += w.claimTries
 		wins += w.claimWins
 		ample += w.ampleStates
 		slept += w.slept
 		reexp += w.reexpanded
+		probes += w.provisoProbes
 		proviso += w.provisoFalls
 	}
 	res.Elapsed = time.Since(start)
@@ -809,6 +818,7 @@ func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p p
 		res.Obs.PutCounter("por_ample_states", ample)
 		res.Obs.PutCounter("por_slept_transitions", slept)
 		res.Obs.PutCounter("por_reexpansions", reexp)
+		res.Obs.PutCounter("por_proviso_probes", probes)
 		res.Obs.PutCounter("por_proviso_fallbacks", proviso)
 	}
 	if tries > 0 {

@@ -86,6 +86,25 @@ import (
 // races: for any cycle, the worker holding the last-claimed state
 // probes after every other claim on the cycle has landed.
 //
+// The probe is only needed where a cycle can close — the static cycle
+// condition of Kurshan et al., "Static partial order reduction". Only
+// ExecStep writes a PC, a halt bit is never cleared, and a store buffer
+// grows only through its own processor's store commits. So along any
+// state cycle every processor that executes walks a closed path in its
+// control-flow graph, and every pc on such a path lies in the [target,
+// branch] span of some backward edge (the first step of the path that
+// drops to or below the pc is one). A Drain(p) on a state cycle forces p
+// to commit a store again inside the cycle, at a pc in one of those
+// spans. Under symmetry a quotient cycle lifts to a concrete one by
+// concatenating its rotations; ring members share one control-flow
+// template (renaming rewrites addresses and immediates, never ops or
+// targets) and bystanders are fixed points, so the same holds. mayCycle
+// flags a candidate with an action of either kind, and every edge of a
+// reduced-graph cycle is such an action in its source state's chosen
+// set, so the last-claimed state above still probes, and still demotes.
+// Unflagged candidates skip the probe: on a loop-free program, none is
+// ever probed or demoted.
+//
 // What the reduction preserves (pinned by TestReductionDifferential):
 // the exact Outcomes multiset (all quiesced final states are visited),
 // the exact Deadlocks count, and reachability of violations for *stable*
@@ -152,7 +171,16 @@ type reducer struct {
 	// remaining ample-eligible: p's private bit plus the words no other
 	// processor reaches.
 	ownAllowed []uint64
+	// loops[p] lists the spans of p's backward control edges, and bit p
+	// of loopStores is set when one of them holds a store commit. Both
+	// stay empty for loop-free programs (see mayCycle).
+	loops      [][]loopSpan
+	loopStores uint32
 }
+
+// loopSpan is the pc interval [lo, hi] of a backward control edge from
+// hi to lo.
+type loopSpan struct{ lo, hi int }
 
 // newReducer builds the reducer for the machine rooted at m, which has at
 // most maxReductionProcs processors (resolve decides whether a run
@@ -166,6 +194,15 @@ func newReducer(m *tso.Machine, sc bool) *reducer {
 	may := make([]uint64, len(m.Procs))
 	for i, p := range m.Procs {
 		may[i] = staticAddrMask(p.Prog)
+		if spans, store := loopSpans(p.Prog); spans != nil {
+			if rd.loops == nil {
+				rd.loops = make([][]loopSpan, len(m.Procs))
+			}
+			rd.loops[i] = spans
+			if store {
+				rd.loopStores |= 1 << uint(i)
+			}
+		}
 	}
 	for i := range m.Procs {
 		for j := range m.Procs {
@@ -197,6 +234,49 @@ func staticAddrMask(prog *tso.Program) uint64 {
 		}
 	}
 	return mask
+}
+
+// loopSpans lists the spans of prog's backward control edges (nil for a
+// forward-only program) and reports whether any span holds an
+// instruction that commits a store to the buffer.
+func loopSpans(prog *tso.Program) (spans []loopSpan, store bool) {
+	if prog == nil {
+		return nil, false
+	}
+	for pc, in := range prog.Instrs {
+		switch in.Op {
+		case tso.OpJmp, tso.OpBeq, tso.OpBne, tso.OpBlt:
+			if in.Target <= pc {
+				spans = append(spans, loopSpan{in.Target, pc})
+				for _, b := range prog.Instrs[in.Target : pc+1] {
+					store = store || b.Op.IsStore()
+				}
+			}
+		}
+	}
+	return spans, store
+}
+
+// mayCycle reports whether an action of pl's chosen set can lie on a
+// state cycle: an Exec at a pc inside one of its processor's loop spans,
+// or a Drain of a processor whose spans hold a store commit. Only such a
+// candidate needs the cycle proviso's probe (see the file comment).
+func (rd *reducer) mayCycle(m *tso.Machine, enabled []Action, pl *porScratch) bool {
+	if rd.loops == nil {
+		return false
+	}
+	for _, i := range pl.tidx {
+		a := enabled[i]
+		if a.Kind == Drain && rd.loopStores&(1<<uint(a.Proc)) != 0 {
+			return true
+		}
+		for _, s := range rd.loops[a.Proc] {
+			if pc := m.Procs[a.Proc].PC; a.Kind == Exec && s.lo <= pc && pc <= s.hi {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // access folds a memory-word touch into fp. A word guarded by another
@@ -352,12 +432,12 @@ type porScratch struct {
 // enabled actions of m. It is independent of the sleep set, so the
 // parallel engine can run it before fetching the merged sleep mask from
 // the visited entry. The caller must still apply the cycle proviso:
-// while pl.ample and any successor via pl.tidx is already visited,
-// re-choose with the rejected candidate's processor in skip, falling
-// through to full expansion when no candidate survives (see the file
-// comment). Only the claim-winning visit of a state expands it, so the
-// proviso's dependence on visited-set contents cannot split one state's
-// expansion across different chosen sets.
+// while pl.ample, mayCycle holds and any successor via pl.tidx is
+// already visited, re-choose with the rejected candidate's processor in
+// skip, falling through to full expansion when no candidate survives
+// (see the file comment). Only the claim-winning visit of a state
+// expands it, so the proviso's dependence on visited-set contents cannot
+// split one state's expansion across different chosen sets.
 func (rd *reducer) analyze(m *tso.Machine, enabled []Action, pl *porScratch) {
 	pl.fps = pl.fps[:0]
 	for _, a := range enabled {

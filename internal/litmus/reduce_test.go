@@ -67,6 +67,35 @@ func reductionSpaces() []struct {
 	pspin := tso.NewBuilder("pspin").
 		Label("L").StoreI(13, 1).Load(0, 13).Jmp("L").Build()
 	spaces = append(spaces, space{"cycle/privspin", machineFor(pspin, cs("c2"), cs("c3")), me})
+
+	// Mixed programs: an unfenced Dekker doorway (no backward edge, so its
+	// ample candidates skip the proviso's probe) and a spin that cycles
+	// through a private word until a releaser's go word lands (its
+	// candidates take the probe), in either order; the CS comes last.
+	const goWord = 12
+	spinUntilGo := func(b *tso.Builder, priv arch.Addr) *tso.Builder {
+		return b.Label("L").StoreI(priv, 1).Load(3, goWord).Beq(3, 0, "L")
+	}
+	doorway := func(b *tso.Builder, self, peer arch.Addr) *tso.Builder {
+		return b.StoreI(self, 1).Load(1, peer).Bne(1, 0, "out")
+	}
+	release := tso.NewBuilder("release").StoreI(goWord, 1).Halt().Build()
+	mixed := func(spinFirst bool) func() *tso.Machine {
+		var progs []*tso.Program
+		for i := arch.Addr(0); i < 2; i++ {
+			b := tso.NewBuilder(fmt.Sprintf("t%d", i))
+			if spinFirst {
+				b = doorway(spinUntilGo(b, 10+i), 1+i, 2-i)
+			} else {
+				b = spinUntilGo(doorway(b, 1+i, 2-i), 10+i)
+			}
+			progs = append(progs, b.CSEnter().CSExit().Label("out").Halt().Build())
+		}
+		return machineFor(append(progs, release)...)
+	}
+	spaces = append(spaces,
+		space{"cycle/doorway-spin", mixed(false), me},
+		space{"cycle/spin-doorway", mixed(true), me})
 	return spaces
 }
 

@@ -63,7 +63,7 @@ func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 	buf := make([]byte, 0, 256)
 	probeBuf := make([]byte, 0, 256)
 	var pl porScratch
-	var ample, slept, reexp, proviso uint64
+	var ample, slept, reexp, probes, proviso uint64
 
 	// push clones f.m, takes a on the clone and stacks the result.
 	push := func(f serialFrame, a Action, sleep actionMask) {
@@ -158,8 +158,12 @@ func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 		// state itself is already in visited, so a pure self-loop (e.g.
 		// "L: jmp L") trips the probe immediately. A tripped candidate's
 		// processor is skipped and the next candidate tried; only when
-		// all trip does the state expand fully.
-		for skip := uint32(0); pl.ample; {
+		// all trip does the state expand fully. A candidate mayCycle
+		// clears lies on no cycle and is not probed.
+		for skip := uint32(0); pl.ample && rd.mayCycle(m, enabled, &pl); {
+			if skip == 0 {
+				probes++
+			}
 			seen := false
 			for _, i := range pl.tidx {
 				child := m.Clone()
@@ -206,6 +210,7 @@ func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 		res.Obs.PutCounter("por_ample_states", ample)
 		res.Obs.PutCounter("por_slept_transitions", slept)
 		res.Obs.PutCounter("por_reexpansions", reexp)
+		res.Obs.PutCounter("por_proviso_probes", probes)
 		res.Obs.PutCounter("por_proviso_fallbacks", proviso)
 	}
 	if canon != nil {

@@ -71,19 +71,22 @@ func minimalHittingSets(constraints []constraint, maxFences int) []Placement {
 }
 
 // irredundant reports whether every atom of p is load-bearing: removing
-// any one atom leaves some constraint unhit.
+// any one atom leaves some constraint unhit. Each removal is tested in
+// place, without building the smaller placement.
 func irredundant(p Placement, constraints []constraint) bool {
 	for i := range p {
-		if hitsAll(p.without(i), constraints) {
+		if hitsAllWithout(p, i, constraints) {
 			return false
 		}
 	}
 	return true
 }
 
-func hitsAll(p Placement, constraints []constraint) bool {
+// hitsAllWithout reports whether p, less its atom at index skip, hits
+// every constraint.
+func hitsAllWithout(p Placement, skip int, constraints []constraint) bool {
 	for _, c := range constraints {
-		if !p.hits(c) {
+		if !p.hitsWithout(c, skip) {
 			return false
 		}
 	}

@@ -44,8 +44,9 @@
 package synth
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -201,11 +202,11 @@ func (p Placement) with(a Atom) Placement {
 	if !replaced {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Thread != out[j].Thread {
-			return out[i].Thread < out[j].Thread
+	slices.SortFunc(out, func(a, b Atom) int {
+		if a.Thread != b.Thread {
+			return cmp.Compare(a.Thread, b.Thread)
 		}
-		return out[i].Instr < out[j].Instr
+		return cmp.Compare(a.Instr, b.Instr)
 	})
 	return out
 }
@@ -236,9 +237,19 @@ func (p Placement) subsetOf(q Placement) bool {
 // hits reports whether p satisfies a counterexample constraint: some
 // atom of p sits at the site of a constraint element with at least the
 // element's strength.
-func (p Placement) hits(c constraint) bool {
+func (p Placement) hits(c constraint) bool { return p.hitsWithout(c, -1) }
+
+// hitsWithout is hits for p less its atom at index skip (-1 keeps all).
+func (p Placement) hitsWithout(c constraint, skip int) bool {
 	for _, need := range c {
-		if p.at(siteKey{need.Thread, need.Instr}) >= need.Kind {
+		kind := KindNone
+		for j, a := range p {
+			if j != skip && a.Thread == need.Thread && a.Instr == need.Instr {
+				kind = a.Kind
+				break
+			}
+		}
+		if kind >= need.Kind {
 			return true
 		}
 	}

@@ -2,6 +2,9 @@ package synth
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/arch"
@@ -426,5 +429,110 @@ func TestHittingSets(t *testing.T) {
 	// redundant (a0m alone hits both constraints).
 	if len(hs) != 1 || hs[0].key() != (Placement{a0m}).key() {
 		t.Errorf("got %v, want exactly {P0:mfence@0}", hs)
+	}
+}
+
+// withSortSlice, hitsAt and irredundantByCopy are the definitions
+// Placement.with, Placement.hits and irredundant are held to: a sort
+// through sort.Slice, a site lookup per constraint element, and one
+// without(i) copy per removed atom.
+func withSortSlice(p Placement, a Atom) Placement {
+	out := make(Placement, 0, len(p)+1)
+	replaced := false
+	for _, b := range p {
+		if b.Thread == a.Thread && b.Instr == a.Instr {
+			out = append(out, a)
+			replaced = true
+			continue
+		}
+		out = append(out, b)
+	}
+	if !replaced {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Thread != out[j].Thread {
+			return out[i].Thread < out[j].Thread
+		}
+		return out[i].Instr < out[j].Instr
+	})
+	return out
+}
+
+func hitsAt(p Placement, c constraint) bool {
+	for _, need := range c {
+		if p.at(siteKey{need.Thread, need.Instr}) >= need.Kind {
+			return true
+		}
+	}
+	return false
+}
+
+func irredundantByCopy(p Placement, constraints []constraint) bool {
+	for i := range p {
+		w, all := p.without(i), true
+		for _, c := range constraints {
+			if !hitsAt(w, c) {
+				all = false
+				break
+			}
+		}
+		if all {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPlacementOpsMatchDefinitions drives Placement.with, hits and
+// irredundant with seeded random placements and constraints over a few
+// threads and sites, against the definitions above.
+func TestPlacementOpsMatchDefinitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	atom := func() Atom {
+		return Atom{Thread: rng.Intn(3), Instr: rng.Intn(4), Kind: KindLmfence + FenceKind(rng.Intn(2))}
+	}
+	redundant := 0
+	for trial := 0; trial < 3000; trial++ {
+		var p Placement
+		for n := rng.Intn(5); n > 0; n-- {
+			a := atom()
+			got, want := p.with(a), withSortSlice(p, a)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v.with(%v) = %v, want %v", p, a, got, want)
+			}
+			p = got
+		}
+		cs := make([]constraint, 1+rng.Intn(4))
+		for i := range cs {
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				cs[i] = append(cs[i], atom())
+			}
+			if got, want := p.hits(cs[i]), hitsAt(p, cs[i]); got != want {
+				t.Fatalf("%v.hits(%v) = %v, want %v", p, cs[i], got, want)
+			}
+		}
+		got, want := irredundant(p, cs), irredundantByCopy(p, cs)
+		if got != want {
+			t.Fatalf("irredundant(%v, %v) = %v, want %v", p, cs, got, want)
+		}
+		if !got {
+			redundant++
+		}
+	}
+	if redundant == 0 || redundant == 3000 {
+		t.Errorf("%d of 3000 trials redundant: the generator exercises one answer only", redundant)
+	}
+}
+
+// TestIrredundantDoesNotAllocate: the removal tests run in place.
+func TestIrredundantDoesNotAllocate(t *testing.T) {
+	a := Atom{Thread: 0, Instr: 1, Kind: KindMfence}
+	b := Atom{Thread: 1, Instr: 2, Kind: KindLmfence}
+	cs := []constraint{{a}, {b, {Thread: 0, Instr: 3, Kind: KindMfence}}}
+	for _, p := range []Placement{{a, b}, {a, b, {Thread: 2, Instr: 0, Kind: KindMfence}}} {
+		if n := testing.AllocsPerRun(100, func() { irredundant(p, cs) }); n != 0 {
+			t.Errorf("irredundant(%v) allocates %v times a call", p, n)
+		}
 	}
 }
