@@ -41,7 +41,7 @@ func main() {
 	file := flag.String("file", "", "synthesize fences for a .litmus scenario file (must declare an assertion) instead of the registry")
 	kind := flag.String("kind", "both", "fence kinds the synthesizer may place (mfence|lmfence|both)")
 	ratio := flag.Float64("ratio", synth.DefaultPrimaryWeight, "assumed primary:secondary execution-frequency ratio for the cost objective")
-	workers := flag.Int("workers", 0, "exploration worker-pool size per verification (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "exploration worker-pool size per verification (0 = GOMAXPROCS; under -corpus, 0 = GOMAXPROCS shared among the scenarios repaired at once, i.e. 1)")
 	maxStates := flag.Int("max-states", 0, "per-candidate exploration budget in states (0 = checker default)")
 	verbose := flag.Bool("v", false, "print the full minimal frontier per problem")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of tables")

@@ -42,7 +42,9 @@ type CorpusOptions struct {
 	Seed int64
 	// Workers is the repair worker-pool size (0 = GOMAXPROCS). Each
 	// worker runs whole scenarios; per-candidate exploration parallelism
-	// inside a scenario is governed by Synth.Workers.
+	// inside a scenario is governed by Synth.Workers, which RunCorpus
+	// sets, when it is 0, to the pool's share of the cores:
+	// max(1, GOMAXPROCS / Workers).
 	Workers int
 	// Params bounds the generated scenarios (zero value =
 	// litmusgen.CorpusParams, the planted-race mix that makes a sweep
@@ -108,6 +110,11 @@ type CorpusRow struct {
 	// reported, spliced into the base programs, explored exhaustively).
 	ReverifyStates int
 
+	// FrontierNodes / FrontierTime are synth.Result's frontier
+	// enumeration counters (not journaled: a resumed row reports 0).
+	FrontierNodes int
+	FrontierTime  time.Duration
+
 	Err error
 }
 
@@ -136,7 +143,9 @@ type CorpusResult struct {
 
 	// Obs carries the sweep's robustness counters for the metrics
 	// endpoints (corpus_resumed, corpus_timeouts, corpus_panics,
-	// corpus_journal_errors).
+	// corpus_journal_errors), the exploration workers each verification
+	// ran with (corpus_explore_workers) and the summed frontier
+	// enumeration counters (frontier_nodes, frontier_ns).
 	Obs obs.Snapshot
 	// ContractFailures counts spliced repairs the exact engine refuted —
 	// the must-stay-zero number: a synthesis result that does not
@@ -221,6 +230,8 @@ func repairOne(c *litmuslang.Compiled, seed int64, opts synth.Options) CorpusRow
 		row.PrunedSites = r.PrunedSites
 		row.RestoredSites = r.RestoredSites
 		row.States = r.StatesExplored
+		row.FrontierNodes = r.FrontierNodes
+		row.FrontierTime = r.FrontierTime
 	}
 	if err != nil {
 		row.Err = err
@@ -244,6 +255,7 @@ func repairOne(c *litmuslang.Compiled, seed int64, opts synth.Options) CorpusRow
 	build := func() *tso.Machine { return tso.NewMachine(prob.Config, progs...) }
 	vres := litmus.Explore(build, litmus.Options{
 		Properties: []litmus.Property{prob.Property},
+		Workers:    opts.Workers,
 		MaxStates:  opts.MaxStates,
 		Reduction:  true,
 	})
@@ -334,6 +346,12 @@ func RunCorpus(co CorpusOptions) (*CorpusResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if co.Synth.Workers <= 0 {
+		// The pool keeps the cores busy with whole scenarios; explorations
+		// that each start GOMAXPROCS workers on top of it only add idle
+		// workers spinning for work.
+		co.Synth.Workers = max(1, runtime.GOMAXPROCS(0)/workers)
+	}
 
 	start := time.Now()
 	scenarios, seeds, scanned := scanScenarios(co)
@@ -408,6 +426,8 @@ func RunCorpus(co CorpusOptions) (*CorpusResult, error) {
 	res.Timeouts = int(timeouts.Load())
 	res.Panics = int(panics.Load())
 
+	var frontierNodes int
+	var frontierTime time.Duration
 	for i, row := range res.Rows {
 		if !processed[i] {
 			continue // aborted before this scenario ran
@@ -419,6 +439,8 @@ func RunCorpus(co CorpusOptions) (*CorpusResult, error) {
 		res.PrunedSites += row.PrunedSites
 		res.RestoredSites += row.RestoredSites
 		res.StatesExplored += row.States + row.ReverifyStates
+		frontierNodes += row.FrontierNodes
+		frontierTime += row.FrontierTime
 		switch {
 		case row.Err != nil:
 			res.Errors++
@@ -437,6 +459,9 @@ func RunCorpus(co CorpusOptions) (*CorpusResult, error) {
 	res.Obs.PutCounter("corpus_resumed", uint64(res.Resumed))
 	res.Obs.PutCounter("corpus_timeouts", uint64(res.Timeouts))
 	res.Obs.PutCounter("corpus_panics", uint64(res.Panics))
+	res.Obs.PutCounter("corpus_explore_workers", uint64(co.Synth.Workers))
+	res.Obs.PutCounter("frontier_nodes", uint64(frontierNodes))
+	res.Obs.PutCounter("frontier_ns", uint64(frontierTime))
 	if je := journalErrs.Load(); je > 0 {
 		res.Obs.PutCounter("corpus_journal_errors", je)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/synth"
@@ -93,5 +94,32 @@ func TestRunSynthThroughput(t *testing.T) {
 	}
 	if res.Table().Rows() != 2 {
 		t.Errorf("throughput table rows = %d, want 2", res.Table().Rows())
+	}
+}
+
+// TestRunCorpusDividesCores: with Synth.Workers left 0 a sweep gives
+// each exploration its pool worker's share of GOMAXPROCS, never less
+// than one worker, and an explicit Synth.Workers is kept.
+func TestRunCorpusDividesCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, tc := range []struct {
+		pool, synthWorkers, want int
+	}{
+		{pool: 2, want: 1},
+		{pool: 1, want: 2},
+		{pool: 4, want: 1},
+		{pool: 0, want: 1},
+		{pool: 2, synthWorkers: 3, want: 3},
+	} {
+		res, err := RunCorpus(CorpusOptions{Scenarios: 3, Workers: tc.pool, Synth: synth.Options{Workers: tc.synthWorkers}})
+		if err != nil {
+			t.Fatalf("RunCorpus: %v", err)
+		}
+		if got := res.Obs.Counters["corpus_explore_workers"]; got != uint64(tc.want) {
+			t.Errorf("pool %d, Synth.Workers %d: explorations ran on %d workers, want %d", tc.pool, tc.synthWorkers, got, tc.want)
+		}
+		if res.Errors != 0 || res.Obs.Counters["frontier_nodes"] == 0 {
+			t.Errorf("pool %d: %d errors, frontier_nodes %d", tc.pool, res.Errors, res.Obs.Counters["frontier_nodes"])
+		}
 	}
 }

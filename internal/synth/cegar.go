@@ -41,6 +41,11 @@ import (
 //     one, and the minimality pass strips any fence only a seed (not a
 //     counterexample) demanded, without flagging AssumptionViolated.
 
+// frontierHook, when non-nil, sees each constraint set Synthesize
+// enumerates a frontier for. Tests set it to hold minimalHittingSets to
+// its definition on the sets real scenarios produce.
+var frontierHook func(constraints []constraint, maxFences int)
+
 // synthesizer carries the per-run state of one Synthesize call.
 type synthesizer struct {
 	prob   Problem
@@ -157,24 +162,17 @@ func (s *synthesizer) record(p Placement, v *verdict) {
 	}
 }
 
-// verifyBatch verifies one frontier concurrently (bounded by
-// Options.Parallel) and memoizes each verdict. Results align with batch
-// order, so downstream constraint accumulation is deterministic
-// regardless of verification scheduling.
+// verifyBatch verifies one frontier concurrently, a goroutine per
+// candidate, and memoizes each verdict. Results align with batch order,
+// so downstream constraint accumulation is deterministic regardless of
+// verification scheduling.
 func (s *synthesizer) verifyBatch(batch []Placement) []*verdict {
-	par := s.opts.Parallel
-	if par <= 0 || par > len(batch) {
-		par = len(batch)
-	}
 	verdicts := make([]*verdict, len(batch))
-	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
 	for i, p := range batch {
 		wg.Add(1)
 		go func(i int, p Placement) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			verdicts[i] = s.verifyOne(p)
 		}(i, p)
 	}
@@ -387,7 +385,13 @@ func Synthesize(prob Problem, opts Options) (*Result, error) {
 	}
 
 	for {
-		frontier := minimalHittingSets(constraints, opts.MaxFences)
+		if frontierHook != nil {
+			frontierHook(constraints, opts.MaxFences)
+		}
+		t0 := time.Now()
+		frontier, nodes := minimalHittingSets(constraints, opts.MaxFences)
+		res.FrontierTime += time.Since(t0)
+		res.FrontierNodes += nodes
 		var todo []Placement
 		for _, p := range frontier {
 			if _, done := s.tested[p.key()]; !done {

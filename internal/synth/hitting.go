@@ -18,13 +18,25 @@ import "sort"
 
 // minimalHittingSets returns every irredundant placement hitting all
 // constraints, deterministically ordered (fewest atoms first, then
-// canonical key). maxFences caps placement size when positive.
-func minimalHittingSets(constraints []constraint, maxFences int) []Placement {
+// canonical key), and the number of partial placements it expanded.
+// maxFences caps placement size when positive.
+//
+// The recursion reaches a partial placement once per order in which its
+// atoms can be added, and what lies below a placement depends on the
+// placement alone, so seen holds every placement reached, leaves
+// included, and each is expanded once.
+func minimalHittingSets(constraints []constraint, maxFences int) ([]Placement, int) {
 	seen := make(map[string]struct{})
 	var out []Placement
+	var buf []byte
 
 	var rec func(p Placement)
 	rec = func(p Placement) {
+		buf = p.appendKey(buf[:0])
+		if _, dup := seen[string(buf)]; dup {
+			return
+		}
+		seen[string(buf)] = struct{}{}
 		// Find the first constraint p does not hit.
 		var unhit constraint
 		for _, c := range constraints {
@@ -34,15 +46,9 @@ func minimalHittingSets(constraints []constraint, maxFences int) []Placement {
 			}
 		}
 		if unhit == nil {
-			if !irredundant(p, constraints) {
-				return
+			if irredundant(p, constraints) {
+				out = append(out, p)
 			}
-			k := p.key()
-			if _, dup := seen[k]; dup {
-				return
-			}
-			seen[k] = struct{}{}
-			out = append(out, p)
 			return
 		}
 		for _, a := range unhit {
@@ -67,7 +73,7 @@ func minimalHittingSets(constraints []constraint, maxFences int) []Placement {
 		}
 		return out[i].key() < out[j].key()
 	})
-	return out
+	return out, len(seen)
 }
 
 // irredundant reports whether every atom of p is load-bearing: removing

@@ -47,6 +47,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -167,13 +168,26 @@ func (p Placement) String() string {
 	return strings.Join(parts, " + ")
 }
 
-// key is the canonical identity of a placement, used for memoisation.
+// key is the canonical identity of a placement, used for memoisation:
+// thread.instr.kind per atom, in decimal, joined by "|".
 func (p Placement) key() string {
-	parts := make([]string, len(p))
+	var b [64]byte
+	return string(p.appendKey(b[:0]))
+}
+
+// appendKey appends p's key to dst.
+func (p Placement) appendKey(dst []byte) []byte {
 	for i, a := range p {
-		parts[i] = fmt.Sprintf("%d.%d.%d", a.Thread, a.Instr, a.Kind)
+		if i > 0 {
+			dst = append(dst, '|')
+		}
+		dst = strconv.AppendInt(dst, int64(a.Thread), 10)
+		dst = append(dst, '.')
+		dst = strconv.AppendInt(dst, int64(a.Instr), 10)
+		dst = append(dst, '.')
+		dst = strconv.AppendUint(dst, uint64(a.Kind), 10)
 	}
-	return strings.Join(parts, "|")
+	return dst
 }
 
 // at returns the kind placed at a site (KindNone if unfenced).
@@ -335,14 +349,13 @@ type Options struct {
 	AllowLmfence bool
 
 	// Workers is the exploration worker-pool size for each verification
-	// (litmus.Options.Workers); 0 means GOMAXPROCS.
+	// (litmus.Options.Workers); 0 means GOMAXPROCS. Every candidate of a
+	// frontier verifies at once, each with this many workers, so a
+	// caller running several syntheses side by side divides the cores
+	// here (RunCorpus does): an exploration's idle workers do not sleep,
+	// they loop on runtime.Gosched and take turns on the cores the
+	// busy explorations need.
 	Workers int
-
-	// Parallel bounds how many candidate verifications of one frontier
-	// run concurrently; 0 means the frontier size (each candidate's
-	// exploration is itself parallel, so the product is bounded by the
-	// scheduler, not by this knob).
-	Parallel int
 
 	// MaxStates is the per-candidate exploration budget; 0 means the
 	// litmus default. A truncated verification makes the run fail with
@@ -496,6 +509,12 @@ type Result struct {
 	BoundedHits   int
 	ExactChecks   int
 
+	// FrontierNodes counts the partial placements the CEGAR rounds'
+	// frontier enumerations expanded, FrontierTime the wall time they
+	// took (the minimality pass enumerates no frontier).
+	FrontierNodes int
+	FrontierTime  time.Duration
+
 	// PrefilterCycles / PrefilterSeeds / PrunedSites / RestoredSites
 	// report the static prefilter's work when Options.Prefilter is set:
 	// potential critical cycles found, seed constraints injected, sites
@@ -522,6 +541,8 @@ func (r *Result) FillObs() {
 	r.Obs.PutCounter("bounded_checks", uint64(r.BoundedChecks))
 	r.Obs.PutCounter("bounded_hits", uint64(r.BoundedHits))
 	r.Obs.PutCounter("exact_checks", uint64(r.ExactChecks))
+	r.Obs.PutCounter("frontier_nodes", uint64(r.FrontierNodes))
+	r.Obs.PutCounter("frontier_ns", uint64(r.FrontierTime))
 	r.Obs.PutCounter("prefilter_cycles", uint64(r.PrefilterCycles))
 	r.Obs.PutCounter("prefilter_seeds", uint64(r.PrefilterSeeds))
 	r.Obs.PutCounter("pruned_sites", uint64(r.PrunedSites))

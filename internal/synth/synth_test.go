@@ -2,9 +2,11 @@ package synth
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -400,21 +402,21 @@ func TestHittingSets(t *testing.T) {
 	b0m := Atom{Thread: 1, Instr: 0, Kind: KindMfence}
 
 	// No constraints: the empty placement is the whole frontier.
-	hs := minimalHittingSets(nil, 0)
+	hs, _ := minimalHittingSets(nil, 0)
 	if len(hs) != 1 || hs[0].Len() != 0 {
 		t.Fatalf("empty constraints: got %v, want [()]", hs)
 	}
 
 	// One constraint with kind alternatives: both kinds are frontier
 	// members (alternatives, not orderings).
-	hs = minimalHittingSets([]constraint{{a0, a0m}}, 0)
+	hs, _ = minimalHittingSets([]constraint{{a0, a0m}}, 0)
 	if len(hs) != 2 {
 		t.Fatalf("got %v, want the two single-atom alternatives", hs)
 	}
 
 	// Needing mfence at a site where a weaker branch placed l-mfence
 	// forces the upgrade rather than a second fence at the same site.
-	hs = minimalHittingSets([]constraint{{a0, b0m}, {a0m}}, 0)
+	hs, _ = minimalHittingSets([]constraint{{a0, b0m}, {a0m}}, 0)
 	for _, p := range hs {
 		if len(p) > 2 {
 			t.Errorf("hitting set %v not minimal", p)
@@ -534,5 +536,131 @@ func TestIrredundantDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { irredundant(p, cs) }); n != 0 {
 			t.Errorf("irredundant(%v) allocates %v times a call", p, n)
 		}
+	}
+}
+
+// keyByFmt is the definition Placement.key is held to.
+func keyByFmt(p Placement) string {
+	parts := make([]string, len(p))
+	for i, a := range p {
+		parts[i] = fmt.Sprintf("%d.%d.%d", a.Thread, a.Instr, a.Kind)
+	}
+	return strings.Join(parts, "|")
+}
+
+// minimalHittingSetsByDefinition is the frontier enumeration
+// minimalHittingSets is held to: the plain recursion, which expands a
+// partial placement once per order its atoms can be added in and
+// dedupes at the leaves. It also returns how many partial placements it
+// expanded and how many of them were distinct.
+func minimalHittingSetsByDefinition(constraints []constraint, maxFences int) (out []Placement, calls, distinct int) {
+	seen := make(map[string]struct{})
+	reached := make(map[string]struct{})
+
+	var rec func(p Placement)
+	rec = func(p Placement) {
+		calls++
+		reached[keyByFmt(p)] = struct{}{}
+		var unhit constraint
+		for _, c := range constraints {
+			if !hitsAt(p, c) {
+				unhit = c
+				break
+			}
+		}
+		if unhit == nil {
+			if !irredundantByCopy(p, constraints) {
+				return
+			}
+			k := keyByFmt(p)
+			if _, dup := seen[k]; dup {
+				return
+			}
+			seen[k] = struct{}{}
+			out = append(out, p)
+			return
+		}
+		for _, a := range unhit {
+			cur := p.at(siteKey{a.Thread, a.Instr})
+			if cur >= a.Kind {
+				continue
+			}
+			if cur == KindNone && maxFences > 0 && p.Len() >= maxFences {
+				continue
+			}
+			rec(withSortSlice(p, a))
+		}
+	}
+	rec(Placement{})
+
+	sort.Slice(out, func(i, j int) bool {
+		if len(out[i]) != len(out[j]) {
+			return len(out[i]) < len(out[j])
+		}
+		return keyByFmt(out[i]) < keyByFmt(out[j])
+	})
+	return out, calls, len(reached)
+}
+
+// randomConstraints draws a constraint set over a few threads and sites
+// with both kinds, often asking for an mfence at a site another
+// constraint wants only an l-mfence at (the upgrade path).
+func randomConstraints(rng *rand.Rand) []constraint {
+	cs := make([]constraint, 1+rng.Intn(5))
+	for i := range cs {
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			cs[i] = append(cs[i], Atom{Thread: rng.Intn(3), Instr: rng.Intn(3), Kind: KindLmfence + FenceKind(rng.Intn(2))})
+		}
+	}
+	return cs
+}
+
+// TestMinimalHittingSetsMatchesDefinition holds the frontier to the
+// plain recursion on seeded constraint sets, with and without a fence
+// cap: the same members in the same order, and every distinct partial
+// placement expanded exactly once.
+func TestMinimalHittingSetsMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	saved := 0
+	for trial := 0; trial < 3000; trial++ {
+		cs, maxFences := randomConstraints(rng), rng.Intn(4)
+		got, nodes := minimalHittingSets(cs, maxFences)
+		want, calls, distinct := minimalHittingSetsByDefinition(cs, maxFences)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("constraints %v, maxFences %d: got %v, want %v", cs, maxFences, got, want)
+		}
+		if nodes != distinct {
+			t.Fatalf("constraints %v, maxFences %d: expanded %d partial placements, %d distinct ones exist",
+				cs, maxFences, nodes, distinct)
+		}
+		if calls > nodes {
+			saved++
+		}
+	}
+	if saved == 0 {
+		t.Error("no trial reached a partial placement twice: the generator never exercises the memo")
+	}
+}
+
+// TestPlacementKeyMatchesFmt holds Placement.key byte for byte to the
+// fmt definition on seeded placements; a key costs one allocation, the
+// string itself.
+func TestPlacementKeyMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var longest Placement
+	for trial := 0; trial < 3000; trial++ {
+		var p Placement
+		for n := rng.Intn(7); n > 0; n-- {
+			p = p.with(Atom{Thread: rng.Intn(12), Instr: rng.Intn(300), Kind: KindLmfence + FenceKind(rng.Intn(2))})
+		}
+		if got, want := p.key(), keyByFmt(p); got != want {
+			t.Fatalf("%v.key() = %q, want %q", p, got, want)
+		}
+		if len(p) > len(longest) {
+			longest = p
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = longest.key() }); n > 1 {
+		t.Errorf("%v.key() allocates %v times a call, want at most 1", longest, n)
 	}
 }
