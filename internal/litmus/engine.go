@@ -22,13 +22,13 @@ import (
 //     the shared stacks stay full and a frame costs no synchronisation:
 //     even the frame count that detects termination (engine.pending) is
 //     settled only when frames change hands.
-//   - Visited set: one structure, visited.go: 256 lock-striped flat
-//     open-addressed tables of 24-byte slots holding no pointers. A
-//     64-bit hash of the state picks the stripe and the probe start; a
-//     slot matches on that hash AND either a second independent 64-bit
-//     hash (an effective 128-bit key, the default) or the exact
-//     collapsed key kept in the stripe's arena (Options.Collapse). Both
-//     keys are assembled from the machine's cached component keys
+//   - Visited set: one structure, visited.go: 256 (one for one worker)
+//     lock-striped flat open-addressed tables of 24-byte slots. A 64-bit
+//     hash of the state picks the stripe and the probe start; a slot
+//     matches on that hash AND either a second independent 64-bit hash
+//     (an effective 128-bit key, the default) or the exact collapsed
+//     key kept in the stripe's arena (Options.Collapse). Both keys are
+//     assembled from the machine's cached component keys
 //     (worker.stateKey), so claiming a state is a re-encoding of what
 //     the last action wrote, one uncontended lock and a linear probe.
 //   - Traces: a frame carries its parent's immutable parent-pointer
@@ -660,7 +660,7 @@ func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p p
 	}
 	// Without a reducer no finalize call ever comes, so entries are born
 	// finalized (pruned stays zero) and immediately spillable.
-	e.visited.init(e.keyWidth, opts.MemBudget, e.red == nil, opts.VerifyVisited)
+	e.visited.init(nw, e.keyWidth, opts.MemBudget, e.red == nil, opts.VerifyVisited)
 	e.visited.faults = opts.Faults
 	e.workers = make([]*worker, nw)
 	for i := range e.workers {
@@ -797,8 +797,8 @@ func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p p
 		if f := vs.spillFailures.Load(); f > 0 {
 			res.Obs.PutCounter("visited_spill_failures", f)
 		}
-		vs.close()
 	}
+	e.visited.close()
 	if e.sym != nil {
 		res.Obs.PutGauge("symmetry", 1)
 		if e.collapser != nil {

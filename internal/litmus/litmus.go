@@ -232,9 +232,9 @@ type Options struct {
 	// trace replays on the unbounded machine), while a bounded-safe
 	// verdict proves nothing. The fence synthesizer uses it as a fast
 	// UNSAT screen before paying for the exact reduced check. 0 means
-	// unbounded (exact TSO). A bounded run explores unreduced (resolve,
-	// plan.go): the ample-set analysis assumes the full TSO enabledness
-	// relation.
+	// unbounded, as is a bound ≥ the store-buffer depth (sbdepth). A
+	// bounded run explores unreduced (resolve, plan.go): the ample-set
+	// analysis assumes the full TSO enabledness relation.
 	ReorderBound int
 
 	// Checkpoint configures periodic durable snapshots of the parallel

@@ -12,10 +12,10 @@ import (
 	"repro/internal/fault"
 )
 
-// This file is the engine's one visited set: 256 lock-striped flat
-// open-addressed tables of 24-byte slots. A 64-bit hash of the state key
-// picks the stripe (low 8 bits) and the probe start (the rest). What a
-// slot matches on besides that hash is the set's one mode:
+// This file is the engine's one visited set: 256 (one for one worker)
+// lock-striped flat open-addressed tables of 24-byte slots. A 64-bit hash
+// of the state key picks the stripe (low 8 bits) and the probe start (the
+// rest). What a slot matches on besides that hash is the set's one mode:
 //
 //   - Hashed keys (the default): a second independent 64-bit hash, an
 //     effective 128-bit key, so a state sharing only the primary hash
@@ -65,7 +65,7 @@ import (
 // newest-first. Spill I/O failure is not fatal: the set disables the
 // budget and the run completes in memory.
 
-// visitedStripes must be a power of two.
+// visitedStripes, a multi-worker set's stripe count, must be a power of two.
 const visitedStripes = 256
 
 // slot is one cell of a stripe's flat table. h2 is the second hash in
@@ -96,9 +96,8 @@ const (
 // An action mask must fit under meta's two flag bits.
 const _ = uint(30 - 2*maxReductionProcs)
 
-// A stripe is exactly one cache line and a slot exactly 24 bytes: every
-// Explore allocates 256 stripes, so a wider stripe is 16 KB more on each
-// of synthesis's thousands of few-hundred-state runs.
+// A stripe is exactly one cache line and a slot exactly 24 bytes: a
+// multi-worker Explore allocates 256 stripes, so a wider one costs 16 KB.
 const (
 	_ = uint(64 - unsafe.Sizeof(visitedStripe{}))
 	_ = uint(unsafe.Sizeof(visitedStripe{}) - 64)
@@ -243,10 +242,45 @@ func (s *visitedStripe) bytes() int64 {
 	return int64(b)
 }
 
+// Retired tables of minPooled to maxPooled slots wait, up to maxPooled
+// slots of each length (≈7.5 MB), for a table of that length. Unlike a
+// sync.Pool the lists survive collections, so recycling is repeatable.
+const minPooled, maxPooled = 64, 64 << 9
+
+var tableMu sync.Mutex
+var tableFree = map[int][][]slot{} // by length, under tableMu
+
+// newSlots returns an empty table of nslots slots, recycled if it can.
+func newSlots(nslots int) []slot {
+	if nslots >= minPooled {
+		tableMu.Lock()
+		if l := tableFree[nslots]; len(l) > 0 {
+			t := l[len(l)-1]
+			l[len(l)-1], tableFree[nslots] = nil, l[:len(l)-1]
+			tableMu.Unlock()
+			clear(t)
+			return t
+		}
+		tableMu.Unlock()
+	}
+	return make([]slot, nslots)
+}
+
+// retireSlots pools a table no one reads if its length's list has room.
+func retireSlots(t []slot) {
+	if n := len(t); n >= minPooled {
+		tableMu.Lock()
+		if l := tableFree[n]; (len(l)+1)*n <= maxPooled {
+			tableFree[n] = append(l, t)
+		}
+		tableMu.Unlock()
+	}
+}
+
 // retable moves the stripe's entries, all of them or only the
 // unfinalized ones, into a fresh table of nslots slots and, in exact
 // mode, a fresh arena sized with it (never by append growth, whose
-// 1.25× steps would allocate several times the bytes).
+// 1.25× steps would allocate several times the bytes), retiring the old.
 func (s *visitedStripe) retable(nslots int, dropFinalized bool) {
 	old, x := s.slots, s.x
 	var oldKeys []byte
@@ -254,8 +288,9 @@ func (s *visitedStripe) retable(nslots int, dropFinalized bool) {
 	if x != nil {
 		oldKeys, x.keys = x.keys, nil
 	}
+	defer retireSlots(old)
 	if nslots > 0 {
-		s.slots = make([]slot, nslots)
+		s.slots = newSlots(nslots)
 		if x != nil {
 			x.keys = make([]byte, 0, nslots/4*3*x.kw)
 		}
@@ -289,11 +324,11 @@ func (s *visitedStripe) reserve() int64 {
 	return s.bytes() - before
 }
 
-// visitedSet is the engine's visited set. The 16 KB stripe array is its
-// own allocation so the set's few fields don't push it into the next
-// size class.
+// visitedSet is the engine's visited set.
 type visitedSet struct {
-	stripes *[visitedStripes]visitedStripe
+	stripes []visitedStripe
+	mask    uint64      // len(stripes) - 1
+	pooled  atomic.Bool // some stripe made a table close should retire
 	// keyWidth is the exact key's width; 0 selects hashed keys.
 	keyWidth int
 	// bornFinal is slotFinalized when the run has no reduction, where no
@@ -320,25 +355,27 @@ type visitedSet struct {
 	faults        *fault.Injector
 }
 
-// init sets the set up with exact keys of keyWidth bytes, or hashed keys
-// when keyWidth is 0 (audit then adds the VerifyVisited maps), and with
-// spill columns when budget is positive. It allocates no table:
-// synthesis issues thousands of explorations of a few hundred states,
-// where pre-sizing 256 stripes was most of each run's allocation, and a
-// large space grows them within its first few thousand claims.
-func (vs *visitedSet) init(keyWidth int, budget int64, bornFinal, audit bool) {
-	vs.stripes = new([visitedStripes]visitedStripe)
+// init sets the set up for nworkers (one stripe for one) with exact keys
+// of keyWidth bytes, or hashed keys when keyWidth is 0 (audit then adds
+// the VerifyVisited maps), and with spill columns when budget is
+// positive. It allocates no table: most runs are small.
+func (vs *visitedSet) init(nworkers, keyWidth int, budget int64, bornFinal, audit bool) {
+	n := visitedStripes
+	if nworkers == 1 {
+		n = 1
+	}
+	vs.stripes, vs.mask = make([]visitedStripe, n), uint64(n-1)
 	vs.keyWidth, vs.budget = keyWidth, budget
 	if bornFinal {
 		vs.bornFinal = slotFinalized
 	}
 	var xs []exactStripe
 	if keyWidth > 0 {
-		xs = make([]exactStripe, visitedStripes)
+		xs = make([]exactStripe, n)
 	}
 	var sps []spillColumn
 	if budget > 0 {
-		sps = make([]spillColumn, visitedStripes)
+		sps = make([]spillColumn, n)
 	}
 	for i := range vs.stripes {
 		s := &vs.stripes[i]
@@ -369,6 +406,9 @@ func (vs *visitedSet) addResident(delta int64) {
 // returned: the table doubles first when the insert would overfill it.
 func (vs *visitedSet) add(s *visitedStripe, sl *slot, h1, h2 uint64, key []byte, sleepAcc actionMask, meta uint32) {
 	if grew := s.reserve(); grew != 0 {
+		if len(s.slots) >= minPooled {
+			vs.pooled.Store(true)
+		}
 		if s.x != nil || s.sp != nil {
 			// Read by the budget and the exact mode's gauges only: an
 			// unbudgeted hashed run, synthesis's thousands of small
@@ -412,7 +452,7 @@ func dupMerge(sl *slot, z actionMask) actionMask {
 // pruned actions the arriving sleep set z requires.
 func (e *engine) claim(h1, h2 uint64, key []byte, z actionMask) (claimStatus, actionMask) {
 	vs := &e.visited
-	s := &vs.stripes[h1&(visitedStripes-1)]
+	s := &vs.stripes[h1&vs.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -472,7 +512,7 @@ func (e *engine) claim(h1, h2 uint64, key []byte, z actionMask) (claimStatus, ac
 // earlier claim, which is what the no-ignoring argument in reduce.go
 // needs.
 func (e *engine) seen(h1, h2 uint64, key []byte) bool {
-	s := &e.visited.stripes[h1&(visitedStripes-1)]
+	s := &e.visited.stripes[h1&e.visited.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.full != nil {
@@ -511,7 +551,7 @@ func (e *engine) bumpStates() bool {
 // necessarily still resident: only finalized entries spill, and this
 // call is what finalizes it.
 func (e *engine) finalize(h1, h2 uint64, key []byte, tmask actionMask) actionMask {
-	s := &e.visited.stripes[h1&(visitedStripes-1)]
+	s := &e.visited.stripes[h1&e.visited.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var sl *slot
@@ -683,25 +723,29 @@ func (vs *visitedSet) restoreRecords(recs []byte) {
 			key = recs[:kw]
 			h1, h2 = hashPair(key)
 		}
-		s := &vs.stripes[h1&(visitedStripes-1)]
+		s := &vs.stripes[h1&vs.mask]
 		if sl, found, _ := s.find(h1, h2, key); !found {
 			vs.add(s, sl, h1, h2, key, 0, slotFinalized|binary.LittleEndian.Uint32(recs[kw:]))
 		}
 	}
 }
 
-// close releases every spill segment's mapping and file.
+// close releases every spill segment and retires every table, lock-free:
+// call it once no worker claims (256 locks cost a small run ≈6 %).
 func (vs *visitedSet) close() {
+	if vs.budget <= 0 && !vs.pooled.Load() {
+		return
+	}
 	for i := range vs.stripes {
 		s := &vs.stripes[i]
-		s.mu.Lock()
 		if sp := s.sp; sp != nil {
 			for _, seg := range sp.segs {
 				seg.close()
 			}
 			sp.segs = nil
 		}
-		s.mu.Unlock()
+		retireSlots(s.slots)
+		s.slots, s.n = nil, 0
 	}
 }
 

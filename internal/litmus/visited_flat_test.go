@@ -137,7 +137,9 @@ func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEn
 // reads h1 out of the key (so groups of keys share one h1 and h2 carries
 // nothing). Both modes evict twice on the way — the unfinalized entries
 // must survive the rebuild and the spilled ones keep answering from
-// their segments — and end with a snapshot restored into a fresh set.
+// their segments — and end with a snapshot restored into a fresh set
+// of the other stripe count. Every leg runs in a one-worker set (one
+// stripe) and a multi-worker one (256).
 func TestVisitedStripeModel(t *testing.T) {
 	t.Cleanup(func() { pairFilter = nil })
 	// Low 8 bits zero: every key lands in stripe 0.
@@ -149,20 +151,27 @@ func TestVisitedStripeModel(t *testing.T) {
 		if exact {
 			keyWidth = 13
 		}
-		for _, seed := range []int64{1, 2, 3} {
+		for _, leg := range []struct {
+			seed int64
+			nw   int
+		}{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 1}, {3, 2}} {
+			seed, nw := leg.seed, leg.nw
 			rng := rand.New(rand.NewSource(seed))
 			e := &engine{plan: plan{maxStates: distinct}}
 			// A budget gives the stripes spill columns; nothing here calls
 			// maybeSpill, so the test evicts when it chooses.
-			e.visited.init(keyWidth, 1, false, false)
+			e.visited.init(nw, keyWidth, 1, false, false)
 			defer e.visited.close()
+			if want := map[int]int{1: 1, 2: visitedStripes}[nw]; len(e.visited.stripes) != want {
+				t.Fatalf("%d workers: %d stripes, want %d", nw, len(e.visited.stripes), want)
+			}
 			s := &e.visited.stripes[0]
 			ref := map[string]*refEntry{}
 			sharing := map[uint64]uint64{} // h1 -> resident keys holding it
 			var keys []modelKey
 			var collisions uint64
 			maxSlots := 0
-			tag := fmt.Sprintf("exact=%v seed %d", exact, seed)
+			tag := fmt.Sprintf("exact=%v seed %d workers %d", exact, seed, nw)
 			mask := func() actionMask { return actionMask(rng.Intn(1 << (2 * maxReductionProcs))) }
 			// A pool of 40 narrow h1 values forces equal-h1 groups and long
 			// shared probe runs.
@@ -288,7 +297,7 @@ func TestVisitedStripeModel(t *testing.T) {
 			}
 			ref[zero.id()].arrive(0)
 			stripeAudit(t, e, keys, ref)
-			for i := 1; i < visitedStripes; i++ {
+			for i := 1; i < len(e.visited.stripes); i++ {
 				if e.visited.stripes[i].slots != nil {
 					t.Fatalf("stripe %d allocated by keys of stripe 0", i)
 				}
@@ -301,7 +310,7 @@ func TestVisitedStripeModel(t *testing.T) {
 				t.Fatalf("%s: snapshot of %d records in %d bytes, reference %d", tag, n, len(recs), len(ref))
 			}
 			r := &engine{plan: plan{maxStates: distinct}}
-			r.visited.init(keyWidth, 0, false, false)
+			r.visited.init(3-nw, keyWidth, 0, false, false)
 			r.visited.restoreRecords(recs)
 			if got := r.visited.stripes[0].n; got != len(ref) {
 				t.Fatalf("%s: restored %d of %d records", tag, got, len(ref))
@@ -345,11 +354,13 @@ func TestVisitedHashPair(t *testing.T) {
 
 // TestVisitedDuplicateClaimAllocs: a duplicate arrival, two thirds of
 // all claims on the large workloads, mutates its slot in place, whether
-// the slot matches on the second hash or on the exact key.
+// the slot matches on the second hash or on the exact key, in a set of
+// one stripe or of 256.
 func TestVisitedDuplicateClaimAllocs(t *testing.T) {
-	for _, keyWidth := range []int{0, 256} {
+	for _, c := range []struct{ nw, keyWidth int }{{1, 0}, {1, 256}, {2, 0}, {2, 256}} {
+		keyWidth := c.keyWidth
 		e := &engine{plan: plan{maxStates: 1 << 20}}
-		e.visited.init(keyWidth, 0, true, false)
+		e.visited.init(c.nw, keyWidth, 0, true, false)
 		fp := make([]byte, 256)
 		h1, h2 := hashPair(fp)
 		if st, _ := e.claim(h1, h2, fp, 0); st != claimWon {
@@ -406,7 +417,7 @@ func BenchmarkVisitedClaim(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					e := &engine{plan: plan{maxStates: 1 << 30}}
-					e.visited.init(mode.keyWidth, 0, true, false)
+					e.visited.init(g, mode.keyWidth, 0, true, false)
 					var wg sync.WaitGroup
 					for w := 0; w < g; w++ {
 						wg.Add(1)

@@ -31,7 +31,8 @@ import (
 //     through. SAT verdicts therefore only ever come from exact runs,
 //     and Unrepairable/ErrBudget are only ever concluded from exact
 //     runs (a bounded trace that *suggests* unrepairability triggers an
-//     exact re-verification first).
+//     exact re-verification first). A bound ≥ the store-buffer depth
+//     removes nothing, so it runs no screen (an unreduced exact run).
 //
 //   - Options.Prefilter seeds the constraint set with static critical
 //     cycles and prunes off-cycle sites from the lattice (static.go).
@@ -105,13 +106,13 @@ func builderFor(cfg arch.Config, spliced []*tso.Spliced) func() *tso.Machine {
 }
 
 // verifyOne model-checks a single candidate placement: the bounded
-// screen first when Options.ReorderBound is set, the exact reduced
-// check unless the screen already refuted the candidate.
+// screen first when Options.ReorderBound binds (is below the buffer
+// depth), the exact reduced check unless the screen refuted the candidate.
 func (s *synthesizer) verifyOne(p Placement) *verdict {
 	spliced := spliceCandidate(s.prob.Programs, p, s.opts.scratch())
 	build := builderFor(s.prob.Config, spliced)
 	v := &verdict{spliced: spliced, build: build}
-	if b := s.opts.ReorderBound; b > 0 {
+	if b := s.opts.ReorderBound; b > 0 && b < s.prob.Config.StoreBufferDepth {
 		v.screened = true
 		br := litmus.Explore(build, litmus.Options{
 			Properties:      []litmus.Property{s.prob.Property},

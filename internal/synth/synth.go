@@ -404,8 +404,8 @@ type Options struct {
 	// UNSAT candidates usually resolve at a fraction of the exact cost;
 	// bounded-safe candidates always proceed to the exact check, and
 	// Unrepairable/ErrBudget conclusions are only ever drawn from exact
-	// runs. 2 is a good default for generated corpora (SB-style cycles
-	// need 1; the occasional deeper window needs 2).
+	// runs. A bound ≥ Config.StoreBufferDepth (sbdepth) screens nothing;
+	// on the generated corpora (sbdepth 2) only 1 binds.
 	ReorderBound int
 }
 
