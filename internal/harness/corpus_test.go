@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/synth"
@@ -121,6 +124,51 @@ func TestRunCorpusDividesCores(t *testing.T) {
 		}
 		if res.Errors != 0 || res.Obs.Counters["frontier_nodes"] == 0 {
 			t.Errorf("pool %d: %d errors, frontier_nodes %d", tc.pool, res.Errors, res.Obs.Counters["frontier_nodes"])
+		}
+	}
+}
+
+// TestRunCorpusConcurrentSweeps: two sweeps at once, whose explorations
+// all draw machines from and return them to litmus's one process-wide
+// free list, report the rows each reports alone, checks and states
+// included (one worker an exploration makes both deterministic). Run it
+// under -race: the list is what the sweeps share.
+func TestRunCorpusConcurrentSweeps(t *testing.T) {
+	n := 12
+	if testing.Short() {
+		n = 6
+	}
+	seeds := []int64{7, 40}
+	sweep := func(seed int64) []string {
+		res, err := RunCorpus(CorpusOptions{Scenarios: n, Seed: seed, Workers: 2, Synth: synth.Options{Workers: 1}})
+		if err != nil {
+			t.Errorf("RunCorpus(seed %d): %v", seed, err)
+			return nil
+		}
+		var rows []string
+		for _, r := range res.Rows {
+			rows = append(rows, fmt.Sprintf("%d %s: fences=%d cost=%g safe=%v unrepairable=%v exact=%d states=%d reverify=%d err=%v",
+				r.Seed, r.Name, r.Fences, r.Cost, r.AlreadySafe, r.Unrepairable, r.ExactChecks, r.States, r.ReverifyStates, r.Err))
+		}
+		return rows
+	}
+	alone := make([][]string, len(seeds))
+	for i, s := range seeds {
+		alone[i] = sweep(s)
+	}
+	together := make([][]string, len(seeds))
+	var wg sync.WaitGroup
+	for i, s := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i] = sweep(s)
+		}()
+	}
+	wg.Wait()
+	for i, s := range seeds {
+		if !reflect.DeepEqual(together[i], alone[i]) {
+			t.Errorf("seed %d: concurrent rows\n%v\ndiffer from the rows alone\n%v", s, together[i], alone[i])
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/tso"
 )
 
@@ -42,7 +43,10 @@ import (
 //     (slice copies over flat cache arrays, no allocation), and the last
 //     child of every expansion reuses the parent machine in place, so a
 //     state with branching factor k costs at most k-1 copies and usually
-//     zero fresh allocations.
+//     zero fresh allocations. The machines a run still holds when it
+//     ends pass to the next exploration of the same Config through a
+//     process-wide free list (machineFree), so a sweep of small
+//     explorations clones almost nothing.
 //
 // Exactly one worker wins the visited-set claim for any state, so each
 // distinct state is expanded exactly once and, without reduction, the
@@ -120,7 +124,10 @@ type engine struct {
 	base           Result
 	rootH1, rootH2 uint64
 	nprocs         int
-	visited        visitedSet
+	// cfg is the root's Config, which keys the machines this run draws
+	// from and returns to machineFree.
+	cfg     arch.Config
+	visited visitedSet
 	// collapser holds the shared component intern tables when the visited
 	// set keys on exact collapsed tuples; nil when it keys on hash pairs.
 	collapser *tso.Collapser
@@ -194,6 +201,39 @@ func (e *engine) partialResult() Result {
 // maxFreeMachines bounds each worker's machine free list.
 const maxFreeMachines = 64
 
+// Machines outlive their exploration. When Explore returns, the machines
+// on its workers' free lists, and those of any frames a cancel left on
+// their stacks, move to machineFree, where the next exploration of a
+// machine with the same Config draws them before it clones. A Config
+// fixes everything CopyFrom needs of its destination (processors, memory
+// words, buffer depth, protocol). The list keeps up to maxPooledMachines
+// a Config and maxPooledConfigs Configs; unlike a sync.Pool it survives
+// collections, so what a run recycles does not depend on when the
+// collector last ran.
+const (
+	maxPooledMachines = 256
+	maxPooledConfigs  = 8
+	// drawMachines is how many machines a worker takes at once.
+	drawMachines = 16
+)
+
+var machineMu sync.Mutex
+var machineFree = map[arch.Config][]*tso.Machine{} // under machineMu
+
+// drawPooled appends up to drawMachines pooled machines of cfg to dst.
+func drawPooled(cfg arch.Config, dst []*tso.Machine) []*tso.Machine {
+	machineMu.Lock()
+	defer machineMu.Unlock()
+	l := machineFree[cfg]
+	k := max(len(l)-drawMachines, 0)
+	dst = append(dst, l[k:]...)
+	clear(l[k:])
+	if l != nil {
+		machineFree[cfg] = l[:k]
+	}
+	return dst
+}
+
 // worker is one exploration goroutine with its frontier, machine free
 // list, scratch buffers, and partial result.
 type worker struct {
@@ -210,6 +250,7 @@ type worker struct {
 	owed    int // unsettled adjustment to engine.pending
 
 	free     []*tso.Machine
+	poolDry  bool // machineFree had nothing left for this run
 	fpBuf    []byte
 	probeBuf []byte // successor keys for the cycle proviso
 	actBuf   []Action
@@ -345,8 +386,13 @@ func (w *worker) recycle(m *tso.Machine) {
 }
 
 // clone produces a private copy of src, reusing a free-listed machine's
-// allocations when one is available.
+// allocations when one is available: the worker's own, else a batch
+// drawn from machineFree.
 func (w *worker) clone(src *tso.Machine) *tso.Machine {
+	if len(w.free) == 0 && !w.poolDry {
+		w.free = drawPooled(w.eng.cfg, w.free)
+		w.poolDry = len(w.free) == 0
+	}
 	if n := len(w.free); n > 0 {
 		m := w.free[n-1]
 		w.free = w.free[:n-1]
@@ -443,6 +489,7 @@ func (w *worker) process(f pframe) {
 	st, missing := e.claim(h1, h2, key, permuteMask(f.sleep, slot))
 	switch st {
 	case claimTruncated:
+		w.recycle(m)
 		return
 	case claimDup:
 		if missing != 0 {
@@ -473,11 +520,11 @@ func (w *worker) process(f pframe) {
 	}
 	if violated && e.opts.StopOnViolation {
 		e.cancel.Store(true)
+		w.recycle(m)
 		return
 	}
 
-	w.actBuf = e.model.Enabled(w.actBuf[:0], m, e.opts.ReorderBound)
-	enabled := w.actBuf
+	enabled := w.enabled(m)
 	if len(enabled) == 0 {
 		if m.Quiesced() {
 			// Outcomes are recorded from the canonical representative so
@@ -516,9 +563,6 @@ func (w *worker) process(f pframe) {
 			w.provisoFalls++
 			e.red.choose(m, enabled, &w.pl, skip)
 		}
-		if w.pl.ample {
-			w.ampleStates++
-		}
 		// Publish the persistent set, fetch the sleep mask merged across
 		// every arrival so far, and expand the survivors. The visited
 		// entry speaks canonical numbering; the expansion runs on the
@@ -527,11 +571,26 @@ func (w *worker) process(f pframe) {
 		// two sibling children in one visited orbit, collapsing the
 		// well-founded coverage order that makes sleep sets sound, so
 		// symmetric runs reduce with ample sets and the proviso only
-		// (see the rationale in serial.go).
-		zc := e.finalize(h1, h2, key, permuteMask(w.pl.tmask, slot))
+		// (see the rationale in serial.go). An ample set on a possible
+		// cycle that the merged mask puts wholly asleep demotes to full
+		// expansion (reduce.go, "Asleep ample sets"); finalize decides
+		// that under the stripe lock, so the entry never publishes a set
+		// the winner does not expand.
+		var full actionMask
+		if w.pl.ample && w.canon == nil && e.red.mayCycle(m, enabled, &w.pl) {
+			full = maskOfAll(enabled)
+		}
+		zc := e.finalize(h1, h2, key, permuteMask(w.pl.tmask, slot), full)
 		z := unpermuteMask(zc, slot)
 		if w.canon != nil {
 			z = 0
+		}
+		if full != 0 && w.pl.tmask&^z == 0 {
+			w.pl.fullExpand(enabled)
+			w.provisoFalls++
+		}
+		if w.pl.ample {
+			w.ampleStates++
 		}
 		e.red.expansion(enabled, &w.pl, z)
 		w.slept += uint64(w.pl.sleptCount())
@@ -562,6 +621,32 @@ func (w *worker) process(f pframe) {
 	last := len(enabled) - 1
 	for i, a := range enabled {
 		w.pushChild(m, node, a, i == last, 0)
+	}
+}
+
+// enabled lists m's enabled actions into actBuf and returns them, every
+// Drain before every Exec when the plan says so. The reducer indexes the
+// slice, so a state's expansion, proviso probes and re-expansion all
+// read the one order.
+func (w *worker) enabled(m *tso.Machine) []Action {
+	e := w.eng
+	w.actBuf = e.model.Enabled(w.actBuf[:0], m, e.opts.ReorderBound)
+	if e.drainsFirst {
+		drainsFirst(w.actBuf)
+	}
+	return w.actBuf
+}
+
+// drainsFirst moves every Drain of acts ahead of every Exec in place,
+// keeping each kind's order.
+func drainsFirst(acts []Action) {
+	k := 0
+	for i, a := range acts {
+		if a.Kind == Drain {
+			copy(acts[k+1:i+1], acts[k:i])
+			acts[k] = a
+			k++
+		}
 	}
 }
 
@@ -596,13 +681,12 @@ func (w *worker) ampleSuccessorSeen(m *tso.Machine, enabled []Action) bool {
 // The children start with empty sleep sets: the conservative choice,
 // costing at most the work the first visit saved.
 func (w *worker) expandFrom(f *pframe, mask actionMask) {
-	e := w.eng
 	m := f.m
-	w.actBuf = e.model.Enabled(w.actBuf[:0], m, e.opts.ReorderBound)
+	enabled := w.enabled(m)
 	// A duplicate arrival chooses no expansion of its own, so the
 	// reduction scratch's index slice is free to hold the picks.
 	picked := w.pl.idx[:0]
-	for i, a := range w.actBuf {
+	for i, a := range enabled {
 		if mask&maskOf(a) != 0 {
 			picked = append(picked, i)
 		}
@@ -617,8 +701,43 @@ func (w *worker) expandFrom(f *pframe, mask actionMask) {
 	node := w.node(f)
 	last := len(picked) - 1
 	for k, i := range picked {
-		w.pushChild(m, node, w.actBuf[i], k == last, 0)
+		w.pushChild(m, node, enabled[i], k == last, 0)
 	}
+}
+
+// retireMachines moves every machine the drained or stopped workers
+// still hold, free-listed or on a frame a cancel left behind, to
+// machineFree as far as its room allows, detaching each from this run.
+// A Config new to a full map displaces another one's list.
+func (e *engine) retireMachines() {
+	machineMu.Lock()
+	defer machineMu.Unlock()
+	l, ok := machineFree[e.cfg]
+	if !ok && len(machineFree) >= maxPooledConfigs {
+		for c := range machineFree {
+			delete(machineFree, c)
+			break
+		}
+	}
+	park := func(m *tso.Machine) {
+		if len(l) < maxPooledMachines {
+			m.Detach()
+			l = append(l, m)
+		}
+	}
+	for _, w := range e.workers {
+		for _, m := range w.free {
+			park(m)
+		}
+		for _, f := range w.priv {
+			park(f.m)
+		}
+		for _, f := range w.shared {
+			park(f.m)
+		}
+		w.free, w.priv, w.shared = nil, nil, nil
+	}
+	machineFree[e.cfg] = l
 }
 
 func (e *engine) recordViolation(err error, tr *traceNode) {
@@ -634,7 +753,9 @@ func (e *engine) recordViolation(err error, tr *traceNode) {
 // produced by build, using opts.Workers parallel workers (default
 // GOMAXPROCS). The builder is invoked once; the search clones states as
 // it forks. The merged result is deterministic — identical to a serial
-// exploration — except for which violation is designated first.
+// exploration — except for which violation is designated first. The
+// machines build returns become the engine's: they are stepped in place
+// and, once the run ends, recycled into later explorations.
 func Explore(build func() *tso.Machine, opts Options) Result {
 	root := build()
 	return exploreFrom(build, root, opts, resolve(root, opts, nil), nil)
@@ -650,7 +771,7 @@ func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p p
 	ckptOn := opts.Checkpoint.enabled()
 	nw := p.nworkers
 
-	e := &engine{plan: p, opts: opts}
+	e := &engine{plan: p, opts: opts, cfg: root.Cfg}
 	e.nprocs = len(root.Procs)
 	if ckptOn || ck != nil {
 		e.rootH1, e.rootH2 = rootIdentity(root)
@@ -746,6 +867,7 @@ func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p p
 		}
 	}
 
+	e.retireMachines()
 	res := e.partialResult()
 	res.Interrupted = e.interrupted.Load()
 	res.Crashed = e.crashed.Load()
@@ -763,6 +885,9 @@ func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p p
 	res.Obs.PutCounter("claim_tries", tries)
 	res.Obs.PutCounter("claim_wins", wins)
 	res.Obs.PutCounter("workers", uint64(nw))
+	if e.drainsFirst {
+		res.Obs.PutGauge("search_refutation_first", 1)
+	}
 	if vs := &e.visited; vs.keyWidth == 0 {
 		res.Obs.PutCounter("visited_h1_collisions", e.h1Collisions.Load())
 		if opts.VerifyVisited {

@@ -145,6 +145,22 @@ type Options struct {
 	// queries (e.g. the fence synthesizer's inner loop) fail fast instead
 	// of exhausting the state space. Default behaviour (off) explores the
 	// full space and is unchanged.
+	//
+	// Such a run also searches refutation first: the parallel engine
+	// lists every enabled Drain before every Exec of a state (resolve,
+	// plan.go), and Result.Obs carries the gauge
+	// "search_refutation_first". Siblings are pushed in that order and
+	// popped last first, and under Reduction each Exec child sleeps on
+	// the earlier Drains it commutes with, so the search takes the
+	// branches that keep stores buffered — the TSO-only interleavings a
+	// fence must forbid — before those that drain them. On the fence
+	// synthesizer's corpus that halves the states a refuted candidate
+	// costs. Only the order changes: an unreduced run that finds no
+	// violation visits the same states, and a reduced one keeps the
+	// reduction's preservation contract (reduce.go) though which states
+	// it visits may differ. Runs that explore everything keep the
+	// model's order, in which the reduced SB catalog case visits 37
+	// states rather than 41.
 	StopOnViolation bool
 
 	// Reduction asks for partial-order reduction: ample sets over a

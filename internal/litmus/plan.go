@@ -25,6 +25,9 @@ type plan struct {
 	// keyWidth is the visited set's exact key width; 0 selects hashed
 	// keys.
 	keyWidth int
+	// drainsFirst lists every enabled Drain before every Exec wherever
+	// the parallel engine expands a state (refutation-first order).
+	drainsFirst bool
 }
 
 // resolve decides the plan of an exploration of root under opts, resumed
@@ -42,6 +45,9 @@ type plan struct {
 //     Workers or GOMAXPROCS.
 //   - Traces are recorded when there is a property to report or a
 //     snapshot whose frontier is made of them.
+//   - A StopOnViolation run expands drains before executes
+//     (refutation-first order; Options.StopOnViolation says why). A run
+//     that explores everything keeps the model's order.
 //   - The key width is Collapse's alone on a fresh run and the file's on
 //     a resumed one: a hashed file resumes hashed and a collapsed file
 //     collapsed, whatever Collapse says. A MemBudget spills either.
@@ -64,11 +70,12 @@ func resolve(root *tso.Machine, opts Options, ck *checkpoint) plan {
 		}
 	}
 	p := plan{
-		model:     modelFor(opts),
-		sym:       checkedSymmetry(root, opts.Symmetry),
-		maxStates: int64(opts.MaxStates),
-		nworkers:  opts.Workers,
-		traces:    len(opts.Properties) > 0 || opts.Checkpoint.enabled() || ck != nil,
+		model:       modelFor(opts),
+		sym:         checkedSymmetry(root, opts.Symmetry),
+		maxStates:   int64(opts.MaxStates),
+		nworkers:    opts.Workers,
+		traces:      len(opts.Properties) > 0 || opts.Checkpoint.enabled() || ck != nil,
+		drainsFirst: opts.StopOnViolation,
 	}
 	if p.maxStates == 0 {
 		p.maxStates = DefaultMaxStates

@@ -105,6 +105,25 @@ import (
 // Unflagged candidates skip the probe: on a loop-free program, none is
 // ever probed or demoted.
 //
+// Asleep ample sets. A state whose chosen ample set T lies wholly in its
+// sleep set expands nothing: the sleep set says a sibling branch covers
+// T, and the ample argument says the excluded processors may wait until
+// T has run. On a cycle the two delegations can point at each other. In
+// "L: storei [13],1; jmp L" on P0 beside two "cs_enter; cs_exit; halt"
+// threads, the proviso demotes the state S where P0's buffer is full to
+// T = {D0, E1, E2}. The E1 and E2 children inherit sleep {D0}, each
+// chooses the ample set {D0}, which is asleep, and expands nothing;
+// the D0 branch they rely on re-enters P0's cycle, where the ample sets
+// again run P0 alone until the visited set closes it. The critical
+// sections never overlap on any explored path, though 171 unreduced
+// states violate. So both engines demote a wholly asleep T for which
+// mayCycle holds to full expansion, still filtered by the sleep set:
+// such a state runs the excluded processors itself rather than
+// delegating them to a branch that may never run them, which is the
+// plain sleep-set search at that state. The demotion only adds
+// expansions, and mayCycle never holds on a loop-free program, so
+// there nothing changes.
+//
 // What the reduction preserves (pinned by TestReductionDifferential):
 // the exact Outcomes multiset (all quiesced final states are visited),
 // the exact Deadlocks count, and reachability of violations for *stable*
@@ -123,6 +142,15 @@ type actionMask uint32
 
 func maskOf(a Action) actionMask {
 	return 1 << (uint(a.Proc)*2 + uint(a.Kind))
+}
+
+// maskOfAll is the mask of every action in enabled.
+func maskOfAll(enabled []Action) actionMask {
+	var m actionMask
+	for _, a := range enabled {
+		m |= maskOf(a)
+	}
+	return m
 }
 
 // Resource-bit layout of a footprint: two private bits per processor
@@ -435,7 +463,9 @@ type porScratch struct {
 // while pl.ample, mayCycle holds and any successor via pl.tidx is
 // already visited, re-choose with the rejected candidate's processor in
 // skip, falling through to full expansion when no candidate survives
-// (see the file comment). Only the claim-winning visit of a state
+// (see the file comment), and then, once the sleep mask is known,
+// fall through to full expansion if it covers all of an ample pl.tidx
+// for which mayCycle holds. Only the claim-winning visit of a state
 // expands it, so the proviso's dependence on visited-set contents cannot
 // split one state's expansion across different chosen sets.
 func (rd *reducer) analyze(m *tso.Machine, enabled []Action, pl *porScratch) {
@@ -535,9 +565,9 @@ func (rd *reducer) choose(m *tso.Machine, enabled []Action, pl *porScratch, skip
 }
 
 // fullExpand resets the chosen set to every enabled action: the
-// fallback when no processor qualifies as ample, and the cycle-proviso
-// demotion applied by the engines when a chosen ample subset has an
-// already-visited successor.
+// fallback when no processor qualifies as ample, and the demotion the
+// engines apply when a chosen ample subset on a possible cycle has an
+// already-visited successor or lies wholly in the sleep set.
 func (pl *porScratch) fullExpand(enabled []Action) {
 	pl.tidx = pl.tidx[:0]
 	pl.tmask = 0
@@ -561,11 +591,7 @@ func (rd *reducer) expansion(enabled []Action, pl *porScratch, z actionMask) {
 	// A sleeping action must be enabled here (sleep members are enabled
 	// and independent in the parent, which preserves both); drop any bit
 	// with no matching enabled action — pure over-approximation safety.
-	var enabledMask actionMask
-	for _, a := range enabled {
-		enabledMask |= maskOf(a)
-	}
-	z &= enabledMask
+	z &= maskOfAll(enabled)
 
 	for _, i := range pl.tidx {
 		bi := maskOf(enabled[i])

@@ -96,7 +96,52 @@ func reductionSpaces() []struct {
 	spaces = append(spaces,
 		space{"cycle/doorway-spin", mixed(false), me},
 		space{"cycle/spin-doorway", mixed(true), me})
+	for _, sp := range spinnerSpaces() {
+		spaces = append(spaces, space{sp.name, sp.build, me})
+	}
 	return spaces
+}
+
+// spinnerSpaces is the spinner family: one processor spins forever on a
+// loop body of one shape, first or last, beside two or three
+// "cs_enter; cs_exit; halt" threads, so every violation needs the
+// reduction to run the CS threads around a cycle it could close on. The
+// first-position st, st-st, st-nop, nop and ld spinners are the ones a
+// wholly asleep ample set on a cycle used to hide every violation of
+// (reduce.go, "Asleep ample sets").
+func spinnerSpaces() []spinnerSpace {
+	shapes := []struct {
+		name string
+		body func(*tso.Builder) *tso.Builder
+	}{
+		{"jmp", func(b *tso.Builder) *tso.Builder { return b }},
+		{"nop", func(b *tso.Builder) *tso.Builder { return b.Nop() }},
+		{"st", func(b *tso.Builder) *tso.Builder { return b.StoreI(13, 1) }},
+		{"st-st", func(b *tso.Builder) *tso.Builder { return b.StoreI(13, 1).StoreI(14, 1) }},
+		{"st-nop", func(b *tso.Builder) *tso.Builder { return b.StoreI(13, 1).Nop() }},
+		{"ld", func(b *tso.Builder) *tso.Builder { return b.Load(0, 13) }},
+		{"st-ld", func(b *tso.Builder) *tso.Builder { return b.StoreI(13, 1).Load(0, 13) }},
+	}
+	var out []spinnerSpace
+	for _, sh := range shapes {
+		spin := sh.body(tso.NewBuilder("spin-" + sh.name).Label("L")).Jmp("L").Build()
+		for _, ncs := range []int{2, 3} {
+			var cs []*tso.Program
+			for i := 0; i < ncs; i++ {
+				cs = append(cs, tso.NewBuilder(fmt.Sprintf("cs%d", i)).CSEnter().CSExit().Halt().Build())
+			}
+			name := fmt.Sprintf("cycle/spinner-%s/%%s/%dcs", sh.name, ncs)
+			out = append(out,
+				spinnerSpace{fmt.Sprintf(name, "first"), machineFor(append([]*tso.Program{spin}, cs...)...)},
+				spinnerSpace{fmt.Sprintf(name, "last"), machineFor(append(cs, spin)...)})
+		}
+	}
+	return out
+}
+
+type spinnerSpace struct {
+	name  string
+	build func() *tso.Machine
 }
 
 // TestReductionDifferential pins the reduction's preservation contract
@@ -104,7 +149,9 @@ func reductionSpaces() []struct {
 // reduced serial engine and the reduced parallel engine (1 and 4
 // workers) must produce the identical Outcomes multiset, the identical
 // Deadlocks count, and the identical violation verdict for the stable
-// MutualExclusion property — while never exploring more states.
+// MutualExclusion property — while never exploring more states. The
+// parallel engine also runs with StopOnViolation, in its
+// refutation-first order, and must reach the same verdict.
 func TestReductionDifferential(t *testing.T) {
 	for _, sp := range reductionSpaces() {
 		sp := sp
@@ -142,6 +189,22 @@ func TestReductionDifferential(t *testing.T) {
 					Properties: sp.props, Reduction: true, Workers: workers,
 				})
 				check("parallel", red)
+				// A run that stops at its first violation expands drains
+				// first; it must reach the same verdict, and a run that
+				// finds none has explored everything.
+				stop := Explore(sp.build, Options{
+					Properties: sp.props, Reduction: true, Workers: workers, StopOnViolation: true,
+				})
+				if stop.Obs.Gauges["search_refutation_first"] != 1 {
+					t.Errorf("stop: refutation-first order not reported")
+				}
+				if stop.Violations == 0 {
+					check("stop", stop)
+				} else if full.Violations == 0 {
+					t.Errorf("stop: violation verdict true, reference false")
+				} else if m := Replay(sp.build, stop.ViolationTrace); !m.CSViolation {
+					t.Errorf("stop: violation trace does not replay to a violation")
+				}
 			}
 		})
 	}

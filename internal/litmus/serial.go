@@ -185,12 +185,18 @@ func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 			proviso++
 			rd.choose(m, enabled, &pl, skip)
 		}
-		if pl.ample {
-			ample++
-		}
 		z := f.sleep
 		if !sleepOn {
 			z = 0
+		}
+		if pl.ample && pl.tmask&^z == 0 && rd.mayCycle(m, enabled, &pl) {
+			// A wholly asleep ample set on a possible cycle demotes to full
+			// expansion (reduce.go, "Asleep ample sets").
+			pl.fullExpand(enabled)
+			proviso++
+		}
+		if pl.ample {
+			ample++
 		}
 		rd.expansion(enabled, &pl, z)
 		visited[string(buf)] = permuteMask(pl.pruned, slot)

@@ -40,6 +40,14 @@ func outcomesHash(r Result) uint64 {
 // and violating states; unreduced rows, outcome hashes and both cyclic
 // spaces are unchanged. dekker/nofence is back at 571, its figure before
 // the proviso existed.
+//
+// The three reduced cycle/* rows were re-pinned against parent commit
+// c84c971 when an ample set that the sleep set puts wholly asleep on a
+// possible cycle started demoting to full expansion (reduce.go,
+// "Asleep ample sets"): before, such a state expanded nothing, and the
+// spinner spaces lost every violation. More states, transitions and
+// violating states there; loop-free rows, unreduced rows and outcome
+// hashes are unchanged.
 var serialPins = []struct {
 	name                string
 	reduction, symmetry bool
@@ -87,11 +95,11 @@ var serialPins = []struct {
 	{"cycle/jmpself", false, false, 24, 58, 9, 0, 0xcbf29ce484222325},
 	{"cycle/jmpself", true, false, 20, 23, 8, 0, 0xcbf29ce484222325},
 	{"cycle/privspin", false, false, 696, 2210, 261, 0, 0xcbf29ce484222325},
-	{"cycle/privspin", true, false, 79, 91, 12, 0, 0xcbf29ce484222325},
+	{"cycle/privspin", true, false, 200, 235, 72, 0, 0xcbf29ce484222325},
 	{"cycle/doorway-spin", false, false, 32291, 131560, 2592, 0, 0x29975e273268745a},
-	{"cycle/doorway-spin", true, false, 5589, 5976, 1040, 0, 0x29975e273268745a},
+	{"cycle/doorway-spin", true, false, 6163, 6715, 1152, 0, 0x29975e273268745a},
 	{"cycle/spin-doorway", false, false, 21813, 88011, 1152, 0, 0x29975e273268745a},
-	{"cycle/spin-doorway", true, false, 4162, 6229, 435, 0, 0x29975e273268745a},
+	{"cycle/spin-doorway", true, false, 4545, 6968, 459, 0, 0x29975e273268745a},
 	{"bakery2-nofence", false, false, 14498, 40390, 484, 0, 0x196339f42f028534},
 	{"bakery2-nofence", true, false, 3535, 3745, 123, 0, 0x196339f42f028534},
 	{"bakery2-nofence", false, true, 7304, 20357, 253, 0, 0x7ec4407a64a34ae9},
@@ -131,8 +139,11 @@ func TestExploreSerialPins(t *testing.T) {
 	for _, sp := range symSpaces(2) {
 		spaces[sp.Name] = space{build: sp.Build, props: []Property{MutualExclusion}, sym: sp.Sym}
 	}
-	if len(serialPins) != 2*len(reductionSpaces())+4*len(symSpaces(2)) {
-		t.Fatalf("%d pins for %d + %d spaces", len(serialPins), len(reductionSpaces()), len(symSpaces(2)))
+	// The spinner family is held to the unreduced verdict by
+	// TestReductionDifferential and carries no pins.
+	pinned := len(reductionSpaces()) - len(spinnerSpaces())
+	if len(serialPins) != 2*pinned+4*len(symSpaces(2)) {
+		t.Fatalf("%d pins for %d + %d spaces", len(serialPins), pinned, len(symSpaces(2)))
 	}
 	for _, pin := range serialPins {
 		sp, ok := spaces[pin.name]

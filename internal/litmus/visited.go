@@ -549,8 +549,13 @@ func (e *engine) bumpStates() bool {
 // expands T minus the returned mask, what it withholds from tmask
 // becomes pruned, and every such arrival is covered. The entry is
 // necessarily still resident: only finalized entries spill, and this
-// call is what finalizes it.
-func (e *engine) finalize(h1, h2 uint64, key []byte, tmask actionMask) actionMask {
+// call is what finalizes it. A non-zero full is the mask of every
+// enabled action, published in place of tmask when the merged sleep
+// mask covers all of it: the winner then expands fully (reduce.go,
+// "Asleep ample sets"), and deciding that here, under the stripe lock,
+// keeps a later arrival from reading a pruned mask the winner did not
+// withhold.
+func (e *engine) finalize(h1, h2 uint64, key []byte, tmask, full actionMask) actionMask {
 	s := &e.visited.stripes[h1&e.visited.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -564,6 +569,9 @@ func (e *engine) finalize(h1, h2 uint64, key []byte, tmask actionMask) actionMas
 		return 0
 	}
 	z := sl.sleepAcc
+	if full != 0 && tmask&^z == 0 {
+		tmask = full
+	}
 	sl.meta = slotOccupied | slotFinalized | uint32(tmask&z)
 	return z
 }

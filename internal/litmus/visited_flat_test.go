@@ -230,7 +230,7 @@ func TestVisitedStripeModel(t *testing.T) {
 			if exact {
 				zero.key = make([]byte, keyWidth)
 			}
-			if e.seen(0, 0, zero.key) || e.finalize(0, 0, zero.key, 3) != 0 {
+			if e.seen(0, 0, zero.key) || e.finalize(0, 0, zero.key, 3, 0) != 0 {
 				t.Fatal("unallocated stripe answered for the zero key")
 			}
 			insert(zero)
@@ -261,7 +261,7 @@ func TestVisitedStripeModel(t *testing.T) {
 					}
 					tmask := mask()
 					wantZ := ref[k.id()].finalize(tmask)
-					if z := e.finalize(k.h1, k.h2, k.key, tmask); z != wantZ {
+					if z := e.finalize(k.h1, k.h2, k.key, tmask, 0); z != wantZ {
 						t.Fatalf("%s: finalize %s returned %b, want %b", tag, k.id(), z, wantZ)
 					}
 				default:

@@ -26,6 +26,16 @@ func CaptureFrontiers(f func()) []FrontierCase {
 	return got
 }
 
+// NewFrontierCase is the constraint set cons under maxFences, for a
+// fixture.
+func NewFrontierCase(cons [][]Atom, maxFences int) FrontierCase {
+	c := FrontierCase{maxFences: maxFences}
+	for _, con := range cons {
+		c.cons = append(c.cons, constraint(con))
+	}
+	return c
+}
+
 // Compare holds minimalHittingSets to minimalHittingSetsByDefinition on
 // the case. It returns the partial placements minimalHittingSets
 // expanded, the definition's expansions, and how many of those were

@@ -3,6 +3,7 @@ package synth_test
 import (
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/litmusgen"
 	"repro/internal/litmuslang"
 	"repro/internal/synth"
@@ -26,9 +27,9 @@ func corpusScenarios(t *testing.T, seed int64, n int) []*litmuslang.Compiled {
 
 // TestMinimalHittingSetsMatchesDefinitionCorpus holds the frontier to
 // its definition on every constraint set plain CEGAR meets on corpus 7
-// (the benchmark's synth-plain sweep), and pins the worst case: the
-// final constraint set of scenario 165, which the definition expands
-// more than ten times over.
+// (the benchmark's synth-plain sweep). The worst case is pinned apart,
+// as a fixture (TestMinimalHittingSetsWorstCase): which sets the sweep
+// meets depends on the counterexamples the checker returns.
 func TestMinimalHittingSetsMatchesDefinitionCorpus(t *testing.T) {
 	n := 200
 	if testing.Short() {
@@ -56,14 +57,85 @@ func TestMinimalHittingSetsMatchesDefinitionCorpus(t *testing.T) {
 			if nodes != distinct {
 				t.Errorf("scenario %d, round %d: expanded %d partial placements, %d distinct ones exist", i, k, nodes, distinct)
 			}
-			if i == 165 && k == len(cases)-1 {
-				t.Logf("scenario 165, final set: %d partial placements expanded, %d by the definition", nodes, calls)
-				if calls < 10*nodes {
-					t.Errorf("scenario 165: the definition expands %d partial placements for %d distinct ones; the pinned worst case has gone", calls, nodes)
-				}
-			}
 		}
 		sets += len(cases)
 	}
 	t.Logf("%d scenarios, %d constraint sets: %d partial placements expanded, %d by the definition", n, sets, expanded, byDefinition)
+}
+
+// worstCaseSites is the final constraint set of corpus 7's scenario 165
+// as plain CEGAR met it at commit c84c971, one row per constraint. Each
+// site stands for its two atoms, the l-mfence and the mfence at that
+// store, as every constraint of the set held both.
+var worstCaseSites = [][][2]int{
+	{{0, 9}, {0, 10}, {1, 0}, {1, 1}, {1, 3}, {1, 4}, {1, 6}},
+	{{0, 10}, {1, 0}, {1, 1}, {1, 3}, {1, 4}, {1, 6}},
+	{{0, 10}, {1, 1}, {1, 3}, {1, 4}, {1, 6}},
+	{{0, 9}, {0, 10}, {1, 1}, {1, 3}, {1, 4}, {1, 6}},
+	{{0, 9}, {0, 10}, {1, 3}, {1, 4}, {1, 6}},
+	{{0, 9}, {0, 10}, {1, 0}, {1, 1}, {1, 4}, {1, 6}},
+	{{0, 9}, {0, 10}, {1, 0}, {1, 1}, {1, 6}},
+	{{0, 9}, {0, 10}, {1, 0}, {1, 1}, {1, 3}, {1, 4}},
+	{{0, 10}, {1, 3}, {1, 4}, {1, 6}},
+	{{0, 10}, {1, 0}, {1, 1}, {1, 4}, {1, 6}},
+	{{0, 10}, {1, 0}, {1, 1}, {1, 6}},
+	{{0, 10}, {1, 0}, {1, 1}, {1, 3}, {1, 4}},
+	{{0, 10}, {1, 1}, {1, 4}, {1, 6}},
+	{{0, 10}, {1, 1}, {1, 6}},
+	{{0, 10}, {1, 1}, {1, 3}, {1, 4}},
+	{{0, 9}, {0, 10}, {1, 1}, {1, 4}, {1, 6}},
+	{{0, 9}, {0, 10}, {1, 1}, {1, 6}},
+	{{0, 9}, {0, 10}, {1, 1}, {1, 3}, {1, 4}},
+	{{0, 9}, {0, 10}, {1, 4}, {1, 6}},
+	{{0, 9}, {0, 10}, {1, 6}},
+	{{0, 9}, {0, 10}, {1, 3}, {1, 4}},
+	{{0, 9}, {0, 10}, {1, 0}, {1, 1}, {1, 4}},
+	{{0, 9}, {0, 10}, {1, 0}, {1, 1}},
+	{{0, 10}, {1, 4}, {1, 6}},
+	{{0, 10}, {1, 6}},
+	{{0, 10}, {1, 3}, {1, 4}},
+	{{0, 10}, {1, 0}, {1, 1}, {1, 4}},
+	{{0, 10}, {1, 0}, {1, 1}},
+	{{0, 10}, {1, 1}, {1, 4}},
+	{{0, 10}, {1, 1}},
+	{{0, 9}, {0, 10}, {1, 1}, {1, 4}},
+	{{0, 9}, {0, 10}, {1, 1}},
+	{{0, 9}, {0, 10}, {1, 4}},
+	{{0, 9}, {0, 10}},
+	{{0, 10}, {1, 4}},
+	{{0, 10}},
+}
+
+// worstCaseAddr is each site's store address.
+var worstCaseAddr = map[[2]int]arch.Addr{
+	{0, 9}: 0, {0, 10}: 0, {1, 0}: 0,
+	{1, 1}: 1, {1, 3}: 1, {1, 4}: 1, {1, 6}: 1,
+}
+
+// TestMinimalHittingSetsWorstCase pins the frontier's worst case: a
+// constraint set the definition, which reaches a partial placement once
+// per order of its atoms, expands more than ten times over. The frontier
+// must match the definition on it and expand each placement once.
+func TestMinimalHittingSetsWorstCase(t *testing.T) {
+	var cons [][]synth.Atom
+	for _, row := range worstCaseSites {
+		var con []synth.Atom
+		for _, s := range row {
+			for _, k := range []synth.FenceKind{synth.KindLmfence, synth.KindMfence} {
+				con = append(con, synth.Atom{Thread: s[0], Instr: s[1], Kind: k, Addr: worstCaseAddr[s], AddrKnown: true})
+			}
+		}
+		cons = append(cons, con)
+	}
+	nodes, calls, distinct, err := synth.NewFrontierCase(cons, 0).Compare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d constraints: %d partial placements expanded, %d by the definition", len(cons), nodes, calls)
+	if nodes != distinct {
+		t.Errorf("expanded %d partial placements, %d distinct ones exist", nodes, distinct)
+	}
+	if calls < 10*nodes {
+		t.Errorf("the definition expands %d partial placements for %d distinct ones; the fixture is no longer a worst case", calls, nodes)
+	}
 }

@@ -564,6 +564,12 @@ func (m *Machine) CopyFrom(src *Machine) {
 	}
 }
 
+// Detach drops m's references to the run it served: its Tracer and the
+// Collapser its cached keys speak for. A machine parked on a free list
+// between explorations then holds only its own arrays. Until the next
+// CopyFrom into it, m is fit for nothing else.
+func (m *Machine) Detach() { m.Tracer, m.keyOwner = nil, nil }
+
 // Fingerprint appends a canonical encoding of the architecturally visible
 // machine state to dst: per-processor PC, registers, link registers, CS
 // flag, store buffer, plus the coherence system. Clocks and statistics
