@@ -18,11 +18,7 @@
 // Corpus mode generates seeded litmus scenarios (skipping the ones that
 // declare no assertion), synthesizes a repair for each, splices the
 // optimal placement back in, and re-verifies every spliced program with
-// the exact engine; the static prefilter and the reorder-bounded screen
-// are on by default there (disable with -prefilter=false and
-// -reorder-bound 0). A bound at or above a scenario's sbdepth screens
-// nothing: the generated corpus has sbdepth 2, so there the default
-// bound of 2 leaves the prefilter alone and -reorder-bound 1 screens.
+// the exact engine.
 package main
 
 import (
@@ -50,8 +46,6 @@ func main() {
 	corpus := flag.Int("corpus", 0, "repair N generated scenarios end-to-end (generate → synthesize → splice → exact re-verify) instead of the registry")
 	corpusSeed := flag.Int64("corpus-seed", 0, "base generator seed for -corpus scanning")
 	corpusJournal := flag.String("corpus-journal", "", "journal file making -corpus resumable: completed scenarios persist as they finish and a rerun restores them instead of re-synthesizing")
-	prefilter := flag.Bool("prefilter", false, "seed and prune the lattice with the static critical-cycle analysis (default on under -corpus)")
-	reorderBound := flag.Int("reorder-bound", 0, "screen candidates with a reorder-bounded exploration before the exact check; 0 = off, and a bound at or above the program's sbdepth screens nothing (default 2 under -corpus)")
 	model := flag.String("model", "", "memory model every candidate is verified under: tso (default) or pso; overrides a file's config { model }")
 	flag.Parse()
 
@@ -74,22 +68,6 @@ func main() {
 		Workers:       *workers,
 		MaxStates:     *maxStates,
 		PrimaryWeight: *ratio,
-		Prefilter:     *prefilter,
-		ReorderBound:  *reorderBound,
-	}
-	if *corpus > 0 {
-		// The accelerators default on here; an explicit flag still wins.
-		// Measured, they do not pay on the generated corpus (sbdepth 2,
-		// where bound 2 screens nothing): corpus 7's first 100 scenarios
-		// on 2 vCPUs take 0.16 s plain, 0.24–0.27 s with the prefilter
-		// (bound 2 or none), 0.31 s at bound 1 and 0.47 s with both
-		// (EXPERIMENTS.md, "Vacuous screens").
-		if !set["prefilter"] {
-			opts.Prefilter = true
-		}
-		if !set["reorder-bound"] {
-			opts.ReorderBound = 2
-		}
 	}
 	switch *kind {
 	case "both":

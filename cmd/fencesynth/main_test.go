@@ -33,7 +33,7 @@ func TestValidateFlags(t *testing.T) {
 		{},
 		{"problem": true, "kind": true, "v": true},
 		{"file": true, "kind": true, "ratio": true, "json": true},
-		{"corpus": true, "corpus-seed": true, "prefilter": true, "reorder-bound": true},
+		{"corpus": true, "corpus-seed": true, "corpus-journal": true, "workers": true},
 	} {
 		if err := validateFlags(set); err != nil {
 			t.Errorf("valid set %v rejected: %v", set, err)
@@ -50,7 +50,7 @@ func TestRunCorpusHundred(t *testing.T) {
 		t.Skip("100-scenario corpus")
 	}
 	var out bytes.Buffer
-	opts := synth.Options{Prefilter: true, ReorderBound: 2}
+	opts := synth.Options{PrimaryWeight: synth.DefaultPrimaryWeight}
 	if code := runCorpus(100, 0, "", opts, false, &out); code != 0 {
 		t.Fatalf("exit code %d, want 0\noutput:\n%s", code, out.String())
 	}

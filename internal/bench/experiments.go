@@ -107,22 +107,14 @@ func emitResume(e *Experiment, res *harness.ResumeResult) {
 }
 
 func emitSynthThroughput(e *Experiment, res *harness.SynthThroughputResult) {
+	c := res.Corpus
 	e.putMetric("scenarios", float64(res.Scenarios), "count", true)
-	for _, leg := range []struct {
-		name string
-		res  *harness.CorpusResult
-	}{{"accelerated", res.Accelerated}, {"control", res.Control}} {
-		e.putMetric("repairs_per_min/"+leg.name, leg.res.RepairsPerMinute(), "repairs/min", true)
-		// The guarded numbers: exact model-checks per resolved
-		// scenario (what the accelerators exist to push down) and the
-		// contract counter (a spliced repair the exact engine refuted
-		// — must stay zero on both legs).
-		e.putMetric("exact_checks_per_repair/"+leg.name, leg.res.ExactChecksPerRepair(), "checks", false)
-		e.putMetric("contract_failures/"+leg.name, float64(leg.res.ContractFailures), "count", false)
-	}
-	e.putMetric("screen_hit_rate", res.Accelerated.ScreenHitRate(), "ratio", true)
-	e.putMetric("pruned_sites", float64(res.Accelerated.PrunedSites), "count", true)
-	e.putMetric("exact_reduction_ratio", res.ExactReductionRatio(), "ratio", true)
+	// The guarded numbers: end-to-end repairs per minute, exact
+	// model-checks per resolved scenario, and the contract counter (a
+	// spliced repair the exact engine refuted — must stay zero).
+	e.putMetric("repairs_per_min", c.RepairsPerMinute(), "repairs/min", true)
+	e.putMetric("exact_checks_per_repair", c.ExactChecksPerRepair(), "checks", false)
+	e.putMetric("contract_failures", float64(c.ContractFailures), "count", false)
 }
 
 func emitDekker(e *Experiment, res *harness.DekkerResult) {

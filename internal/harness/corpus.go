@@ -22,10 +22,7 @@ import (
 // litmus scenarios pushed through the full repair pipeline —
 // generate → compile → synthesize → splice the optimal placement back
 // in → re-verify the spliced program on the exact engine. It backs both
-// `fencesynth -corpus` and the synth_throughput bench experiment, whose
-// two legs (static prefilter + reorder-bounded screen on, vs. the plain
-// CEGAR loop) share one scenario list so their exact-check counts are
-// directly comparable.
+// `fencesynth -corpus` and the synth_throughput bench experiment.
 
 // corpusMaxStates bounds every exploration of a corpus run (candidate
 // verifications and the final re-verification alike) when the caller
@@ -51,8 +48,7 @@ type CorpusOptions struct {
 	// exercise actual repairs instead of only safe/unrepairable
 	// verdicts).
 	Params litmusgen.Params
-	// Synth configures the synthesizer — this is where the accelerators
-	// (Prefilter, ReorderBound) are switched per leg.
+	// Synth configures the synthesizer.
 	Synth synth.Options
 
 	// Journal, when non-empty, is the path of the corpus journal: every
@@ -96,14 +92,11 @@ type CorpusRow struct {
 	// reordering (always concluded from an exact run).
 	Unrepairable bool
 
-	// Synthesis counters, straight from synth.Result.
-	ExactChecks     int
-	BoundedChecks   int
-	BoundedHits     int
-	PrefilterCycles int
-	PrunedSites     int
-	RestoredSites   int
-	States          int
+	// Synthesis counters from synth.Result: ExactChecks is its
+	// CandidatesChecked (every check is an exact, reduced exploration),
+	// States its StatesExplored.
+	ExactChecks int
+	States      int
 
 	// ReverifyStates is the exact re-verification of the spliced repair
 	// (the end-to-end acceptance step: the placement the synthesizer
@@ -152,14 +145,16 @@ type CorpusResult struct {
 	// survive its own re-verification is a synthesizer bug.
 	ContractFailures int
 
-	ExactChecks     int
-	BoundedChecks   int
-	BoundedHits     int
-	PrefilterCycles int
-	PrunedSites     int
-	RestoredSites   int
-	StatesExplored  int
-	Elapsed         time.Duration
+	ExactChecks    int
+	StatesExplored int
+	Elapsed        time.Duration
+
+	// Deprecated: BoundedChecks, PrunedSites and RestoredSites counted
+	// the work of synthesis accelerators that no longer exist; they are
+	// always zero.
+	BoundedChecks int
+	PrunedSites   int
+	RestoredSites int
 }
 
 // Resolved counts scenarios that reached a definite verdict.
@@ -174,10 +169,8 @@ func (r *CorpusResult) RepairsPerMinute() float64 {
 	return float64(r.Resolved()) / r.Elapsed.Minutes()
 }
 
-// ExactChecksPerRepair is the cost headline: how many exact (unbounded)
-// model-checking runs each resolved scenario needed. The accelerators
-// exist to push this down — every bounded screen hit and every pruned
-// lattice site is an exact exploration that never ran.
+// ExactChecksPerRepair is how many exact model-checking runs each
+// resolved scenario needed.
 func (r *CorpusResult) ExactChecksPerRepair() float64 {
 	if r.Resolved() == 0 {
 		return 0
@@ -185,14 +178,9 @@ func (r *CorpusResult) ExactChecksPerRepair() float64 {
 	return float64(r.ExactChecks) / float64(r.Resolved())
 }
 
-// ScreenHitRate is the fraction of bounded screens that refuted their
-// candidate outright (zero when the screen is off).
-func (r *CorpusResult) ScreenHitRate() float64 {
-	if r.BoundedChecks == 0 {
-		return 0
-	}
-	return float64(r.BoundedHits) / float64(r.BoundedChecks)
-}
+// Deprecated: ScreenHitRate reported a deleted screen; it is always
+// zero.
+func (r *CorpusResult) ScreenHitRate() float64 { return 0 }
 
 // scanScenarios generates seeds upward from co.Seed until it has
 // collected co.Scenarios compiled scenarios with a property (or hits the
@@ -223,12 +211,7 @@ func repairOne(c *litmuslang.Compiled, seed int64, opts synth.Options) CorpusRow
 	}
 	r, err := synth.Synthesize(prob, opts)
 	if r != nil {
-		row.ExactChecks = r.ExactChecks
-		row.BoundedChecks = r.BoundedChecks
-		row.BoundedHits = r.BoundedHits
-		row.PrefilterCycles = r.PrefilterCycles
-		row.PrunedSites = r.PrunedSites
-		row.RestoredSites = r.RestoredSites
+		row.ExactChecks = r.CandidatesChecked
 		row.States = r.StatesExplored
 		row.FrontierNodes = r.FrontierNodes
 		row.FrontierTime = r.FrontierTime
@@ -245,8 +228,7 @@ func repairOne(c *litmuslang.Compiled, seed int64, opts synth.Options) CorpusRow
 	// End-to-end acceptance: splice the reported optimal placement into
 	// the base programs and re-verify the result exhaustively on the
 	// exact engine. Nothing the synthesizer believed along the way —
-	// bounded screens, static seeds, memoized verdicts — is taken on
-	// faith here.
+	// memoized verdicts, counterexample pruning — is taken on faith here.
 	p := r.Optimal.Placement
 	row.Fences = p.Len()
 	row.Cost = r.Optimal.Cost
@@ -280,12 +262,11 @@ func corpusOptionsHash(co CorpusOptions) uint64 {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, b := range []byte(fmt.Sprintf("seed=%d n=%d params=%+v synth={mf=%v lmf=%v max=%d fences=%d pw=%v w=%v cost=%v scratch=%d skipmin=%v pre=%v rb=%d}",
+	for _, b := range []byte(fmt.Sprintf("seed=%d n=%d params=%+v synth={mf=%v lmf=%v max=%d fences=%d pw=%v w=%v cost=%v scratch=%d skipmin=%v}",
 		co.Seed, co.Scenarios, co.Params,
 		co.Synth.AllowMfence, co.Synth.AllowLmfence, co.Synth.MaxStates,
 		co.Synth.MaxFences, co.Synth.PrimaryWeight, co.Synth.Weights,
-		co.Synth.Cost, co.Synth.Scratch, co.Synth.SkipMinimalityCheck,
-		co.Synth.Prefilter, co.Synth.ReorderBound)) {
+		co.Synth.Cost, co.Synth.Scratch, co.Synth.SkipMinimalityCheck)) {
 		h ^= uint64(b)
 		h *= prime64
 	}
@@ -433,11 +414,6 @@ func RunCorpus(co CorpusOptions) (*CorpusResult, error) {
 			continue // aborted before this scenario ran
 		}
 		res.ExactChecks += row.ExactChecks
-		res.BoundedChecks += row.BoundedChecks
-		res.BoundedHits += row.BoundedHits
-		res.PrefilterCycles += row.PrefilterCycles
-		res.PrunedSites += row.PrunedSites
-		res.RestoredSites += row.RestoredSites
 		res.StatesExplored += row.States + row.ReverifyStates
 		frontierNodes += row.FrontierNodes
 		frontierTime += row.FrontierTime
@@ -476,10 +452,9 @@ func (r *CorpusResult) Table() *stats.Table {
 	t := stats.NewTable(
 		"Corpus repair: generated scenarios through synthesize → splice → exact re-verify",
 		"scenarios", "repaired", "safe", "unrepairable", "errors",
-		"exact checks", "exact/scenario", "screen hit %", "repairs/min")
+		"exact checks", "exact/scenario", "repairs/min")
 	t.AddRow(len(r.Rows), r.Repaired, r.AlreadySafe, r.Unrepairable, r.Errors,
 		r.ExactChecks, fmt.Sprintf("%.2f", r.ExactChecksPerRepair()),
-		fmt.Sprintf("%.0f", 100*r.ScreenHitRate()),
 		fmt.Sprintf("%.0f", r.RepairsPerMinute()))
 	t.AddNote("every reported repair is spliced into the base programs and re-verified by an")
 	t.AddNote("exhaustive (exact, reduced) exploration before it counts")
@@ -500,89 +475,30 @@ func synthCorpusScenarios(s workloads.Scale) int {
 	}
 }
 
-// SynthThroughputResult is the synth_throughput experiment: the same
-// scenario corpus repaired twice — once with the static prefilter and
-// the reorder-bounded screen, once with the plain CEGAR loop — so the
-// accelerators' claim (fewer exact model checks per repair, same
-// verdicts) is measured, not assumed.
+// SynthThroughputResult is the synth_throughput experiment: one corpus
+// sweep through the whole repair pipeline, whose headline is repairs
+// per minute.
 type SynthThroughputResult struct {
-	Scenarios   int
-	Accelerated *CorpusResult
-	Control     *CorpusResult
+	Scenarios int
+	Corpus    *CorpusResult
 }
 
-// ExactReductionRatio is the headline: control exact-checks-per-repair
-// over accelerated. Above 1 means the accelerators pay for themselves.
-func (r *SynthThroughputResult) ExactReductionRatio() float64 {
-	a := r.Accelerated.ExactChecksPerRepair()
-	if a == 0 {
-		return 0
-	}
-	return r.Control.ExactChecksPerRepair() / a
-}
-
-// AllPass requires a clean sweep: no re-verification contract failures
-// on either leg, no errors, both legs resolving every scenario, the
-// same per-scenario verdicts, and the accelerated leg strictly cheaper
-// in exact checks per repair.
+// AllPass requires a clean sweep: every scenario collected and
+// resolved, no errors, and no re-verification contract failures.
 func (r *SynthThroughputResult) AllPass() bool {
-	for _, leg := range []*CorpusResult{r.Accelerated, r.Control} {
-		if leg.ContractFailures > 0 || leg.Errors > 0 || leg.Resolved() != len(leg.Rows) {
-			return false
-		}
-	}
-	if len(r.Accelerated.Rows) != len(r.Control.Rows) {
-		return false
-	}
-	for i := range r.Accelerated.Rows {
-		a, c := r.Accelerated.Rows[i], r.Control.Rows[i]
-		if a.Unrepairable != c.Unrepairable || a.Fences != c.Fences || a.Cost != c.Cost {
-			return false
-		}
-	}
-	return r.Accelerated.ExactChecksPerRepair() < r.Control.ExactChecksPerRepair()
+	c := r.Corpus
+	return len(c.Rows) == r.Scenarios && c.Errors == 0 && c.ContractFailures == 0 &&
+		c.Resolved() == len(c.Rows)
 }
 
-// RunSynthThroughput runs both legs over one scenario list. The
-// accelerated leg screens at bound 1, below the corpus's store-buffer
-// depth of 2, where the screen removes interleavings.
+// RunSynthThroughput sweeps the scale's corpus with the default
+// synthesis options, as `fencesynth -corpus` does.
 func RunSynthThroughput(opt Options) *SynthThroughputResult {
 	n := synthCorpusScenarios(opt.Scale)
-	accel := CorpusOptions{
-		Scenarios: n,
-		Synth:     synth.Options{Prefilter: true, ReorderBound: 1},
-	}
-	control := accel
-	control.Synth = synth.Options{}
-	// Neither leg journals, so RunCorpus cannot fail.
-	accelRes, _ := RunCorpus(accel)
-	controlRes, _ := RunCorpus(control)
-	return &SynthThroughputResult{
-		Scenarios:   n,
-		Accelerated: accelRes,
-		Control:     controlRes,
-	}
+	// An unjournaled sweep cannot fail.
+	res, _ := RunCorpus(CorpusOptions{Scenarios: n})
+	return &SynthThroughputResult{Scenarios: n, Corpus: res}
 }
 
-// Table renders the two legs side by side.
-func (r *SynthThroughputResult) Table() *stats.Table {
-	t := stats.NewTable(
-		"Synthesis throughput: prefilter + reorder-bounded screen vs the plain CEGAR loop",
-		"leg", "scenarios", "repaired", "safe", "unrepairable", "errors",
-		"exact checks", "exact/scenario", "screen hit %", "pruned sites", "repairs/min")
-	for _, leg := range []struct {
-		name string
-		res  *CorpusResult
-	}{{"accelerated", r.Accelerated}, {"control", r.Control}} {
-		t.AddRow(leg.name, len(leg.res.Rows), leg.res.Repaired, leg.res.AlreadySafe,
-			leg.res.Unrepairable, leg.res.Errors, leg.res.ExactChecks,
-			fmt.Sprintf("%.2f", leg.res.ExactChecksPerRepair()),
-			fmt.Sprintf("%.0f", 100*leg.res.ScreenHitRate()),
-			leg.res.PrunedSites,
-			fmt.Sprintf("%.0f", leg.res.RepairsPerMinute()))
-	}
-	t.AddNote(fmt.Sprintf("identical scenario corpus on both legs; exact-check reduction %.2fx;",
-		r.ExactReductionRatio()))
-	t.AddNote("both legs must agree on every verdict, fence count, and cost")
-	return t
-}
+// Table renders the sweep.
+func (r *SynthThroughputResult) Table() *stats.Table { return r.Corpus.Table() }

@@ -35,24 +35,21 @@ const corpusJournalMagic = "lbmf-corpus-journal/v1"
 var ErrJournalMismatch = errors.New("harness: corpus journal belongs to a different run")
 
 // journalRow is one scenario verdict as persisted. Err travels as a
-// string (errors do not round-trip through JSON).
+// string (errors do not round-trip through JSON). Journals written while
+// synthesis had accelerators also carry bounded, bounded_hits, cycles,
+// pruned and restored keys, which decoding ignores.
 type journalRow struct {
-	Index           int     `json:"i"`
-	Seed            int64   `json:"seed"`
-	Name            string  `json:"name"`
-	Fences          int     `json:"fences,omitempty"`
-	Cost            float64 `json:"cost,omitempty"`
-	AlreadySafe     bool    `json:"safe,omitempty"`
-	Unrepairable    bool    `json:"unrepairable,omitempty"`
-	ExactChecks     int     `json:"exact,omitempty"`
-	BoundedChecks   int     `json:"bounded,omitempty"`
-	BoundedHits     int     `json:"bounded_hits,omitempty"`
-	PrefilterCycles int     `json:"cycles,omitempty"`
-	PrunedSites     int     `json:"pruned,omitempty"`
-	RestoredSites   int     `json:"restored,omitempty"`
-	States          int     `json:"states,omitempty"`
-	ReverifyStates  int     `json:"reverify,omitempty"`
-	ErrMsg          string  `json:"err,omitempty"`
+	Index          int     `json:"i"`
+	Seed           int64   `json:"seed"`
+	Name           string  `json:"name"`
+	Fences         int     `json:"fences,omitempty"`
+	Cost           float64 `json:"cost,omitempty"`
+	AlreadySafe    bool    `json:"safe,omitempty"`
+	Unrepairable   bool    `json:"unrepairable,omitempty"`
+	ExactChecks    int     `json:"exact,omitempty"`
+	States         int     `json:"states,omitempty"`
+	ReverifyStates int     `json:"reverify,omitempty"`
+	ErrMsg         string  `json:"err,omitempty"`
 }
 
 func toJournalRow(i int, row CorpusRow) journalRow {
@@ -60,10 +57,8 @@ func toJournalRow(i int, row CorpusRow) journalRow {
 		Index: i, Seed: row.Seed, Name: row.Name,
 		Fences: row.Fences, Cost: row.Cost,
 		AlreadySafe: row.AlreadySafe, Unrepairable: row.Unrepairable,
-		ExactChecks: row.ExactChecks, BoundedChecks: row.BoundedChecks,
-		BoundedHits: row.BoundedHits, PrefilterCycles: row.PrefilterCycles,
-		PrunedSites: row.PrunedSites, RestoredSites: row.RestoredSites,
-		States: row.States, ReverifyStates: row.ReverifyStates,
+		ExactChecks: row.ExactChecks, States: row.States,
+		ReverifyStates: row.ReverifyStates,
 	}
 	if row.Err != nil {
 		jr.ErrMsg = row.Err.Error()
@@ -76,10 +71,8 @@ func (jr journalRow) corpusRow() CorpusRow {
 		Seed: jr.Seed, Name: jr.Name,
 		Fences: jr.Fences, Cost: jr.Cost,
 		AlreadySafe: jr.AlreadySafe, Unrepairable: jr.Unrepairable,
-		ExactChecks: jr.ExactChecks, BoundedChecks: jr.BoundedChecks,
-		BoundedHits: jr.BoundedHits, PrefilterCycles: jr.PrefilterCycles,
-		PrunedSites: jr.PrunedSites, RestoredSites: jr.RestoredSites,
-		States: jr.States, ReverifyStates: jr.ReverifyStates,
+		ExactChecks: jr.ExactChecks, States: jr.States,
+		ReverifyStates: jr.ReverifyStates,
 	}
 	if jr.ErrMsg != "" {
 		row.Err = errors.New(jr.ErrMsg)

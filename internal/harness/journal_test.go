@@ -2,8 +2,10 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,14 +14,10 @@ import (
 	"repro/internal/synth"
 )
 
-// corpusOpts is the shared configuration of the journal tests: small
-// corpus, accelerators on (the cheap way through the pipeline).
+// corpusOpts is the shared configuration of the journal tests: a small
+// corpus under the default synthesis options.
 func corpusOpts(journal string) CorpusOptions {
-	return CorpusOptions{
-		Scenarios: 12,
-		Synth:     synth.Options{Prefilter: true, ReorderBound: 2},
-		Journal:   journal,
-	}
+	return CorpusOptions{Scenarios: 12, Journal: journal}
 }
 
 // sameRows compares two sweeps row by row on everything a resume must
@@ -143,7 +141,7 @@ func TestCorpusJournalMismatch(t *testing.T) {
 	}
 
 	other = corpusOpts(journal)
-	other.Synth.ReorderBound = 0
+	other.Synth.MaxFences = 1
 	if _, err := RunCorpus(other); !errors.Is(err, ErrJournalMismatch) {
 		t.Errorf("different synth options against the same journal: err = %v, want ErrJournalMismatch", err)
 	}
@@ -153,6 +151,55 @@ func TestCorpusJournalMismatch(t *testing.T) {
 	}
 	if _, err := RunCorpus(corpusOpts(journal)); !errors.Is(err, ErrJournalMismatch) {
 		t.Errorf("foreign file as journal: err = %v, want ErrJournalMismatch", err)
+	}
+}
+
+// oldAcceleratedJournal is the head of the journal `fencesynth -corpus
+// 12 -corpus-journal` wrote while -corpus turned the static prefilter and
+// a reorder bound of 2 on by default; its header hash covers both.
+const oldAcceleratedJournal = `lbmf-corpus-journal/v1 2c7d8ea480f077e7
+{"i":0,"seed":0,"name":"gen-0","safe":true,"exact":1,"cycles":3,"states":308,"reverify":276}
+`
+
+// TestCorpusJournalOldDefaultsRefused: `fencesynth -corpus 12` against a
+// journal its accelerated predecessor wrote is refused with the mismatch
+// error and leaves the file alone, rather than resuming rows another
+// synthesizer configuration produced.
+func TestCorpusJournalOldDefaultsRefused(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "corpus.journal")
+	if err := os.WriteFile(journal, []byte(oldAcceleratedJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	co := corpusOpts(journal)
+	co.Synth.PrimaryWeight = synth.DefaultPrimaryWeight // fencesynth passes its -ratio
+	if _, err := RunCorpus(co); !errors.Is(err, ErrJournalMismatch) {
+		t.Errorf("old -corpus journal: err = %v, want ErrJournalMismatch", err)
+	}
+	if got, err := os.ReadFile(journal); err != nil || string(got) != oldAcceleratedJournal {
+		t.Errorf("refused journal changed: %q, %v", got, err)
+	}
+}
+
+// TestCorpusJournalLoadsOldRow: a row written while synthesis had
+// accelerators carries bounded / pruned keys the row type no longer has;
+// decoding ignores them and restores the verdict and the counters that
+// remain.
+func TestCorpusJournalLoadsOldRow(t *testing.T) {
+	const old = `{"i":1,"seed":1,"name":"gen-1","fences":2,"cost":920,"exact":4,"bounded":13,"bounded_hits":9,"cycles":3,"pruned":1,"states":6846,"reverify":383}`
+	const hash = 0x5eed
+	path := filepath.Join(t.TempDir(), "corpus.journal")
+	if err := os.WriteFile(path, []byte(fmt.Sprintf("%s %016x\n%s\n", corpusJournalMagic, hash, old)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, done, err := openCorpusJournal(path, hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.close()
+	want := map[int]CorpusRow{1: {Seed: 1, Name: "gen-1", Fences: 2, Cost: 920,
+		ExactChecks: 4, States: 6846, ReverifyStates: 383}}
+	if !reflect.DeepEqual(done, want) {
+		t.Errorf("restored %+v, want %+v", done, want)
 	}
 }
 

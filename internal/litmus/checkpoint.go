@@ -244,7 +244,7 @@ func optionsHash(o Options, maxStates int64) uint64 {
 		}
 	}
 	app(int(maxStates))
-	app(o.ReorderBound)
+	app(0) // where a since-deleted reorder bound sat, so old files still resume
 	appBool(o.Reduction)
 	appBool(o.SequentialConsistency)
 	appBool(o.StopOnViolation)
@@ -733,7 +733,7 @@ func Resume(dir string, build func() *tso.Machine, opts Options) (Result, error)
 			ErrCheckpointMismatch, ck.hdr.RootH1, ck.hdr.RootH2, ck.hdr.Procs, hex64(h1), hex64(h2), len(root.Procs))
 	}
 	if want := hex64(optionsHash(opts, p.maxStates)); ck.hdr.OptionsHash != want {
-		return Result{}, fmt.Errorf("%w: checkpointed options hash %s differs from this run's %s (reduction, reorder bound, max states, property count, and outcome registers must all match)",
+		return Result{}, fmt.Errorf("%w: checkpointed options hash %s differs from this run's %s (reduction, max states, property count, and outcome registers must all match)",
 			ErrCheckpointMismatch, ck.hdr.OptionsHash, want)
 	}
 	return exploreFrom(build, root, opts, p, ck), nil

@@ -591,12 +591,6 @@ func TestResumeRejections(t *testing.T) {
 			want:  ErrCheckpointMismatch,
 		},
 		{
-			name: "wrong options/reorder bound",
-			dir:  func(*testing.T) string { return dir },
-			opts: Options{Workers: 1, ReorderBound: 2},
-			want: ErrCheckpointMismatch,
-		},
-		{
 			name: "wrong options/max states",
 			dir:  func(*testing.T) string { return dir },
 			opts: Options{Workers: 1, MaxStates: 123},

@@ -261,7 +261,7 @@ func TestSymmetryOrbitProperty(t *testing.T) {
 				m1 := sp.Build()
 				m2 := sp.Build()
 				for step := 0; step < 40; step++ {
-					enabled := tsoModel{}.Enabled(nil, m1, 0)
+					enabled := tsoModel{}.Enabled(nil, m1)
 					if len(enabled) == 0 {
 						break
 					}

@@ -38,6 +38,8 @@ import (
 //     link is allocated only once it wins its claim and has children or
 //     a violation to hang on it — most frames die as duplicates — and a
 //     full trace is materialized only when a violation is recorded.
+//     Links are carved from per-worker slabs that outlive the run on a
+//     process-wide free list (traceFree), like the machines below.
 //   - Machines: each worker recycles dead machines (duplicate states,
 //     terminal states) through a free list via tso.Machine.CopyFrom
 //     (slice copies over flat cache arrays, no allocation), and the last
@@ -92,6 +94,42 @@ func (n *traceNode) materialize() []Action {
 		out[depth] = c.act
 	}
 	return out
+}
+
+// Trace links come from slabs of slabNodes links. A worker carves its
+// links from one slab at a time and lists the first maxPooledSlabs slabs
+// it takes; when the run ends, after any final snapshot has read the
+// frontier's chains, the listed slabs go back cleared to traceFree, up to
+// maxPooledSlabs in all, and the next exploration's workers draw from
+// there before they allocate. By then recordViolation has materialized
+// the only trace a Result keeps, so no link is read after its run. The
+// slabs a worker takes beyond its list are left to the collector, which
+// frees each once no live chain runs through it, so a large exploration
+// keeps about the links its frontier's chains hold, not one per state.
+const (
+	// slabNodes 24-byte links and the 8-byte header the allocator puts
+	// on a pointer-carrying object over 512 B fill the 8 KiB size class
+	// exactly; 256 links (6,152 B) would round up to 6,528.
+	slabNodes      = 341
+	maxPooledSlabs = 256
+)
+
+var slabMu sync.Mutex
+var traceFree [][]traceNode // empty slabs of capacity slabNodes, under slabMu
+
+// drawSlab returns an empty slab, a pooled one when there is one.
+func drawSlab() []traceNode {
+	slabMu.Lock()
+	n := len(traceFree)
+	if n == 0 {
+		slabMu.Unlock()
+		return make([]traceNode, 0, slabNodes)
+	}
+	s := traceFree[n-1]
+	traceFree[n-1] = nil
+	traceFree = traceFree[:n-1]
+	slabMu.Unlock()
+	return s
 }
 
 // hashPair returns the visited-set hash pair of an exact key:
@@ -249,8 +287,12 @@ type worker struct {
 	nshared atomic.Int32
 	owed    int // unsettled adjustment to engine.pending
 
-	free     []*tso.Machine
-	poolDry  bool // machineFree had nothing left for this run
+	free    []*tso.Machine
+	poolDry bool // machineFree had nothing left for this run
+	// slab is the slab node carves trace links from; slabs lists the
+	// first maxPooledSlabs slabs the worker took, for retireSlabs.
+	slab     []traceNode
+	slabs    [][]traceNode
 	fpBuf    []byte
 	probeBuf []byte // successor keys for the cycle proviso
 	actBuf   []Action
@@ -402,13 +444,20 @@ func (w *worker) clone(src *tso.Machine) *tso.Machine {
 	return src.Clone()
 }
 
-// node builds f's own trace link; nil at the root and when the run
-// records no traces.
+// node builds f's own trace link in the worker's slab; nil at the root
+// and when the run records no traces.
 func (w *worker) node(f *pframe) *traceNode {
 	if !w.eng.traces || f.root {
 		return nil
 	}
-	return &traceNode{parent: f.parent, act: f.act}
+	if len(w.slab) == cap(w.slab) {
+		w.slab = drawSlab()
+		if len(w.slabs) < maxPooledSlabs {
+			w.slabs = append(w.slabs, w.slab)
+		}
+	}
+	w.slab = append(w.slab, traceNode{parent: f.parent, act: f.act})
+	return &w.slab[len(w.slab)-1]
 }
 
 // pushChild pushes the successor of m under a, reached over the trace
@@ -630,7 +679,7 @@ func (w *worker) process(f pframe) {
 // read the one order.
 func (w *worker) enabled(m *tso.Machine) []Action {
 	e := w.eng
-	w.actBuf = e.model.Enabled(w.actBuf[:0], m, e.opts.ReorderBound)
+	w.actBuf = e.model.Enabled(w.actBuf[:0], m)
 	if e.drainsFirst {
 		drainsFirst(w.actBuf)
 	}
@@ -738,6 +787,25 @@ func (e *engine) retireMachines() {
 		w.free, w.priv, w.shared = nil, nil, nil
 	}
 	machineFree[e.cfg] = l
+}
+
+// retireSlabs clears the workers' trace slabs and moves them to
+// traceFree as far as its room allows. Every chain in them is dead: the
+// workers have stopped, retireMachines has dropped the frames, and any
+// final snapshot is written.
+func (e *engine) retireSlabs() {
+	slabMu.Lock()
+	defer slabMu.Unlock()
+	for _, w := range e.workers {
+		for _, s := range w.slabs {
+			if len(traceFree) == maxPooledSlabs {
+				break
+			}
+			clear(s[:cap(s)])
+			traceFree = append(traceFree, s[:0])
+		}
+		w.slab, w.slabs = nil, nil
+	}
 }
 
 func (e *engine) recordViolation(err error, tr *traceNode) {
@@ -868,6 +936,7 @@ func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p p
 	}
 
 	e.retireMachines()
+	e.retireSlabs()
 	res := e.partialResult()
 	res.Interrupted = e.interrupted.Load()
 	res.Crashed = e.crashed.Load()

@@ -173,8 +173,8 @@ type Options struct {
 	// extension — MutualExclusion's latched CSViolation qualifies).
 	// Violations counts per-state hits and may shrink;
 	// States/Transitions shrink, which is the point. Whether a run
-	// reduces is resolve's decision (plan.go): not under a ReorderBound,
-	// a Model whose ReductionOK is false, or more than 8 processors.
+	// reduces is resolve's decision (plan.go): not under a Model whose
+	// ReductionOK is false, or with more than 8 processors.
 	// Result.Obs carries the gauge "reduction" when it did.
 	Reduction bool
 
@@ -234,24 +234,6 @@ type Options struct {
 	// like an invalid Symmetry: exact keys leave no hashed merge to audit,
 	// and the in-memory audit map is neither spillable nor in a snapshot.
 	VerifyVisited bool
-
-	// ReorderBound, when positive, explores a *reorder-bounded
-	// under-approximation* of TSO (after Joshi & Kroening's
-	// property-driven fence insertion): a program load may commit only
-	// while at most ReorderBound of its own processor's stores remain
-	// undrained, so no load is ever reordered ahead of more than
-	// ReorderBound stores. Drains stay enabled whenever the buffer is
-	// non-empty, so the bound never introduces deadlocks — it only
-	// removes interleavings. Every bounded run is a real run of the full
-	// TSO semantics, which gives the under-approximation contract: a
-	// violation found under a bound is a genuine violation (and its
-	// trace replays on the unbounded machine), while a bounded-safe
-	// verdict proves nothing. The fence synthesizer uses it as a fast
-	// UNSAT screen before paying for the exact reduced check. 0 means
-	// unbounded, as is a bound ≥ the store-buffer depth (sbdepth). A
-	// bounded run explores unreduced (resolve, plan.go): the ample-set
-	// analysis assumes the full TSO enabledness relation.
-	ReorderBound int
 
 	// Checkpoint configures periodic durable snapshots of the parallel
 	// engine's exploration (visited set + frontier) so a killed run
@@ -462,22 +444,6 @@ func (r *Result) SortedOutcomes() []Outcome {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// execWithinBound reports whether committing pid's next instruction keeps
-// the run inside the reorder bound: a program load (OpLoad/OpLoadIdx) may
-// commit only while at most bound of its own stores remain buffered, i.e.
-// it is never reordered ahead of more than bound earlier stores. All
-// other instructions commit freely — they either don't read memory or
-// (LE, fence ops) are serialization points the synthesizer is inserting,
-// not the racy reads the bound is screening.
-func execWithinBound(m *tso.Machine, pid arch.ProcID, bound int) bool {
-	p := m.Procs[pid]
-	in := p.Prog.Instrs[p.PC]
-	if in.Op != tso.OpLoad && in.Op != tso.OpLoadIdx {
-		return true
-	}
-	return p.SB.Len() <= bound
 }
 
 // Replay applies a recorded trace to a fresh machine from build,

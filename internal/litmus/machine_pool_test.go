@@ -34,13 +34,15 @@ func poolSummary(r Result) string {
 
 // TestMachinePoolKeepsResults: back-to-back explorations of different
 // programs under different Configs and options report the same results
-// when the free list is full of machines other runs left as when it is
-// empty. Two of the programs share a Config, so one draws the other's
-// machines; one run stops at its first violation and leaves frames.
-// Every run has one worker, so each result, trace included, is
-// deterministic.
+// when the machine and trace-slab free lists are full of what other runs
+// left as when they are empty. Two of the programs share a Config, so one
+// draws the other's machines; one run stops at its first violation and
+// leaves frames; the unstopped Dekker run carves several slabs, so a slab
+// handed out twice would overwrite live links. Every run has one worker,
+// so each result, trace included, is deterministic.
 func TestMachinePoolKeepsResults(t *testing.T) {
 	defer drainMachinePool()
+	defer drainSlabPool()
 	me := []Property{MutualExclusion}
 	d0, d1 := programs.DekkerPair(programs.DekkerNoFence)
 	p0, p1 := programs.PetersonPair(programs.DekkerMfence)
@@ -69,10 +71,14 @@ func TestMachinePoolKeepsResults(t *testing.T) {
 	ref := make([]string, len(cases))
 	for i, c := range cases {
 		drainMachinePool()
+		drainSlabPool()
 		ref[i] = poolSummary(Explore(c.build, c.opts))
 	}
 	for _, c := range cases {
 		Explore(c.build, c.opts)
+	}
+	if pooledSlabs() < 2 {
+		t.Fatalf("the slab free list holds %d slabs", pooledSlabs())
 	}
 	for i, c := range cases {
 		if pooledMachines(c.build().Cfg) == 0 {

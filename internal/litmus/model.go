@@ -25,9 +25,8 @@ type Model interface {
 	// Enabled appends every enabled action of m to dst, in a
 	// deterministic order (processors ascending; Exec before drains;
 	// drain classes ascending). Callers pass a reused buffer to keep
-	// expansion allocation-free. bound > 0 applies the reorder-bounded
-	// under-approximation (Options.ReorderBound) to program loads.
-	Enabled(dst []Action, m *tso.Machine, bound int) []Action
+	// expansion allocation-free.
+	Enabled(dst []Action, m *tso.Machine) []Action
 
 	// Apply takes action a on m. a must have come from Enabled on m.
 	Apply(m *tso.Machine, a Action)
@@ -64,10 +63,10 @@ type tsoModel struct{}
 
 func (tsoModel) Name() string { return "tso" }
 
-func (tsoModel) Enabled(dst []Action, m *tso.Machine, bound int) []Action {
+func (tsoModel) Enabled(dst []Action, m *tso.Machine) []Action {
 	for i := range m.Procs {
 		p := arch.ProcID(i)
-		if m.CanExec(p) && (bound <= 0 || execWithinBound(m, p, bound)) {
+		if m.CanExec(p) {
 			dst = append(dst, Action{Proc: p, Kind: Exec})
 		}
 		if m.CanDrain(p) {
@@ -103,10 +102,10 @@ type psoModel struct{}
 
 func (psoModel) Name() string { return "pso" }
 
-func (psoModel) Enabled(dst []Action, m *tso.Machine, bound int) []Action {
+func (psoModel) Enabled(dst []Action, m *tso.Machine) []Action {
 	for i := range m.Procs {
 		p := arch.ProcID(i)
-		if m.CanExec(p) && (bound <= 0 || execWithinBound(m, p, bound)) {
+		if m.CanExec(p) {
 			dst = append(dst, Action{Proc: p, Kind: Exec})
 		}
 		for k := 0; k < m.DrainClasses(p); k++ {
@@ -139,10 +138,10 @@ type scModel struct{}
 
 func (scModel) Name() string { return "sc" }
 
-func (scModel) Enabled(dst []Action, m *tso.Machine, bound int) []Action {
+func (scModel) Enabled(dst []Action, m *tso.Machine) []Action {
 	for i := range m.Procs {
 		p := arch.ProcID(i)
-		if m.CanExec(p) && (bound <= 0 || execWithinBound(m, p, bound)) {
+		if m.CanExec(p) {
 			dst = append(dst, Action{Proc: p, Kind: Exec})
 		}
 	}

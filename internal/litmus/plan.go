@@ -36,11 +36,10 @@ type plan struct {
 //
 //   - The model is Options.Model, or SC under SequentialConsistency
 //     (modelFor).
-//   - The reducer exists when Reduction is asked for, no ReorderBound is
-//     set (the ample-set analysis assumes the full enabledness relation a
-//     bound cuts down), the model's ReductionOK holds (PSO's per-class
-//     drains are not what the analysis models), and root has at most
-//     maxReductionProcs processors (the action masks' width).
+//   - The reducer exists when Reduction is asked for, the model's
+//     ReductionOK holds (PSO's per-class drains are not what the analysis
+//     models), and root has at most maxReductionProcs processors (the
+//     action masks' width).
 //   - The state cap is MaxStates or DefaultMaxStates, the worker count
 //     Workers or GOMAXPROCS.
 //   - Traces are recorded when there is a property to report or a
@@ -83,7 +82,7 @@ func resolve(root *tso.Machine, opts Options, ck *checkpoint) plan {
 	if p.nworkers <= 0 {
 		p.nworkers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Reduction && opts.ReorderBound <= 0 && p.model.ReductionOK() && len(root.Procs) <= maxReductionProcs {
+	if opts.Reduction && p.model.ReductionOK() && len(root.Procs) <= maxReductionProcs {
 		p.red = newReducer(root, opts.SequentialConsistency)
 	}
 	collapse := opts.Collapse

@@ -99,7 +99,7 @@ func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 			// The first visit slept actions this arrival's sleep set does
 			// not justify; re-expand them (with empty child sleep sets).
 			visited[string(buf)] = pruned & sleepC
-			for _, a := range mdl.Enabled(nil, m, opts.ReorderBound) {
+			for _, a := range mdl.Enabled(nil, m) {
 				if missing&maskOf(a) != 0 {
 					push(f, a, 0)
 					reexp++
@@ -130,7 +130,7 @@ func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 			break
 		}
 
-		enabled := mdl.Enabled(nil, m, opts.ReorderBound)
+		enabled := mdl.Enabled(nil, m)
 		if len(enabled) == 0 {
 			if m.Quiesced() {
 				// Outcomes are recorded from the canonical representative so

@@ -57,7 +57,7 @@ func walkStateKeys(t *testing.T, build func() *tso.Machine, mdl Model, exact boo
 	for len(stack) > 0 {
 		m := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		acts = mdl.Enabled(acts[:0], m, 0)
+		acts = mdl.Enabled(acts[:0], m)
 		for i, a := range acts {
 			c := m
 			if i < len(acts)-1 {
@@ -160,7 +160,7 @@ func TestCanonicalKeyMatchesDefinitionEngine(t *testing.T) {
 						continue
 					}
 					seen[k] = true
-					enabled := e.model.Enabled(nil, m, 0)
+					enabled := e.model.Enabled(nil, m)
 					w.pl.fullExpand(enabled)
 					if e.red != nil {
 						e.red.analyze(m, enabled, &w.pl)

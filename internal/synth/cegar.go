@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -17,30 +18,8 @@ import (
 // counterexample, and repeat until the frontier has no untested member.
 // Every verdict is memoized by placement key, so a placement is
 // model-checked at most once across the CEGAR loop and the final
-// minimality pass.
-//
-// Two accelerators bolt onto the plain loop, both strictly optional
-// (zero Options disable them) and both quarantined from the result's
-// guarantees:
-//
-//   - Options.ReorderBound screens each candidate with a
-//     reorder-bounded exploration before the exact reduced check. The
-//     bounded semantics under-approximates TSO, so a bounded violation
-//     is a real violation and the candidate is refuted without an exact
-//     run; a bounded-safe screen proves nothing and always falls
-//     through. SAT verdicts therefore only ever come from exact runs,
-//     and Unrepairable/ErrBudget are only ever concluded from exact
-//     runs (a bounded trace that *suggests* unrepairability triggers an
-//     exact re-verification first). A bound ≥ the store-buffer depth
-//     removes nothing, so it runs no screen (an unreduced exact run).
-//
-//   - Options.Prefilter seeds the constraint set with static critical
-//     cycles and prunes off-cycle sites from the lattice (static.go).
-//     The empty placement is still verified first — a safe program
-//     reports zero fences no matter what the static analysis imagined —
-//     pruned sites are restored the moment a counterexample implicates
-//     one, and the minimality pass strips any fence only a seed (not a
-//     counterexample) demanded, without flagging AssumptionViolated.
+// minimality pass, and every thread's program is spliced at most once
+// per edit set it is given.
 
 // frontierHook, when non-nil, sees each constraint set Synthesize
 // enumerates a frontier for. Tests set it to hold minimalHittingSets to
@@ -53,15 +32,16 @@ type synthesizer struct {
 	opts   Options
 	sites  []Site
 	bySite map[siteKey]Site
-	// pruned holds the sites the static prefilter removed from bySite;
-	// restoreImplicated moves them back when a counterexample's repair
-	// window lands on one.
-	pruned map[siteKey]Site
 
-	// cexCons are the counterexample-derived constraints only (no
-	// prefilter seeds): the set whose violation by a safe weakening
-	// means the monotonicity assumption actually failed.
-	cexCons []constraint
+	// cons are the constraints extracted from counterexamples so far.
+	cons []constraint
+
+	// spliced caches each thread's program under each edit set a
+	// candidate gives it, keyed by spliceKey: sibling candidates differ
+	// in one or two threads, so most threads splice once per run.
+	// verifyBatch fills it before any exploration starts.
+	spliced map[string]*tso.Spliced
+	keyBuf  []byte
 
 	tested map[string]*verdict
 	res    *Result
@@ -72,27 +52,40 @@ type verdict struct {
 	res     litmus.Result
 	spliced []*tso.Spliced
 	build   func() *tso.Machine
-
-	// bounded marks a verdict produced by the reorder-bounded screen:
-	// always a violation (safe screens fall through to the exact
-	// engine, so SAT verdicts are exact by construction).
-	bounded bool
-	// screened marks that the bounded screen ran at all;
-	// screenStates counts the states it burned when it missed and the
-	// exact run had to follow.
-	screened     bool
-	screenStates int
 }
 
 func (v *verdict) sat() bool {
 	return v.res.Violations == 0 && v.res.Deadlocks == 0 && !v.res.Truncated
 }
 
-// spliceCandidate applies a placement to every thread's base program.
-func spliceCandidate(progs []*tso.Program, p Placement, scratch tso.Reg) []*tso.Spliced {
-	out := make([]*tso.Spliced, len(progs))
-	for t, prog := range progs {
-		out[t] = tso.Splice(prog, p.edits(t, scratch))
+// spliceKey appends the cache key of thread t's share of p to dst: the
+// thread, then instr.kind per atom of that thread.
+func spliceKey(dst []byte, p Placement, t int) []byte {
+	dst = strconv.AppendInt(dst, int64(t), 10)
+	for _, a := range p {
+		if a.Thread != t {
+			continue
+		}
+		dst = append(dst, '|')
+		dst = strconv.AppendInt(dst, int64(a.Instr), 10)
+		dst = append(dst, '.')
+		dst = strconv.AppendUint(dst, uint64(a.Kind), 10)
+	}
+	return dst
+}
+
+// splice applies a placement to every thread's base program, through
+// the per-run cache. Not safe for concurrent use.
+func (s *synthesizer) splice(p Placement) []*tso.Spliced {
+	out := make([]*tso.Spliced, len(s.prob.Programs))
+	for t, prog := range s.prob.Programs {
+		s.keyBuf = spliceKey(s.keyBuf[:0], p, t)
+		sp, ok := s.spliced[string(s.keyBuf)]
+		if !ok {
+			sp = tso.Splice(prog, p.edits(t, s.opts.scratch()))
+			s.spliced[string(s.keyBuf)] = sp
+		}
+		out[t] = sp
 	}
 	return out
 }
@@ -105,34 +98,10 @@ func builderFor(cfg arch.Config, spliced []*tso.Spliced) func() *tso.Machine {
 	return func() *tso.Machine { return tso.NewMachine(cfg, progs...) }
 }
 
-// verifyOne model-checks a single candidate placement: the bounded
-// screen first when Options.ReorderBound binds (is below the buffer
-// depth), the exact reduced check unless the screen refuted the candidate.
-func (s *synthesizer) verifyOne(p Placement) *verdict {
-	spliced := spliceCandidate(s.prob.Programs, p, s.opts.scratch())
-	build := builderFor(s.prob.Config, spliced)
-	v := &verdict{spliced: spliced, build: build}
-	if b := s.opts.ReorderBound; b > 0 && b < s.prob.Config.StoreBufferDepth {
-		v.screened = true
-		br := litmus.Explore(build, litmus.Options{
-			Properties:      []litmus.Property{s.prob.Property},
-			Workers:         s.opts.Workers,
-			MaxStates:       s.opts.MaxStates,
-			StopOnViolation: true,
-			ReorderBound:    b,
-			Model:           s.prob.Config.Model,
-		})
-		if br.Violations > 0 {
-			// The bounded state graph is a subgraph of the exact one, so
-			// this violation (and its trace) is real — even when the
-			// bounded run was itself truncated.
-			v.res = br
-			v.bounded = true
-			return v
-		}
-		v.screenStates = br.States
-	}
-	v.res = litmus.Explore(build, litmus.Options{
+// verify model-checks one spliced candidate with the reduced engine,
+// stopping at the first violation.
+func (s *synthesizer) verify(v *verdict) {
+	v.res = litmus.Explore(v.build, litmus.Options{
 		Properties:      []litmus.Property{s.prob.Property},
 		Workers:         s.opts.Workers,
 		MaxStates:       s.opts.MaxStates,
@@ -144,95 +113,34 @@ func (s *synthesizer) verifyOne(p Placement) *verdict {
 		// engine forces reduction off; the flag is then inert.)
 		Reduction: true,
 	})
-	return v
-}
-
-// record books a freshly-computed verdict into the memo table and the
-// result counters.
-func (s *synthesizer) record(p Placement, v *verdict) {
-	s.tested[p.key()] = v
-	s.res.CandidatesChecked++
-	s.res.StatesExplored += v.res.States + v.screenStates
-	if v.screened {
-		s.res.BoundedChecks++
-	}
-	if v.bounded {
-		s.res.BoundedHits++
-	} else {
-		s.res.ExactChecks++
-	}
 }
 
 // verifyBatch verifies one frontier concurrently, a goroutine per
-// candidate, and memoizes each verdict. Results align with batch order,
-// so downstream constraint accumulation is deterministic regardless of
-// verification scheduling.
+// candidate, and memoizes each verdict. The candidates are spliced
+// first, on the calling goroutine, so the splice cache needs no lock.
+// Results align with batch order, so downstream constraint
+// accumulation is deterministic regardless of verification scheduling.
 func (s *synthesizer) verifyBatch(batch []Placement) []*verdict {
 	verdicts := make([]*verdict, len(batch))
-	var wg sync.WaitGroup
 	for i, p := range batch {
+		spliced := s.splice(p)
+		verdicts[i] = &verdict{spliced: spliced, build: builderFor(s.prob.Config, spliced)}
+	}
+	var wg sync.WaitGroup
+	for _, v := range verdicts {
 		wg.Add(1)
-		go func(i int, p Placement) {
+		go func(v *verdict) {
 			defer wg.Done()
-			verdicts[i] = s.verifyOne(p)
-		}(i, p)
+			s.verify(v)
+		}(v)
 	}
 	wg.Wait()
 	for i, p := range batch {
-		s.record(p, verdicts[i])
+		s.tested[p.key()] = verdicts[i]
+		s.res.CandidatesChecked++
+		s.res.StatesExplored += verdicts[i].res.States
 	}
 	return verdicts
-}
-
-// reverifyExact forces an exact (unbounded, reduced) verification of a
-// placement whose screen verdict is about to support a terminal
-// conclusion. The exact verdict replaces the memoized one. It errors on
-// budget truncation, on introduced deadlocks, and — defensively — if
-// the exact engine fails to reproduce a violation the bounded screen
-// found, which the under-approximation contract makes impossible.
-func (s *synthesizer) reverifyExact(p Placement) (*verdict, error) {
-	spliced := spliceCandidate(s.prob.Programs, p, s.opts.scratch())
-	build := builderFor(s.prob.Config, spliced)
-	v := &verdict{spliced: spliced, build: build}
-	v.res = litmus.Explore(build, litmus.Options{
-		Properties:      []litmus.Property{s.prob.Property},
-		Workers:         s.opts.Workers,
-		MaxStates:       s.opts.MaxStates,
-		StopOnViolation: true,
-		Reduction:       true,
-		Model:           s.prob.Config.Model,
-	})
-	s.record(p, v)
-	if v.res.Truncated {
-		return nil, fmt.Errorf("%w: candidate %v stopped after %d states",
-			ErrBudget, p, v.res.States)
-	}
-	if v.res.Deadlocks > 0 {
-		return nil, fmt.Errorf("synth: candidate %v introduces %d deadlocked states",
-			p, v.res.Deadlocks)
-	}
-	if v.sat() {
-		return nil, fmt.Errorf("synth: candidate %v: bounded violation not reproduced by the exact engine (reorder-bound under-approximation contract broken)", p)
-	}
-	s.res.Counterexamples++
-	return v, nil
-}
-
-// restoreImplicated moves every pruned site implicated by the
-// extraction's repair windows back into the candidate lattice,
-// returning how many it restored. The static prefilter's pruning is
-// heuristic; a real counterexample overrules it.
-func (s *synthesizer) restoreImplicated(ex extraction) int {
-	n := 0
-	for k := range ex.repair {
-		if site, ok := s.pruned[k]; ok {
-			s.bySite[k] = site
-			delete(s.pruned, k)
-			n++
-		}
-	}
-	s.res.RestoredSites += n
-	return n
 }
 
 // Synthesize runs counterexample-guided fence synthesis for the problem
@@ -252,20 +160,14 @@ func Synthesize(prob Problem, opts Options) (*Result, error) {
 			prob.Name, len(prob.Programs), prob.Config.Procs)
 	}
 
+	return newSynthesizer(prob, opts).run()
+}
+
+// run is Synthesize's CEGAR loop and minimality pass over a validated
+// problem.
+func (s *synthesizer) run() (*Result, error) {
+	prob, opts := s.prob, s.opts
 	start := time.Now()
-	sites := Sites(prob.Programs)
-	s := &synthesizer{
-		prob:   prob,
-		opts:   opts,
-		sites:  sites,
-		bySite: make(map[siteKey]Site, len(sites)),
-		pruned: make(map[siteKey]Site),
-		tested: make(map[string]*verdict),
-		res:    &Result{Problem: prob.Name, Sites: sites},
-	}
-	for _, site := range sites {
-		s.bySite[siteKey{site.Thread, site.Instr}] = site
-	}
 	res := s.res
 	defer func() {
 		res.Elapsed = time.Since(start)
@@ -273,124 +175,17 @@ func Synthesize(prob Problem, opts Options) (*Result, error) {
 	}()
 
 	var (
-		constraints []constraint
-		conKeys     = make(map[string]struct{})
-		satisfying  []Placement
-		lastUnsat   *verdict
-		lastUnsatP  Placement
+		conKeys    = make(map[string]struct{})
+		satisfying []Placement
+		lastUnsat  *verdict
 	)
-
-	addConstraint := func(c constraint, fromCex bool) {
-		if _, dup := conKeys[constraintKey(c)]; dup {
-			return
-		}
-		conKeys[constraintKey(c)] = struct{}{}
-		constraints = append(constraints, c)
-		if fromCex {
-			s.cexCons = append(s.cexCons, c)
-		}
-	}
-
-	// handleUnsat digests one violating verdict for placement p:
-	// extract the trace's reordering windows, restore any pruned sites
-	// they implicate, and either record a new constraint, drop the
-	// candidate as dead, or conclude Unrepairable. Terminal conclusions
-	// (stop=true) are only drawn from exact verdicts: a bounded verdict
-	// heading toward one is re-verified exactly first and the exact
-	// trace re-analyzed.
-	var handleUnsat func(p Placement, v *verdict) (stop bool, err error)
-	handleUnsat = func(p Placement, v *verdict) (bool, error) {
-		lastUnsat, lastUnsatP = v, p
-		exactify := func() (bool, error) {
-			nv, err := s.reverifyExact(p)
-			if err != nil {
-				return false, err
-			}
-			return handleUnsat(p, nv)
-		}
-		ex := analyzeTrace(v.build, v.spliced, v.res.ViolationTrace)
-		if !ex.windows {
-			// The property fails without any store/load reordering: no
-			// fence of any kind can help. Conclude only from an exact run.
-			if v.bounded {
-				return exactify()
-			}
-			res.Unrepairable = true
-			res.Counterexample = litmus.FormatTrace(v.build, v.res.ViolationTrace)
-			return true, nil
-		}
-		c := buildConstraint(ex, s.bySite, p, s.opts)
-		if len(c) == 0 && s.restoreImplicated(ex) > 0 {
-			c = buildConstraint(ex, s.bySite, p, s.opts)
-		}
-		if len(c) == 0 {
-			// Reordering windows exist but no allowed atom is strictly
-			// stronger than this candidate at any of them.
-			if p.Len() == 0 {
-				// Even the full lattice above the empty placement is
-				// powerless under the allowed kinds.
-				if v.bounded {
-					return exactify()
-				}
-				res.Unrepairable = true
-				res.Counterexample = litmus.FormatTrace(v.build, v.res.ViolationTrace)
-				return true, nil
-			}
-			return false, nil // candidate dead; memoization keeps it untried
-		}
-		addConstraint(c, true)
-		return false, nil
-	}
-
-	if opts.Prefilter {
-		info := prefilterAnalyze(prob.Programs)
-		res.PrefilterCycles = len(info.cycleSites)
-		if len(info.cycleSites) > 0 {
-			// Verify the empty placement before believing any static
-			// cycle: a program that is already safe must report zero
-			// fences whatever the analysis imagined, and a violating one
-			// hands the seeds a real counterexample to combine with.
-			res.Rounds++
-			v := s.verifyBatch([]Placement{{}})[0]
-			if v.res.Truncated && !v.bounded {
-				return nil, fmt.Errorf("%w: candidate %v stopped after %d states",
-					ErrBudget, Placement{}, v.res.States)
-			}
-			if v.res.Deadlocks > 0 {
-				return nil, fmt.Errorf("synth: candidate %v introduces %d deadlocked states",
-					Placement{}, v.res.Deadlocks)
-			}
-			if v.sat() {
-				satisfying = append(satisfying, Placement{})
-			} else {
-				res.Counterexamples++
-				stop, err := handleUnsat(Placement{}, v)
-				if err != nil {
-					return nil, err
-				}
-				if stop {
-					return res, nil
-				}
-				for _, c := range info.seedConstraints(s.bySite, opts) {
-					addConstraint(c, false)
-					res.PrefilterSeeds++
-				}
-				for _, site := range info.prunable(sites) {
-					k := siteKey{site.Thread, site.Instr}
-					delete(s.bySite, k)
-					s.pruned[k] = site
-				}
-				res.PrunedSites = len(s.pruned)
-			}
-		}
-	}
 
 	for {
 		if frontierHook != nil {
-			frontierHook(constraints, opts.MaxFences)
+			frontierHook(s.cons, opts.MaxFences)
 		}
 		t0 := time.Now()
-		frontier, nodes := minimalHittingSets(constraints, opts.MaxFences)
+		frontier, nodes := minimalHittingSets(s.cons, opts.MaxFences)
 		res.FrontierTime += time.Since(t0)
 		res.FrontierNodes += nodes
 		var todo []Placement
@@ -406,7 +201,7 @@ func Synthesize(prob Problem, opts Options) (*Result, error) {
 
 		for i, v := range s.verifyBatch(todo) {
 			p := todo[i]
-			if v.res.Truncated && !v.bounded {
+			if v.res.Truncated {
 				return nil, fmt.Errorf("%w: candidate %v stopped after %d states",
 					ErrBudget, p, v.res.States)
 			}
@@ -419,28 +214,40 @@ func Synthesize(prob Problem, opts Options) (*Result, error) {
 				continue
 			}
 			res.Counterexamples++
-			stop, err := handleUnsat(p, v)
-			if err != nil {
-				return nil, err
-			}
-			if stop {
+			lastUnsat = v
+			// Extract the trace's reordering windows, then either record a
+			// new constraint, drop the candidate as dead, or conclude
+			// Unrepairable.
+			ex := analyzeTrace(v.build, v.spliced, v.res.ViolationTrace)
+			if !ex.windows {
+				// The property fails without any store/load reordering: no
+				// fence of any kind can help.
+				res.Unrepairable = true
+				res.Counterexample = litmus.FormatTrace(v.build, v.res.ViolationTrace)
 				return res, nil
+			}
+			c := buildConstraint(ex, s.bySite, p, s.opts)
+			if len(c) == 0 {
+				// Reordering windows exist but no allowed atom is strictly
+				// stronger than this candidate at any of them.
+				if p.Len() == 0 {
+					// Even the full lattice above the empty placement is
+					// powerless under the allowed kinds.
+					res.Unrepairable = true
+					res.Counterexample = litmus.FormatTrace(v.build, v.res.ViolationTrace)
+					return res, nil
+				}
+				continue // candidate dead; memoization keeps it untried
+			}
+			if _, dup := conKeys[constraintKey(c)]; !dup {
+				conKeys[constraintKey(c)] = struct{}{}
+				s.cons = append(s.cons, c)
 			}
 		}
 	}
 
 	if len(satisfying) == 0 {
 		// Every hitting set of the accumulated constraints was refuted.
-		// Each refutation is a real violation (bounded ones included),
-		// but the reported witness must come from an exact run: a
-		// screen-produced last counterexample is re-verified exactly.
-		if lastUnsat != nil && lastUnsat.bounded {
-			nv, err := s.reverifyExact(lastUnsatP)
-			if err != nil {
-				return nil, err
-			}
-			lastUnsat = nv
-		}
 		res.Unrepairable = true
 		if lastUnsat != nil {
 			res.Counterexample = litmus.FormatTrace(lastUnsat.build, lastUnsat.res.ViolationTrace)
@@ -479,6 +286,24 @@ func Synthesize(prob Problem, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// newSynthesizer sets up the per-run state of a synthesis of prob.
+func newSynthesizer(prob Problem, opts Options) *synthesizer {
+	sites := Sites(prob.Programs)
+	s := &synthesizer{
+		prob:    prob,
+		opts:    opts,
+		sites:   sites,
+		bySite:  make(map[siteKey]Site, len(sites)),
+		spliced: make(map[string]*tso.Spliced),
+		tested:  make(map[string]*verdict),
+		res:     &Result{Problem: prob.Name, Sites: sites},
+	}
+	for _, site := range sites {
+		s.bySite[siteKey{site.Thread, site.Instr}] = site
+	}
+	return s
+}
+
 // subsetMinimal drops any satisfying placement that strictly contains
 // another satisfying placement (same atoms plus more).
 func subsetMinimal(ps []Placement) []Placement {
@@ -498,10 +323,9 @@ func subsetMinimal(ps []Placement) []Placement {
 	return out
 }
 
-// hitsAllCex reports whether p hits every counterexample-derived
-// constraint (prefilter seeds excluded).
-func (s *synthesizer) hitsAllCex(p Placement) bool {
-	for _, c := range s.cexCons {
+// hitsAll reports whether p hits every counterexample constraint.
+func (s *synthesizer) hitsAll(p Placement) bool {
+	for _, c := range s.cons {
 		if !p.hits(c) {
 			return false
 		}
@@ -517,10 +341,8 @@ func (s *synthesizer) hitsAllCex(p Placement) bool {
 // Counterexample pruning rests on the assumption that fences only
 // restrict behaviour; this pass replaces that assumption with checked
 // fact for the reported results. A safe weakening that un-hits a
-// counterexample-derived constraint flags AssumptionViolated — the
-// monotonicity assumption demonstrably failed. A safe weakening that
-// only un-hits prefilter seed constraints is the expected cleanup of a
-// false-positive static cycle and is substituted silently.
+// counterexample constraint flags AssumptionViolated — the
+// monotonicity assumption demonstrably failed.
 func (s *synthesizer) verifyMinimality(satisfying []Placement) []Placement {
 	var out []Placement
 	work := satisfying
@@ -560,7 +382,7 @@ func (s *synthesizer) verifyMinimality(satisfying []Placement) []Placement {
 				w := p.without(i)
 				if s.tested[w.key()].sat() {
 					minimal = false
-					if !s.hitsAllCex(w) {
+					if !s.hitsAll(w) {
 						s.res.AssumptionViolated = true
 					}
 					next = append(next, w)

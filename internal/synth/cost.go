@@ -36,8 +36,8 @@ import (
 // access completes. The paper's §5 model makes no load/store
 // distinction here — *any* remote acquisition of the guarded line
 // breaks the link — so remote stores count equally, and register-
-// indexed accesses count whenever constant propagation (regConsts, in
-// static.go) pins their target; an earlier version counted only direct
+// indexed accesses count whenever constant propagation (regConsts
+// below) pins their target; an earlier version counted only direct
 // OpLoad accesses, which undercounted remote traffic and could rank an
 // l-mfence under an mfence on store-heavy remote threads.
 
@@ -60,13 +60,48 @@ func remoteTouchesOf(prog *tso.Program, addr arch.Addr) int {
 	if prog == nil {
 		return 0
 	}
+	val, known := regConsts(prog)
 	n := 0
-	for _, a := range staticAccesses(prog) {
-		if a.addr == addr {
-			n++
+	for _, in := range prog.Instrs {
+		switch in.Op {
+		case tso.OpLoad, tso.OpLE, tso.OpStore, tso.OpStoreI, tso.OpStoreLinked, tso.OpStoreLinkedReg:
+			if in.Addr == addr {
+				n++
+			}
+		case tso.OpLoadIdx, tso.OpStoreIdx:
+			if known[in.Ra] && in.Addr+arch.Addr(val[in.Ra]) == addr {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// regConsts computes, per register, whether the register provably holds
+// one known constant at every point of the program: never written
+// (zero) or written only by loadi of a single immediate. Any other
+// writer — memory loads, arithmetic, LE — makes the register unknown.
+func regConsts(prog *tso.Program) (val [tso.NumRegs]arch.Word, known [tso.NumRegs]bool) {
+	written := [tso.NumRegs]bool{}
+	for i := range known {
+		known[i] = true
+	}
+	for _, in := range prog.Instrs {
+		switch in.Op {
+		case tso.OpLoadI:
+			r := in.Rd
+			if written[r] && val[r] != in.Imm {
+				known[r] = false
+			}
+			written[r] = true
+			if known[r] {
+				val[r] = in.Imm
+			}
+		case tso.OpLoad, tso.OpLoadIdx, tso.OpLE, tso.OpAdd, tso.OpAddI, tso.OpSub:
+			known[in.Rd] = false
+		}
+	}
+	return val, known
 }
 
 // placementCost prices a placement over the given base programs under

@@ -99,3 +99,31 @@ func TestResolvedIndexedStoreFlipsCostRanking(t *testing.T) {
 		t.Errorf("ranking did not flip on a resolved indexed remote store (%v vs %v)", lmCost, mfCost)
 	}
 }
+
+// TestRegConsts pins the conservative constant propagation behind the
+// cost model's remote-touch count: a register is known only when never
+// written or written by loadi of a single immediate; everything else
+// kills resolution.
+func TestRegConsts(t *testing.T) {
+	prog := tso.NewBuilder("consts").
+		LoadI(1, 3).
+		LoadI(1, 3). // same immediate twice: still known
+		LoadI(2, 1).
+		LoadI(2, 2).             // conflicting immediates: unknown
+		Load(3, programs.AddrX). // memory load: unknown
+		AddI(4, 1, 1).           // arithmetic: unknown
+		Halt().Build()
+	val, known := regConsts(prog)
+	if !known[1] || val[1] != 3 {
+		t.Errorf("r1: known=%v val=%v, want known constant 3", known[1], val[1])
+	}
+	for _, r := range []tso.Reg{2, 3, 4} {
+		if known[r] {
+			t.Errorf("r%d: marked known, want unknown", r)
+		}
+	}
+	// r5 is never written: known zero.
+	if !known[5] || val[5] != 0 {
+		t.Errorf("r5: known=%v val=%v, want known constant 0", known[5], val[5])
+	}
+}

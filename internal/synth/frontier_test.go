@@ -63,6 +63,29 @@ func TestMinimalHittingSetsMatchesDefinitionCorpus(t *testing.T) {
 	t.Logf("%d scenarios, %d constraint sets: %d partial placements expanded, %d by the definition", n, sets, expanded, byDefinition)
 }
 
+// TestSpliceCacheMatchesFreshSplice: over corpus 7's first 50
+// scenarios, every program a candidate was verified on equals a fresh
+// tso.Splice of that candidate's edits for the thread, though the run
+// splices far fewer programs than its candidates are made of.
+func TestSpliceCacheMatchesFreshSplice(t *testing.T) {
+	programs, splices := 0, 0
+	for i, c := range corpusScenarios(t, 7, 50) {
+		prob, err := c.Problem()
+		if err != nil {
+			t.Fatalf("scenario %d: %v", i, err)
+		}
+		n, d, err := synth.CheckSplices(prob, synth.Options{Workers: 1, MaxStates: 200_000})
+		if err != nil {
+			t.Fatalf("scenario %d: %v", i, err)
+		}
+		programs, splices = programs+n, splices+d
+	}
+	if splices >= programs {
+		t.Errorf("%d candidate programs took %d splices: nothing was reused", programs, splices)
+	}
+	t.Logf("%d candidate programs, %d splices", programs, splices)
+}
+
 // worstCaseSites is the final constraint set of corpus 7's scenario 165
 // as plain CEGAR met it at commit c84c971, one row per constraint. Each
 // site stands for its two atoms, the l-mfence and the mfence at that

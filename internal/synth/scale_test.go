@@ -8,24 +8,10 @@ import (
 )
 
 // newTestSynthesizer builds a bare synthesizer for exercising internal
-// passes (minimality, restore) without running the CEGAR loop.
+// passes (minimality) without running the CEGAR loop.
 func newTestSynthesizer(t *testing.T, name string) *synthesizer {
 	t.Helper()
-	prob := mustProblem(t, name)
-	sites := Sites(prob.Programs)
-	s := &synthesizer{
-		prob:   prob,
-		opts:   testOptions(),
-		sites:  sites,
-		bySite: make(map[siteKey]Site, len(sites)),
-		pruned: make(map[siteKey]Site),
-		tested: make(map[string]*verdict),
-		res:    &Result{Problem: prob.Name, Sites: sites},
-	}
-	for _, site := range sites {
-		s.bySite[siteKey{site.Thread, site.Instr}] = site
-	}
-	return s
+	return newSynthesizer(mustProblem(t, name), testOptions())
 }
 
 // TestVerifyMinimalityFixpoint is the regression pin for the one-level
@@ -63,42 +49,10 @@ func TestVerifyMinimalityFixpoint(t *testing.T) {
 	}
 }
 
-// TestRestoreImplicated pins the prune/restore contract: a
-// counterexample whose repair window lands on a pruned site moves
-// exactly that site back into the lattice and counts it.
-func TestRestoreImplicated(t *testing.T) {
-	s := newTestSynthesizer(t, "dekker")
-	k := siteKey{s.sites[0].Thread, s.sites[0].Instr}
-	s.pruned[k] = s.bySite[k]
-	delete(s.bySite, k)
-
-	ex := extraction{repair: map[siteKey]struct{}{
-		k:        {},
-		{99, 99}: {}, // never pruned: must not confuse the restore
-	}}
-	if n := s.restoreImplicated(ex); n != 1 {
-		t.Fatalf("restoreImplicated = %d, want 1", n)
-	}
-	if _, ok := s.bySite[k]; !ok {
-		t.Error("implicated site not restored to the lattice")
-	}
-	if len(s.pruned) != 0 {
-		t.Errorf("pruned set still holds %d sites", len(s.pruned))
-	}
-	if s.res.RestoredSites != 1 {
-		t.Errorf("RestoredSites = %d, want 1", s.res.RestoredSites)
-	}
-	// Restoring again is a no-op, not a double count.
-	if n := s.restoreImplicated(ex); n != 0 || s.res.RestoredSites != 1 {
-		t.Errorf("second restore: n=%d RestoredSites=%d, want 0 and 1", n, s.res.RestoredSites)
-	}
-}
-
-// TestAcceleratedMatchesVanilla is the tentpole equivalence pin: with
-// the static prefilter and the reorder-bounded screen both on, every
-// registry problem must report exactly the plain loop's minimal frontier
-// and optimal placement — the accelerators may only change how fast the
-// answer arrives, never the answer.
+// TestAcceleratedMatchesVanilla: the deprecated accelerator options
+// (Prefilter, ReorderBound) are ignored, so a run that sets them reports
+// the same verdict, minimal frontier and optimal placement as a run that
+// does not.
 func TestAcceleratedMatchesVanilla(t *testing.T) {
 	for _, prob := range Problems() {
 		prob := prob
@@ -140,89 +94,18 @@ func TestAcceleratedMatchesVanilla(t *testing.T) {
 				t.Errorf("optimal drift: %v (%v) vs vanilla %v (%v)",
 					acc.Optimal.Placement, acc.Optimal.Cost, van.Optimal.Placement, van.Optimal.Cost)
 			}
-
-			// Counter invariants: every check either screened out bounded
-			// or paid the exact engine; screens ran at all; and whenever the
-			// problem has counterexamples, the screen caught at least one.
-			if acc.BoundedHits+acc.ExactChecks != acc.CandidatesChecked {
-				t.Errorf("BoundedHits %d + ExactChecks %d != CandidatesChecked %d",
-					acc.BoundedHits, acc.ExactChecks, acc.CandidatesChecked)
-			}
-			if acc.BoundedChecks == 0 || acc.BoundedChecks > acc.CandidatesChecked {
-				t.Errorf("BoundedChecks = %d of %d candidates", acc.BoundedChecks, acc.CandidatesChecked)
-			}
-			if van.Counterexamples > 0 && acc.BoundedHits == 0 {
-				t.Errorf("screen never fired on a problem with %d counterexamples", van.Counterexamples)
+			if acc.CandidatesChecked == 0 || acc.StatesExplored == 0 {
+				t.Errorf("checked %d candidates over %d states, want exact checks",
+					acc.CandidatesChecked, acc.StatesExplored)
 			}
 		})
 	}
 }
 
-// TestPrefilterCountersDekker pins the prefilter's bookkeeping
-// end-to-end on Dekker: one static cycle, one seed constraint, the four
-// CS/release stores pruned, and no counterexample ever implicating a
-// pruned site.
-func TestPrefilterCountersDekker(t *testing.T) {
-	opts := testOptions()
-	opts.Prefilter = true
-	res := mustSynthesize(t, "dekker", opts)
-	if res.PrefilterCycles != 1 {
-		t.Errorf("PrefilterCycles = %d, want 1", res.PrefilterCycles)
-	}
-	if res.PrefilterSeeds != 1 {
-		t.Errorf("PrefilterSeeds = %d, want 1", res.PrefilterSeeds)
-	}
-	if res.PrunedSites != 4 {
-		t.Errorf("PrunedSites = %d, want 4 (CS and release stores)", res.PrunedSites)
-	}
-	if res.RestoredSites != 0 {
-		t.Errorf("RestoredSites = %d, want 0", res.RestoredSites)
-	}
-	p0 := atomAt(t, res.Optimal.Placement, 0)
-	if p0.Kind != KindLmfence || p0.Instr != 0 {
-		t.Errorf("optimal primary atom = %v, want the Fig. 3(a) l-mfence at the flag publish", p0)
-	}
-}
-
-// TestPrefilterSafeWithStaticCycles pins the seed quarantine: a program
-// the static analysis sees cycles in but which is actually safe (an SB
-// shape whose asserted outcome TSO cannot even produce) must still
-// report zero fences in one round — the empty placement is verified
-// before any seed is believed.
-func TestPrefilterSafeWithStaticCycles(t *testing.T) {
-	sb0, sb1 := programs.StoreBufferPair()
-	prob := Problem{
-		Name:     "sb-safe",
-		Programs: []*tso.Program{sb0, sb1},
-		Config:   ProblemConfig(),
-		Property: ForbiddenQuiesced("unreachable", func(m *tso.Machine) bool { return false }),
-	}
-	opts := testOptions()
-	opts.Prefilter = true
-	res, err := Synthesize(prob, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PrefilterCycles == 0 {
-		t.Fatal("static analysis found no cycle in the SB pair")
-	}
-	if res.Optimal == nil || res.Optimal.Placement.Len() != 0 {
-		t.Fatalf("optimal = %+v, want the empty placement", res.Optimal)
-	}
-	if res.Rounds != 1 || res.Counterexamples != 0 {
-		t.Errorf("rounds=%d cex=%d, want 1 round and no counterexamples", res.Rounds, res.Counterexamples)
-	}
-	if res.PrunedSites != 0 || res.PrefilterSeeds != 0 {
-		t.Errorf("pruned=%d seeds=%d: a safe empty placement must suppress seeding and pruning",
-			res.PrunedSites, res.PrefilterSeeds)
-	}
-}
-
-// TestUnrepairableConcludedExactly pins the screen's verdict discipline:
-// with the bounded screen on, a problem whose property fails in every
-// final state (no fence can help) must still be reported Unrepairable
-// off an *exact* run — the bounded verdict alone never supports a
-// terminal conclusion.
+// TestUnrepairableConcludedExactly: a problem whose property fails in
+// every final state (no fence can help) is reported Unrepairable, with a
+// counterexample trace, off exact checks, also when the run sets the
+// deprecated ReorderBound.
 func TestUnrepairableConcludedExactly(t *testing.T) {
 	sb0, sb1 := programs.StoreBufferPair()
 	prob := Problem{
@@ -243,10 +126,10 @@ func TestUnrepairableConcludedExactly(t *testing.T) {
 	if res.Counterexample == "" {
 		t.Error("Unrepairable reported without a counterexample trace")
 	}
-	if res.BoundedHits == 0 {
-		t.Error("screen never caught the (ubiquitous) violation")
+	if res.Counterexamples == 0 {
+		t.Error("Unrepairable concluded without a counterexample")
 	}
-	if res.ExactChecks == 0 {
+	if res.CandidatesChecked == 0 || res.StatesExplored == 0 {
 		t.Error("Unrepairable concluded without any exact verification")
 	}
 }

@@ -386,26 +386,15 @@ type Options struct {
 	// pass (used by tests exercising the CEGAR core alone).
 	SkipMinimalityCheck bool
 
-	// Prefilter enables the static critical-cycle analysis (static.go):
-	// program-order store→load pairs over racy addresses are composed
-	// into potential cycles that seed the initial constraint set, and
-	// store sites on no cycle are pruned from the candidate lattice
-	// (Result.PrunedSites; restored automatically if a counterexample
-	// implicates one, Result.RestoredSites). Purely a search accelerator:
-	// reported placements are verified exactly either way, and seed-only
-	// over-fencing is removed by the minimality pass without flagging
-	// AssumptionViolated.
+	// Deprecated: Prefilter is ignored. The static critical-cycle
+	// prefilter it enabled was deleted: on the generated corpora it cost
+	// more exact checks and states than it saved.
 	Prefilter bool
 
-	// ReorderBound, when positive, screens every candidate with a
-	// reorder-bounded exploration (litmus.Options.ReorderBound) before
-	// paying for the exact reduced check. A bounded violation is a real
-	// violation (the bounded semantics is an under-approximation), so
-	// UNSAT candidates usually resolve at a fraction of the exact cost;
-	// bounded-safe candidates always proceed to the exact check, and
-	// Unrepairable/ErrBudget conclusions are only ever drawn from exact
-	// runs. A bound ≥ Config.StoreBufferDepth (sbdepth) screens nothing;
-	// on the generated corpora (sbdepth 2) only 1 binds.
+	// Deprecated: ReorderBound is ignored. The reorder-bounded screen it
+	// enabled was deleted: a bounded run cannot reduce, so a screen that
+	// refuted a candidate cost more states than the exact check it
+	// replaced.
 	ReorderBound int
 }
 
@@ -490,40 +479,21 @@ type Result struct {
 	AssumptionViolated bool
 
 	// CandidatesChecked counts verification queries (including the
-	// minimality pass); Counterexamples counts UNSAT verdicts among
-	// them; StatesExplored sums their explored states (bounded screens
-	// included); Rounds counts CEGAR frontier iterations.
+	// minimality pass), each one exact, reduced exploration;
+	// Counterexamples counts UNSAT verdicts among them; StatesExplored
+	// sums their explored states; Rounds counts CEGAR frontier
+	// iterations.
 	CandidatesChecked int
 	Counterexamples   int
 	StatesExplored    int
 	Rounds            int
 	Elapsed           time.Duration
 
-	// BoundedChecks / BoundedHits / ExactChecks break the verification
-	// queries down by engine mode when Options.ReorderBound is set: how
-	// many candidates ran the bounded screen, how many of those screens
-	// found a (real) violation and skipped the exact check, and how many
-	// exact explorations ran. With the screen off, ExactChecks ==
-	// CandidatesChecked.
-	BoundedChecks int
-	BoundedHits   int
-	ExactChecks   int
-
 	// FrontierNodes counts the partial placements the CEGAR rounds'
 	// frontier enumerations expanded, FrontierTime the wall time they
 	// took (the minimality pass enumerates no frontier).
 	FrontierNodes int
 	FrontierTime  time.Duration
-
-	// PrefilterCycles / PrefilterSeeds / PrunedSites / RestoredSites
-	// report the static prefilter's work when Options.Prefilter is set:
-	// potential critical cycles found, seed constraints injected, sites
-	// pruned from the lattice, and pruned sites restored after a real
-	// counterexample implicated them.
-	PrefilterCycles int
-	PrefilterSeeds  int
-	PrunedSites     int
-	RestoredSites   int
 
 	// Obs renders the synthesis counters (plus states/sec across all
 	// verification queries) as an obs snapshot for the bench pipeline.
@@ -538,15 +508,8 @@ func (r *Result) FillObs() {
 	r.Obs.PutCounter("counterexamples", uint64(r.Counterexamples))
 	r.Obs.PutCounter("cegar_rounds", uint64(r.Rounds))
 	r.Obs.PutCounter("states_explored", uint64(r.StatesExplored))
-	r.Obs.PutCounter("bounded_checks", uint64(r.BoundedChecks))
-	r.Obs.PutCounter("bounded_hits", uint64(r.BoundedHits))
-	r.Obs.PutCounter("exact_checks", uint64(r.ExactChecks))
 	r.Obs.PutCounter("frontier_nodes", uint64(r.FrontierNodes))
 	r.Obs.PutCounter("frontier_ns", uint64(r.FrontierTime))
-	r.Obs.PutCounter("prefilter_cycles", uint64(r.PrefilterCycles))
-	r.Obs.PutCounter("prefilter_seeds", uint64(r.PrefilterSeeds))
-	r.Obs.PutCounter("pruned_sites", uint64(r.PrunedSites))
-	r.Obs.PutCounter("restored_sites", uint64(r.RestoredSites))
 	if r.Elapsed > 0 {
 		r.Obs.PutGauge("states_per_sec", float64(r.StatesExplored)/r.Elapsed.Seconds())
 	}

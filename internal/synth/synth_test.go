@@ -277,8 +277,8 @@ func TestSynthesizeBakery(t *testing.T) {
 	}
 
 	check := func(p Placement) litmus.Result {
-		spliced := spliceCandidate(prob.Programs, p, DefaultScratchReg)
-		return litmus.Explore(builderFor(prob.Config, spliced), litmus.Options{
+		progs := p.Apply(prob.Programs, DefaultScratchReg)
+		return litmus.Explore(func() *tso.Machine { return tso.NewMachine(prob.Config, progs...) }, litmus.Options{
 			Properties: []litmus.Property{prob.Property},
 			Workers:    4,
 		})
@@ -341,8 +341,8 @@ func TestOptimalPlacementsVerify(t *testing.T) {
 	res := mustSynthesize(t, "dekker", testOptions())
 
 	check := func(p Placement) litmus.Result {
-		spliced := spliceCandidate(prob.Programs, p, DefaultScratchReg)
-		return litmus.Explore(builderFor(prob.Config, spliced), litmus.Options{
+		progs := p.Apply(prob.Programs, DefaultScratchReg)
+		return litmus.Explore(func() *tso.Machine { return tso.NewMachine(prob.Config, progs...) }, litmus.Options{
 			Properties: []litmus.Property{prob.Property},
 			Workers:    4,
 		})
