@@ -5,15 +5,17 @@
 // reordering that motivates the whole paper. With -json it emits a
 // machine-readable summary (per-test states and aggregate states/sec)
 // suitable for tracking checker throughput across changes. -reduction
-// explores the catalog with sleep-set partial-order reduction (same
-// verdicts, fewer states), and -por prints the reduced-vs-unreduced
-// state-count comparison over the protocol suite. -compress keys the
-// visited set on exact collapsed states (interned component tables plus
-// index tuples) instead of 128-bit hash pairs, -membudget caps the
-// visited set's resident bytes and spills cold stripes to disk instead
-// of truncating, whichever keys it holds, and -nproc N
-// additionally model-checks the N-process bakery and Peterson
-// generators under cyclic-symmetry reduction.
+// explores the catalog with partial-order reduction, ample sets on top
+// of sleep sets (same verdicts, fewer states). An unreduced TSO run
+// still sleeps: it skips the edges a commuting sibling covers but keeps
+// every state, and counts every edge in its transitions. -por prints
+// the reduced-vs-unreduced state-count comparison over the protocol
+// suite. -compress keys the visited set on exact collapsed states
+// (interned component tables plus index tuples) instead of 128-bit hash
+// pairs, -membudget caps the visited set's resident bytes and spills
+// cold stripes to disk instead of truncating, whichever keys it holds,
+// and -nproc N additionally model-checks the N-process bakery and
+// Peterson generators under cyclic-symmetry reduction.
 package main
 
 import (
@@ -37,7 +39,7 @@ func main() {
 	trace := flag.Bool("trace", false, "print the unfenced Dekker counterexample trace")
 	catalog := flag.Bool("catalog", true, "run the classic litmus-test catalog")
 	workers := flag.Int("workers", 0, "exploration worker-pool size (0 = GOMAXPROCS)")
-	reduction := flag.Bool("reduction", false, "explore the catalog with partial-order reduction")
+	reduction := flag.Bool("reduction", false, "explore the catalog with partial-order reduction (ample sets; an unreduced TSO run already sleeps edges, never states)")
 	por := flag.Bool("por", false, "print the reduced-vs-unreduced comparison over the protocol suite")
 	compress := flag.Bool("compress", false, "store visited states collapse-compressed")
 	memBudget := flag.Int64("membudget", 0, "visited-set resident-byte budget, spilling cold stripes to disk (0 = unlimited)")

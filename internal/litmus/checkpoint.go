@@ -716,7 +716,7 @@ func Resume(dir string, build func() *tso.Machine, opts Options) (Result, error)
 		opts.Checkpoint.Dir = dir
 	}
 	root := build()
-	p := resolve(root, opts, ck)
+	p := resolve(root, opts, ck, false)
 	// Check the memory model first and by name: resuming a TSO snapshot
 	// under -model pso (or vice versa) is the mismatch a user can
 	// actually fix from the message, so it must not hide behind the

@@ -51,21 +51,22 @@ import (
 //     explorations clones almost nothing.
 //
 // Exactly one worker wins the visited-set claim for any state, so each
-// distinct state is expanded exactly once and, without reduction, the
-// merged States, Transitions, Outcomes, Violations, and Deadlocks are
+// distinct state is expanded exactly once and, without Options.Reduction,
+// the merged States, Transitions, Outcomes, Violations, and Deadlocks are
 // deterministic and identical to the serial reference engine's
-// (differential tests pin this). Which violation is reported *first* is
-// scheduling-dependent; the trace itself always replays to a violating
-// state. Under Options.Reduction the sleep masks depend on arrival
-// order, so States/Transitions/Violations may vary slightly between
-// runs; Outcomes, Deadlocks, and violation *reachability* stay exact
-// (see reduce.go for the argument, TestReductionDifferential for the
-// pin).
+// (differential tests pin this), though such a run executes only the
+// edges its sleep sets do not cover (reduce.go, "Sleep sets alone").
+// Which violation is reported *first* is scheduling-dependent; the trace
+// itself always replays to a violating state. Under Options.Reduction
+// the sleep masks depend on arrival order, so States/Transitions/
+// Violations may vary slightly between runs; Outcomes, Deadlocks, and
+// violation *reachability* stay exact (see reduce.go for the argument,
+// TestReductionDifferential for the pin).
 
 // pframe is one unit of exploration work: a machine state, the action
 // that produced it with its parent's trace chain (root marks the one
-// frame no action produced) and, under Options.Reduction, the sleep set
-// it arrived with.
+// frame no action produced) and, when the run has a reducer, the sleep
+// set it arrived with.
 type pframe struct {
 	m      *tso.Machine
 	parent *traceNode
@@ -624,7 +625,9 @@ func (w *worker) process(f pframe) {
 		// cycle that the merged mask puts wholly asleep demotes to full
 		// expansion (reduce.go, "Asleep ample sets"); finalize decides
 		// that under the stripe lock, so the entry never publishes a set
-		// the winner does not expand.
+		// the winner does not expand. Sleep sets alone take the same
+		// path: no ample set, so no probe and no demotion, and the entry
+		// publishes every enabled action it withholds.
 		var full actionMask
 		if w.pl.ample && w.canon == nil && e.red.mayCycle(m, enabled, &w.pl) {
 			full = maskOfAll(enabled)
@@ -643,7 +646,14 @@ func (w *worker) process(f pframe) {
 		}
 		e.red.expansion(enabled, &w.pl, z)
 		w.slept += uint64(w.pl.sleptCount())
-		w.res.Transitions += len(w.pl.idx)
+		if e.red.sleepOnly {
+			// Sleep sets alone keep every state, so Transitions stays the
+			// full graph's edge count: a state's edges count once, here,
+			// executed or slept, and expandFrom counts none.
+			w.res.Transitions += len(enabled)
+		} else {
+			w.res.Transitions += len(w.pl.idx)
+		}
 		if len(w.pl.idx) == 0 {
 			// Everything was slept; the machine is dead.
 			w.recycle(m)
@@ -742,7 +752,9 @@ func (w *worker) expandFrom(f *pframe, mask actionMask) {
 	}
 	w.pl.idx = picked
 	w.reexpanded += uint64(len(picked))
-	w.res.Transitions += len(picked)
+	if !w.eng.red.sleepOnly {
+		w.res.Transitions += len(picked)
+	}
 	if len(picked) == 0 {
 		w.recycle(m)
 		return
@@ -820,13 +832,16 @@ func (e *engine) recordViolation(err error, tr *traceNode) {
 // Explore exhaustively searches all interleavings of the machine
 // produced by build, using opts.Workers parallel workers (default
 // GOMAXPROCS). The builder is invoked once; the search clones states as
-// it forks. The merged result is deterministic — identical to a serial
-// exploration — except for which violation is designated first. The
+// it forks. Without Options.Reduction the merged result is
+// deterministic — identical to a serial exploration, Transitions
+// included — except for which violation is designated first, even
+// though sleep sets keep it from executing the edges a commuting
+// sibling covers wherever resolve allows them (plan.go). The
 // machines build returns become the engine's: they are stepped in place
 // and, once the run ends, recycled into later explorations.
 func Explore(build func() *tso.Machine, opts Options) Result {
 	root := build()
-	return exploreFrom(build, root, opts, resolve(root, opts, nil), nil)
+	return exploreFrom(build, root, opts, resolve(root, opts, nil, false), nil)
 }
 
 // exploreFrom runs the exploration p plans, from root (a machine build
@@ -1008,12 +1023,14 @@ func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p p
 		}
 	}
 	if e.red != nil {
-		res.Obs.PutGauge("reduction", 1)
-		res.Obs.PutCounter("por_ample_states", ample)
 		res.Obs.PutCounter("por_slept_transitions", slept)
 		res.Obs.PutCounter("por_reexpansions", reexp)
-		res.Obs.PutCounter("por_proviso_probes", probes)
-		res.Obs.PutCounter("por_proviso_fallbacks", proviso)
+		if !e.red.sleepOnly {
+			res.Obs.PutGauge("reduction", 1)
+			res.Obs.PutCounter("por_ample_states", ample)
+			res.Obs.PutCounter("por_proviso_probes", probes)
+			res.Obs.PutCounter("por_proviso_fallbacks", proviso)
+		}
 	}
 	if tries > 0 {
 		// Fraction of claim attempts that found the state already visited:

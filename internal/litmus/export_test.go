@@ -27,7 +27,7 @@ func CycleSpaces() []CycleSpace {
 // MayCycle is the reducer's static loop test for machines rooted at
 // root, asked of one enabled action of a state.
 func MayCycle(root *tso.Machine) func(m *tso.Machine, a Action) bool {
-	rd := newReducer(root, false)
+	rd := newReducer(root, false, false)
 	enabled := make([]Action, 1)
 	pl := porScratch{tidx: []int{0}}
 	return func(m *tso.Machine, a Action) bool {

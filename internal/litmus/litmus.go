@@ -176,6 +176,14 @@ type Options struct {
 	// reduces is resolve's decision (plan.go): not under a Model whose
 	// ReductionOK is false, or with more than 8 processors.
 	// Result.Obs carries the gauge "reduction" when it did.
+	//
+	// Without Reduction, Explore still runs the sleep sets, alone, where
+	// the same conditions hold and there is no Symmetry: they skip edges
+	// into states a commuting sibling reaches, never a state, so every
+	// count stays the unreduced search's and Transitions still counts
+	// every edge (reduce.go, "Sleep sets alone"). Result.Obs then carries
+	// por_slept_transitions but no "reduction" gauge. ExploreSerial
+	// executes every edge.
 	Reduction bool
 
 	// Collapse keys the parallel engine's visited set on exact collapsed

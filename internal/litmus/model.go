@@ -31,10 +31,10 @@ type Model interface {
 	// Apply takes action a on m. a must have come from Enabled on m.
 	Apply(m *tso.Machine, a Action)
 
-	// ReductionOK reports whether reduce.go's ample-set analysis is
-	// sound for this model's enabledness relation. resolve (plan.go)
-	// gives a run under a model returning false no reducer, whatever
-	// Options.Reduction says.
+	// ReductionOK reports whether reduce.go's footprint analysis, ample
+	// and sleep sets alike, is sound for this model's enabledness
+	// relation. resolve (plan.go) gives a run under a model returning
+	// false no reducer, whatever Options.Reduction says.
 	ReductionOK() bool
 }
 

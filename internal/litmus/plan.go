@@ -12,8 +12,9 @@ import (
 // resolve.
 type plan struct {
 	model Model
-	// red is the reduction's static footprint analysis; nil when the run
-	// explores unreduced.
+	// red is the reduction's static footprint analysis: ample and sleep
+	// sets under Options.Reduction, sleep sets alone (red.sleepOnly) on a
+	// run that must keep every state, nil where neither is sound.
 	red *reducer
 	// sym is the validated symmetry declaration; nil without one.
 	sym       *tso.Symmetry
@@ -31,15 +32,24 @@ type plan struct {
 }
 
 // resolve decides the plan of an exploration of root under opts, resumed
-// from ck when it is non-nil (ExploreSerial reads only the model, the
-// reducer, the symmetry and the state cap):
+// from ck when it is non-nil, for the parallel engine or, when serial is
+// set, for ExploreSerial (which reads only the model, the reducer, the
+// symmetry and the state cap):
 //
 //   - The model is Options.Model, or SC under SequentialConsistency
 //     (modelFor).
-//   - The reducer exists when Reduction is asked for, the model's
-//     ReductionOK holds (PSO's per-class drains are not what the analysis
-//     models), and root has at most maxReductionProcs processors (the
-//     action masks' width).
+//   - The reducer exists when the model's ReductionOK holds (PSO's
+//     per-class drains are not what the footprints model) and root has
+//     at most maxReductionProcs processors (the action masks' width).
+//     With Reduction it chooses ample sets and keeps sleep sets. Without
+//     it, it keeps sleep sets alone, which drop no state and leave every
+//     count but the executed edges as the unreduced search's (reduce.go,
+//     "Sleep sets alone"); a Symmetry then leaves the run without one,
+//     since it forces every sleep mask empty and the footprints would be
+//     pure cost. This is not an option: a run that explores everything
+//     has no reason to execute the edges a commuting sibling covers.
+//     It is the parallel engine's alone: a serial plan without Reduction
+//     has no reducer, so ExploreSerial stays the unreduced reference.
 //   - The state cap is MaxStates or DefaultMaxStates, the worker count
 //     Workers or GOMAXPROCS.
 //   - Traces are recorded when there is a property to report or a
@@ -57,7 +67,7 @@ type plan struct {
 // VerifyVisited with Collapse (no hash pair to audit), MemBudget (the
 // audit map holds every fingerprint in memory) or a checkpoint or resume
 // (the audit map is not part of a snapshot).
-func resolve(root *tso.Machine, opts Options, ck *checkpoint) plan {
+func resolve(root *tso.Machine, opts Options, ck *checkpoint, serial bool) plan {
 	if opts.VerifyVisited {
 		switch {
 		case opts.Collapse:
@@ -82,8 +92,8 @@ func resolve(root *tso.Machine, opts Options, ck *checkpoint) plan {
 	if p.nworkers <= 0 {
 		p.nworkers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Reduction && p.model.ReductionOK() && len(root.Procs) <= maxReductionProcs {
-		p.red = newReducer(root, opts.SequentialConsistency)
+	if p.model.ReductionOK() && len(root.Procs) <= maxReductionProcs && (opts.Reduction || !serial && p.sym == nil) {
+		p.red = newReducer(root, opts.SequentialConsistency, !opts.Reduction)
 	}
 	collapse := opts.Collapse
 	if ck != nil {

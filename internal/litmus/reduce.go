@@ -12,8 +12,10 @@ import (
 // transitions when they provably commute with everything other
 // processors can ever do) layered with sleep sets (skip expansions whose
 // resulting interleaving is a reordering of independent actions already
-// being explored). Both engines share it; ExploreSerial without
-// Options.Reduction remains the unreduced reference.
+// being explored). Both engines share it under Options.Reduction.
+// Without it the parallel engine still runs the sleep sets, alone (see
+// "Sleep sets alone" below), and ExploreSerial runs neither: it remains
+// the unreduced reference.
 //
 // Independence is footprint-based. Every action gets a read set and a
 // write set over abstract resources derived from the tso.Machine state:
@@ -124,6 +126,44 @@ import (
 // expansions, and mayCycle never holds on a loop-free program, so
 // there nothing changes.
 //
+// Sleep sets alone. An exploration that must keep every state (TSO or
+// SC, no Reduction, no Symmetry, at most maxReductionProcs processors)
+// runs the sleep sets without ample sets: analyze chooses every enabled
+// action (reducer.sleepOnly), so no proviso ever probes and nothing
+// above about ample sets applies. A sleep set never drops a state
+// (Godefroid, "Partial-Order Methods for the Verification of Concurrent
+// Systems", LNCS 1032): an action t asleep at s was put to sleep by a
+// sibling branch u, independent of t, that had already been taken, and
+// that branch executes t from u(s), reaching t(u(s)) = u(t(s)); so only
+// edges are skipped, each into a state a commuting path reaches. With
+// state caching that argument needs the revisit rule, which both
+// engines apply: a state keeps the actions its expansion withheld, an
+// arrival whose sleep set lacks some of them re-expands exactly those
+// (with empty child sleep sets), and the stored set shrinks to the
+// intersection. So every arrival path's claim on the state is honoured,
+// whichever arrived first, and a state cycle cannot make two promises
+// cover each other: the arrival that closes a cycle reads what was
+// withheld and re-expands what its own sleep set does not cover. The
+// parallel engine publishes what a state withholds through finalize,
+// as in a reduced run: with every enabled action chosen, the entry's
+// pruned mask is the part of them the sleep sets merged so far cover,
+// and every later arrival reads it. States, Outcomes, Violations and
+// Deadlocks are therefore the unreduced search's
+// (TestReductionDifferential and TestSleepSetsKeepEveryState hold them
+// equal, and the 500-seed differential does too), and Transitions still counts every edge of
+// the full graph: a state's enabled actions count once, when its claim
+// winner expands it, and a re-expansion counts nothing.
+// por_slept_transitions counts the edges withheld at expansion,
+// por_reexpansions the ones a later arrival executed after all.
+//
+// Three kinds of run without Reduction keep no reducer, since sleep sets
+// would buy nothing or be unsound there. Under Symmetry every sleep mask
+// is forced empty (two siblings can land in one orbit, see
+// ExploreSerial), so the footprints would be pure cost. Under PSO a
+// processor has one drain per pending address class, which footprintOf
+// does not model (Model.ReductionOK is false). Beyond maxReductionProcs
+// processors the action masks are too narrow.
+//
 // What the reduction preserves (pinned by TestReductionDifferential):
 // the exact Outcomes multiset (all quiesced final states are visited),
 // the exact Deadlocks count, and reachability of violations for *stable*
@@ -191,6 +231,10 @@ func independent(a, b footprint) bool {
 // machine.
 type reducer struct {
 	sc bool
+	// sleepOnly makes analyze choose every enabled action: sleep sets
+	// without ample sets, the mode resolve gives a run without
+	// Options.Reduction (see "Sleep sets alone" in the file comment).
+	sleepOnly bool
 	// othersMay[p] is the union of the address resource bits statically
 	// reachable by every processor except p. An action of p whose address
 	// bits avoid it can never conflict with another processor's access.
@@ -212,10 +256,11 @@ type loopSpan struct{ lo, hi int }
 
 // newReducer builds the reducer for the machine rooted at m, which has at
 // most maxReductionProcs processors (resolve decides whether a run
-// reduces).
-func newReducer(m *tso.Machine, sc bool) *reducer {
+// reduces, and whether with sleep sets alone).
+func newReducer(m *tso.Machine, sc, sleepOnly bool) *reducer {
 	rd := &reducer{
 		sc:         sc,
+		sleepOnly:  sleepOnly,
 		othersMay:  make([]uint64, len(m.Procs)),
 		ownAllowed: make([]uint64, len(m.Procs)),
 	}
@@ -472,6 +517,10 @@ func (rd *reducer) analyze(m *tso.Machine, enabled []Action, pl *porScratch) {
 	pl.fps = pl.fps[:0]
 	for _, a := range enabled {
 		pl.fps = append(pl.fps, rd.footprintOf(m, a))
+	}
+	if rd.sleepOnly {
+		pl.fullExpand(enabled)
+		return
 	}
 	rd.choose(m, enabled, pl, 0)
 }

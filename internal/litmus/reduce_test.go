@@ -151,7 +151,11 @@ type spinnerSpace struct {
 // Deadlocks count, and the identical violation verdict for the stable
 // MutualExclusion property — while never exploring more states. The
 // parallel engine also runs with StopOnViolation, in its
-// refutation-first order, and must reach the same verdict.
+// refutation-first order, and must reach the same verdict. Without
+// Reduction the parallel engine runs sleep sets alone (reduce.go, "Sleep
+// sets alone"), and at 1 and 4 workers it must equal the reference
+// exactly (sameCounts); TestSleepSetsKeepEveryState holds the same
+// equality under the other protocols and SC.
 func TestReductionDifferential(t *testing.T) {
 	for _, sp := range reductionSpaces() {
 		sp := sp
@@ -185,6 +189,9 @@ func TestReductionDifferential(t *testing.T) {
 			}
 			check("serial", ExploreSerial(sp.build, Options{Properties: sp.props, Reduction: true}))
 			for _, workers := range []int{1, 4} {
+				if diff := sameCounts(Explore(sp.build, Options{Properties: sp.props, Workers: workers}), full); diff != "" {
+					t.Errorf("sleep sets alone, workers=%d: %s", workers, diff)
+				}
 				red := Explore(sp.build, Options{
 					Properties: sp.props, Reduction: true, Workers: workers,
 				})

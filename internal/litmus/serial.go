@@ -35,7 +35,7 @@ type serialFrame struct {
 func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 	start := time.Now()
 	root := build()
-	p := resolve(root, opts, nil)
+	p := resolve(root, opts, nil, true)
 	mdl, rd := p.model, p.red
 	var canon *tso.Canonicalizer
 	if p.sym != nil {

@@ -128,7 +128,7 @@ func TestCanonicalKeyMatchesDefinitionEngine(t *testing.T) {
 				}
 				root := sp.Build()
 				e := &engine{
-					plan:      resolve(root, Options{Symmetry: sp.Sym, Reduction: reduction, Collapse: true}, nil),
+					plan:      resolve(root, Options{Symmetry: sp.Sym, Reduction: reduction, Collapse: true}, nil, false),
 					collapser: tso.NewCollapser(),
 				}
 				w := &worker{eng: e, canon: tso.NewCanonicalizer(e.sym, root)}

@@ -79,7 +79,7 @@ func runMatrix(c *litmuslang.Compiled, sym *tso.Symmetry, maxStates int) (Report
 		name     string
 		opts     litmus.Options
 		outcomes bool // outcome map must match 1:1 including multiplicity
-		states   bool // state count must match exactly (unreduced legs)
+		exact    bool // state, transition and violation counts must match (unreduced legs)
 	}
 	legs := []leg{
 		{"parallel-2",
@@ -114,7 +114,7 @@ func runMatrix(c *litmuslang.Compiled, sym *tso.Symmetry, maxStates int) (Report
 			rep.Skipped = true
 			return rep, nil
 		}
-		if err := compare(l.name, l.outcomes, l.states, ref, got, len(props) > 0); err != nil {
+		if err := compare(l.name, l.outcomes, l.exact, ref, got, len(props) > 0); err != nil {
 			return rep, err
 		}
 	}
@@ -248,12 +248,15 @@ func serialOrParallel(c *litmuslang.Compiled, o litmus.Options) litmus.Result {
 }
 
 // compare checks one engine leg against the serial reference. Every
-// leg must agree on verdict and deadlock count. Unreduced legs must
-// also reproduce the state count; every non-symmetry leg (reduction
-// preserves all quiesced final states) must reproduce the outcome map
-// verbatim. Symmetry keeps one representative per orbit, so only a
-// states-do-not-grow check applies there.
-func compare(name string, outcomes, states bool, ref, got litmus.Result, hasProp bool) error {
+// leg must agree on verdict and deadlock count. Unreduced legs (exact)
+// must also reproduce the state, transition and violation counts: the
+// parallel engine runs them with sleep sets alone, which keep every
+// state and count every edge, so an unsound footprint in reduce.go
+// shows there as a lost state or edge. Every non-symmetry leg
+// (reduction preserves all quiesced final states) must reproduce the
+// outcome map verbatim. Symmetry keeps one representative per orbit, so
+// only a states-do-not-grow check applies there.
+func compare(name string, outcomes, exact bool, ref, got litmus.Result, hasProp bool) error {
 	if hasProp {
 		refV, gotV := ref.Violations > 0, got.Violations > 0
 		if refV != gotV {
@@ -269,9 +272,17 @@ func compare(name string, outcomes, states bool, ref, got litmus.Result, hasProp
 		return &Divergence{Config: name, Detail: fmt.Sprintf(
 			"visited more states than the reference: %d > %d", got.States, ref.States)}
 	}
-	if states && ref.States != got.States {
+	if exact && ref.States != got.States {
 		return &Divergence{Config: name, Detail: fmt.Sprintf(
 			"state-count mismatch: reference %d, got %d", ref.States, got.States)}
+	}
+	if exact && ref.Transitions != got.Transitions {
+		return &Divergence{Config: name, Detail: fmt.Sprintf(
+			"transition-count mismatch: reference %d, got %d", ref.Transitions, got.Transitions)}
+	}
+	if exact && ref.Violations != got.Violations {
+		return &Divergence{Config: name, Detail: fmt.Sprintf(
+			"violation-count mismatch: reference %d, got %d", ref.Violations, got.Violations)}
 	}
 	if outcomes && !reflect.DeepEqual(ref.Outcomes, got.Outcomes) {
 		return &Divergence{Config: name, Detail: fmt.Sprintf(
