@@ -7,15 +7,17 @@
 // suitable for tracking checker throughput across changes. -reduction
 // explores the catalog with partial-order reduction, ample sets on top
 // of sleep sets (same verdicts, fewer states). An unreduced TSO run
-// still sleeps: it skips the edges a commuting sibling covers but keeps
-// every state, and counts every edge in its transitions. -por prints
+// still sleeps, with or without a symmetry: it skips the edges a
+// commuting sibling covers but keeps every state (or orbit), and counts
+// every edge in its transitions. -por prints
 // the reduced-vs-unreduced state-count comparison over the protocol
 // suite. -compress keys the visited set on exact collapsed states
 // (interned component tables plus index tuples) instead of 128-bit hash
 // pairs, -membudget caps the visited set's resident bytes and spills
 // cold stripes to disk instead of truncating, whichever keys it holds,
 // and -nproc N additionally model-checks the N-process bakery and
-// Peterson generators under cyclic-symmetry reduction.
+// Peterson generators under cyclic-symmetry reduction with ample sets
+// (no sleep sets: with Reduction and a symmetry together they are off).
 package main
 
 import (

@@ -53,7 +53,7 @@ func emitPOR(e *Experiment, res *harness.PORResult) {
 }
 
 func emitPSO(e *Experiment, res *harness.PSOResult) {
-	e.putMetric("states_per_sec", res.StatesPerSec(), "states/sec", false)
+	e.putMetric("states_per_sec", res.StatesPerSec(), "states/sec", true)
 	for _, row := range res.Rows {
 		k := metricKey(row.Name)
 		// The guarded number: how much wider the PSO state space is.

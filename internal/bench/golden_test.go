@@ -136,6 +136,12 @@ func TestGoldenAllExperiments(t *testing.T) {
 		t.Errorf("litmus_fuzz default mix fully checked %v programs, want >= 30", m.Value)
 	}
 
+	// Every throughput the registry emits must read higher-is-better, or
+	// benchdiff reports a gain as a regression.
+	if bad := wrongRateDirections(back); len(bad) > 0 {
+		t.Errorf("rates recorded lower-is-better: %v", bad)
+	}
+
 	// A self-diff of the freshly produced file must be clean — this is
 	// the same invariant the acceptance pipeline checks with
 	// `benchdiff out.json out.json`.
@@ -152,6 +158,36 @@ func TestGoldenAllExperiments(t *testing.T) {
 		if s.N != opt.Reps {
 			t.Errorf("sample %q has N=%d, want %d", k, s.N, opt.Reps)
 		}
+	}
+}
+
+// wrongRateDirections lists the "per_sec" metrics of f, as
+// experiment/key, that are recorded lower-is-better. A rate is a
+// throughput: more is always better.
+func wrongRateDirections(f *File) []string {
+	var bad []string
+	for name, exp := range f.Experiments {
+		for k, m := range exp.Metrics {
+			if strings.Contains(k, "per_sec") && !m.HigherIsBetter {
+				bad = append(bad, name+"/"+k)
+			}
+		}
+	}
+	sort.Strings(bad)
+	return bad
+}
+
+// TestBaselineRatesHigherIsBetter holds the committed baseline, whose
+// keys and directions TestGoldenAllExperiments pins the registry's
+// output to, to the same rule: every "per_sec" metric is
+// higher-is-better.
+func TestBaselineRatesHigherIsBetter(t *testing.T) {
+	base, err := ReadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := wrongRateDirections(base); len(bad) > 0 {
+		t.Errorf("BENCH_baseline.json records rates lower-is-better: %v", bad)
 	}
 }
 

@@ -492,23 +492,31 @@ func skipUnlessHeavy(t *testing.T) {
 
 // TestPeterson3ExactUnderBudget is the scaling acceptance check on the
 // largest N-process space that closes at CI scale: 3-process Peterson
-// with l-mfence, 2,757,859 canonical orbits under C_3 symmetry and
-// reduction — past the 2M default state cap (the engine demonstrably
-// truncates this space without a raised cap) and several times what a
-// 64MB visited set holds resident, so the budgeted set spills to disk
-// mid-run and still answers exactly.
+// with l-mfence, 3,799,065 canonical orbits and 12,994,250 transitions
+// under C_3 symmetry without reduction — past the 2M default state cap
+// (the engine demonstrably truncates this space without a raised cap)
+// and several times what a 64MB visited set holds resident, so the
+// budgeted set spills to disk mid-run and still answers exactly. The run
+// keeps every orbit under sleep sets alone, so it also holds sleep
+// masks, symmetry and spilled entries together at scale to the
+// unreduced counts.
 func TestPeterson3ExactUnderBudget(t *testing.T) {
 	skipUnlessHeavy(t)
 	sp := programs.PetersonN(3, programs.DekkerLmfence)
 	res := Explore(sp.Build, Options{
 		Properties: []Property{MutualExclusion},
 		MaxStates:  20_000_000,
-		Reduction:  true,
 		Symmetry:   sp.Sym,
 		MemBudget:  64 << 20,
 		Collapse:   true,
 	})
 	requireExactAtScale(t, "peterson3-lmfence", res)
+	if res.States != 3_799_065 || res.Transitions != 12_994_250 {
+		t.Errorf("%d orbits, %d transitions; want 3,799,065 and 12,994,250", res.States, res.Transitions)
+	}
+	if res.Obs.Counters["por_slept_transitions"] == 0 {
+		t.Error("no edge slept: the run did not take the sleep-set path")
+	}
 }
 
 // A note on N=4: the sound C_4 orbit space of the 4-process bakery is

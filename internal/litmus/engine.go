@@ -617,24 +617,25 @@ func (w *worker) process(f pframe) {
 		// every arrival so far, and expand the survivors. The visited
 		// entry speaks canonical numbering; the expansion runs on the
 		// live machine, so both masks translate at the boundary. Under
-		// symmetry the sleep mask is forced empty: orbit merging can put
-		// two sibling children in one visited orbit, collapsing the
-		// well-founded coverage order that makes sleep sets sound, so
-		// symmetric runs reduce with ample sets and the proviso only
-		// (see the rationale in serial.go). An ample set on a possible
-		// cycle that the merged mask puts wholly asleep demotes to full
-		// expansion (reduce.go, "Asleep ample sets"); finalize decides
-		// that under the stripe lock, so the entry never publishes a set
-		// the winner does not expand. Sleep sets alone take the same
-		// path: no ample set, so no probe and no demotion, and the entry
-		// publishes every enabled action it withholds.
+		// symmetry with ample sets the sleep mask is forced empty: the
+		// ample sets' delegation does not survive orbit merging (see the
+		// rationale in serial.go), so those runs reduce with ample sets
+		// and the proviso only. An ample set on a possible cycle that the
+		// merged mask puts wholly asleep demotes to full expansion
+		// (reduce.go, "Asleep ample sets"); finalize decides that under
+		// the stripe lock, so the entry never publishes a set the winner
+		// does not expand. Sleep sets alone take the same path, under
+		// symmetry too (reduce.go, "Sleep sets alone"): no ample set, so
+		// no probe and no demotion, and the entry publishes every enabled
+		// action it withholds.
+		noSleep := w.canon != nil && !e.red.sleepOnly
 		var full actionMask
 		if w.pl.ample && w.canon == nil && e.red.mayCycle(m, enabled, &w.pl) {
 			full = maskOfAll(enabled)
 		}
 		zc := e.finalize(h1, h2, key, permuteMask(w.pl.tmask, slot), full)
 		z := unpermuteMask(zc, slot)
-		if w.canon != nil {
+		if noSleep {
 			z = 0
 		}
 		if full != 0 && w.pl.tmask&^z == 0 {
@@ -665,7 +666,7 @@ func (w *worker) process(f pframe) {
 		last := len(w.pl.idx) - 1
 		for k, i := range w.pl.idx {
 			cs := w.pl.childSleep[k]
-			if w.canon != nil {
+			if noSleep {
 				cs = 0
 			}
 			w.pushChild(m, node, enabled[i], k == last, cs)

@@ -177,13 +177,15 @@ type Options struct {
 	// ReductionOK is false, or with more than 8 processors.
 	// Result.Obs carries the gauge "reduction" when it did.
 	//
-	// Without Reduction, Explore still runs the sleep sets, alone, where
-	// the same conditions hold and there is no Symmetry: they skip edges
-	// into states a commuting sibling reaches, never a state, so every
-	// count stays the unreduced search's and Transitions still counts
-	// every edge (reduce.go, "Sleep sets alone"). Result.Obs then carries
-	// por_slept_transitions but no "reduction" gauge. ExploreSerial
-	// executes every edge.
+	// Without Reduction, Explore still runs the sleep sets, alone,
+	// wherever the same conditions hold, with or without a Symmetry:
+	// they skip edges into states (or orbits) a commuting sibling
+	// reaches, never a state, so every count stays the unreduced
+	// search's and Transitions still counts every edge (reduce.go,
+	// "Sleep sets alone"). Result.Obs then carries por_slept_transitions
+	// but no "reduction" gauge. With Reduction and Symmetry together the
+	// sleep sets are off: only ample sets and the cycle proviso reduce.
+	// ExploreSerial without Reduction executes every edge.
 	Reduction bool
 
 	// Collapse keys the parallel engine's visited set on exact collapsed
@@ -208,9 +210,11 @@ type Options struct {
 	// shrink by at most the ring size n, and Outcomes keep one
 	// representative per orbit; violation verdicts and Deadlocks are
 	// preserved (a violating or deadlocked state's orbit representative
-	// violates or deadlocks identically). The declaration is Validated
-	// against the loaded programs at exploration start and the engine
-	// panics on a declaration the programs do not satisfy. With Collapse
+	// violates or deadlocks identically). Explore runs sleep sets alone
+	// on the quotient graph unless Reduction is set (see Reduction). The
+	// declaration is Validated against the loaded programs at
+	// exploration start and the engine panics on a declaration the
+	// programs do not satisfy. With Collapse
 	// the parallel engine reports symmetry_rotated_keys and
 	// symmetry_map_misses in Result.Obs: the keys whose representative is
 	// a proper rotation, and those among them that had to build it

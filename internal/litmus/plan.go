@@ -41,15 +41,17 @@ type plan struct {
 //   - The reducer exists when the model's ReductionOK holds (PSO's
 //     per-class drains are not what the footprints model) and root has
 //     at most maxReductionProcs processors (the action masks' width).
-//     With Reduction it chooses ample sets and keeps sleep sets. Without
-//     it, it keeps sleep sets alone, which drop no state and leave every
-//     count but the executed edges as the unreduced search's (reduce.go,
-//     "Sleep sets alone"); a Symmetry then leaves the run without one,
-//     since it forces every sleep mask empty and the footprints would be
-//     pure cost. This is not an option: a run that explores everything
-//     has no reason to execute the edges a commuting sibling covers.
-//     It is the parallel engine's alone: a serial plan without Reduction
-//     has no reducer, so ExploreSerial stays the unreduced reference.
+//     With Reduction it chooses ample sets and keeps sleep sets, except
+//     under a Symmetry, where both engines force every sleep mask empty
+//     (the ample sets' delegation does not survive orbit merging; see
+//     ExploreSerial). Without Reduction it keeps sleep sets alone, with
+//     or without a Symmetry, which drop no state or orbit and leave
+//     every count but the executed edges as the unreduced search's
+//     (reduce.go, "Sleep sets alone"). This is not an option: a run that
+//     explores everything has no reason to execute the edges a
+//     commuting sibling covers. It is the parallel engine's alone: a
+//     serial plan without Reduction has no reducer, so ExploreSerial,
+//     plain or symmetric, stays the unreduced reference.
 //   - The state cap is MaxStates or DefaultMaxStates, the worker count
 //     Workers or GOMAXPROCS.
 //   - Traces are recorded when there is a property to report or a
@@ -92,7 +94,7 @@ func resolve(root *tso.Machine, opts Options, ck *checkpoint, serial bool) plan 
 	if p.nworkers <= 0 {
 		p.nworkers = runtime.GOMAXPROCS(0)
 	}
-	if p.model.ReductionOK() && len(root.Procs) <= maxReductionProcs && (opts.Reduction || !serial && p.sym == nil) {
+	if p.model.ReductionOK() && len(root.Procs) <= maxReductionProcs && (opts.Reduction || !serial) {
 		p.red = newReducer(root, opts.SequentialConsistency, !opts.Reduction)
 	}
 	collapse := opts.Collapse

@@ -127,42 +127,65 @@ import (
 // there nothing changes.
 //
 // Sleep sets alone. An exploration that must keep every state (TSO or
-// SC, no Reduction, no Symmetry, at most maxReductionProcs processors)
-// runs the sleep sets without ample sets: analyze chooses every enabled
-// action (reducer.sleepOnly), so no proviso ever probes and nothing
-// above about ample sets applies. A sleep set never drops a state
-// (Godefroid, "Partial-Order Methods for the Verification of Concurrent
-// Systems", LNCS 1032): an action t asleep at s was put to sleep by a
-// sibling branch u, independent of t, that had already been taken, and
-// that branch executes t from u(s), reaching t(u(s)) = u(t(s)); so only
-// edges are skipped, each into a state a commuting path reaches. With
-// state caching that argument needs the revisit rule, which both
-// engines apply: a state keeps the actions its expansion withheld, an
-// arrival whose sleep set lacks some of them re-expands exactly those
-// (with empty child sleep sets), and the stored set shrinks to the
-// intersection. So every arrival path's claim on the state is honoured,
-// whichever arrived first, and a state cycle cannot make two promises
-// cover each other: the arrival that closes a cycle reads what was
-// withheld and re-expands what its own sleep set does not cover. The
-// parallel engine publishes what a state withholds through finalize,
-// as in a reduced run: with every enabled action chosen, the entry's
-// pruned mask is the part of them the sleep sets merged so far cover,
-// and every later arrival reads it. States, Outcomes, Violations and
-// Deadlocks are therefore the unreduced search's
-// (TestReductionDifferential and TestSleepSetsKeepEveryState hold them
-// equal, and the 500-seed differential does too), and Transitions still counts every edge of
-// the full graph: a state's enabled actions count once, when its claim
-// winner expands it, and a re-expansion counts nothing.
-// por_slept_transitions counts the edges withheld at expansion,
-// por_reexpansions the ones a later arrival executed after all.
+// SC, no Reduction, at most maxReductionProcs processors, with or
+// without Symmetry) runs the sleep sets without ample sets: analyze
+// chooses every enabled action (reducer.sleepOnly), so no proviso ever
+// probes and nothing above about ample sets applies. A sleep set never
+// drops a state (Godefroid, "Partial-Order Methods for the Verification
+// of Concurrent Systems", LNCS 1032): an action t asleep at s was put
+// to sleep by a sibling branch u, independent of t, that had already
+// been taken, and that branch executes t from u(s), reaching
+// t(u(s)) = u(t(s)); so only edges are skipped, each into a state a
+// commuting path reaches. With state caching that argument needs the
+// revisit rule, which both engines apply: a state keeps the actions its
+// expansion withheld, an arrival whose sleep set lacks some of them
+// re-expands exactly those (with empty child sleep sets), and the
+// stored set shrinks to the intersection. So every arrival path's claim
+// on the state is honoured, whichever arrived first, and a state cycle
+// cannot make two promises cover each other: the arrival that closes a
+// cycle reads what was withheld and re-expands what its own sleep set
+// does not cover. The parallel engine publishes what a state withholds
+// through finalize, as in a reduced run: with every enabled action
+// chosen, the entry's pruned mask is the part of them the sleep sets
+// merged so far cover, and every later arrival reads it. States,
+// Outcomes, Violations and Deadlocks are therefore the unreduced
+// search's (TestReductionDifferential and TestSleepSetsKeepEveryState
+// hold them equal, and the 500-seed differential does too), and
+// Transitions still counts every edge of the full graph: a state's
+// enabled actions count once, when its claim winner expands it, and a
+// re-expansion counts nothing. por_slept_transitions counts the edges
+// withheld at expansion, por_reexpansions the ones a later arrival
+// executed after all.
 //
-// Three kinds of run without Reduction keep no reducer, since sleep sets
-// would buy nothing or be unsound there. Under Symmetry every sleep mask
-// is forced empty (two siblings can land in one orbit, see
-// ExploreSerial), so the footprints would be pure cost. Under PSO a
+// Under Symmetry the same search runs on the quotient graph (Emerson,
+// Jha & Peled, "Combining Partial Order and Symmetry Reductions", TACAS
+// 1997). Name each action in its state's canonical numbering: the
+// quotient is then a deterministic labelled graph, whose node is an
+// orbit's representative c and whose edge a leads to the representative
+// of a(c). Its sleep masks are what the visited entries hold, and an
+// arrival's mask crosses into them through the canonicalizer's slot map
+// (permuteMask, and unpermuteMask on the way back). Footprints are
+// taken on the live machine, and what their independence asserts,
+// commutation, is invariant under a rotation (it renames processors and
+// the words of the declared blocks alike, an automorphism of the state
+// graph): actions that commute at s commute at every rotation of s, so
+// a commuting pair still closes its diamond in the quotient, with the
+// labels translated along each edge. The revisit rule then gives
+// Godefroid's guarantee there: an action stays unexecuted at an orbit
+// only while every arrival so far had it asleep, whichever rotation each
+// arrived through, so two siblings that land in one orbit (b = ρ(a) with
+// ρ(s) = s) leave it the intersection of their masks and cannot leave
+// each other's promise unkept. Every orbit is kept, with the counts
+// ExploreSerial's symmetric reference gives (TestSleepSetsKeepEveryState's
+// symmetric leg). What breaks under symmetry is the ample sets'
+// delegation, not the sleep sets: with Reduction and Symmetry together
+// every sleep mask stays empty (see ExploreSerial).
+//
+// Two kinds of run without Reduction keep no reducer. Under PSO a
 // processor has one drain per pending address class, which footprintOf
 // does not model (Model.ReductionOK is false). Beyond maxReductionProcs
-// processors the action masks are too narrow.
+// processors the action masks are too narrow. ExploreSerial keeps none
+// either: without Reduction it is the unreduced reference.
 //
 // What the reduction preserves (pinned by TestReductionDifferential):
 // the exact Outcomes multiset (all quiesced final states are visited),

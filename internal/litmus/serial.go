@@ -41,17 +41,22 @@ func ExploreSerial(build func() *tso.Machine, opts Options) Result {
 	if p.sym != nil {
 		canon = tso.NewCanonicalizer(p.sym, root)
 	}
-	// Sleep sets are sound only on the CONCRETE graph: sleeping an action
-	// at child a(s) is justified by the sibling branch b(s), and the
-	// inductive coverage argument is well-founded because siblings are
-	// distinct states ordered by the expansion. Under symmetry two
-	// siblings can land in the SAME visited orbit (b = rho(a) with
-	// rho(s) = s), so a slept action's coverage can chain back to the very
-	// orbit entry that slept it — the promises form a cycle and a whole
-	// terminal region is lost (caught by TestSymmetryReducedDifferential).
-	// The sound combination is the classic one (Emerson–Jutla–Sistla):
-	// ample sets plus the cycle proviso on the quotient graph, with sleep
-	// sets disabled.
+	// A reduced run under symmetry sleeps nothing. What breaks is the
+	// ample sets' delegation, not the sleep sets: a state that expands
+	// only an ample set leaves the excluded processors to later states,
+	// and a sleep set on top leaves the ample actions it covers to a
+	// sibling branch. That combined argument is well-founded on the
+	// CONCRETE graph, where siblings are distinct states ordered by the
+	// expansion. Under symmetry two siblings can land in the SAME visited
+	// orbit (b = rho(a) with rho(s) = s), so a slept action's coverage
+	// can chain back to the very orbit entry that slept it and a whole
+	// terminal region is lost (TestSymmetryReducedDifferential catches it
+	// with the masks kept). The sound combination is the classic one
+	// (Emerson–Jutla–Sistla): ample sets plus the cycle proviso on the
+	// quotient graph, with sleep sets disabled. Sleep sets alone delegate
+	// no processor: with the revisit rule they keep every orbit (reduce.go,
+	// "Sleep sets alone"), and the parallel engine runs them on every
+	// unreduced symmetric exploration. This engine has no reducer there.
 	sleepOn := canon == nil
 
 	res := Result{Outcomes: make(map[Outcome]int)}

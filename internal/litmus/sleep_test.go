@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -82,36 +83,98 @@ func TestSleepSetsKeepEveryState(t *testing.T) {
 		t.Errorf("corpus slept %d edges and re-expanded %d; want both > 0", slept, reexp)
 	}
 	t.Logf("corpus: %d edges slept, %d re-expanded", slept, reexp)
+	t.Run("symmetric", testSleepSetsKeepEveryOrbit)
+}
+
+// testSleepSetsKeepEveryOrbit is the symmetric leg of the contract: a
+// run with Symmetry and no Reduction keeps its sleep masks, translated
+// through the canonicalizer's slot map at the visited set's boundary,
+// so Explore at 1 and 4 workers, hashed and collapsed, must equal the
+// symmetric serial reference on all five counts. The looped rings close
+// orbit cycles, and ringSB3's bystander is renamed unlike a member. The
+// 3-process spaces run under LITMUS_HEAVY only.
+func testSleepSetsKeepEveryOrbit(t *testing.T) {
+	type space struct {
+		name  string
+		build func() *tso.Machine
+		sym   *tso.Symmetry
+		props []Property
+	}
+	var spaces []space
+	for _, sp := range append(symSpaces(2), loopRing(2), loopRing(3)) {
+		spaces = append(spaces, space{sp.Name, sp.Build, sp.Sym, []Property{MutualExclusion}})
+	}
+	for _, bystander := range []bool{false, true} {
+		build, sym := ringSB3(bystander)
+		spaces = append(spaces, space{fmt.Sprintf("ringsb3/bystander=%v", bystander), build, sym, nil})
+	}
+	heavy := os.Getenv("LITMUS_HEAVY") != "" && !testing.Short()
+	var slept, reexp uint64
+	for _, sp := range spaces {
+		if len(sp.sym.Procs) > 2 && !heavy {
+			continue
+		}
+		ref := ExploreSerial(sp.build, Options{Properties: sp.props, Symmetry: sp.sym})
+		if ref.Truncated {
+			t.Fatalf("%s: reference truncated", sp.name)
+		}
+		for _, workers := range []int{1, 4} {
+			for _, collapse := range []bool{false, true} {
+				got := Explore(sp.build, Options{
+					Properties: sp.props, Symmetry: sp.sym, Workers: workers, Collapse: collapse,
+				})
+				if diff := sameCounts(got, ref); diff != "" {
+					t.Errorf("%s workers=%d collapse=%v: %s", sp.name, workers, collapse, diff)
+				}
+				slept += got.Obs.Counters["por_slept_transitions"]
+				reexp += got.Obs.Counters["por_reexpansions"]
+			}
+		}
+	}
+	if slept == 0 || reexp == 0 {
+		t.Errorf("symmetric spaces slept %d edges and re-expanded %d; want both > 0", slept, reexp)
+	}
+	t.Logf("symmetric spaces (heavy=%v): %d edges slept, %d re-expanded", heavy, slept, reexp)
 }
 
 // TestSleepSetsEngaged holds where resolve runs sleep sets alone: an
-// unreduced TSO bakery sleeps edges, so the gain cannot silently switch
-// off, while Symmetry (it forces every sleep mask empty) and PSO (its
-// drains are not what the footprints model) get no reducer at all.
+// unreduced TSO bakery sleeps edges, with and without Symmetry, so the
+// gain cannot silently switch off. PSO (its drains are not what the
+// footprints model) and ExploreSerial, plain or symmetric, get no
+// reducer at all, and Reduction with Symmetry forces every sleep mask
+// empty (reduce.go, "Sleep sets alone").
 func TestSleepSetsEngaged(t *testing.T) {
 	sp := programs.BakeryN(2, programs.DekkerMfence)
 	props := []Property{MutualExclusion}
 	ref := ExploreSerial(sp.Build, Options{Properties: props})
-	if _, ok := ref.Obs.Counters["por_slept_transitions"]; ok {
-		t.Error("ExploreSerial ran sleep sets; it must stay the unreduced reference")
+	symRef := ExploreSerial(sp.Build, Options{Properties: props, Symmetry: sp.Sym})
+	for name, r := range map[string]Result{"plain": ref, "symmetry": symRef} {
+		if _, ok := r.Obs.Counters["por_slept_transitions"]; ok {
+			t.Errorf("ExploreSerial %s ran sleep sets; it must stay the unreduced reference", name)
+		}
 	}
 	for _, workers := range []int{1, 2} {
-		r := Explore(sp.Build, Options{Properties: props, Workers: workers})
-		if n := r.Obs.Counters["por_slept_transitions"]; n == 0 {
-			t.Errorf("workers=%d: por_slept_transitions = 0 on %s; want > 0", workers, sp.Name)
-		}
-		if r.States != ref.States || r.Transitions != ref.Transitions {
-			t.Errorf("workers=%d: %d states %d transitions, reference %d %d",
-				workers, r.States, r.Transitions, ref.States, ref.Transitions)
-		}
-		for name, opts := range map[string]Options{
-			"symmetry": {Properties: props, Workers: workers, Symmetry: sp.Sym},
-			"pso":      {Properties: props, Workers: workers, Model: arch.PSO},
-		} {
-			r := Explore(sp.Build, opts)
-			if n, ok := r.Obs.Counters["por_slept_transitions"]; ok {
-				t.Errorf("workers=%d %s: por_slept_transitions reported (%d); want no reducer", workers, name, n)
+		for name, want := range map[string]Result{"plain": ref, "symmetry": symRef} {
+			opts := Options{Properties: props, Workers: workers}
+			if name == "symmetry" {
+				opts.Symmetry = sp.Sym
 			}
+			r := Explore(sp.Build, opts)
+			if n := r.Obs.Counters["por_slept_transitions"]; n == 0 {
+				t.Errorf("workers=%d %s: por_slept_transitions = 0 on %s; want > 0", workers, name, sp.Name)
+			}
+			if r.States != want.States || r.Transitions != want.Transitions {
+				t.Errorf("workers=%d %s: %d states %d transitions, reference %d %d",
+					workers, name, r.States, r.Transitions, want.States, want.Transitions)
+			}
+		}
+		r := Explore(sp.Build, Options{Properties: props, Workers: workers, Model: arch.PSO})
+		if n, ok := r.Obs.Counters["por_slept_transitions"]; ok {
+			t.Errorf("workers=%d pso: por_slept_transitions reported (%d); want no reducer", workers, n)
+		}
+		r = Explore(sp.Build, Options{Properties: props, Workers: workers, Symmetry: sp.Sym, Reduction: true})
+		if n := r.Obs.Counters["por_slept_transitions"]; n != 0 {
+			t.Errorf("workers=%d reduction+symmetry: %d edges slept; want none", workers, n)
 		}
 	}
 }
