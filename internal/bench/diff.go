@@ -34,6 +34,9 @@ type Report struct {
 	Missing []string
 	// Added lists keys present only in the new file (informational).
 	Added []string
+	// Notes are caveats about the comparison itself (informational),
+	// such as the two files having run at different GOMAXPROCS.
+	Notes []string
 }
 
 // Regressions returns only the regressing changes.
@@ -57,6 +60,9 @@ func (r *Report) Failed() bool {
 func (r *Report) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "benchdiff: threshold %.1f%%\n", r.Threshold*100)
+	for _, n := range r.Notes {
+		fmt.Fprintf(&sb, "  note        %s\n", n)
+	}
 	for _, k := range r.Missing {
 		fmt.Fprintf(&sb, "  MISSING     %s (present in old, absent in new)\n", k)
 	}
@@ -82,6 +88,13 @@ func (r *Report) String() string {
 // reported; movements in a metric's bad direction are regressions.
 func Diff(old, cur *File, threshold float64) *Report {
 	rep := &Report{Threshold: threshold}
+	if old.GOMAXPROCS != cur.GOMAXPROCS {
+		// A one-worker exploration gets one visited stripe and a wider
+		// one 256, so memory and throughput rows move with it.
+		rep.Notes = append(rep.Notes, fmt.Sprintf(
+			"gomaxprocs differ: old %d, new %d; worker-count-dependent rows (peak_visited_bytes, states_per_sec) do not compare",
+			old.GOMAXPROCS, cur.GOMAXPROCS))
+	}
 	for expName, oldExp := range old.Experiments {
 		curExp, ok := cur.Experiments[expName]
 		if !ok {

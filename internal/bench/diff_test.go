@@ -2,6 +2,7 @@ package bench
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -283,5 +284,25 @@ func TestFileRoundTripAndVersionCheck(t *testing.T) {
 	}
 	if _, err := ReadFile(path); err == nil {
 		t.Fatal("future schema version accepted")
+	}
+}
+
+// TestDiffNotesGOMAXPROCS: files recorded at different GOMAXPROCS get a
+// note line naming both values, and equal ones none; the note alone
+// fails nothing.
+func TestDiffNotesGOMAXPROCS(t *testing.T) {
+	vals := map[string]map[string]Metric{"e": {"m": {Value: 1}}}
+	old, cur := mkFile(vals), mkFile(vals)
+	old.GOMAXPROCS, cur.GOMAXPROCS = 1, 4
+	rep := Diff(old, cur, 0.1)
+	if len(rep.Notes) != 1 || !strings.Contains(rep.String(), "gomaxprocs differ: old 1, new 4") {
+		t.Fatalf("notes %q; report:\n%s", rep.Notes, rep)
+	}
+	if rep.Failed() {
+		t.Error("a GOMAXPROCS note failed the diff")
+	}
+	cur.GOMAXPROCS = 1
+	if rep := Diff(old, cur, 0.1); len(rep.Notes) != 0 {
+		t.Errorf("equal GOMAXPROCS noted %q", rep.Notes)
 	}
 }

@@ -613,34 +613,36 @@ func (w *worker) process(f pframe) {
 			w.provisoFalls++
 			e.red.choose(m, enabled, &w.pl, skip)
 		}
-		// Publish the persistent set, fetch the sleep mask merged across
-		// every arrival so far, and expand the survivors. The visited
-		// entry speaks canonical numbering; the expansion runs on the
-		// live machine, so both masks translate at the boundary. Under
-		// symmetry with ample sets the sleep mask is forced empty: the
-		// ample sets' delegation does not survive orbit merging (see the
-		// rationale in serial.go), so those runs reduce with ample sets
-		// and the proviso only. An ample set on a possible cycle that the
-		// merged mask puts wholly asleep demotes to full expansion
-		// (reduce.go, "Asleep ample sets"); finalize decides that under
-		// the stripe lock, so the entry never publishes a set the winner
-		// does not expand. Sleep sets alone take the same path, under
-		// symmetry too (reduce.go, "Sleep sets alone"): no ample set, so
-		// no probe and no demotion, and the entry publishes every enabled
-		// action it withholds.
+		// Sleep sets alone chose every enabled action, and the winning
+		// claim already published what this frame's sleep set withholds as
+		// the entry's pruned mask (reduce.go, "Sleep sets alone"), so the
+		// expansion reads the frame's own mask. A reduced run publishes the
+		// persistent set, fetches the sleep mask merged across every
+		// arrival so far, and expands the survivors. The visited entry
+		// speaks canonical numbering; the expansion runs on the live
+		// machine, so both masks translate at the boundary. Under symmetry
+		// with ample sets the sleep mask is forced empty: the ample sets'
+		// delegation does not survive orbit merging (see the rationale in
+		// serial.go), so those runs reduce with ample sets and the proviso
+		// only. An ample set on a possible cycle that the merged mask puts
+		// wholly asleep demotes to full expansion (reduce.go, "Asleep ample
+		// sets"); finalize decides that under the stripe lock, so the entry
+		// never publishes a set the winner does not expand.
 		noSleep := w.canon != nil && !e.red.sleepOnly
-		var full actionMask
-		if w.pl.ample && w.canon == nil && e.red.mayCycle(m, enabled, &w.pl) {
-			full = maskOfAll(enabled)
-		}
-		zc := e.finalize(h1, h2, key, permuteMask(w.pl.tmask, slot), full)
-		z := unpermuteMask(zc, slot)
-		if noSleep {
-			z = 0
-		}
-		if full != 0 && w.pl.tmask&^z == 0 {
-			w.pl.fullExpand(enabled)
-			w.provisoFalls++
+		z := f.sleep
+		if !e.red.sleepOnly {
+			var full actionMask
+			if w.pl.ample && w.canon == nil && e.red.mayCycle(m, enabled, &w.pl) {
+				full = maskOfAll(enabled)
+			}
+			z = unpermuteMask(e.finalize(h1, h2, key, permuteMask(w.pl.tmask, slot), full), slot)
+			if noSleep {
+				z = 0
+			}
+			if full != 0 && w.pl.tmask&^z == 0 {
+				w.pl.fullExpand(enabled)
+				w.provisoFalls++
+			}
 		}
 		if w.pl.ample {
 			w.ampleStates++
@@ -863,9 +865,11 @@ func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p p
 	if e.keyWidth > 0 {
 		e.collapser = tso.NewCollapser()
 	}
-	// Without a reducer no finalize call ever comes, so entries are born
-	// finalized (pruned stays zero) and immediately spillable.
-	e.visited.init(nw, e.keyWidth, opts.MemBudget, e.red == nil, opts.VerifyVisited)
+	// Without a reducer, or with sleep sets alone, no finalize call ever
+	// comes: a state's expansion does not depend on the visited set, so
+	// its entry is born finalized, its pruned mask the winning arrival's
+	// sleep mask (zero without a reducer), and immediately spillable.
+	e.visited.init(nw, e.keyWidth, opts.MemBudget, e.red == nil || e.red.sleepOnly, opts.VerifyVisited)
 	e.visited.faults = opts.Faults
 	e.workers = make([]*worker, nw)
 	for i := range e.workers {

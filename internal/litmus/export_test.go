@@ -1,6 +1,11 @@
 package litmus
 
-import "repro/internal/tso"
+import (
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/tso"
+)
 
 // Exports for loop_test.go, an external test: it walks generated and
 // example programs, and litmusgen and litmuslang both import this
@@ -34,4 +39,12 @@ func MayCycle(root *tso.Machine) func(m *tso.Machine, a Action) bool {
 		enabled[0] = a
 		return rd.mayCycle(m, enabled, &pl)
 	}
+}
+
+// countFinalizes counts the engine's finalize calls until the test ends.
+func countFinalizes(t *testing.T) *atomic.Int64 {
+	var n atomic.Int64
+	finalizeHook = func() { n.Add(1) }
+	t.Cleanup(func() { finalizeHook = nil })
+	return &n
 }

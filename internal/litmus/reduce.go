@@ -145,9 +145,14 @@ import (
 // cannot make two promises cover each other: the arrival that closes a
 // cycle reads what was withheld and re-expands what its own sleep set
 // does not cover. The parallel engine publishes what a state withholds
-// through finalize, as in a reduced run: with every enabled action
-// chosen, the entry's pruned mask is the part of them the sleep sets
-// merged so far cover, and every later arrival reads it. States,
+// at claim time: every enabled action is chosen whatever the visited
+// set holds, so the expansion does not depend on it, and the winning
+// claim inserts the entry already finalized, its pruned mask the
+// arriving (canonical) sleep mask; the winner then expands against its
+// own frame's mask, with no finalize call and no second lock. That is
+// the reduced run's claim-then-finalize protocol in the schedule where
+// no arrival falls between the two, and dupMerge's finalized arm covers
+// every later arrival, so the counts are the same. States,
 // Outcomes, Violations and Deadlocks are therefore the unreduced
 // search's (TestReductionDifferential and TestSleepSetsKeepEveryState
 // hold them equal, and the 500-seed differential does too), and

@@ -137,6 +137,49 @@ func testSleepSetsKeepEveryOrbit(t *testing.T) {
 	t.Logf("symmetric spaces (heavy=%v): %d edges slept, %d re-expanded", heavy, slept, reexp)
 }
 
+// TestSleepOnlyFinalizesAtClaim: a run with sleep sets alone expands
+// every enabled action whatever the visited set holds, so its winning
+// claim inserts the entry finalized, with the arriving sleep mask as
+// pruned, and no finalize call follows. Such runs, at 1 and 4 workers,
+// hashed and collapsed, with and without Symmetry, must make no finalize
+// call and still equal the serial reference on all five counts; the
+// re-expansions are what a pruned mask left unset at claim would lose.
+// A reduced run must still finalize, or the hook counts nothing.
+func TestSleepOnlyFinalizesAtClaim(t *testing.T) {
+	finalizes := countFinalizes(t)
+	var reexp uint64
+	for _, sp := range append(symSpaces(2), loopRing(2)) {
+		for _, sym := range []*tso.Symmetry{nil, sp.Sym} {
+			opts := Options{Properties: []Property{MutualExclusion}, Symmetry: sym}
+			ref := ExploreSerial(sp.Build, opts)
+			for _, workers := range []int{1, 4} {
+				for _, collapse := range []bool{false, true} {
+					opts.Workers, opts.Collapse = workers, collapse
+					finalizes.Store(0)
+					got := Explore(sp.Build, opts)
+					tag := fmt.Sprintf("%s symmetry=%v workers=%d collapse=%v", sp.Name, sym != nil, workers, collapse)
+					if diff := sameCounts(got, ref); diff != "" {
+						t.Errorf("%s: %s", tag, diff)
+					}
+					if n := finalizes.Load(); n != 0 {
+						t.Errorf("%s: %d finalize calls; want none", tag, n)
+					}
+					reexp += got.Obs.Counters["por_reexpansions"]
+				}
+			}
+		}
+	}
+	if reexp == 0 {
+		t.Error("no run re-expanded an edge: the claim-time pruned masks went unread")
+	}
+	finalizes.Store(0)
+	sp := programs.BakeryN(2, programs.DekkerMfence)
+	Explore(sp.Build, Options{Properties: []Property{MutualExclusion}, Workers: 2, Reduction: true})
+	if finalizes.Load() == 0 {
+		t.Error("a reduced run made no finalize call")
+	}
+}
+
 // TestSleepSetsEngaged holds where resolve runs sleep sets alone: an
 // unreduced TSO bakery sleeps edges, with and without Symmetry, so the
 // gain cannot silently switch off. PSO (its drains are not what the

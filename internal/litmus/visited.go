@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,8 +25,8 @@ import (
 //     map by the full fingerprint and counts what the hashed keys would
 //     have merged.
 //   - Exact keys (the plan's key width, resolve): the key is the
-//     fixed-width collapsed tuple (tso.Collapser). The stripe owns a
-//     dense arena of them, the slot's second word holds the key's arena
+//     fixed-width collapsed tuple (tso.Collapser). The stripe owns an
+//     arena of them, the slot's second word holds the key's arena
 //     index, and a match is the primary hash AND bytes.Equal on the
 //     arena key — no merge risk at all. Exactness is that one column of
 //     the table; claim, seen, finalize, growth and the sleep-set protocol
@@ -33,8 +34,10 @@ import (
 //
 // Tables start unallocated, double at ¾ load (so they run ⅜ to ¾ full,
 // plus one stripe's old table while it doubles) and hold no pointers.
-// The arena is sized with the table, ¾·len(slots) keys, so an exact
-// state costs 24 B + ¾·keyWidth per slot.
+// The arena grows on its own, in segments of doubling size that never
+// move (exactStripe), so a doubling rehashes only the 24-byte slots and
+// an exact state costs its 24-byte slot share plus one to two
+// keyWidths of arena, each key written once.
 //
 // Records. Either key is fixed-width: the 16-byte h1 ‖ h2 pair,
 // little-endian, or the collapsed tuple. So an entry serializes as one
@@ -124,12 +127,56 @@ type visitedStripe struct {
 }
 
 // exactStripe is what a stripe owns besides its table when keys are
-// exact.
+// exact: the key arena. The stripe's n resident keys sit back to back in
+// insertion order, key i at arena index i, across segments of 4, 4, 8,
+// 16, … keys (segment k ≥ 1 holds indices 2^(k+1) to 2^(k+2)-1), each
+// allocated whole when its first key arrives and never moved. So a
+// slot's index stays valid across every doubling of the table, and only
+// a spill's rebuild (retable dropping finalized entries) compacts the
+// arena into fresh segments.
 type exactStripe struct {
-	// keys is the dense key arena: the n resident keys back to back in
-	// insertion order, capacity ¾·len(slots) keys.
-	keys []byte
+	segs [][]byte
 	kw   int // key width
+}
+
+// arenaSeg locates arena index i: its segment and its key offset there.
+func arenaSeg(i int) (seg, off int) {
+	if seg = bits.Len(uint(i) >> 2); seg > 0 {
+		i -= 2 << seg
+	}
+	return seg, i
+}
+
+// keyAt returns the arena key at index i.
+func (x *exactStripe) keyAt(i int) []byte {
+	seg, off := arenaSeg(i)
+	return x.segs[seg][off*x.kw:][:x.kw]
+}
+
+// store writes key at arena index i, the next free one, allocating its
+// segment when i opens one, and returns the bytes that allocated.
+func (x *exactStripe) store(i int, key []byte) int64 {
+	seg, off := arenaSeg(i)
+	var grew int64
+	if off == 0 {
+		n := 4
+		if seg > 0 {
+			n = 2 << seg
+		}
+		x.segs = append(x.segs, make([]byte, n*x.kw))
+		grew = int64(n * x.kw)
+	}
+	copy(x.segs[seg][off*x.kw:], key)
+	return grew
+}
+
+// bytes is what the arena's segments hold: 4, 8, 16, … keys' worth for
+// one, two, three, … segments.
+func (x *exactStripe) bytes() int {
+	if len(x.segs) == 0 {
+		return 0
+	}
+	return 2 << len(x.segs) * x.kw
 }
 
 // spillColumn is what a stripe owns besides its table under a memory
@@ -140,9 +187,7 @@ type spillColumn struct {
 }
 
 // key returns the arena key sl points at.
-func (x *exactStripe) key(sl *slot) []byte {
-	return x.keys[int(sl.h2)*x.kw:][:x.kw]
-}
+func (x *exactStripe) key(sl *slot) []byte { return x.keyAt(int(sl.h2)) }
 
 // pairKey writes a hashed key's record bytes, h1 ‖ h2 little-endian,
 // into buf.
@@ -210,14 +255,16 @@ func (s *visitedStripe) find(h1, h2 uint64, key []byte) (sl *slot, found, collid
 	}
 }
 
-// put fills sl, the empty slot find returned for this key.
-func (s *visitedStripe) put(sl *slot, h1, h2 uint64, key []byte, sleepAcc actionMask, meta uint32) {
+// put fills sl, the empty slot find returned for this key, and returns
+// the bytes the arena grew by storing the key.
+func (s *visitedStripe) put(sl *slot, h1, h2 uint64, key []byte, sleepAcc actionMask, meta uint32) (grew int64) {
 	if x := s.x; x != nil {
 		h2 = uint64(s.n)
-		x.keys = append(x.keys, key...)
+		grew = x.store(s.n, key)
 	}
 	*sl = slot{h1: h1, h2: h2, sleepAcc: sleepAcc, meta: slotOccupied | meta}
 	s.n++
+	return grew
 }
 
 // slotsFor is the smallest table that holds n keys within the ¾ load
@@ -237,7 +284,7 @@ func slotsFor(n int) int {
 func (s *visitedStripe) bytes() int64 {
 	b := len(s.slots) * int(unsafe.Sizeof(slot{}))
 	if s.x != nil {
-		b += cap(s.x.keys)
+		b += s.x.bytes()
 	}
 	return int64(b)
 }
@@ -278,21 +325,22 @@ func retireSlots(t []slot) {
 }
 
 // retable moves the stripe's entries, all of them or only the
-// unfinalized ones, into a fresh table of nslots slots and, in exact
-// mode, a fresh arena sized with it (never by append growth, whose
-// 1.25× steps would allocate several times the bytes), retiring the old.
+// unfinalized ones, into a fresh table of nslots slots, retiring the old.
+// Moving all of them keeps every slot as it is, arena index included;
+// dropping the finalized ones (a spill) also compacts the arena, storing
+// the survivors' keys into fresh segments.
 func (s *visitedStripe) retable(nslots int, dropFinalized bool) {
-	old, x := s.slots, s.x
-	var oldKeys []byte
-	s.slots, s.n = nil, 0
-	if x != nil {
-		oldKeys, x.keys = x.keys, nil
-	}
+	old := s.slots
 	defer retireSlots(old)
+	s.slots = nil
 	if nslots > 0 {
 		s.slots = newSlots(nslots)
-		if x != nil {
-			x.keys = make([]byte, 0, nslots/4*3*x.kw)
+	}
+	var arena exactStripe
+	if dropFinalized {
+		s.n = 0
+		if x := s.x; x != nil {
+			arena, x.segs = *x, nil
 		}
 	}
 	mask := uint64(nslots - 1)
@@ -301,20 +349,25 @@ func (s *visitedStripe) retable(nslots int, dropFinalized bool) {
 		if o.meta&slotOccupied == 0 || dropFinalized && o.meta&slotFinalized != 0 {
 			continue
 		}
-		var key []byte
-		if x != nil {
-			key = oldKeys[int(o.h2)*x.kw:][:x.kw]
-		}
 		j := o.h1 >> 8
 		for s.slots[j&mask].meta&slotOccupied != 0 {
 			j++
+		}
+		if !dropFinalized {
+			s.slots[j&mask] = *o
+			continue
+		}
+		var key []byte
+		if s.x != nil {
+			key = arena.key(o)
 		}
 		s.put(&s.slots[j&mask], o.h1, o.h2, key, o.sleepAcc, o.meta)
 	}
 }
 
 // reserve makes room for one more key, doubling the table when the
-// insert would take it past ¾ load, and returns the bytes it grew by.
+// insert would take it past ¾ load, and returns the bytes the table grew
+// by.
 func (s *visitedStripe) reserve() int64 {
 	if (s.n+1)*4 <= len(s.slots)*3 {
 		return 0
@@ -331,9 +384,10 @@ type visitedSet struct {
 	pooled  atomic.Bool // some stripe made a table close should retire
 	// keyWidth is the exact key's width; 0 selects hashed keys.
 	keyWidth int
-	// bornFinal is slotFinalized when the run has no reduction, where no
-	// finalize call will ever come: entries are finalized at claim time
-	// and immediately eligible to spill. Zero otherwise.
+	// bornFinal is slotFinalized when no finalize call will ever come (no
+	// reducer, or sleep sets alone): a winning claim inserts its entry
+	// finalized, with the arriving sleep mask as pruned, and immediately
+	// eligible to spill. Zero otherwise.
 	bornFinal uint32
 
 	// The rest is the memory budget (Options.MemBudget). resident and
@@ -403,21 +457,33 @@ func (vs *visitedSet) addResident(delta int64) {
 }
 
 // add inserts a key that find did not find, sl being the empty slot it
-// returned: the table doubles first when the insert would overfill it.
+// returned: the table doubles first when the insert would overfill it,
+// and the arena takes a new segment when the key opens one.
 func (vs *visitedSet) add(s *visitedStripe, sl *slot, h1, h2 uint64, key []byte, sleepAcc actionMask, meta uint32) {
-	if grew := s.reserve(); grew != 0 {
+	grew := s.reserve()
+	if grew != 0 {
 		if len(s.slots) >= minPooled {
 			vs.pooled.Store(true)
 		}
-		if s.x != nil || s.sp != nil {
-			// Read by the budget and the exact mode's gauges only: an
-			// unbudgeted hashed run, synthesis's thousands of small
-			// explorations, skips the contended atomics.
-			vs.addResident(grew)
-		}
 		sl, _, _ = s.find(h1, h2, key)
 	}
-	s.put(sl, h1, h2, key, sleepAcc, meta)
+	if grew += s.put(sl, h1, h2, key, sleepAcc, meta); grew != 0 && (s.x != nil || s.sp != nil) {
+		// Read by the budget and the exact mode's gauges only: an
+		// unbudgeted hashed run, synthesis's thousands of small
+		// explorations, skips the contended atomics.
+		vs.addResident(grew)
+	}
+}
+
+// bornMeta is the meta bits a winning claim arriving with sleep mask z
+// inserts: finalized with pruned z when the run finalizes at claim (the
+// winner expands every enabled action z does not cover, so z is what it
+// withholds), none otherwise.
+func (vs *visitedSet) bornMeta(z actionMask) uint32 {
+	if vs.bornFinal == 0 {
+		return 0
+	}
+	return vs.bornFinal | uint32(z)
 }
 
 // claimStatus is the outcome of a visited-set claim.
@@ -497,10 +563,10 @@ func (e *engine) claim(h1, h2 uint64, key []byte, z actionMask) (claimStatus, ac
 			// silently merged them.
 			e.h1Collisions.Add(1)
 		}
-		vs.add(s, sl, h1, h2, key, z, vs.bornFinal)
+		vs.add(s, sl, h1, h2, key, z, vs.bornMeta(z))
 	}
 	if s.full != nil {
-		s.full[string(key)] = &slot{sleepAcc: z, meta: slotOccupied | vs.bornFinal}
+		s.full[string(key)] = &slot{sleepAcc: z, meta: slotOccupied | vs.bornMeta(z)}
 	}
 	return claimWon, 0
 }
@@ -542,6 +608,9 @@ func (e *engine) bumpStates() bool {
 	return true
 }
 
+// finalizeHook, nil outside tests, is called by every finalize.
+var finalizeHook func()
+
 // finalize publishes the claiming worker's chosen persistent set tmask
 // on the state's visited entry and retrieves the merged sleep mask.
 // Between claim and finalize other paths may have reached the state;
@@ -556,6 +625,9 @@ func (e *engine) bumpStates() bool {
 // keeps a later arrival from reading a pruned mask the winner did not
 // withhold.
 func (e *engine) finalize(h1, h2 uint64, key []byte, tmask, full actionMask) actionMask {
+	if finalizeHook != nil {
+		finalizeHook()
+	}
 	s := &e.visited.stripes[h1&e.visited.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()

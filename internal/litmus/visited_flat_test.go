@@ -54,11 +54,14 @@ func (k modelKey) id() string {
 
 // stripeAudit checks one stripe against the reference: the resident
 // population, every resident reference key found with an equal entry,
-// load within the ¾ bound, in exact mode a dense arena sized with the
-// table and each slot pointing at its own key, spilled keys gone from
-// the table but answered by a segment with the reference's pruned mask,
-// and the set's resident gauge equal to the bytes actually held.
-func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEntry) {
+// load within the ¾ bound, in exact mode a dense arena of exactly the
+// segments its keys need, each slot pointing at its own key and every
+// key at the address where recorded in at (a key's bytes never move
+// while the table doubles; a spill's compaction clears at), spilled
+// keys gone from the table but answered by a segment with the
+// reference's pruned mask, and the set's resident gauge equal to the
+// bytes actually held.
+func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEntry, at map[string]*byte) {
 	t.Helper()
 	s := &e.visited.stripes[0]
 	resident := 0
@@ -90,8 +93,18 @@ func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEn
 		t.Fatalf("%d occupied slots, n=%d", occupied, s.n)
 	}
 	if x := s.x; x != nil {
-		if len(x.keys) != s.n*x.kw || cap(x.keys) != len(s.slots)/4*3*x.kw {
-			t.Fatalf("arena len %d cap %d for %d keys of %d bytes in %d slots", len(x.keys), cap(x.keys), s.n, x.kw, len(s.slots))
+		segs := 0
+		if s.n > 0 {
+			last, _ := arenaSeg(s.n - 1)
+			segs = last + 1
+		}
+		if len(x.segs) != segs {
+			t.Fatalf("arena of %d segments for %d keys, want %d", len(x.segs), s.n, segs)
+		}
+		for k, seg := range x.segs {
+			if want := max(4, 2<<k) * x.kw; len(seg) != want {
+				t.Fatalf("arena segment %d holds %d bytes, want %d", k, len(seg), want)
+			}
 		}
 		if len(arena) != s.n {
 			t.Fatalf("%d distinct arena indices for %d keys", len(arena), s.n)
@@ -120,6 +133,13 @@ func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEn
 		}
 		if !found {
 			t.Fatalf("key %s lost (table of %d slots)", k.id(), len(s.slots))
+		}
+		if s.x != nil {
+			p := &s.x.key(sl)[0]
+			if was, ok := at[k.id()]; ok && was != p {
+				t.Fatalf("key %q moved in the arena without a spill", k.id())
+			}
+			at[k.id()] = p
 		}
 		got := refEntry{h1: sl.h1, sleepAcc: sl.sleepAcc, pruned: actionMask(sl.meta & slotPruned), finalized: sl.meta&slotFinalized != 0}
 		if got != *want {
@@ -167,6 +187,7 @@ func TestVisitedStripeModel(t *testing.T) {
 			}
 			s := &e.visited.stripes[0]
 			ref := map[string]*refEntry{}
+			at := map[string]*byte{}       // exact keys' arena addresses (stripeAudit)
 			sharing := map[uint64]uint64{} // h1 -> resident keys holding it
 			var keys []modelKey
 			var collisions uint64
@@ -223,7 +244,8 @@ func TestVisitedStripeModel(t *testing.T) {
 				if n == 0 || n == len(ref) {
 					t.Fatalf("%s: eviction of %d of %d entries exercises nothing", tag, n, len(ref))
 				}
-				stripeAudit(t, e, keys, ref)
+				clear(at)
+				stripeAudit(t, e, keys, ref, at)
 			}
 
 			zero := modelKey{}
@@ -238,7 +260,7 @@ func TestVisitedStripeModel(t *testing.T) {
 				if len(s.slots) != slots { // the last operation resized the table
 					slots = len(s.slots)
 					maxSlots = max(maxSlots, slots)
-					stripeAudit(t, e, keys, ref)
+					stripeAudit(t, e, keys, ref, at)
 				}
 				switch op := rng.Intn(20); {
 				case op < 7:
@@ -275,7 +297,7 @@ func TestVisitedStripeModel(t *testing.T) {
 					}
 				}
 			}
-			stripeAudit(t, e, keys, ref)
+			stripeAudit(t, e, keys, ref, at)
 			if maxSlots < 4096 {
 				t.Fatalf("table stopped at %d slots", maxSlots)
 			}
@@ -296,7 +318,7 @@ func TestVisitedStripeModel(t *testing.T) {
 				t.Errorf("%s: zero key after truncation: status %d", tag, st)
 			}
 			ref[zero.id()].arrive(0)
-			stripeAudit(t, e, keys, ref)
+			stripeAudit(t, e, keys, ref, at)
 			for i := 1; i < len(e.visited.stripes); i++ {
 				if e.visited.stripes[i].slots != nil {
 					t.Fatalf("stripe %d allocated by keys of stripe 0", i)

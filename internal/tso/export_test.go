@@ -26,6 +26,9 @@ func (c *Canonicalizer) ReferenceRotation(m *Machine) int {
 	return best
 }
 
+// HeadPrefix is the head prefix Choose compares member k of m by.
+func (c *Canonicalizer) HeadPrefix(m *Machine, k int) uint64 { return c.sigPrefix(m, k) }
+
 // ApplyRotation returns m renamed by rotation r (m itself for r == 0),
 // in the canonicalizer's scratch machine.
 func (c *Canonicalizer) ApplyRotation(m *Machine, r int) *Machine {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arch"
 	"repro/internal/mesi"
@@ -57,13 +58,18 @@ import (
 // member's cache (sigHead, sigTail). Heads are self-delimiting — each
 // variable-length part follows its own length byte — so no head is a
 // proper prefix of another: two heads that differ do so at a byte both
-// have, and the whole signatures order exactly as the heads do. A tail
-// can change a comparison only between byte-equal heads, so a head tie
-// is the only case that builds tails (all n of them, once). What a
-// rotation needs to be applied — position map, slot map, address
-// permutation, the addresses it touches — is precomputed per rotation,
-// and applying one copies memory and caches wholesale and rewrites only
-// the touched words (mesi.System.CopyRenamedFrom).
+// have, and the whole signatures order exactly as the heads do. Most
+// comparisons are settled before any head exists: a head's first 8
+// bytes (PC, flags, the first register's low bytes) read as a
+// big-endian integer order as those bytes do (sigPrefix), so a member's
+// ≈90-byte head is built only when its prefix ties with the member it
+// is compared against. A tail can change a comparison only between
+// byte-equal heads, so a head tie is the only case that builds tails
+// (all n of them, once). What a rotation needs to be applied — position
+// map, slot map, address permutation, the addresses it touches — is
+// precomputed per rotation, and applying one copies memory and caches
+// wholesale and rewrites only the touched words
+// (mesi.System.CopyRenamedFrom).
 //
 // Pid encoding: a memory word or register declared pid-valued holds 0
 // when unset and k+1 when it names ring member k (0 stays fixed under
@@ -171,7 +177,8 @@ func (s *Symmetry) buildAddrTab(tab []arch.Addr, sigma []int) {
 }
 
 // Validate checks the declaration against the programs: blocks and pid
-// words must fit the address space without overlapping, renaming each
+// words must fit the address space without overlapping, no block may
+// cover word 0 (the value of an unset LEAddr), renaming each
 // ring member's program under the generator rotation (k -> k+1 mod n)
 // must reproduce the next member's program instruction for instruction,
 // and every processor OUTSIDE the ring must be untouched by the
@@ -208,6 +215,12 @@ func (s *Symmetry) Validate(progs []*Program, memWords int) error {
 			a := b.Base + arch.Addr(k)*b.Stride
 			if int(a) >= memWords {
 				return fmt.Errorf("tso: symmetry block %d word 0x%x outside %d-word memory", bi, uint32(a), memWords)
+			}
+			if a == 0 {
+				// An unset LEAddr reads 0, and renaming moves LEAddr as an
+				// address (applyRenaming), so a block over word 0 would turn
+				// every member's unset LEAddr into a set one.
+				return fmt.Errorf("tso: symmetry block %d covers word 0, which an unset LEAddr names", bi)
 			}
 			if owned[a] {
 				return fmt.Errorf("tso: symmetry blocks overlap at 0x%x", uint32(a))
@@ -292,6 +305,7 @@ type Canonicalizer struct {
 	// moves or relabels: block words and pid words. Everything else is
 	// copied verbatim.
 	touched []arch.Addr
+	pre     []uint64 // Choose's per-member head prefixes (sigPrefix)
 	keys    [][]byte
 	lines   []sigLine
 
@@ -351,6 +365,7 @@ func NewCanonicalizer(sym *Symmetry, proto *Machine) *Canonicalizer {
 		blockPos: make([]int, mw),
 		pidWord:  make([]bool, mw),
 		rots:     make([]rotation, sym.N()-1),
+		pre:      make([]uint64, sym.N()),
 		keys:     make([][]byte, sym.N()),
 	}
 	for _, p := range sym.Procs {
@@ -439,24 +454,9 @@ func appendWord(dst []byte, v arch.Word) []byte {
 // compare as their heads do whatever the tails hold.
 func (c *Canonicalizer) sigHead(m *Machine, k int, dst []byte) []byte {
 	p := m.Procs[c.sym.Procs[k]]
-	dst = append(dst, byte(p.PC), byte(p.PC>>8))
-	flags := byte(0)
-	if p.Halted {
-		flags |= 1
-	}
-	if p.InCS {
-		flags |= 2
-	}
-	if p.LEBit {
-		flags |= 4
-	}
-	dst = append(dst, flags)
+	dst = append(dst, byte(p.PC), byte(p.PC>>8), sigFlags(p))
 	for r := 0; r < NumRegs; r++ {
-		v := p.Regs[r]
-		if c.pidReg[r] {
-			v = c.normPid(v, k)
-		}
-		dst = appendWord(dst, v)
+		dst = appendWord(dst, c.sigReg(p, k, r))
 	}
 	dst = appendU32(dst, c.normAddr(p.LEAddr, k))
 	dst = append(dst, byte(len(p.links)))
@@ -481,6 +481,39 @@ func (c *Canonicalizer) sigHead(m *Machine, k int, dst []byte) []byte {
 		dst = appendWord(dst, v)
 	}
 	return dst
+}
+
+// sigFlags is the head's flags byte.
+func sigFlags(p *Proc) byte {
+	flags := byte(0)
+	if p.Halted {
+		flags |= 1
+	}
+	if p.InCS {
+		flags |= 2
+	}
+	if p.LEBit {
+		flags |= 4
+	}
+	return flags
+}
+
+// sigReg is register r of member k's core as its head encodes it.
+func (c *Canonicalizer) sigReg(p *Proc, k, r int) arch.Word {
+	if c.pidReg[r] {
+		return c.normPid(p.Regs[r], k)
+	}
+	return p.Regs[r]
+}
+
+// sigPrefix is the first 8 bytes of member k's head — PC, flags and the
+// low five bytes of its first register — read as a big-endian integer,
+// so two prefixes order exactly as those bytes do and as the whole
+// signatures do wherever they differ.
+func (c *Canonicalizer) sigPrefix(m *Machine, k int) uint64 {
+	p := m.Procs[c.sym.Procs[k]]
+	return uint64(byte(p.PC))<<56 | uint64(byte(p.PC>>8))<<48 | uint64(sigFlags(p))<<40 |
+		bits.ReverseBytes64(uint64(c.sigReg(p, k, 0)))>>24
 }
 
 // sigTail appends the rest of member k's signature, the part that walks
@@ -562,22 +595,34 @@ func (c *Canonicalizer) Choose(m *Machine) int {
 		panic("tso: Canonicalize of the canonicalizer's own scratch machine")
 	}
 	for k := 0; k < c.n; k++ {
-		c.keys[k] = c.sigHead(m, k, c.keys[k][:0])
+		c.pre[k] = c.sigPrefix(m, k)
+		c.keys[k] = c.keys[k][:0]
 	}
 	// Rotating by r moves member k to position k+r, so position j of the
 	// rotated ring carries member j-r's (invariant) signature. Find the
 	// r whose sequence is lexicographically smallest; ties take the
 	// smallest r, and any tie is between rotations producing equally
-	// canonical representatives. Heads alone decide every comparison in
-	// which they differ; the first tie extends all n keys with their
-	// tails, after which the same comparison orders whole signatures.
+	// canonical representatives. Each comparison is settled by the
+	// cheapest part that tells the two signatures apart: the prefixes,
+	// then the whole heads (built only for members whose prefixes tie,
+	// an empty key meaning not yet built), then, after the first head
+	// tie, all n keys extended with their tails.
 	best, full := 0, false
 	for r := 1; r < c.n; r++ {
 		for j := 0; j < c.n; j++ {
 			a, b := (j-r+c.n)%c.n, (j-best+c.n)%c.n
+			if pa, pb := c.pre[a], c.pre[b]; pa != pb {
+				if pa < pb {
+					best = r
+				}
+				break
+			}
+			c.buildHead(m, a)
+			c.buildHead(m, b)
 			cmp := bytes.Compare(c.keys[a], c.keys[b])
 			if cmp == 0 && !full {
 				for k := range c.keys {
+					c.buildHead(m, k)
 					c.keys[k] = c.sigTail(m, k, c.keys[k])
 				}
 				full = true
@@ -592,6 +637,13 @@ func (c *Canonicalizer) Choose(m *Machine) int {
 		}
 	}
 	return best
+}
+
+// buildHead fills member k's key with its head unless it holds one.
+func (c *Canonicalizer) buildHead(m *Machine, k int) {
+	if len(c.keys[k]) == 0 {
+		c.keys[k] = c.sigHead(m, k, c.keys[k])
+	}
 }
 
 // Canonicalize returns the canonical orbit representative of m (the

@@ -3,6 +3,8 @@ package tso_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -137,6 +139,118 @@ func TestCanonicalizeTwoStageMatchesReference(t *testing.T) {
 				t.Error("no state was rotated: the test compared nothing")
 			}
 		})
+	}
+}
+
+// swapRegs returns sp with registers a and b exchanged in every
+// program and in the symmetry's pid-register list: the same protocol,
+// so the same state space, with its values in other registers.
+func swapRegs(sp *programs.SymProtocol, a, b tso.Reg) *programs.SymProtocol {
+	sw := func(r tso.Reg) tso.Reg {
+		switch r {
+		case a:
+			return b
+		case b:
+			return a
+		}
+		return r
+	}
+	out := *sp
+	out.Name = fmt.Sprintf("%s-r%d-r%d", sp.Name, a, b)
+	out.Progs = make([]*tso.Program, len(sp.Progs))
+	for i, p := range sp.Progs {
+		q := &tso.Program{Name: p.Name, Instrs: append([]tso.Instr(nil), p.Instrs...)}
+		for j := range q.Instrs {
+			in := &q.Instrs[j]
+			in.Rd, in.Ra, in.Rb = sw(in.Rd), sw(in.Ra), sw(in.Rb)
+		}
+		out.Progs[i] = q
+	}
+	sym := *sp.Sym
+	sym.PidRegs = nil
+	for _, r := range sp.Sym.PidRegs {
+		sym.PidRegs = append(sym.PidRegs, sw(r))
+	}
+	out.Sym = &sym
+	return &out
+}
+
+// TestChooseMatchesAllHeadsReference: Choose, which compares members by
+// head prefixes and builds a head only on a prefix tie, must choose the
+// rotation that comparing whole signatures built up front chooses
+// (ReferenceRotation). Checked on the symmetric instances at their
+// declared four-entry store buffers, the 2-process ones exhaustively and
+// the 3-process ones for their first 40,000 orbits (bakery3 and
+// peterson3 without fences or with l-mfence exceed 1.9 M orbits; 8,000
+// under -short), and on 3-process copies whose first register is a pid
+// register, so a prefix that drops the normalization of pid values
+// shows. Some checked states must have members whose prefixes tie.
+func TestChooseMatchesAllHeadsReference(t *testing.T) {
+	var sps []*programs.SymProtocol
+	for n := 2; n <= 3; n++ {
+		for _, v := range []programs.DekkerVariant{programs.DekkerNoFence, programs.DekkerMfence, programs.DekkerLmfence} {
+			sps = append(sps, programs.BakeryN(n, v), programs.PetersonN(n, v))
+		}
+	}
+	for _, v := range []programs.DekkerVariant{programs.DekkerNoFence, programs.DekkerLmfence} {
+		sps = append(sps, swapRegs(programs.PetersonN(3, v), 0, 4))
+	}
+	for _, sp := range sps {
+		t.Run(sp.Name, func(t *testing.T) {
+			limit := 0
+			if len(sp.Progs) > 2 {
+				limit = 40_000
+				if testing.Short() {
+					limit = 8_000
+				}
+			}
+			canon := tso.NewCanonicalizer(sp.Sym, sp.Build())
+			ref := tso.NewCanonicalizer(sp.Sym, sp.Build())
+			n := len(sp.Sym.Procs)
+			checked, ties, mismatches := 0, 0, 0
+			walkOrbits(sp, limit, func(m *tso.Machine) {
+				checked++
+				tie := false
+				for a := 0; a < n; a++ {
+					for b := a + 1; b < n; b++ {
+						tie = tie || canon.HeadPrefix(m, a) == canon.HeadPrefix(m, b)
+					}
+				}
+				if tie {
+					ties++
+				}
+				if got, want := canon.Choose(m), ref.ReferenceRotation(m); got != want {
+					if mismatches++; mismatches <= 3 {
+						t.Errorf("state %d: Choose chose rotation %d, whole signatures %d", checked, got, want)
+					}
+				}
+			})
+			t.Logf("%d states, %d with a prefix tie, %d mismatches", checked, ties, mismatches)
+			if ties == 0 {
+				t.Error("no state had tied prefixes: the heads were never consulted")
+			}
+		})
+	}
+}
+
+// TestValidateRefusesBlockOverWordZero: an unset LEAddr holds 0 and a
+// renaming moves LEAddr as an address, so a block covering word 0 would
+// rename unset into set and merge nothing. Validate must refuse such a
+// block at any stride, and still accept the ring one word higher.
+func TestValidateRefusesBlockOverWordZero(t *testing.T) {
+	prog := tso.NewBuilder("halt").Halt().Build()
+	progs := []*tso.Program{prog, prog, prog}
+	ring := []arch.ProcID{0, 1, 2}
+	for _, b := range []tso.SymBlock{{Base: 0, Stride: 1}, {Base: 0, Stride: 4}} {
+		sym := &tso.Symmetry{Procs: ring, Blocks: []tso.SymBlock{{Base: 9, Stride: 1}, b}}
+		err := sym.Validate(progs, 16)
+		if err == nil || !strings.Contains(err.Error(), "word 0") {
+			t.Errorf("block %+v: Validate = %v, want a refusal naming word 0", b, err)
+		}
+	}
+	sym := &tso.Symmetry{Procs: ring, Blocks: []tso.SymBlock{{Base: 1, Stride: 1}}}
+	if err := sym.Validate(progs, 16); err != nil {
+		t.Errorf("block from word 1: Validate = %v, want nil", err)
 	}
 }
 
