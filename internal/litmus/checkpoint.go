@@ -72,7 +72,8 @@ import (
 // expansion, finalize — happens within one worker.process call. So at
 // the barrier every visited entry is final (its children are pushed,
 // its pruned mask settled; sleepAcc is dead) and the stacks hold
-// exactly the unexplored remainder. Resuming with that visited set and
+// exactly the unexplored remainder (a frame a worker keyed ahead goes
+// back on its stack before it parks). Resuming with that visited set and
 // frontier explores precisely the states an uninterrupted run would
 // have explored from the same point.
 //

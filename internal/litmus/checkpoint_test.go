@@ -124,7 +124,18 @@ func ringSB3(bystander bool) (func() *tso.Machine, *tso.Symmetry) {
 // ids the maps have never seen assigned. (peterson3, 460,188 orbits with
 // one-entry buffers, passes the same leg in 7 s and in 3 min under the
 // race detector, which is why it is not the space here.)
-func TestCheckpointResumeDifferential(t *testing.T) {
+func TestCheckpointResumeDifferential(t *testing.T) { checkpointResumeDifferential(t) }
+
+// TestCheckpointResumeDifferentialHeldFrame runs the same matrix with
+// every worker keying frames one ahead from its first claim (run): the
+// frame a worker holds at each barrier must reach the snapshot, or the
+// resumed run misses its subtree.
+func TestCheckpointResumeDifferentialHeldFrame(t *testing.T) {
+	pipelineFromFirstClaim(t)
+	checkpointResumeDifferential(t)
+}
+
+func checkpointResumeDifferential(t *testing.T) {
 	type space struct {
 		name  string
 		build func() *tso.Machine

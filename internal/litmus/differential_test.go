@@ -110,7 +110,17 @@ func TestParallelStopOnViolation(t *testing.T) {
 // TestParallelMaxStates checks the cooperative truncation counter: the
 // budget is exact — a truncated run reports States equal to MaxStates,
 // never an overshoot from racing workers.
-func TestParallelMaxStates(t *testing.T) {
+func TestParallelMaxStates(t *testing.T) { parallelMaxStates(t) }
+
+// TestFrontierHeldFrameMaxStates holds the exact cap with every worker
+// keying frames one ahead from its first claim (run).
+func TestFrontierHeldFrameMaxStates(t *testing.T) {
+	pipelineFromFirstClaim(t)
+	parallelMaxStates(t)
+	frontierCancelWithPrivateFrames(t)
+}
+
+func parallelMaxStates(t *testing.T) {
 	p0, p1 := programs.DekkerPair(programs.DekkerMfence)
 	for _, max := range []int{1, 10, 100} {
 		for _, workers := range []int{1, 4, 8} {

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -22,7 +23,14 @@ import (
 //     some shared stack straight into its private one. In a large space
 //     the shared stacks stay full and a frame costs no synchronisation:
 //     even the frame count that detects termination (engine.pending) is
-//     settled only when frames change hands.
+//     settled only when frames change hands. Past pipelineWins won
+//     claims, in a run that keeps the model's expansion order, a worker
+//     pops and keys the next frame before it processes the current one
+//     and prefetches that key's visited-set lines, so the claim's cache
+//     misses overlap a frame's work (run). The held frame goes back on
+//     the stack before a checkpoint barrier and whenever the worker
+//     stops, and a frame popped after a cancel goes back too, so a
+//     snapshot's frontier is every frame not yet processed.
 //   - Visited set: one structure, visited.go: 256 (one for one worker)
 //     lock-striped flat open-addressed tables of 24-byte slots. A 64-bit
 //     hash of the state picks the stripe and the probe start; a slot
@@ -32,6 +40,10 @@ import (
 //     assembled from the machine's cached component keys
 //     (worker.stateKey), so claiming a state is a re-encoding of what
 //     the last action wrote, one uncontended lock and a linear probe.
+//     The prefetch reads a stripe's table address from a read-mostly
+//     head kept apart from it (tableHead), never from the stripe's own
+//     line, which every claim writes; a one-worker set's lone worker
+//     reads its stripe.
 //   - Traces: a frame carries its parent's immutable parent-pointer
 //     chain plus its own action instead of a per-frame copy of the
 //     action slice (the serial engine's O(depth²) allocation). Its own
@@ -237,8 +249,11 @@ func (e *engine) partialResult() Result {
 	return res
 }
 
-// maxFreeMachines bounds each worker's machine free list.
-const maxFreeMachines = 64
+// maxFreeMachines bounds each worker's machine free list. A worker
+// that keys frames ahead (run) interleaves two branches, which retire
+// and clone machines in runs longer than 64: a shorter list drops
+// machines that the next expansions clone afresh.
+const maxFreeMachines = 256
 
 // Machines outlive their exploration. When Explore returns, the machines
 // on its workers' free lists, and those of any frames a cancel left on
@@ -290,11 +305,15 @@ type worker struct {
 
 	free    []*tso.Machine
 	poolDry bool // machineFree had nothing left for this run
+	// pipelineAt is the claim wins after which the worker keys frames
+	// one ahead (run); never, when the run lists drains first.
+	pipelineAt uint64
 	// slab is the slab node carves trace links from; slabs lists the
 	// first maxPooledSlabs slabs the worker took, for retireSlabs.
 	slab     []traceNode
 	slabs    [][]traceNode
-	fpBuf    []byte
+	fpBuf    []byte // the processed frame's exact key
+	nextBuf  []byte // the held frame's exact key (run)
 	probeBuf []byte // successor keys for the cycle proviso
 	actBuf   []Action
 	outBuf   []byte
@@ -390,13 +409,37 @@ func (w *worker) publish() {
 	w.priv = w.priv[:rest]
 }
 
+// pipelineWins is how many claims a worker wins before it keys each
+// frame one iteration ahead (run). Below it a run keeps the plain
+// depth-first order, whose frontier is smaller, and allocates nothing
+// more: keying ahead from the first claim made the daemon's small jobs
+// (under 25 k states each) allocate 4 % more a state and run 10 %
+// slower, and 2^15 is the first power of two above them.
+var pipelineWins uint64 = 1 << 15
+
+// run processes frames until the exploration drains or stops. Once the
+// worker has won pipelineWins claims, and unless the run lists drains
+// first, it pops the next frame before processing the current one, keys
+// it and prefetches the visited-set lines its claim will touch, so the
+// misses overlap the current frame's work. Holding one frame, not a
+// batch, bounds how far the two interleaved branches grow the frontier.
+// The held frame goes back on the stack before a checkpoint barrier and
+// before the worker stops, so snapshots, retireMachines and pending see
+// every frame not yet processed.
 func (w *worker) run() {
 	e := w.eng
 	if e.ck != nil {
 		defer e.ck.exit()
 	}
+	var next pframe // the frame keyed ahead, when held
+	var nk frameKey
+	held := false
 	for {
 		if c := e.ck; c != nil && c.req.Load() {
+			if held {
+				w.push(next)
+				held = false
+			}
 			c.barrier()
 		}
 		if e.opts.Interrupt != nil && e.opts.Interrupt.Load() {
@@ -404,18 +447,34 @@ func (w *worker) run() {
 			e.cancel.Store(true)
 		}
 		if e.cancel.Load() {
+			if held {
+				w.push(next)
+			}
 			return
 		}
-		f, ok := w.pop()
-		if !ok {
-			if e.pending.Load() == 0 {
-				return
+		f, k := next, nk
+		if held {
+			held = false
+			w.fpBuf, w.nextBuf = w.nextBuf, w.fpBuf
+		} else {
+			var ok bool
+			if f, ok = w.pop(); !ok {
+				if e.pending.Load() == 0 {
+					return
+				}
+				runtime.Gosched()
+				continue
 			}
-			runtime.Gosched()
-			continue
+			k = w.stateKey(&w.fpBuf, f.m)
+		}
+		if len(w.priv) > 0 && w.claimWins >= w.pipelineAt {
+			next, _ = w.pop()
+			nk = w.stateKey(&w.nextBuf, next.m)
+			held = true
+			e.visited.prefetch(nk.h1)
 		}
 		n := len(w.priv)
-		w.process(f)
+		w.process(f, k)
 		w.owed += len(w.priv) - n - 1
 		w.publish()
 	}
@@ -473,57 +532,69 @@ func (w *worker) pushChild(m *tso.Machine, node *traceNode, a Action, inPlace bo
 	w.push(pframe{m: child, parent: node, act: a, sleep: sleep})
 }
 
+// frameKey is what the visited set is keyed with for a state (stateKey).
+type frameKey struct {
+	h1, h2 uint64
+	key    []byte
+	slot   []int
+}
+
 // stateKey is the engine's one key routine: it returns what the visited
 // set is keyed with for m, the hash pair and, with exact keys, the
-// collapsed tuple appended to buf[:0] (key is nil with hashed keys).
-// Both are those of the canonical orbit representative under symmetry and
-// come from the machine's cached component keys (tso/statekey.go), so a
-// state costs the re-encoding of what the action that produced it wrote.
-// It also returns the processor permutation that takes m to that
-// representative: nil for identity, otherwise the canonicalizer's
-// read-only table for the rotation. The representative itself is built
-// only where its bytes are read: never for an exact key whose component
-// ids the canonicalizer has already seen renamed
-// (tso.Canonicalizer.CollapsedKey), always for a hashed one, which has
-// digests where the id maps need dense ids.
+// collapsed tuple appended to (*buf)[:0], which keeps the growth (key is
+// nil with hashed keys). Both are those of the canonical orbit
+// representative under symmetry and come from the machine's cached
+// component keys (tso/statekey.go), so a state costs the re-encoding of
+// what the action that produced it wrote. It also returns the processor
+// permutation that takes m to that representative (slot): nil for
+// identity, otherwise the canonicalizer's read-only table for the
+// rotation. The representative itself is built only where its bytes are
+// read: never for an exact key whose component ids the canonicalizer has
+// already seen renamed (tso.Canonicalizer.CollapsedKey), always for a
+// hashed one, which has digests where the id maps need dense ids.
 //
 // Under Options.VerifyVisited key is the full fingerprint, computed from
 // scratch, while the pair still comes from the cached digests: the audit
 // holds the hash in use against the definition it must agree with.
-func (w *worker) stateKey(buf []byte, m *tso.Machine) (h1, h2 uint64, key []byte, slot []int) {
+func (w *worker) stateKey(buf *[]byte, m *tso.Machine) (k frameKey) {
 	if c := w.eng.collapser; c != nil {
 		if w.canon != nil {
-			key, slot = w.canon.CollapsedKey(c, m, buf[:0], &w.colBuf)
+			k.key, k.slot = w.canon.CollapsedKey(c, m, (*buf)[:0], &w.colBuf)
 		} else {
-			key = c.Collapse(m, buf[:0], &w.colBuf)
+			k.key = c.Collapse(m, (*buf)[:0], &w.colBuf)
 		}
-		h1, h2 = tso.HashPair(key)
+		k.h1, k.h2 = tso.HashPair(k.key)
 	} else {
 		cm := m
 		if w.canon != nil {
-			cm, slot = w.canon.Canonicalize(m)
+			cm, k.slot = w.canon.Canonicalize(m)
 		}
-		h1, h2 = cm.KeyPair(&w.colBuf)
+		k.h1, k.h2 = cm.KeyPair(&w.colBuf)
 		if w.eng.opts.VerifyVisited {
-			key = cm.Fingerprint(buf[:0])
+			k.key = cm.Fingerprint((*buf)[:0])
 		}
+	}
+	if k.key != nil {
+		*buf = k.key
 	}
 	if pairFilter != nil {
-		h1, h2 = pairFilter(h1, h2, key)
+		k.h1, k.h2 = pairFilter(k.h1, k.h2, k.key)
 	}
-	return h1, h2, key, slot
+	return k
 }
 
-// process claims, checks, and expands one frame.
-func (w *worker) process(f pframe) {
+// process claims, checks, and expands one frame, keyed k by run.
+func (w *worker) process(f pframe, k frameKey) {
 	e := w.eng
 	m := f.m
 
-	// Eager cancellation: a frame popped before a peer set the flag is
-	// dropped here rather than expanded, so StopOnViolation and MaxStates
-	// cut off in-flight work as fast as the flag propagates.
+	// Eager cancellation: a frame popped before a peer set the flag goes
+	// back on the stack here rather than being expanded, so
+	// StopOnViolation and MaxStates cut off in-flight work as fast as the
+	// flag propagates, and an interrupted run's final snapshot still holds
+	// it.
 	if e.cancel.Load() {
-		w.recycle(m)
+		w.push(f)
 		return
 	}
 
@@ -531,10 +602,7 @@ func (w *worker) process(f pframe) {
 	// representative, nil for identity (always, without symmetry). Sleep
 	// masks cross into the visited set in canonical processor numbering
 	// (see permuteMask).
-	h1, h2, key, slot := w.stateKey(w.fpBuf, m)
-	if key != nil {
-		w.fpBuf = key
-	}
+	h1, h2, key, slot := k.h1, k.h2, k.key, k.slot
 	w.claimTries++
 	st, missing := e.claim(h1, h2, key, permuteMask(f.sleep, slot))
 	switch st {
@@ -724,14 +792,12 @@ func (w *worker) ampleSuccessorSeen(m *tso.Machine, enabled []Action) bool {
 	for _, i := range w.pl.tidx {
 		child := w.clone(m)
 		e.model.Apply(child, enabled[i])
-		// Keyed into probeBuf: the claimed state's key in fpBuf and its
-		// permutation must stay live across the probes.
-		h1, h2, key, _ := w.stateKey(w.probeBuf, child)
-		if key != nil {
-			w.probeBuf = key
-		}
+		// Keyed into probeBuf: the claimed state's key in fpBuf, the held
+		// frame's in nextBuf and the claimed state's permutation must stay
+		// live across the probes.
+		k := w.stateKey(&w.probeBuf, child)
 		w.recycle(child)
-		if e.seen(h1, h2, key) {
+		if e.seen(k.h1, k.h2, k.key) {
 			return true
 		}
 	}
@@ -871,13 +937,20 @@ func exploreFrom(build func() *tso.Machine, root *tso.Machine, opts Options, p p
 	// sleep mask (zero without a reducer), and immediately spillable.
 	e.visited.init(nw, e.keyWidth, opts.MemBudget, e.red == nil || e.red.sleepOnly, opts.VerifyVisited)
 	e.visited.faults = opts.Faults
+	pipelineAt := pipelineWins
+	if e.drainsFirst {
+		// Holding a frame interleaves two branches of the search, which
+		// delays the refutation a drains-first run is ordered for.
+		pipelineAt = math.MaxUint64
+	}
 	e.workers = make([]*worker, nw)
 	for i := range e.workers {
 		e.workers[i] = &worker{
-			id:    i,
-			eng:   e,
-			fpBuf: make([]byte, 0, 256),
-			res:   Result{Outcomes: make(map[Outcome]int)},
+			id:         i,
+			eng:        e,
+			pipelineAt: pipelineAt,
+			fpBuf:      make([]byte, 0, 256),
+			res:        Result{Outcomes: make(map[Outcome]int)},
 		}
 		if e.sym != nil {
 			e.workers[i].canon = tso.NewCanonicalizer(e.sym, root)

@@ -41,6 +41,15 @@ func MayCycle(root *tso.Machine) func(m *tso.Machine, a Action) bool {
 	}
 }
 
+// pipelineFromFirstClaim makes every worker key frames one ahead from
+// its first claim (run) until the test ends, so spaces far below
+// pipelineWins take the held-frame paths.
+func pipelineFromFirstClaim(t *testing.T) {
+	was := pipelineWins
+	pipelineWins = 0
+	t.Cleanup(func() { pipelineWins = was })
+}
+
 // countFinalizes counts the engine's finalize calls until the test ends.
 func countFinalizes(t *testing.T) *atomic.Int64 {
 	var n atomic.Int64

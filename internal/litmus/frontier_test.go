@@ -1,8 +1,10 @@
 package litmus
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fault"
@@ -45,7 +47,9 @@ func TestFrontierMatchesSerial(t *testing.T) {
 // TestFrontierCancelWithPrivateFrames: StopOnViolation and MaxStates end
 // the run while every worker still holds unpublished frames; nobody may
 // wait for a frame count that will never reach zero.
-func TestFrontierCancelWithPrivateFrames(t *testing.T) {
+func TestFrontierCancelWithPrivateFrames(t *testing.T) { frontierCancelWithPrivateFrames(t) }
+
+func frontierCancelWithPrivateFrames(t *testing.T) {
 	for name, build := range frontierSpaces(programs.DekkerNoFence) {
 		for _, workers := range []int{1, 4} {
 			res := Explore(build, Options{Properties: []Property{MutualExclusion}, Workers: workers, StopOnViolation: true})
@@ -117,6 +121,52 @@ func TestFrontierCheckpointAcrossWorkerCounts(t *testing.T) {
 			assertSameVerdict(t, res, ref, true)
 			if !Replay(build, res.ViolationTrace).CSViolation {
 				t.Errorf("%s %d->%d: resumed violation trace does not replay", name, leg[0], leg[1])
+			}
+		}
+	}
+}
+
+// TestFrontierHeldFrameInterruptResume interrupts runs whose workers
+// key frames one ahead from their first claim (run) at several points,
+// hashed and collapsed, and resumes each from its final snapshot: the
+// frame a worker held when it stopped, and one a second worker popped
+// as the flag went up, must be in that snapshot, or the resumed run
+// misses its subtree. Peterson's space alone keeps the Frontier race
+// lane's twenty repetitions short.
+func TestFrontierHeldFrameInterruptResume(t *testing.T) {
+	pipelineFromFirstClaim(t)
+	var stop atomic.Bool
+	var claims, fireAt atomic.Int64
+	stopper := func(*tso.Machine) error {
+		if claims.Add(1) == fireAt.Load() {
+			stop.Store(true)
+		}
+		return nil
+	}
+	build := frontierSpaces(programs.DekkerNoFence)["peterson2"]
+	for _, collapse := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			tag := fmt.Sprintf("collapse=%v workers=%d", collapse, workers)
+			base := Options{Properties: []Property{stopper, MutualExclusion}, Workers: workers, Collapse: collapse}
+			fireAt.Store(-1)
+			ref := Explore(build, base)
+			for _, at := range []int64{2, 3, 50, int64(ref.States / 2)} {
+				claims.Store(0)
+				fireAt.Store(at)
+				stop.Store(false)
+				dir := t.TempDir()
+				opts := base
+				opts.Checkpoint = CheckpointOptions{Dir: dir}
+				opts.Interrupt = &stop
+				if run := Explore(build, opts); !run.Interrupted || run.States >= ref.States {
+					t.Fatalf("%s at %d: interrupted=%v after %d of %d states", tag, at, run.Interrupted, run.States, ref.States)
+				}
+				fireAt.Store(-1)
+				res, err := Resume(dir, build, base)
+				if err != nil {
+					t.Fatalf("%s at %d: Resume: %v", tag, at, err)
+				}
+				assertSameVerdict(t, res, ref, true)
 			}
 		}
 	}

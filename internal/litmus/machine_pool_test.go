@@ -40,7 +40,17 @@ func poolSummary(r Result) string {
 // leaves frames; the unstopped Dekker run carves several slabs, so a slab
 // handed out twice would overwrite live links. Every run has one worker,
 // so each result, trace included, is deterministic.
-func TestMachinePoolKeepsResults(t *testing.T) {
+func TestMachinePoolKeepsResults(t *testing.T) { machinePoolKeepsResults(t) }
+
+// TestMachinePoolKeepsResultsHeldFrame is the same with every worker
+// keying frames one ahead from its first claim (run): a machine drawn
+// from the free list into a held frame changes no result either.
+func TestMachinePoolKeepsResultsHeldFrame(t *testing.T) {
+	pipelineFromFirstClaim(t)
+	machinePoolKeepsResults(t)
+}
+
+func machinePoolKeepsResults(t *testing.T) {
 	defer drainMachinePool()
 	defer drainSlabPool()
 	me := []Property{MutualExclusion}

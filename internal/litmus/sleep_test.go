@@ -47,7 +47,17 @@ func sameCounts(got, ref Result) string {
 // counts no re-expanded edge twice. The corpus's cyclic spaces are where
 // a sleep set meets a state again on a cycle, so they hold the revisit
 // rule to the same equality.
-func TestSleepSetsKeepEveryState(t *testing.T) {
+func TestSleepSetsKeepEveryState(t *testing.T) { sleepSetsKeepEveryState(t) }
+
+// TestSleepSetsKeepEveryStateHeldFrame is the same contract with every
+// worker keying frames one ahead from its first claim (run), which
+// interleaves two branches of each worker's search.
+func TestSleepSetsKeepEveryStateHeldFrame(t *testing.T) {
+	pipelineFromFirstClaim(t)
+	sleepSetsKeepEveryState(t)
+}
+
+func sleepSetsKeepEveryState(t *testing.T) {
 	type leg struct {
 		name  string
 		proto arch.Protocol

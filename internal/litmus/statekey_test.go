@@ -137,8 +137,7 @@ func TestCanonicalKeyMatchesDefinitionEngine(t *testing.T) {
 				compared, mismatches := 0, 0
 				// key is stateKey into buf, checked against the definition.
 				key := func(buf *[]byte, m *tso.Machine) string {
-					_, _, got, _ := w.stateKey(*buf, m)
-					*buf = got
+					got := w.stateKey(buf, m).key
 					cm, _ := ref.Canonicalize(m)
 					want = e.collapser.Collapse(cm, want[:0], &scratch)
 					compared++

@@ -34,10 +34,19 @@ import (
 //
 // Tables start unallocated, double at ¾ load (so they run ⅜ to ¾ full,
 // plus one stripe's old table while it doubles) and hold no pointers.
-// The arena grows on its own, in segments of doubling size that never
-// move (exactStripe), so a doubling rehashes only the 24-byte slots and
-// an exact state costs its 24-byte slot share plus one to two
-// keyWidths of arena, each key written once.
+// The arena grows on its own, in segments that double up to 4,096 keys
+// and never move (exactStripe), so a doubling rehashes only the 24-byte
+// slots and an exact state costs its 24-byte slot share plus one to two
+// keyWidths of arena (at most one segment's slack past 8,192 keys),
+// each key written once.
+//
+// Table heads. In a multi-worker set each stripe's table address and
+// mask are mirrored in a tableHead outside the stripe, rewritten only
+// when the table is replaced (growth, a spill's rebuild, close). A
+// worker prefetches the home slot and the stripe's lock of the frame it
+// will claim next from the head alone: reading the stripe would pull in
+// the line every worker writes on every claim. A one-stripe set has one
+// worker, which reads its stripe directly and allocates no heads.
 //
 // Records. Either key is fixed-width: the 16-byte h1 ‖ h2 pair,
 // little-endian, or the collapsed tuple. So an entry serializes as one
@@ -129,22 +138,44 @@ type visitedStripe struct {
 // exactStripe is what a stripe owns besides its table when keys are
 // exact: the key arena. The stripe's n resident keys sit back to back in
 // insertion order, key i at arena index i, across segments of 4, 4, 8,
-// 16, … keys (segment k ≥ 1 holds indices 2^(k+1) to 2^(k+2)-1), each
-// allocated whole when its first key arrives and never moved. So a
-// slot's index stays valid across every doubling of the table, and only
-// a spill's rebuild (retable dropping finalized entries) compacts the
-// arena into fresh segments.
+// 16, … keys up to arenaSegKeys, then arenaSegKeys each (segment k in
+// 1..11 holds indices 2^(k+1) to 2^(k+2)-1, and from 8,192 on each
+// segment holds the next arenaSegKeys), each allocated whole when its
+// first key arrives and never moved. So a slot's index stays valid
+// across every doubling of the table, and only a spill's rebuild
+// (retable dropping finalized entries) compacts the arena into fresh
+// segments. The cap bounds the slack to one segment: doubling segments
+// all the way would let a stripe hold twice its keys' bytes.
 type exactStripe struct {
 	segs [][]byte
 	kw   int // key width
 }
 
+// arenaSegKeys is the largest arena segment, in keys; segment 11 is the
+// first of that size, and segments 0 to 11 hold 2·arenaSegKeys keys.
+const arenaSegKeys = 4096
+
 // arenaSeg locates arena index i: its segment and its key offset there.
 func arenaSeg(i int) (seg, off int) {
+	if i >= 2*arenaSegKeys {
+		// Segment 12 + (i - 2·arenaSegKeys)/arenaSegKeys.
+		return i/arenaSegKeys + 10, i % arenaSegKeys
+	}
 	if seg = bits.Len(uint(i) >> 2); seg > 0 {
 		i -= 2 << seg
 	}
 	return seg, i
+}
+
+// segKeys is how many keys arena segment seg holds.
+func segKeys(seg int) int {
+	switch {
+	case seg == 0:
+		return 4
+	case seg >= 11:
+		return arenaSegKeys
+	}
+	return 2 << seg
 }
 
 // keyAt returns the arena key at index i.
@@ -159,10 +190,7 @@ func (x *exactStripe) store(i int, key []byte) int64 {
 	seg, off := arenaSeg(i)
 	var grew int64
 	if off == 0 {
-		n := 4
-		if seg > 0 {
-			n = 2 << seg
-		}
+		n := segKeys(seg)
 		x.segs = append(x.segs, make([]byte, n*x.kw))
 		grew = int64(n * x.kw)
 	}
@@ -170,13 +198,13 @@ func (x *exactStripe) store(i int, key []byte) int64 {
 	return grew
 }
 
-// bytes is what the arena's segments hold: 4, 8, 16, … keys' worth for
-// one, two, three, … segments.
+// bytes is what the arena's segments hold.
 func (x *exactStripe) bytes() int {
-	if len(x.segs) == 0 {
-		return 0
+	b := 0
+	for _, seg := range x.segs {
+		b += len(seg)
 	}
-	return 2 << len(x.segs) * x.kw
+	return b
 }
 
 // spillColumn is what a stripe owns besides its table under a memory
@@ -377,11 +405,24 @@ func (s *visitedStripe) reserve() int64 {
 	return s.bytes() - before
 }
 
+// tableHead is a stripe's table as prefetch reads it: the address of
+// its first slot (0 while it has none) and its length minus one. It is
+// rewritten only when the stripe's table is replaced, so unlike the
+// stripe's own line, which every claim writes, it stays shared in every
+// core's cache. A torn read costs one useless hint, never a fault.
+type tableHead struct {
+	base atomic.Uintptr
+	mask atomic.Uint64
+}
+
 // visitedSet is the engine's visited set.
 type visitedSet struct {
 	stripes []visitedStripe
 	mask    uint64      // len(stripes) - 1
 	pooled  atomic.Bool // some stripe made a table close should retire
+	// heads is each stripe's tableHead; nil in a one-stripe set, whose
+	// one worker is the only core that writes the stripe's line.
+	heads *[visitedStripes]tableHead
 	// keyWidth is the exact key's width; 0 selects hashed keys.
 	keyWidth int
 	// bornFinal is slotFinalized when no finalize call will ever come (no
@@ -418,7 +459,10 @@ func (vs *visitedSet) init(nworkers, keyWidth int, budget int64, bornFinal, audi
 	if nworkers == 1 {
 		n = 1
 	}
-	vs.stripes, vs.mask = make([]visitedStripe, n), uint64(n-1)
+	vs.stripes, vs.mask, vs.heads = make([]visitedStripe, n), uint64(n-1), nil
+	if n > 1 {
+		vs.heads = new([visitedStripes]tableHead)
+	}
 	vs.keyWidth, vs.budget = keyWidth, budget
 	if bornFinal {
 		vs.bornFinal = slotFinalized
@@ -456,6 +500,45 @@ func (vs *visitedSet) addResident(delta int64) {
 	}
 }
 
+// table is the address of s's first slot, 0 while it has none, and
+// its length minus one.
+func (s *visitedStripe) table() (base uintptr, mask uint64) {
+	if len(s.slots) > 0 {
+		base = uintptr(unsafe.Pointer(&s.slots[0]))
+	}
+	return base, uint64(len(s.slots) - 1)
+}
+
+// setHead republishes stripe i's table in its head, if the set has heads.
+func (vs *visitedSet) setHead(i uint64) {
+	if vs.heads != nil {
+		base, mask := vs.stripes[i].table()
+		vs.heads[i].base.Store(base)
+		vs.heads[i].mask.Store(mask)
+	}
+}
+
+// prefetch hints the lines a claim of a key hashing to h1 touches first:
+// its home slot, with the next line, which a 24-byte slot can straddle
+// into, and, for writing, its stripe's lock. It reads the stripe's head,
+// never the stripe, unless the set has one stripe and so one worker.
+func (vs *visitedSet) prefetch(h1 uint64) {
+	i := h1 & vs.mask
+	var base uintptr
+	var mask uint64
+	if h := vs.heads; h != nil {
+		base, mask = h[i].base.Load(), h[i].mask.Load()
+	} else {
+		base, mask = vs.stripes[i].table()
+	}
+	if base != 0 {
+		a := base + uintptr((h1>>8)&mask)*unsafe.Sizeof(slot{})
+		prefetch(a)
+		prefetch(a + 64)
+	}
+	prefetchW(uintptr(unsafe.Pointer(&vs.stripes[i])))
+}
+
 // add inserts a key that find did not find, sl being the empty slot it
 // returned: the table doubles first when the insert would overfill it,
 // and the arena takes a new segment when the key opens one.
@@ -465,6 +548,7 @@ func (vs *visitedSet) add(s *visitedStripe, sl *slot, h1, h2 uint64, key []byte,
 		if len(s.slots) >= minPooled {
 			vs.pooled.Store(true)
 		}
+		vs.setHead(h1 & vs.mask)
 		sl, _, _ = s.find(h1, h2, key)
 	}
 	if grew += s.put(sl, h1, h2, key, sleepAcc, meta); grew != 0 && (s.x != nil || s.sp != nil) {
@@ -662,7 +746,7 @@ func (vs *visitedSet) maybeSpill() {
 	defer vs.spillMu.Unlock()
 
 	type cand struct {
-		s     *visitedStripe
+		i     uint64
 		touch uint64
 	}
 	var cands []cand
@@ -670,7 +754,7 @@ func (vs *visitedSet) maybeSpill() {
 		s := &vs.stripes[i]
 		s.mu.Lock()
 		if s.n > 0 {
-			cands = append(cands, cand{s, s.sp.touch})
+			cands = append(cands, cand{uint64(i), s.sp.touch})
 		}
 		s.mu.Unlock()
 	}
@@ -679,15 +763,16 @@ func (vs *visitedSet) maybeSpill() {
 		if vs.resident.Load() <= vs.budget || vs.disabled.Load() {
 			return
 		}
-		vs.spillStripe(c.s)
+		vs.spillStripe(c.i)
 	}
 }
 
-// spillStripe moves the stripe's finalized entries into one spill
-// segment of records sorted on their key bytes and rebuilds its table
-// from the rest. On segment-creation failure the budget is disabled for
-// the rest of the run (exploration continues, in memory, exact).
-func (vs *visitedSet) spillStripe(s *visitedStripe) {
+// spillStripe moves stripe i's finalized entries into one spill segment
+// of records sorted on their key bytes and rebuilds its table from the
+// rest. On segment-creation failure the budget is disabled for the rest
+// of the run (exploration continues, in memory, exact).
+func (vs *visitedSet) spillStripe(i uint64) {
+	s := &vs.stripes[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -721,6 +806,7 @@ func (vs *visitedSet) spillStripe(s *visitedStripe) {
 	s.sp.segs = append(s.sp.segs, seg)
 	before := s.bytes()
 	s.retable(slotsFor(s.n-len(fin)), true)
+	vs.setHead(i)
 	vs.addResident(s.bytes() - before)
 	vs.spillEvents.Add(1)
 	vs.spilledStates.Add(uint64(len(fin)))
@@ -826,6 +912,7 @@ func (vs *visitedSet) close() {
 		}
 		retireSlots(s.slots)
 		s.slots, s.n = nil, 0
+		vs.setHead(uint64(i))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/programs"
 )
@@ -92,6 +93,9 @@ func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEn
 	if occupied != s.n {
 		t.Fatalf("%d occupied slots, n=%d", occupied, s.n)
 	}
+	if h := e.visited.heads; h != nil && len(s.slots) > 0 && (h[0].base.Load() != uintptr(unsafe.Pointer(&s.slots[0])) || h[0].mask.Load() != uint64(len(s.slots)-1)) {
+		t.Fatalf("stripe head (%#x, %d) does not name its table of %d slots", h[0].base.Load(), h[0].mask.Load(), len(s.slots))
+	}
 	if x := s.x; x != nil {
 		segs := 0
 		if s.n > 0 {
@@ -102,7 +106,7 @@ func stripeAudit(t *testing.T, e *engine, keys []modelKey, ref map[string]*refEn
 			t.Fatalf("arena of %d segments for %d keys, want %d", len(x.segs), s.n, segs)
 		}
 		for k, seg := range x.segs {
-			if want := max(4, 2<<k) * x.kw; len(seg) != want {
+			if want := min(max(4, 2<<k), 4096) * x.kw; len(seg) != want {
 				t.Fatalf("arena segment %d holds %d bytes, want %d", k, len(seg), want)
 			}
 		}
@@ -232,7 +236,7 @@ func TestVisitedStripeModel(t *testing.T) {
 				keys = append(keys, k)
 			}
 			spill := func() {
-				e.visited.spillStripe(s)
+				e.visited.spillStripe(0)
 				n := 0
 				for _, r := range ref {
 					if r.finalized && !r.spilled {
@@ -343,6 +347,32 @@ func TestVisitedStripeModel(t *testing.T) {
 					t.Fatalf("%s: restored key %s: status %d missing %b, want %b", tag, k.id(), st, missing, want)
 				}
 			}
+		}
+	}
+}
+
+// TestVisitedArenaSlackIsOneSegment stores 300,000 keys, far past where
+// arena segments stop doubling, into one exact stripe's arena: every key
+// must read back where it was written, no key may move, and the bytes
+// the segments hold past their keys must stay under one full segment,
+// where doubling segments would leave a stripe up to twice its keys'.
+func TestVisitedArenaSlackIsOneSegment(t *testing.T) {
+	const kw, n = 13, 300_000
+	x := &exactStripe{kw: kw}
+	at := make([]*byte, n)
+	key := make([]byte, kw)
+	for i := range n {
+		binary.LittleEndian.PutUint64(key, uint64(i))
+		x.store(i, key)
+		at[i] = &x.keyAt(i)[0]
+		if slack := x.bytes() - (i+1)*kw; slack < 0 || slack >= arenaSegKeys*kw {
+			t.Fatalf("%d keys: the arena holds %d bytes, %d past its keys", i+1, x.bytes(), slack)
+		}
+	}
+	for i := range n {
+		k := x.keyAt(i)
+		if got := binary.LittleEndian.Uint64(k); got != uint64(i) || &k[0] != at[i] {
+			t.Fatalf("arena index %d reads key %d at %p, stored at %p", i, got, &k[0], at[i])
 		}
 	}
 }

@@ -175,6 +175,37 @@ func swapRegs(sp *programs.SymProtocol, a, b tso.Reg) *programs.SymProtocol {
 	return &out
 }
 
+// wideLevels returns the n-process Peterson filter lock sp with level l
+// encoded as wideLevel[l] wherever a thread stores it or compares
+// against it. The encoding keeps the order of levels, so the space is
+// the same, but levels 1 and 2 put their bytes in opposite orders: a
+// register holding them compares one way as a value and the other way
+// byte by byte, as a signature compares it.
+func wideLevels(sp *programs.SymProtocol) *programs.SymProtocol {
+	// petersonNThread loads the level it compares against into r5.
+	const levelReg tso.Reg = 5
+	wideLevel := []arch.Word{0, 0x0102, 0x0201}
+	n := len(sp.Progs)
+	if n > len(wideLevel) {
+		panic("wideLevels: more levels than encodings")
+	}
+	out := *sp
+	out.Name = sp.Name + "-wide-levels"
+	out.Progs = make([]*tso.Program, n)
+	for i, p := range sp.Progs {
+		q := &tso.Program{Name: p.Name, Instrs: append([]tso.Instr(nil), p.Instrs...)}
+		for j := range q.Instrs {
+			in := &q.Instrs[j]
+			level := in.Op == tso.OpStoreI && in.Addr >= programs.AddrFlagN(0) && in.Addr < programs.AddrFlagN(n)
+			if level || in.Op == tso.OpLoadI && in.Rd == levelReg {
+				in.Imm = wideLevel[in.Imm]
+			}
+		}
+		out.Progs[i] = q
+	}
+	return &out
+}
+
 // TestChooseMatchesAllHeadsReference: Choose, which compares members by
 // head prefixes and builds a head only on a prefix tie, must choose the
 // rotation that comparing whole signatures built up front chooses
@@ -184,7 +215,10 @@ func swapRegs(sp *programs.SymProtocol, a, b tso.Reg) *programs.SymProtocol {
 // peterson3 without fences or with l-mfence exceed 1.9 M orbits; 8,000
 // under -short), and on 3-process copies whose first register is a pid
 // register, so a prefix that drops the normalization of pid values
-// shows. Some checked states must have members whose prefixes tie.
+// shows, or whose first register holds the levels it reads as
+// wideLevels encodes them, values of two bytes in opposite orders, so a
+// prefix that reads the register's bytes in the wrong order shows. Some
+// checked states must have members whose prefixes tie.
 func TestChooseMatchesAllHeadsReference(t *testing.T) {
 	var sps []*programs.SymProtocol
 	for n := 2; n <= 3; n++ {
@@ -194,6 +228,7 @@ func TestChooseMatchesAllHeadsReference(t *testing.T) {
 	}
 	for _, v := range []programs.DekkerVariant{programs.DekkerNoFence, programs.DekkerLmfence} {
 		sps = append(sps, swapRegs(programs.PetersonN(3, v), 0, 4))
+		sps = append(sps, swapRegs(wideLevels(programs.PetersonN(3, v)), 0, 3))
 	}
 	for _, sp := range sps {
 		t.Run(sp.Name, func(t *testing.T) {
