@@ -78,9 +78,9 @@ func RunPOR(workers int) *PORResult {
 
 	mutex := []litmus.Property{litmus.MutualExclusion}
 
-	p0, p1 := programs.StoreBufferPair()
-	add("sb", p0, p1, nil)
-	p0, p1 = programs.DekkerPair(programs.DekkerNoFence)
+	sb := litmus.CatalogEntry("SB").Build()
+	add("sb", sb[0], sb[1], nil)
+	p0, p1 := programs.DekkerPair(programs.DekkerNoFence)
 	add("dekker-nofence", p0, p1, mutex)
 	p0, p1 = programs.DekkerPair(programs.DekkerLmfence)
 	add("dekker-lmfence", p0, p1, mutex)

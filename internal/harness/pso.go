@@ -56,8 +56,8 @@ func RunPSO(workers int) *PSOResult {
 			Name:       ct.Name,
 			StatesTSO:  tsoRes.States,
 			StatesPSO:  psoRes.States,
-			AllowedTSO: ct.AllowedUnderTSO,
-			AllowedPSO: ct.AllowedUnderPSO,
+			AllowedTSO: ct.Allowed(arch.TSO),
+			AllowedPSO: ct.Allowed(arch.PSO),
 			Err:        tsoErr,
 		}
 		if row.Err == nil {

@@ -139,9 +139,9 @@ func RunResume(workers int) *ResumeResult {
 		res.Rows = append(res.Rows, row)
 	}
 
-	p0, p1 := programs.StoreBufferPair()
-	add("sb", p0, p1, nil)
-	p0, p1 = programs.DekkerPair(programs.DekkerNoFence)
+	sb := litmus.CatalogEntry("SB").Build()
+	add("sb", sb[0], sb[1], nil)
+	p0, p1 := programs.DekkerPair(programs.DekkerNoFence)
 	add("dekker-nofence", p0, p1, mutex)
 	p0, p1 = programs.DekkerPair(programs.DekkerMfence)
 	add("dekker-mfence", p0, p1, mutex)

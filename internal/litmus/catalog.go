@@ -2,9 +2,12 @@ package litmus
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
+	"repro/examples"
 	"repro/internal/arch"
-	"repro/internal/programs"
+	"repro/internal/litmuslang/syntax"
 	"repro/internal/tso"
 )
 
@@ -19,231 +22,121 @@ import (
 //
 // plus the store-atomicity TSO adds on top (writes reach the coherent
 // cache in one global order) — IRIW.
+//
+// Each entry is read from one embedded examples/*.litmus file: its
+// threads and config give the programs and the machine, and its two
+// expect lines give the relaxed outcome and whether TSO and PSO allow
+// it.
 type CatalogTest struct {
 	Name string
-	// Doc is a one-line description including the litmus shape.
-	Doc string
-	// Build constructs the programs, one per processor.
+	// File is the base name of the examples/*.litmus source.
+	File string
+	// Config is the machine the source declares.
+	Config arch.Config
+	// Build returns the programs, one per processor.
 	Build func() []*tso.Program
 	// Relaxed reports whether an outcome is the "relaxed" one the test
 	// probes for.
 	Relaxed func(Outcome) bool
-	// AllowedUnderTSO states whether the relaxed outcome must be
-	// reachable (true) or forbidden (false) on this machine.
-	AllowedUnderTSO bool
-	// AllowedUnderPSO states the expected classification under the PSO
-	// model (per-address store buffers): everything TSO allows stays
-	// allowed, and tests whose forbidden verdict rests on Principle 3
-	// (W-W order) additionally flip to allowed.
-	AllowedUnderPSO bool
+
+	allowedTSO, allowedPSO bool
 }
 
 // Allowed reports the expected classification of the relaxed outcome
 // under the given memory model.
 func (t CatalogTest) Allowed(model arch.MemModel) bool {
 	if model == arch.PSO {
-		return t.AllowedUnderPSO
+		return t.allowedPSO
 	}
-	return t.AllowedUnderTSO
+	return t.allowedTSO
 }
 
-// has matches an outcome fragment: proc, then whole "rK=V" tokens.
-func has(o Outcome, proc int, frags ...string) bool {
-	return o.Has(proc, frags...)
+// catalogFiles lists the catalog's sources in report order, SB first.
+var catalogFiles = []string{
+	"sb.litmus", "sb+mfence.litmus", "sb+lmfence.litmus", "mp.litmus", "lb.litmus",
+	"2+2w.litmus", "corr.litmus", "wrc.litmus", "rwc.litmus", "iriw.litmus",
 }
 
-// Catalog returns the litmus-test suite. Addresses: x=AddrX, y=AddrY.
-func Catalog() []CatalogTest {
-	b := func(name string) *tso.Builder { return tso.NewBuilder(name) }
-	x, y := programs.AddrX, programs.AddrY
-
-	return []CatalogTest{
-		{
-			Name: "SB",
-			Doc:  "store buffering: P0{x=1;r0=y} P1{y=1;r0=x}; r0==0 twice ALLOWED (Principle 4)",
-			Build: func() []*tso.Program {
-				return []*tso.Program{
-					b("sb0").StoreI(x, 1).Load(0, y).Halt().Build(),
-					b("sb1").StoreI(y, 1).Load(0, x).Halt().Build(),
-				}
-			},
-			Relaxed: func(o Outcome) bool {
-				return has(o, 0, "r0=0") && has(o, 1, "r0=0")
-			},
-			AllowedUnderTSO: true,
-			AllowedUnderPSO: true,
-		},
-		{
-			Name: "SB+mfence",
-			Doc:  "SB with mfence between store and load on both sides; forbidden",
-			Build: func() []*tso.Program {
-				return []*tso.Program{
-					b("sbf0").StoreI(x, 1).Mfence().Load(0, y).Halt().Build(),
-					b("sbf1").StoreI(y, 1).Mfence().Load(0, x).Halt().Build(),
-				}
-			},
-			Relaxed: func(o Outcome) bool {
-				return has(o, 0, "r0=0") && has(o, 1, "r0=0")
-			},
-			AllowedUnderTSO: false,
-			AllowedUnderPSO: false,
-		},
-		{
-			Name: "SB+lmfence",
-			Doc:  "SB with l-mfence on P0 (primary) and mfence on P1; forbidden (Theorem 4)",
-			Build: func() []*tso.Program {
-				return []*tso.Program{
-					b("sbl0").Lmfence(x, 1, programs.RegScratch).Load(0, y).Halt().Build(),
-					b("sbl1").StoreI(y, 1).Mfence().Load(0, x).Halt().Build(),
-				}
-			},
-			Relaxed: func(o Outcome) bool {
-				return has(o, 0, "r0=0") && has(o, 1, "r0=0")
-			},
-			AllowedUnderTSO: false,
-			AllowedUnderPSO: false,
-		},
-		{
-			Name: "MP",
-			Doc:  "message passing: P0{x=1;y=1} P1{r1=y;r2=x}; r1==1,r2==0 forbidden (Principles 1+3)",
-			Build: func() []*tso.Program {
-				return []*tso.Program{
-					b("mp0").StoreI(x, 1).StoreI(y, 1).Halt().Build(),
-					b("mp1").Load(1, y).Load(2, x).Halt().Build(),
-				}
-			},
-			Relaxed: func(o Outcome) bool {
-				return has(o, 1, "r1=1", "r2=0")
-			},
-			AllowedUnderTSO: false,
-			AllowedUnderPSO: true,
-		},
-		{
-			Name: "LB",
-			Doc:  "load buffering: P0{r1=x;y=1} P1{r1=y;x=1}; r1==1 twice forbidden (Principle 2)",
-			Build: func() []*tso.Program {
-				return []*tso.Program{
-					b("lb0").Load(1, x).StoreI(y, 1).Halt().Build(),
-					b("lb1").Load(1, y).StoreI(x, 1).Halt().Build(),
-				}
-			},
-			Relaxed: func(o Outcome) bool {
-				return has(o, 0, "r1=1") && has(o, 1, "r1=1")
-			},
-			AllowedUnderTSO: false,
-			AllowedUnderPSO: false,
-		},
-		{
-			Name: "2+2W",
-			Doc:  "P0{x=1;y=2} P1{y=1;x=2}; final x==1,y==1 forbidden (Principle 3 + coherence)",
-			Build: func() []*tso.Program {
-				// Read back the final values after a fence, on both procs.
-				return []*tso.Program{
-					b("w0").StoreI(x, 1).StoreI(y, 2).Mfence().Load(1, x).Load(2, y).Halt().Build(),
-					b("w1").StoreI(y, 1).StoreI(x, 2).Mfence().Load(1, x).Load(2, y).Halt().Build(),
-				}
-			},
-			Relaxed: func(o Outcome) bool {
-				// Both writers finished (fenced) and then both observe the
-				// *older* write of each location surviving: x==1 && y==1
-				// seen identically by both.
-				return has(o, 0, "r1=1", "r2=1") && has(o, 1, "r1=1", "r2=1")
-			},
-			AllowedUnderTSO: false,
-			AllowedUnderPSO: true,
-		},
-		{
-			Name: "CoRR",
-			Doc:  "coherence of read-read: P0{x=1;x=2} P1{r1=x;r2=x}; r1==2,r2==1 forbidden",
-			Build: func() []*tso.Program {
-				return []*tso.Program{
-					b("co0").StoreI(x, 1).StoreI(x, 2).Halt().Build(),
-					b("co1").Load(1, x).Load(2, x).Halt().Build(),
-				}
-			},
-			Relaxed: func(o Outcome) bool {
-				return has(o, 1, "r1=2", "r2=1")
-			},
-			AllowedUnderTSO: false,
-			AllowedUnderPSO: false,
-		},
-		{
-			Name: "WRC",
-			Doc:  "write-to-read causality: P0{x=1} P1{r1=x;y=1} P2{r1=y;r2=x}; P1 sees x, P2 sees y but not x — forbidden",
-			Build: func() []*tso.Program {
-				return []*tso.Program{
-					b("wrc0").StoreI(x, 1).Halt().Build(),
-					b("wrc1").Load(1, x).StoreI(y, 1).Halt().Build(),
-					b("wrc2").Load(1, y).Load(2, x).Halt().Build(),
-				}
-			},
-			Relaxed: func(o Outcome) bool {
-				return has(o, 1, "r1=1") && has(o, 2, "r1=1", "r2=0")
-			},
-			AllowedUnderTSO: false,
-			AllowedUnderPSO: false,
-		},
-		{
-			Name: "RWC",
-			Doc:  "read-to-write causality: P0{x=1} P1{r1=x;r2=y} P2{y=1;r1=x}; P1 sees x but not y while P2's read passes its y store — ALLOWED (P2's store buffering)",
-			Build: func() []*tso.Program {
-				return []*tso.Program{
-					b("rwc0").StoreI(x, 1).Halt().Build(),
-					b("rwc1").Load(1, x).Load(2, y).Halt().Build(),
-					b("rwc2").StoreI(y, 1).Load(1, x).Halt().Build(),
-				}
-			},
-			Relaxed: func(o Outcome) bool {
-				return has(o, 1, "r1=1", "r2=0") && has(o, 2, "r1=0")
-			},
-			AllowedUnderTSO: true,
-			AllowedUnderPSO: true,
-		},
-		{
-			Name: "IRIW",
-			Doc:  "independent reads of independent writes: readers must agree on the write order (TSO store atomicity)",
-			Build: func() []*tso.Program {
-				return []*tso.Program{
-					b("iriw-w0").StoreI(x, 1).Halt().Build(),
-					b("iriw-w1").StoreI(y, 1).Halt().Build(),
-					b("iriw-r0").Load(1, x).Load(2, y).Halt().Build(),
-					b("iriw-r1").Load(1, y).Load(2, x).Halt().Build(),
-				}
-			},
-			Relaxed: func(o Outcome) bool {
-				// Reader 2 saw x before y; reader 3 saw y before x.
-				return has(o, 2, "r1=1", "r2=0") && has(o, 3, "r1=1", "r2=0")
-			},
-			AllowedUnderTSO: false,
-			AllowedUnderPSO: false,
-		},
+var loadCatalog = sync.OnceValue(func() []CatalogTest {
+	cat := make([]CatalogTest, len(catalogFiles))
+	for i, file := range catalogFiles {
+		ct, err := readCatalogTest(file)
+		if err != nil {
+			panic(err) // the sources are compiled in; the catalog tests catch this
+		}
+		cat[i] = ct
 	}
+	return cat
+})
+
+// Catalog returns the litmus-test suite.
+func Catalog() []CatalogTest { return slices.Clone(loadCatalog()) }
+
+// CatalogEntry returns the catalog test with the given name. It panics
+// on a name the catalog lacks.
+func CatalogEntry(name string) CatalogTest {
+	for _, ct := range loadCatalog() {
+		if ct.Name == name {
+			return ct
+		}
+	}
+	panic(fmt.Sprintf("litmus: no catalog test %q", name))
 }
 
-// RunCatalogTest explores one catalog entry and reports whether the
-// machine classified it as expected.
-func RunCatalogTest(t CatalogTest) (Result, error) {
-	return RunCatalogTestWorkers(t, 0)
+// readCatalogTest lowers one embedded source into a catalog entry.
+func readCatalogTest(file string) (CatalogTest, error) {
+	src, err := examples.Litmus.ReadFile(file)
+	if err != nil {
+		return CatalogTest{}, err
+	}
+	u, err := syntax.LowerSource(string(src))
+	if err != nil {
+		return CatalogTest{}, fmt.Errorf("litmus: catalog source %s: %w", file, err)
+	}
+	// The parser allows one line per model and one outcome per file, so
+	// two lines are one for each model.
+	if len(u.Expect) != 2 {
+		return CatalogTest{}, fmt.Errorf("litmus: catalog source %s needs an expect line for tso and for pso", file)
+	}
+	ct := CatalogTest{
+		Name:   u.Name,
+		File:   file,
+		Config: u.Config,
+		Build:  func() []*tso.Program { return slices.Clone(u.Programs) },
+	}
+	for _, e := range u.Expect {
+		if e.Model == arch.PSO {
+			ct.allowedPSO = e.Allow
+		} else {
+			ct.allowedTSO = e.Allow
+		}
+	}
+	outcome := u.Expect[0].Outcome
+	toks := make([]string, len(outcome))
+	for i, c := range outcome {
+		if !slices.Contains(OutcomeRegs, c.Reg) {
+			return CatalogTest{}, fmt.Errorf("litmus: catalog source %s: outcomes do not record the register of %s", file, c)
+		}
+		toks[i] = fmt.Sprintf("r%d=%d", c.Reg, int64(c.Val))
+	}
+	ct.Relaxed = func(o Outcome) bool {
+		for i, c := range outcome {
+			if !o.Has(c.Proc, toks[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return ct, nil
 }
 
-// RunCatalogTestWorkers is RunCatalogTest with an explicit exploration
-// worker count (0 = GOMAXPROCS).
-func RunCatalogTestWorkers(t CatalogTest, workers int) (Result, error) {
-	return RunCatalogTestOpts(t, Options{Workers: workers})
-}
-
-// RunCatalogTestOpts is RunCatalogTest with full exploration options —
-// the entry point cmd/litmus uses to thread -reduction and -workers
-// through to the engine. The classification check is identical in all
-// variants: partial-order reduction preserves the outcome set, so a
-// catalog verdict must not depend on Options.Reduction.
+// RunCatalogTestOpts explores one catalog entry with the given options
+// and reports whether the machine classified it as expected. The
+// classification check does not depend on Options.Reduction:
+// partial-order reduction preserves the outcome set.
 func RunCatalogTestOpts(t CatalogTest, opts Options) (Result, error) {
 	progs := t.Build()
-	cfg := arch.DefaultConfig()
-	cfg.Procs = len(progs)
-	cfg.MemWords = 16
-	cfg.StoreBufferDepth = 4
-	build := func() *tso.Machine { return tso.NewMachine(cfg, progs...) }
+	build := func() *tso.Machine { return tso.NewMachine(t.Config, progs...) }
 	res := Explore(build, opts)
 	if res.Truncated {
 		return res, fmt.Errorf("litmus: %s truncated at %d states", t.Name, res.States)
@@ -251,7 +144,7 @@ func RunCatalogTestOpts(t CatalogTest, opts Options) (Result, error) {
 	if res.Deadlocks > 0 {
 		return res, fmt.Errorf("litmus: %s deadlocked %d times", t.Name, res.Deadlocks)
 	}
-	reached := res.CountOutcomes(func(o Outcome) bool { return t.Relaxed(o) }) > 0
+	reached := res.CountOutcomes(t.Relaxed) > 0
 	if want := t.Allowed(opts.Model); reached != want {
 		return res, fmt.Errorf("litmus: %s relaxed outcome reachable=%v under %s, want %v",
 			t.Name, reached, modelFor(opts).Name(), want)

@@ -1,11 +1,13 @@
 package litmus
 
 import (
+	"io/fs"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/examples"
 	"repro/internal/arch"
 	"repro/internal/tso"
 )
@@ -13,7 +15,7 @@ import (
 func TestCatalogClassifications(t *testing.T) {
 	for _, ct := range Catalog() {
 		t.Run(ct.Name, func(t *testing.T) {
-			res, err := RunCatalogTest(ct)
+			res, err := RunCatalogTestOpts(ct, Options{})
 			if err != nil {
 				for _, o := range res.SortedOutcomes() {
 					t.Logf("outcome: %s", o)
@@ -31,8 +33,10 @@ func TestCatalogHasTheCanonicalTests(t *testing.T) {
 	names := map[string]bool{}
 	for _, ct := range Catalog() {
 		names[ct.Name] = true
-		if ct.Doc == "" {
-			t.Errorf("%s: missing doc", ct.Name)
+		if ct.File == "" {
+			t.Errorf("%s: no source file", ct.Name)
+		} else if _, err := fs.Stat(examples.Litmus, ct.File); err != nil {
+			t.Errorf("%s: source not embedded: %v", ct.Name, err)
 		}
 	}
 	for _, want := range []string{"SB", "SB+mfence", "SB+lmfence", "MP", "LB", "2+2W", "CoRR", "IRIW", "WRC", "RWC"} {
@@ -151,14 +155,14 @@ func TestSCForbidsStoreBuffering(t *testing.T) {
 	}
 	sc := outcomesOf(progs, true)
 	for o := range sc {
-		if has(o, 0, "r0=0") && has(o, 1, "r0=0") {
+		if o.Has(0, "r0=0") && o.Has(1, "r0=0") {
 			t.Fatalf("SC model admits the SB relaxation: %s", o)
 		}
 	}
 	tsoOut := outcomesOf(progs, false)
 	found := false
 	for o := range tsoOut {
-		if has(o, 0, "r0=0") && has(o, 1, "r0=0") {
+		if o.Has(0, "r0=0") && o.Has(1, "r0=0") {
 			found = true
 		}
 	}

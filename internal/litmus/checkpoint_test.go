@@ -349,7 +349,7 @@ func TestCheckpointTempCrashAtomicity(t *testing.T) {
 // Interrupt flag and resumes it: the reassembled result must match an
 // uninterrupted run, and the interrupted one must say so.
 func TestInterruptThenResume(t *testing.T) {
-	p0, p1 := programs.StoreBufferPair()
+	p0, p1 := catalogPair("SB")
 	build := machineFor(p0, p1)
 	base := Options{Workers: 1}
 	ref := Explore(build, base)
@@ -384,7 +384,7 @@ func TestResumeOfCompletedRun(t *testing.T) {
 	t.Run("drained", func(t *testing.T) {
 		// Under the cadence: the run never touches a checkpoint file, and
 		// there is nothing to resume (the caller's os.Stat case).
-		p0, p1 := programs.StoreBufferPair()
+		p0, p1 := catalogPair("SB")
 		dir := t.TempDir()
 		sb := Explore(machineFor(p0, p1), Options{Workers: 1, Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 5000}})
 		if got := sb.Obs.Counters["checkpoint_writes"]; got != 0 {
@@ -551,7 +551,7 @@ func TestResumeParentWrittenCheckpoint(t *testing.T) {
 // accepted rows are the key-mode ones: a file resumes on its own keys,
 // whatever Collapse or MemBudget say.
 func TestResumeRejections(t *testing.T) {
-	p0, p1 := programs.StoreBufferPair()
+	p0, p1 := catalogPair("SB")
 	build := machineFor(p0, p1)
 	opts := Options{Workers: 1}
 	ref := Explore(build, opts)
@@ -724,7 +724,7 @@ func TestSpillFailureDegradation(t *testing.T) {
 // TestCheckpointDirUncreatable: checkpointing into an impossible dir
 // degrades to an ordinary run instead of failing it.
 func TestCheckpointDirUncreatable(t *testing.T) {
-	p0, p1 := programs.StoreBufferPair()
+	p0, p1 := catalogPair("SB")
 	build := machineFor(p0, p1)
 	blocker := filepath.Join(t.TempDir(), "f")
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
@@ -749,7 +749,7 @@ func TestCheckpointDirUncreatable(t *testing.T) {
 // map, Collapse has no hash pair to audit, and a MemBudget cannot spill
 // the map. A refused run touches no checkpoint directory.
 func TestVerifyVisitedRefusesCheckpoint(t *testing.T) {
-	p0, p1 := programs.StoreBufferPair()
+	p0, p1 := catalogPair("SB")
 	build := machineFor(p0, p1)
 	parked, dir := t.TempDir(), t.TempDir()
 	var stop atomic.Bool

@@ -17,6 +17,12 @@ func machineFor(progs ...*tso.Program) func() *tso.Machine {
 	return func() *tso.Machine { return tso.NewMachine(cfg, progs...) }
 }
 
+// catalogPair returns the programs of the named two-thread catalog test.
+func catalogPair(name string) (*tso.Program, *tso.Program) {
+	progs := CatalogEntry(name).Build()
+	return progs[0], progs[1]
+}
+
 func explore(t *testing.T, build func() *tso.Machine, opts Options) Result {
 	t.Helper()
 	res := Explore(build, opts)
@@ -32,7 +38,7 @@ func explore(t *testing.T, build func() *tso.Machine, opts Options) Result {
 // --- The classic store-buffering litmus test -------------------------
 
 func TestSBReordersWithoutFence(t *testing.T) {
-	p0, p1 := programs.StoreBufferPair()
+	p0, p1 := catalogPair("SB")
 	res := explore(t, machineFor(p0, p1), Options{})
 	// TSO permits both loads to read 0: the reordering of Principle 4.
 	if !res.HasOutcome(0, "r0=0") {
@@ -48,7 +54,7 @@ func TestSBReordersWithoutFence(t *testing.T) {
 }
 
 func TestSBMfenceForbidsReordering(t *testing.T) {
-	p0, p1 := programs.StoreBufferFencedPair()
+	p0, p1 := catalogPair("SB+mfence")
 	res := explore(t, machineFor(p0, p1), Options{})
 	both := res.CountOutcomes(func(o Outcome) bool {
 		return strings.Contains(procSection(string(o), 0), "r0=0") &&
@@ -62,7 +68,7 @@ func TestSBMfenceForbidsReordering(t *testing.T) {
 // Theorem 4's observable consequence: pairing l-mfence (primary) with
 // mfence (secondary) forbids the SB outcome exactly like two mfences do.
 func TestSBLmfenceForbidsReordering(t *testing.T) {
-	p0, p1 := programs.StoreBufferLmfencePair()
+	p0, p1 := catalogPair("SB+lmfence")
 	res := explore(t, machineFor(p0, p1), Options{})
 	both := res.CountOutcomes(func(o Outcome) bool {
 		return strings.Contains(procSection(string(o), 0), "r0=0") &&
@@ -83,7 +89,7 @@ func TestSBLmfenceForbidsReordering(t *testing.T) {
 // --- Message passing: write-write / read-read ordering ----------------
 
 func TestMPOrderingHolds(t *testing.T) {
-	p0, p1 := programs.MessagePassingPair()
+	p0, p1 := catalogPair("MP")
 	res := explore(t, machineFor(p0, p1), Options{})
 	// r1 is the flag, r2 the data: flag==1 && data==0 must be forbidden
 	// (Principles 1 and 3).

@@ -66,12 +66,12 @@ func machinePoolKeepsResults(t *testing.T) {
 		build func() *tso.Machine
 		opts  Options
 	}{
-		{"SB", catalogMachine(t, "SB"), Options{}},
+		{"SB", catalogMachine("SB"), Options{}},
 		{"dekker/nofence", machineFor(d0, d1), Options{Properties: me}},
 		{"dekker/nofence/stop", machineFor(d0, d1), Options{Properties: me, StopOnViolation: true}},
 		{"dekker/nofence/reduced-stop", machineFor(d0, d1), Options{Properties: me, Reduction: true, StopOnViolation: true}},
-		{"IRIW", catalogMachine(t, "IRIW"), Options{}},
-		{"MP/pso", catalogMachine(t, "MP"), Options{Model: arch.PSO}},
+		{"IRIW", catalogMachine("IRIW"), Options{}},
+		{"MP/pso", catalogMachine("MP"), Options{Model: arch.PSO}},
 		{"peterson/sb2", small(p0, p1), Options{Properties: me}},
 		{"peterson/sb2/collapse", small(p0, p1), Options{Properties: me, Collapse: true}},
 	}
@@ -147,7 +147,7 @@ func TestMachinePoolDropsTracer(t *testing.T) {
 	drainMachinePool()
 	defer drainMachinePool()
 	tr := &countTracer{}
-	build := catalogMachine(t, "SB")
+	build := catalogMachine("SB")
 	var root *tso.Machine
 	Explore(func() *tso.Machine {
 		root = build()
@@ -170,7 +170,7 @@ func TestMachinePoolDropsTracer(t *testing.T) {
 	if before == 0 {
 		t.Fatal("the traced root reported no events")
 	}
-	Explore(catalogMachine(t, "2+2W"), Options{Workers: 1})
+	Explore(catalogMachine("2+2W"), Options{Workers: 1})
 	if tr.events != before {
 		t.Errorf("a later exploration reported %d events to an earlier run's tracer", tr.events-before)
 	}

@@ -35,7 +35,7 @@ func TestTSOIsDefaultModel(t *testing.T) {
 		"IRIW":       1116,
 	}
 	for _, ct := range Catalog() {
-		res, err := RunCatalogTest(ct)
+		res, err := RunCatalogTestOpts(ct, Options{})
 		if err != nil {
 			t.Errorf("%s: %v", ct.Name, err)
 			continue
@@ -58,7 +58,7 @@ func TestPSOCatalogClassifications(t *testing.T) {
 	widened := map[string]bool{"MP": true, "2+2W": true}
 	for _, ct := range Catalog() {
 		t.Run(ct.Name, func(t *testing.T) {
-			tsoRes, err := RunCatalogTest(ct)
+			tsoRes, err := RunCatalogTestOpts(ct, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestClassicProtocolsUnderPSO(t *testing.T) {
 // periodic commits of runs that drained (a drained run writes no final
 // one).
 func TestModelCheckpointMismatchPSO(t *testing.T) {
-	p0, p1 := programs.StoreBufferPair()
+	p0, p1 := catalogPair("SB")
 	build := machineFor(p0, p1)
 	every := CheckpointOptions{EveryStates: 20}
 

@@ -60,9 +60,9 @@ func TestCatalogUnderAllProtocols(t *testing.T) {
 					t.Fatalf("%s: truncated=%v deadlocks=%d", ct.Name, res.Truncated, res.Deadlocks)
 				}
 				reached := res.CountOutcomes(func(o Outcome) bool { return ct.Relaxed(o) }) > 0
-				if reached != ct.AllowedUnderTSO {
+				if reached != ct.Allowed(arch.TSO) {
 					t.Errorf("%s under %v: relaxed reachable=%v, want %v",
-						ct.Name, proto, reached, ct.AllowedUnderTSO)
+						ct.Name, proto, reached, ct.Allowed(arch.TSO))
 				}
 			}
 		})

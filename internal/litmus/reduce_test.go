@@ -225,7 +225,7 @@ func TestReductionRatio(t *testing.T) {
 		name  string
 		build func() *tso.Machine
 	}{}
-	sb0, sb1 := programs.StoreBufferPair()
+	sb0, sb1 := catalogPair("SB")
 	cases = append(cases, struct {
 		name  string
 		build func() *tso.Machine
@@ -448,7 +448,7 @@ func TestVerifyVisitedCatchesInjectedMerge(t *testing.T) {
 	t.Cleanup(func() { pairFilter = nil })
 	pairFilter = func(_, _ uint64, _ []byte) (uint64, uint64) { return 7, 7 }
 
-	p0, p1 := programs.StoreBufferPair()
+	p0, p1 := catalogPair("SB")
 	build := machineFor(p0, p1)
 	serial := ExploreSerial(build, Options{})
 	ver := Explore(build, Options{Workers: 2, VerifyVisited: true})

@@ -17,17 +17,11 @@ func drainSlotPools() {
 	clear(tableFree)
 }
 
-// catalogMachine is the builder RunCatalogTestOpts uses for the named
-// catalog test.
-func catalogMachine(t *testing.T, name string) func() *tso.Machine {
-	t.Helper()
-	for _, ct := range Catalog() {
-		if ct.Name == name {
-			return machineFor(ct.Build()...)
-		}
-	}
-	t.Fatalf("no catalog test %q", name)
-	return nil
+// catalogMachine builds the named catalog test's machine.
+func catalogMachine(name string) func() *tso.Machine {
+	ct := CatalogEntry(name)
+	progs := ct.Build()
+	return func() *tso.Machine { return tso.NewMachine(ct.Config, progs...) }
 }
 
 // TestVisitedRecycledTableIsCleared: a table taken from the pool holds
@@ -72,7 +66,7 @@ func TestVisitedTablesRecycledAcrossRuns(t *testing.T) {
 	nofence := machineFor(n0, n1)
 	m0, m1 := programs.DekkerPair(programs.DekkerMfence)
 	mfence := machineFor(m0, m1)
-	twoW := catalogMachine(t, "2+2W")
+	twoW := catalogMachine("2+2W")
 	mutex := []Property{MutualExclusion}
 
 	resumed := func(build func() *tso.Machine, from, to int) func(*testing.T) Result {
@@ -170,7 +164,7 @@ func TestVisitedWarmOneWorkerTableBytes(t *testing.T) {
 		keys = append(keys, pair{h1, h2})
 		return h1, h2
 	}
-	ref := Explore(catalogMachine(t, "2+2W"), Options{Workers: 1})
+	ref := Explore(catalogMachine("2+2W"), Options{Workers: 1})
 	pairFilter = nil
 	if ref.States != 265 {
 		t.Fatalf("2+2W explored %d states, want 265", ref.States)

@@ -1,3 +1,10 @@
+// Package litmuslang compiles the textual litmus language (the
+// lexer, parser, AST, lowering and renderer live in package syntax,
+// whose doc describes the language) to what the checker and the
+// synthesizer consume: per-processor tso.Programs plus an arch.Config,
+// as syntax lowers them, and the declared assertion as a
+// litmus.Property or a synth.Problem. The front-end names are
+// re-exported here so callers need one import.
 package litmuslang
 
 import (
@@ -6,30 +13,37 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/litmus"
+	"repro/internal/litmuslang/syntax"
 	"repro/internal/synth"
 	"repro/internal/tso"
 )
 
-// Compiled is the lowered form of a litmus file: per-processor programs
-// (thread i runs on processor i), the machine configuration, and —
-// when the source declares an assertion — the litmus.Property it
-// compiles to.
+// The front end's names its callers use, re-exported.
+type (
+	File   = syntax.File
+	Assert = syntax.Assert
+)
+
+// The assertion kinds, re-exported.
+const (
+	AssertNone   = syntax.AssertNone
+	AssertMutex  = syntax.AssertMutex
+	AssertForbid = syntax.AssertForbid
+)
+
+// Parse parses litmus-DSL source into its AST.
+func Parse(src string) (*File, error) { return syntax.Parse(src) }
+
+// Render emits a complete, parseable .litmus file (see syntax.Render).
+func Render(name string, cfg arch.Config, progs []*tso.Program, assert Assert) string {
+	return syntax.Render(name, cfg, progs, assert)
+}
+
+// Compiled is a lowered litmus file plus — when the source declares an
+// assertion — the litmus.Property it compiles to. Expect lines never
+// compile to a property.
 type Compiled struct {
-	// Name is the litmus name (the file's declared name, or "litmus").
-	Name string
-
-	// Programs are the per-processor programs in thread order.
-	Programs []*tso.Program
-
-	// Config is the machine configuration the file describes.
-	Config arch.Config
-
-	// Shared maps each declared shared name to its resolved address.
-	Shared map[string]arch.Addr
-
-	// Assert echoes the declared property kind, for callers that render
-	// or rewrite the source.
-	Assert Assert
+	syntax.Unit
 
 	// Property is the compiled assertion (nil when the file declares
 	// none). PropertyDoc describes it for reports.
@@ -39,12 +53,6 @@ type Compiled struct {
 
 // HasProperty reports whether the source declared an assertion.
 func (c *Compiled) HasProperty() bool { return c.Property != nil }
-
-// Build constructs a fresh machine for exploration, in the shape
-// litmus.Explore expects.
-func (c *Compiled) Build() *tso.Machine {
-	return tso.NewMachine(c.Config, c.Programs...)
-}
 
 // Properties returns the compiled property as a litmus.Options property
 // slice (empty when the file declares none).
@@ -71,357 +79,28 @@ func (c *Compiled) Problem() (synth.Problem, error) {
 	}, nil
 }
 
-// Compile lowers a parsed file: resolves shared names, sizes the
-// machine, assembles each thread through tso.Builder, and compiles the
+// Compile lowers a parsed file (syntax.Lower) and compiles its
 // assertion. All errors are positioned; Compile never panics on any
 // Parse-accepted input (the fuzz targets pin that down).
 func Compile(f *File) (*Compiled, error) {
-	c := &Compiled{Name: f.Name, Assert: f.Assert}
-	if c.Name == "" {
-		c.Name = "litmus"
-	}
-
-	if err := resolveShared(f, c); err != nil {
-		return nil, err
-	}
-	if err := resolveConfig(f, c); err != nil {
-		return nil, err
-	}
-
-	sawCS := false
-	for i, th := range f.Threads {
-		prog, hasCS, err := compileThread(c, i, th)
-		if err != nil {
-			return nil, err
-		}
-		sawCS = sawCS || hasCS
-		c.Programs = append(c.Programs, prog)
-	}
-
-	if err := compileAssert(f, c, sawCS); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// CompileSource parses and compiles in one step.
-func CompileSource(src string) (*Compiled, error) {
-	f, err := Parse(src)
+	u, err := syntax.Lower(f)
 	if err != nil {
 		return nil, err
 	}
-	return Compile(f)
-}
-
-// resolveShared binds shared names to addresses: explicit "@ addr"
-// bindings first, then the remaining names get the lowest free words in
-// declaration order. Distinct names may alias one address (the classic
-// protocols do), but a name may only be declared once.
-func resolveShared(f *File, c *Compiled) error {
-	c.Shared = make(map[string]arch.Addr, len(f.Shared))
-	taken := make(map[arch.Addr]bool)
-	for _, d := range f.Shared {
-		if _, dup := c.Shared[d.Name]; dup {
-			return fmt.Errorf("litmus:%d: duplicate shared name %q", d.Line, d.Name)
-		}
-		if d.HasAddr {
-			c.Shared[d.Name] = d.Addr
-			taken[d.Addr] = true
-		} else {
-			c.Shared[d.Name] = 0 // assigned below
-		}
-	}
-	next := arch.Addr(0)
-	for _, d := range f.Shared {
-		if d.HasAddr {
-			continue
-		}
-		for taken[next] {
-			next++
-		}
-		c.Shared[d.Name] = next
-		taken[next] = true
-		next++
-	}
-	return nil
-}
-
-// resolveConfig sizes the machine: declared options win, the rest
-// default to the repository's litmus-test configuration (4-deep store
-// buffers, MESI, one link pair, memory covering every referenced word
-// with a 16-word floor).
-func resolveConfig(f *File, c *Compiled) error {
-	cfg := arch.DefaultConfig()
-	cfg.Procs = len(f.Threads)
-	cfg.StoreBufferDepth = 4
-	if f.Config.SBDepth != nil {
-		cfg.StoreBufferDepth = *f.Config.SBDepth
-	}
-	if f.Config.Links != nil {
-		cfg.Links = *f.Config.Links
-	}
-	if f.Config.Protocol != nil {
-		cfg.Protocol = *f.Config.Protocol
-	}
-	if f.Config.Model != nil {
-		cfg.Model = *f.Config.Model
-	}
-
-	maxAddr := arch.Addr(0)
-	for _, a := range c.Shared {
-		if a > maxAddr {
-			maxAddr = a
-		}
-	}
-	for _, th := range f.Threads {
-		for _, st := range th.Stmts {
-			for _, o := range st.Operands {
-				if o.Kind == OpndAddr && o.Sym == "" && o.Addr > maxAddr {
-					maxAddr = o.Addr
-				}
-			}
-		}
-	}
-	cfg.MemWords = 16
-	if w := int(maxAddr) + 1; w > cfg.MemWords {
-		cfg.MemWords = w
-	}
-	if f.Config.MemWords != nil {
-		cfg.MemWords = *f.Config.MemWords
-		if int(maxAddr) >= cfg.MemWords {
-			return fmt.Errorf("litmus: address 0x%x is outside the declared memwords %d", uint32(maxAddr), cfg.MemWords)
-		}
-	}
-	c.Config = cfg
-	return c.Config.Validate()
-}
-
-// compileThread assembles one thread block through tso.Builder,
-// reporting whether the block contains a critical section.
-func compileThread(c *Compiled, idx int, th Thread) (prog *tso.Program, hasCS bool, err error) {
-	name := th.Name
-	if name == "" {
-		name = fmt.Sprintf("p%d", idx)
-	}
-
-	// Validate labels up front so the Builder (which panics on duplicate
-	// or undefined labels) never sees a bad one.
-	labels := make(map[string]int)
-	for _, st := range th.Stmts {
-		if st.Label == "" {
-			continue
-		}
-		if _, dup := labels[st.Label]; dup {
-			return nil, false, fmt.Errorf("litmus:%d: duplicate label %q in thread %d", st.Line, st.Label, idx)
-		}
-		labels[st.Label] = st.Line
-	}
-	for _, st := range th.Stmts {
-		for _, o := range st.Operands {
-			if o.Kind == OpndLabel {
-				if _, ok := labels[o.Sym]; !ok {
-					return nil, false, fmt.Errorf("litmus:%d: undefined label %q in thread %d", st.Line, o.Sym, idx)
-				}
-			}
-		}
-	}
-
-	b := tso.NewBuilder(name)
-	for _, st := range th.Stmts {
-		if st.Label != "" {
-			b.Label(st.Label)
-			continue
-		}
-		if st.Op == "cs.enter" {
-			hasCS = true
-		}
-		if err := emitStmt(c, b, idx, st); err != nil {
-			return nil, false, err
-		}
-	}
-	return b.Build(), hasCS, nil
-}
-
-// addrOf resolves an address operand against the shared table and
-// bounds-checks it against the configured memory.
-func addrOf(c *Compiled, idx int, st Stmt, o Operand) (arch.Addr, error) {
-	a := o.Addr
-	if o.Sym != "" {
-		var ok bool
-		a, ok = c.Shared[o.Sym]
-		if !ok {
-			return 0, fmt.Errorf("litmus:%d: thread %d references undeclared shared word %q", st.Line, idx, o.Sym)
-		}
-	}
-	if int(a) >= c.Config.MemWords {
-		return 0, fmt.Errorf("litmus:%d: address 0x%x is outside the %d-word memory", st.Line, uint32(a), c.Config.MemWords)
-	}
-	return a, nil
-}
-
-// emitStmt lowers one instruction statement onto the builder.
-func emitStmt(c *Compiled, b *tso.Builder, idx int, st Stmt) error {
-	// Resolve operand shorthands.
-	reg := func(i int) tso.Reg { return st.Operands[i].Reg }
-	imm := func(i int) arch.Word { return arch.Word(st.Operands[i].Int) }
-	lbl := func(i int) string { return st.Operands[i].Sym }
-	addr := func(i int) (arch.Addr, error) { return addrOf(c, idx, st, st.Operands[i]) }
-
-	indexed := func(i int) bool { return st.Operands[i].Indexed }
-	if st.Op != "loadidx" && st.Op != "storeidx" {
-		for _, o := range st.Operands {
-			if o.Kind == OpndAddr && o.Indexed {
-				return fmt.Errorf("litmus:%d: %s does not take an indexed address", st.Line, st.Op)
-			}
-		}
-	}
-
-	switch st.Op {
-	case "nop":
-		b.Nop()
-	case "halt":
-		b.Halt()
-	case "mfence":
-		b.Mfence()
-	case "linkbranch":
-		b.LinkBranch()
-	case "cs.enter":
-		b.CSEnter()
-	case "cs.exit":
-		b.CSExit()
-	case "loadi":
-		b.LoadI(reg(0), imm(1))
-	case "load":
-		a, err := addr(1)
-		if err != nil {
-			return err
-		}
-		b.Load(reg(0), a)
-	case "loadidx":
-		if !indexed(1) {
-			return fmt.Errorf("litmus:%d: loadidx needs an indexed address [base+rN]", st.Line)
-		}
-		a, err := addr(1)
-		if err != nil {
-			return err
-		}
-		b.LoadIdx(reg(0), a, st.Operands[1].Reg)
-	case "le":
-		a, err := addr(1)
-		if err != nil {
-			return err
-		}
-		b.LE(reg(0), a)
-	case "store":
-		a, err := addr(0)
-		if err != nil {
-			return err
-		}
-		b.Store(a, reg(1))
-	case "storei":
-		a, err := addr(0)
-		if err != nil {
-			return err
-		}
-		b.StoreI(a, imm(1))
-	case "storeidx":
-		if !indexed(0) {
-			return fmt.Errorf("litmus:%d: storeidx needs an indexed address [base+rN]", st.Line)
-		}
-		a, err := addr(0)
-		if err != nil {
-			return err
-		}
-		b.StoreIdx(a, st.Operands[0].Reg, reg(1))
-	case "st.linked":
-		a, err := addr(0)
-		if err != nil {
-			return err
-		}
-		b.StoreLinked(a, imm(1))
-	case "st.linked.r":
-		a, err := addr(0)
-		if err != nil {
-			return err
-		}
-		b.StoreLinkedReg(a, reg(1))
-	case "linkbegin":
-		a, err := addr(0)
-		if err != nil {
-			return err
-		}
-		b.LinkBegin(a)
-	case "add":
-		b.Add(reg(0), reg(1), reg(2))
-	case "sub":
-		b.Sub(reg(0), reg(1), reg(2))
-	case "addi":
-		b.AddI(reg(0), reg(1), imm(2))
-	case "beq":
-		b.Beq(reg(0), imm(1), lbl(2))
-	case "bne":
-		b.Bne(reg(0), imm(1), lbl(2))
-	case "blt":
-		b.Blt(reg(0), reg(1), lbl(2))
-	case "jmp":
-		b.Jmp(lbl(0))
-	case "lmfence":
-		if st.Note != "" {
-			return fmt.Errorf("litmus:%d: a note is not allowed on the lmfence macro (it expands to four instructions)", st.Line)
-		}
-		a, err := addr(0)
-		if err != nil {
-			return err
-		}
-		b.Lmfence(a, imm(1), reg(2))
-	case "lmfence.r":
-		if st.Note != "" {
-			return fmt.Errorf("litmus:%d: a note is not allowed on the lmfence.r macro (it expands to four instructions)", st.Line)
-		}
-		a, err := addr(0)
-		if err != nil {
-			return err
-		}
-		b.LmfenceReg(a, st.Operands[1].Reg, reg(2))
-	default:
-		return fmt.Errorf("litmus:%d: unknown instruction %q", st.Line, st.Op)
-	}
-	if st.Note != "" {
-		b.Note(st.Note)
-	}
-	return nil
-}
-
-// compileAssert lowers the declared property.
-func compileAssert(f *File, c *Compiled, sawCS bool) error {
-	switch f.Assert.Kind {
-	case AssertNone:
-		return nil
-
+	c := &Compiled{Unit: u}
+	switch c.Assert.Kind {
 	case AssertMutex:
-		if !sawCS {
-			return fmt.Errorf("litmus: %s asserts mutex but no thread brackets a critical section with cs.enter/cs.exit", c.Name)
-		}
 		c.Property = litmus.MutualExclusion
 		c.PropertyDoc = "no two processors inside their critical sections"
-		return nil
-
 	case AssertForbid:
-		nproc := len(f.Threads)
-		for _, conj := range f.Assert.Forbidden {
-			for _, cd := range conj {
-				if cd.Proc >= nproc {
-					return fmt.Errorf("litmus: forbid condition %s names processor %d, but the file has %d threads",
-						cd, cd.Proc, nproc)
-				}
-			}
-		}
 		// Copy the conditions so the property does not alias the AST.
-		forbidden := make([][]Cond, len(f.Assert.Forbidden))
-		for i, conj := range f.Assert.Forbidden {
-			forbidden[i] = append([]Cond(nil), conj...)
+		forbidden := make([]syntax.Conj, len(c.Assert.Forbidden))
+		alts := make([]string, len(forbidden))
+		for i, conj := range c.Assert.Forbidden {
+			forbidden[i] = append(syntax.Conj(nil), conj...)
+			alts[i] = conj.String()
 		}
-		c.PropertyDoc = forbidDoc(forbidden)
+		c.PropertyDoc = "forbidden quiesced outcome: " + strings.Join(alts, " | ")
 		c.Property = synth.ForbiddenQuiesced(c.PropertyDoc, func(m *tso.Machine) bool {
 			for _, conj := range forbidden {
 				hit := true
@@ -437,20 +116,15 @@ func compileAssert(f *File, c *Compiled, sawCS bool) error {
 			}
 			return false
 		})
-		return nil
 	}
-	return fmt.Errorf("litmus: unknown assertion kind %d", f.Assert.Kind)
+	return c, nil
 }
 
-// forbidDoc renders the forbidden-outcome declaration for reports.
-func forbidDoc(forbidden [][]Cond) string {
-	var alts []string
-	for _, conj := range forbidden {
-		parts := make([]string, len(conj))
-		for i, cd := range conj {
-			parts[i] = cd.String()
-		}
-		alts = append(alts, strings.Join(parts, " & "))
+// CompileSource parses and compiles in one step.
+func CompileSource(src string) (*Compiled, error) {
+	f, err := Parse(src)
+	if err != nil {
+		return nil, err
 	}
-	return "forbidden quiesced outcome: " + strings.Join(alts, " | ")
+	return Compile(f)
 }

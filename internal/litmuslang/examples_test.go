@@ -1,60 +1,34 @@
 package litmuslang_test
 
 import (
-	"os"
-	"path/filepath"
+	"io/fs"
 	"reflect"
 	"sort"
 	"testing"
 
+	"repro/examples"
+	"repro/internal/arch"
 	"repro/internal/litmus"
 	"repro/internal/litmuslang"
 	"repro/internal/programs"
 	"repro/internal/tso"
 )
 
-const examplesDir = "../../examples"
-
-// exampleCase ties one checked-in .litmus file to the hand-built
-// programs it transcribes.
+// exampleCase ties one checked-in protocol .litmus file to the
+// hand-built internal/programs pair it must agree with.
 type exampleCase struct {
 	file  string
 	build func() []*tso.Program
-	// mutex marks protocol files (hand-built side checked with
-	// litmus.MutualExclusion); catalog files carry their property in the
-	// source.
-	mutex bool
-	// violates is the expected verdict where the file declares a
-	// property: true means the forbidden outcome / mutex violation is
-	// reachable under TSO.
+	// violates is the expected mutual-exclusion verdict: true means a
+	// violation is reachable under TSO.
 	violates bool
 }
 
-func exampleCases(t *testing.T) []exampleCase {
-	t.Helper()
-	catalogFile := map[string]string{
-		"SB":         "sb.litmus",
-		"SB+mfence":  "sb+mfence.litmus",
-		"SB+lmfence": "sb+lmfence.litmus",
-		"MP":         "mp.litmus",
-		"LB":         "lb.litmus",
-		"2+2W":       "2+2w.litmus",
-		"CoRR":       "corr.litmus",
-		"WRC":        "wrc.litmus",
-		"RWC":        "rwc.litmus",
-		"IRIW":       "iriw.litmus",
-	}
+// exampleCases lists the protocol files (Dekker, Peterson, bakery)
+// against their hand-built internal/programs pairs. The catalog files
+// have no hand-built twin: they are the catalog's only source.
+func exampleCases() []exampleCase {
 	var cases []exampleCase
-	for _, ct := range litmus.Catalog() {
-		file, ok := catalogFile[ct.Name]
-		if !ok {
-			t.Fatalf("catalog test %q has no example file — add one under examples/", ct.Name)
-		}
-		// A catalog file declares "forbid" exactly when the relaxed
-		// outcome is forbidden, so a violation is never expected.
-		cases = append(cases, exampleCase{file: file, build: ct.Build})
-	}
-
 	pair := func(a, b *tso.Program) []*tso.Program { return []*tso.Program{a, b} }
 	for _, v := range []programs.DekkerVariant{
 		programs.DekkerNoFence, programs.DekkerMfence,
@@ -64,7 +38,6 @@ func exampleCases(t *testing.T) []exampleCase {
 		cases = append(cases, exampleCase{
 			file:     "dekker-" + v.String() + ".litmus",
 			build:    func() []*tso.Program { return pair(programs.DekkerPair(v)) },
-			mutex:    true,
 			violates: v == programs.DekkerNoFence,
 		})
 	}
@@ -76,28 +49,47 @@ func exampleCases(t *testing.T) []exampleCase {
 			exampleCase{
 				file:     "peterson-" + v.String() + ".litmus",
 				build:    func() []*tso.Program { return pair(programs.PetersonPair(v)) },
-				mutex:    true,
 				violates: v == programs.DekkerNoFence,
 			},
 			exampleCase{
 				file:     "bakery-" + v.String() + ".litmus",
 				build:    func() []*tso.Program { return pair(programs.BakeryPair(v)) },
-				mutex:    true,
 				violates: v == programs.DekkerNoFence,
 			})
 	}
 	return cases
 }
 
-// TestExamplesMatchHandBuilt is the corpus equivalence check: every
-// checked-in .litmus file explores to exactly the outcome set, deadlock
-// count, and verdict of its hand-built internal/programs counterpart on
-// the same machine.
+// catalogMachine is the machine the catalog shapes were built on
+// before examples/ became their source, and the one the catalog rows of
+// TestExploreSerialPins were pinned on, for a shape of procs threads.
+func catalogMachine(procs int) arch.Config {
+	cfg := arch.DefaultConfig()
+	cfg.Procs = procs
+	cfg.MemWords = 16
+	cfg.StoreBufferDepth = 4
+	return cfg
+}
+
+// TestExamplesMatchHandBuilt is the corpus equivalence check. A catalog
+// file is its shape's only source, so its row holds the machine it
+// declares to the hand-written catalogMachine. Every protocol file
+// explores to exactly the outcome set, deadlock count, and
+// mutual-exclusion verdict of its hand-built internal/programs
+// counterpart on the same machine.
 func TestExamplesMatchHandBuilt(t *testing.T) {
-	for _, tc := range exampleCases(t) {
+	for _, ct := range litmus.Catalog() {
+		ct := ct
+		t.Run(ct.File, func(t *testing.T) {
+			if want := catalogMachine(len(ct.Build())); ct.Config != want {
+				t.Errorf("config %+v, want %+v", ct.Config, want)
+			}
+		})
+	}
+	for _, tc := range exampleCases() {
 		tc := tc
 		t.Run(tc.file, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join(examplesDir, tc.file))
+			src, err := examples.Litmus.ReadFile(tc.file)
 			if err != nil {
 				t.Fatalf("read example: %v", err)
 			}
@@ -113,13 +105,7 @@ func TestExamplesMatchHandBuilt(t *testing.T) {
 			// Same machine on both sides; the example's config governs.
 			cfg := c.Config
 			handBuild := func() *tso.Machine { return tso.NewMachine(cfg, hand...) }
-
-			var handProps []litmus.Property
-			if tc.mutex {
-				handProps = []litmus.Property{litmus.MutualExclusion}
-			} else if c.Property != nil {
-				handProps = []litmus.Property{c.Property}
-			}
+			handProps := []litmus.Property{litmus.MutualExclusion}
 
 			want := litmus.ExploreSerial(handBuild, litmus.Options{Properties: handProps})
 			got := litmus.ExploreSerial(c.Build, litmus.Options{Properties: c.Properties()})
@@ -134,81 +120,61 @@ func TestExamplesMatchHandBuilt(t *testing.T) {
 			if got.Deadlocks != want.Deadlocks {
 				t.Errorf("deadlocks: example %d, hand-built %d", got.Deadlocks, want.Deadlocks)
 			}
-			if len(handProps) > 0 {
-				if (got.Violations > 0) != (want.Violations > 0) {
-					t.Errorf("verdict mismatch: example violations=%d, hand-built=%d",
-						got.Violations, want.Violations)
-				}
-				if (got.Violations > 0) != tc.violates {
-					t.Errorf("verdict: violations=%d, expected violation=%v", got.Violations, tc.violates)
-				}
+			if (got.Violations > 0) != (want.Violations > 0) {
+				t.Errorf("verdict mismatch: example violations=%d, hand-built=%d",
+					got.Violations, want.Violations)
+			}
+			if (got.Violations > 0) != tc.violates {
+				t.Errorf("verdict: violations=%d, expected violation=%v", got.Violations, tc.violates)
 			}
 		})
 	}
 }
 
-// TestExampleCatalogClassification re-derives each catalog test's
-// allowed/forbidden classification from the compiled example alone.
+// TestExampleCatalogClassification cross-checks each catalog entry's
+// expect lines against its file compiled on its own: the relaxed outcome
+// is reachable exactly when TSO allows it, and where the file declares a
+// forbid line, the property verdict agrees with the TSO expectation.
 func TestExampleCatalogClassification(t *testing.T) {
-	catalog := litmus.Catalog()
-	files := map[string]litmus.CatalogTest{
-		"sb.litmus": {}, "sb+mfence.litmus": {}, "sb+lmfence.litmus": {},
-		"mp.litmus": {}, "lb.litmus": {}, "2+2w.litmus": {}, "corr.litmus": {},
-		"wrc.litmus": {}, "rwc.litmus": {}, "iriw.litmus": {},
-	}
-	nameToFile := map[string]string{
-		"SB": "sb.litmus", "SB+mfence": "sb+mfence.litmus", "SB+lmfence": "sb+lmfence.litmus",
-		"MP": "mp.litmus", "LB": "lb.litmus", "2+2W": "2+2w.litmus", "CoRR": "corr.litmus",
-		"WRC": "wrc.litmus", "RWC": "rwc.litmus", "IRIW": "iriw.litmus",
-	}
-	for _, ct := range catalog {
-		files[nameToFile[ct.Name]] = ct
-	}
-	for file, ct := range files {
-		if ct.Name == "" {
-			t.Fatalf("no catalog entry mapped to %s", file)
-		}
-		src, err := os.ReadFile(filepath.Join(examplesDir, file))
+	for _, ct := range litmus.Catalog() {
+		src, err := examples.Litmus.ReadFile(ct.File)
 		if err != nil {
-			t.Fatalf("read %s: %v", file, err)
+			t.Fatalf("read %s: %v", ct.File, err)
 		}
 		c, err := litmuslang.CompileSource(string(src))
 		if err != nil {
-			t.Fatalf("compile %s: %v", file, err)
+			t.Fatalf("compile %s: %v", ct.File, err)
 		}
+		allowed := ct.Allowed(arch.TSO)
 		res := litmus.ExploreSerial(c.Build, litmus.Options{Properties: c.Properties()})
-		reached := res.CountOutcomes(func(o litmus.Outcome) bool { return ct.Relaxed(o) }) > 0
-		if reached != ct.AllowedUnderTSO {
-			t.Errorf("%s: relaxed outcome reachable=%v, want %v", file, reached, ct.AllowedUnderTSO)
+		if reached := res.CountOutcomes(ct.Relaxed) > 0; reached != allowed {
+			t.Errorf("%s: relaxed outcome reachable=%v, want %v", ct.File, reached, allowed)
 		}
-		// Where the file declares the forbidden outcome, the property
-		// verdict must agree with the classification.
-		if c.Property != nil && (res.Violations > 0) != ct.AllowedUnderTSO {
+		if c.Property != nil && (res.Violations > 0) != allowed {
 			t.Errorf("%s: property violations=%d disagree with allowed=%v",
-				file, res.Violations, ct.AllowedUnderTSO)
+				ct.File, res.Violations, allowed)
 		}
 	}
 }
 
-// TestEveryExampleIsCovered forces new example files into the
-// equivalence table: any .litmus under examples/ must appear in
-// exampleCases.
+// TestEveryExampleIsCovered forces new example files into a check: any
+// .litmus under examples/ must be a catalog entry (checked by
+// TestExampleCatalogClassification) or a protocol row of exampleCases.
 func TestEveryExampleIsCovered(t *testing.T) {
-	onDisk, err := filepath.Glob(filepath.Join(examplesDir, "*.litmus"))
+	have, err := fs.Glob(examples.Litmus, "*.litmus")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var have []string
-	for _, p := range onDisk {
-		have = append(have, filepath.Base(p))
-	}
 	var covered []string
-	for _, tc := range exampleCases(t) {
+	for _, ct := range litmus.Catalog() {
+		covered = append(covered, ct.File)
+	}
+	for _, tc := range exampleCases() {
 		covered = append(covered, tc.file)
 	}
 	sort.Strings(have)
 	sort.Strings(covered)
 	if !reflect.DeepEqual(have, covered) {
-		t.Fatalf("examples on disk and the equivalence table disagree:\n disk: %v\ntable: %v", have, covered)
+		t.Fatalf("examples on disk and the covered files disagree:\n   disk: %v\ncovered: %v", have, covered)
 	}
 }

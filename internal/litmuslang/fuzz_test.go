@@ -9,7 +9,8 @@ import (
 
 // FuzzParse is the parser-robustness fuzz target: Parse and Compile
 // must never panic, and anything that compiles must survive the
-// render/recompile round trip byte-for-byte at the instruction level.
+// render/recompile round trip byte-for-byte at the instruction level,
+// with its config and expect lines.
 // The checked-in corpus under testdata/fuzz/FuzzParse runs as part of
 // the ordinary test suite.
 func FuzzParse(f *testing.F) {
@@ -44,6 +45,9 @@ func FuzzParse(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back.Config, c.Config) {
 			t.Fatalf("round trip changed config: %+v -> %+v", c.Config, back.Config)
+		}
+		if !reflect.DeepEqual(back.Expect, c.Expect) {
+			t.Fatalf("round trip changed expectations: %v -> %v", c.Expect, back.Expect)
 		}
 	})
 }

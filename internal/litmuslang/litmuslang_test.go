@@ -335,6 +335,23 @@ func TestProblemNeedsProperty(t *testing.T) {
 	}
 }
 
+// TestExpectCompilesToNoProperty: expect lines are metadata. They never
+// become a property and leave a forbid line's property and verdict as
+// they are.
+func TestExpectCompilesToNoProperty(t *testing.T) {
+	if c := compileOK(t, "thread { halt }\nexpect tso allow P0:r0=0\n"); c.HasProperty() {
+		t.Fatalf("expect line compiled to a property: %s", c.PropertyDoc)
+	}
+	without := compileOK(t, sbSource)
+	with := compileOK(t, sbSource+"expect tso allow P0:r0=0 & P1:r0=0\n")
+	if with.PropertyDoc != without.PropertyDoc {
+		t.Fatalf("property %q, want %q", with.PropertyDoc, without.PropertyDoc)
+	}
+	if a, b := explore(with), explore(without); a.Violations != b.Violations || a.States != b.States {
+		t.Fatalf("verdict moved: %d violations in %d states, want %d in %d", a.Violations, a.States, b.Violations, b.States)
+	}
+}
+
 func TestRenderRoundTrip(t *testing.T) {
 	for _, src := range []string{
 		sbSource,
@@ -350,6 +367,10 @@ top:
 forbid P0:r1=0
 forbid P0:r2=1 & P0:r1=1
 `,
+		sbSource + `
+expect TSO allow P0:r0=0 & P1:r0=0
+expect pso allow P0:r0=0 & P1:r0=0
+`,
 	} {
 		c := compileOK(t, src)
 		back, err := litmuslang.CompileSource(c.Render())
@@ -364,6 +385,9 @@ forbid P0:r2=1 & P0:r1=1
 		}
 		if !reflect.DeepEqual(back.Assert, c.Assert) {
 			t.Errorf("assert %+v != %+v", back.Assert, c.Assert)
+		}
+		if !reflect.DeepEqual(back.Expect, c.Expect) {
+			t.Errorf("expect %v != %v", back.Expect, c.Expect)
 		}
 		if len(back.Programs) != len(c.Programs) {
 			t.Fatalf("program count %d != %d", len(back.Programs), len(c.Programs))

@@ -33,10 +33,22 @@ func corpus() map[string][]*tso.Program {
 		m["dekkerloop/"+v.String()] = []*tso.Program{programs.DekkerLoop(v, 2, 1)}
 	}
 
-	m["sb"] = pair(programs.StoreBufferPair())
-	m["sb+mfence"] = pair(programs.StoreBufferFencedPair())
-	m["sb+lmfence"] = pair(programs.StoreBufferLmfencePair())
-	m["mp"] = pair(programs.MessagePassingPair())
+	// The catalog's SB and MP come from .litmus sources; these rows keep
+	// the same shapes as Builder output in the round trip, l-mfence
+	// expanded by Builder.Lmfence.
+	x, y, obs := programs.AddrX, programs.AddrY, programs.RegObs
+	m["sb"] = pair(
+		tso.NewBuilder("sb-p0").StoreI(x, 1).Load(obs, y).Halt().Build(),
+		tso.NewBuilder("sb-p1").StoreI(y, 1).Load(obs, x).Halt().Build())
+	m["sb+mfence"] = pair(
+		tso.NewBuilder("sb-f-p0").StoreI(x, 1).Mfence().Load(obs, y).Halt().Build(),
+		tso.NewBuilder("sb-f-p1").StoreI(y, 1).Mfence().Load(obs, x).Halt().Build())
+	m["sb+lmfence"] = pair(
+		tso.NewBuilder("sb-lm-p0").Lmfence(x, 1, programs.RegScratch).Load(obs, y).Halt().Build(),
+		tso.NewBuilder("sb-lm-p1").StoreI(y, 1).Mfence().Load(obs, x).Halt().Build())
+	m["mp"] = pair(
+		tso.NewBuilder("mp-p0").StoreI(x, 1).StoreI(y, 1).Halt().Build(),
+		tso.NewBuilder("mp-p1").Load(1, y).Load(2, x).Halt().Build())
 	m["loadload"] = pair(programs.LoadLoadPair())
 	m["lmfence-trace"] = []*tso.Program{programs.LmfenceTrace()}
 	m["roundtrip"] = []*tso.Program{programs.RoundTripPrimary(2), programs.RoundTripSecondary(2)}

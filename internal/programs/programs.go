@@ -135,48 +135,6 @@ func DekkerLoop(v DekkerVariant, iters int, csWork int) *tso.Program {
 	return b.Build()
 }
 
-// StoreBufferPair is the classic SB litmus test:
-//
-//	P0: x=1; r=y    P1: y=1; r=x
-//
-// TSO permits the outcome r==0 on both threads; sequential consistency
-// forbids it. The model checker must find it reachable (it is exactly the
-// reordering that breaks the unfenced Dekker protocol).
-func StoreBufferPair() (*tso.Program, *tso.Program) {
-	p0 := tso.NewBuilder("sb-p0").StoreI(AddrX, 1).Load(RegObs, AddrY).Halt().Build()
-	p1 := tso.NewBuilder("sb-p1").StoreI(AddrY, 1).Load(RegObs, AddrX).Halt().Build()
-	return p0, p1
-}
-
-// StoreBufferFencedPair is SB with mfence between the store and load;
-// r0==0 && r1==0 must become unreachable.
-func StoreBufferFencedPair() (*tso.Program, *tso.Program) {
-	p0 := tso.NewBuilder("sb-f-p0").StoreI(AddrX, 1).Mfence().Load(RegObs, AddrY).Halt().Build()
-	p1 := tso.NewBuilder("sb-f-p1").StoreI(AddrY, 1).Mfence().Load(RegObs, AddrX).Halt().Build()
-	return p0, p1
-}
-
-// StoreBufferLmfencePair is SB with the primary (P0) using l-mfence and
-// the secondary using mfence, matching the paper's pairing rule. The
-// forbidden outcome must remain unreachable.
-func StoreBufferLmfencePair() (*tso.Program, *tso.Program) {
-	p0 := tso.NewBuilder("sb-lm-p0").Lmfence(AddrX, 1, RegScratch).Load(RegObs, AddrY).Halt().Build()
-	p1 := tso.NewBuilder("sb-lm-p1").StoreI(AddrY, 1).Mfence().Load(RegObs, AddrX).Halt().Build()
-	return p0, p1
-}
-
-// MessagePassingPair is the MP litmus test:
-//
-//	P0: data=1; flag=1    P1: r0=flag; r1=data
-//
-// TSO forbids r0==1 && r1==0 (stores complete in FIFO order, loads are
-// not reordered with loads). The checker must never reach it.
-func MessagePassingPair() (*tso.Program, *tso.Program) {
-	p0 := tso.NewBuilder("mp-p0").StoreI(AddrX, 1).StoreI(AddrY, 1).Halt().Build()
-	p1 := tso.NewBuilder("mp-p1").Load(1, AddrY).Load(2, AddrX).Halt().Build()
-	return p0, p1
-}
-
 // LoadLoadPair exercises ordering principle 1 (reads not reordered with
 // reads) together with principle 3 via a writer that publishes two values
 // in order; the reader must never see the second value without the first.

@@ -348,7 +348,7 @@ func (d *asymDeque) stealTop(onWait func()) *task {
 			onWait()
 		}
 		if b.Pause() {
-			d.stats.BackoffParks++
+			atomic.AddUint64(&d.stats.BackoffParks, 1)
 			if dl := b.Policy().Deadline; dl > 0 {
 				if start.IsZero() {
 					start = time.Now()

@@ -13,7 +13,9 @@ import (
 
 // WorkerStats counts scheduling events on one worker. Fields are written
 // only by their owning worker (or, for steal counters, under the deque's
-// thief mutex) and read after Run returns.
+// thief mutex) and read after Run returns. BackoffParks is the exception:
+// the owner parks while idle and a thief parks while waiting on this
+// worker's deque, so both add to it atomically.
 type WorkerStats struct {
 	Tasks         uint64 // tasks executed (spawned work, own or stolen)
 	Spawns        uint64 // tasks pushed
@@ -220,7 +222,7 @@ func (w *Worker) loop() {
 			continue
 		}
 		if b.Pause() {
-			w.Stats.BackoffParks++
+			atomic.AddUint64(&w.Stats.BackoffParks, 1)
 		}
 	}
 }
@@ -298,7 +300,7 @@ func (w *Worker) Do(fns ...func(*Worker)) {
 			continue
 		}
 		if b.Pause() {
-			w.Stats.BackoffParks++
+			atomic.AddUint64(&w.Stats.BackoffParks, 1)
 		}
 	}
 }

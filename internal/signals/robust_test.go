@@ -26,9 +26,23 @@ func tinyWait() WaitPolicy {
 // for one primary's mailbox; all of them must complete, the primary
 // must handle every request, and the contention must escalate into
 // parked sleeps rather than eight spinning cores.
+//
+// The primary holds off until a queued secondary has parked on the
+// mailbox's lock: with a primary that answers at once, the lock holder
+// can finish all its round trips before any other secondary runs, and
+// whether anyone parks is then up to the scheduler.
 func TestLockStarvationEightSecondaries(t *testing.T) {
 	var m Mailbox
+	m.Name = "starvation-eight"
 	m.Wait = tinyWait()
+	lockParked := func() bool {
+		for _, e := range BlockedWaits() {
+			if e.Mailbox == m.Name && e.Op == "lock" {
+				return true
+			}
+		}
+		return false
+	}
 
 	const secondaries = 8
 	const each = 50
@@ -47,6 +61,14 @@ func TestLockStarvationEightSecondaries(t *testing.T) {
 	primaryDone := make(chan struct{})
 	go func() {
 		defer close(primaryDone)
+		deadline := time.Now().Add(10 * time.Second)
+		for !lockParked() {
+			if time.Now().After(deadline) {
+				t.Errorf("no secondary parked on the mailbox lock within 10s: lock wait spins unbounded")
+				break
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
 		for done.Load() < secondaries {
 			m.Poll()
 		}

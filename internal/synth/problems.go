@@ -39,8 +39,8 @@ func ProblemConfig() arch.Config {
 
 // Problems returns the registry in deterministic order.
 func Problems() []Problem {
-	sb0, sb1 := programs.StoreBufferPair()
-	mp0, mp1 := programs.MessagePassingPair()
+	sb := litmus.CatalogEntry("SB").Build()
+	mp := litmus.CatalogEntry("MP").Build()
 	dk0, dk1 := programs.DekkerPair(programs.DekkerNoFence)
 	pt0, pt1 := programs.PetersonPair(programs.DekkerNoFence)
 	bk0, bk1 := programs.BakeryPair(programs.DekkerNoFence)
@@ -70,7 +70,7 @@ func Problems() []Problem {
 		},
 		{
 			Name:     "sb",
-			Programs: []*tso.Program{sb0, sb1},
+			Programs: sb,
 			Config:   cfg,
 			Property: ForbiddenQuiesced("P0.r0==0 && P1.r0==0", func(m *tso.Machine) bool {
 				return m.Procs[0].Regs[programs.RegObs] == 0 &&
@@ -80,7 +80,7 @@ func Problems() []Problem {
 		},
 		{
 			Name:     "mp",
-			Programs: []*tso.Program{mp0, mp1},
+			Programs: mp,
 			Config:   cfg,
 			Property: ForbiddenQuiesced("P1.r1==1 && P1.r2==0", func(m *tso.Machine) bool {
 				return m.Procs[1].Regs[1] == 1 && m.Procs[1].Regs[2] == 0

@@ -3,7 +3,7 @@ package synth
 import (
 	"testing"
 
-	"repro/internal/programs"
+	"repro/internal/litmus"
 	"repro/internal/tso"
 )
 
@@ -107,10 +107,9 @@ func TestAcceleratedMatchesVanilla(t *testing.T) {
 // counterexample trace, off exact checks, also when the run sets the
 // deprecated ReorderBound.
 func TestUnrepairableConcludedExactly(t *testing.T) {
-	sb0, sb1 := programs.StoreBufferPair()
 	prob := Problem{
 		Name:     "always-fails",
-		Programs: []*tso.Program{sb0, sb1},
+		Programs: litmus.CatalogEntry("SB").Build(),
 		Config:   ProblemConfig(),
 		Property: ForbiddenQuiesced("any final state", func(m *tso.Machine) bool { return true }),
 	}
