@@ -46,7 +46,7 @@ func main() {
 	corpus := flag.Int("corpus", 0, "repair N generated scenarios end-to-end (generate → synthesize → splice → exact re-verify) instead of the registry")
 	corpusSeed := flag.Int64("corpus-seed", 0, "base generator seed for -corpus scanning")
 	corpusJournal := flag.String("corpus-journal", "", "journal file making -corpus resumable: completed scenarios persist as they finish and a rerun restores them instead of re-synthesizing")
-	model := flag.String("model", "", "memory model every candidate is verified under: tso (default) or pso; overrides a file's config { model }")
+	model := flag.String("model", "", "memory model every candidate is verified under: tso (default) or pso; with -file, overrides the file's config { model }")
 	flag.Parse()
 
 	mm, err := arch.ParseMemModel(*model)
@@ -84,8 +84,11 @@ func main() {
 		os.Exit(runCorpus(*corpus, *corpusSeed, *corpusJournal, opts, *verbose, os.Stdout))
 	}
 	if *file != "" {
-		fm := fileModel{model: mm, set: set["model"]}
-		os.Exit(runFile(*file, opts, fm, *verbose, *jsonOut, os.Stdout))
+		var override *arch.MemModel // nil: the file's config { model } decides
+		if set["model"] {
+			override = &mm
+		}
+		os.Exit(runFile(*file, opts, override, *verbose, *jsonOut, os.Stdout))
 	}
 
 	probs := synth.Problems()
@@ -129,13 +132,6 @@ func validateFlags(set map[string]bool) error {
 		return fmt.Errorf("-model is incompatible with -corpus: generated scenarios are verified under the model their config declares")
 	}
 	return nil
-}
-
-// fileModel carries the -model flag into runFile: the flag overrides
-// the scenario file's config { model } only when passed explicitly.
-type fileModel struct {
-	model arch.MemModel
-	set   bool
 }
 
 // runCorpus repairs a corpus of generated scenarios end-to-end and
@@ -189,9 +185,11 @@ func runCorpus(n int, seed int64, journal string, opts synth.Options, verbose bo
 // runFile compiles a .litmus scenario, synthesizes a repair for its
 // declared assertion, and — unless the protocol is unrepairable —
 // emits the cost-optimal placement spliced back in as parseable litmus
-// source. Exit codes: 0 repaired (or already safe), 1 unrepairable or
-// synthesis failure, 2 on I/O or compile errors.
-func runFile(path string, opts synth.Options, fm fileModel, verbose, jsonOut bool, w io.Writer) int {
+// source. A non-nil model replaces the file's config { model }, so the
+// repaired render carries it too. Exit codes: 0 repaired (or already
+// safe), 1 unrepairable or synthesis failure, 2 on I/O or compile
+// errors.
+func runFile(path string, opts synth.Options, model *arch.MemModel, verbose, jsonOut bool, w io.Writer) int {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fencesynth:", err)
@@ -202,10 +200,8 @@ func runFile(path string, opts synth.Options, fm fileModel, verbose, jsonOut boo
 		fmt.Fprintf(os.Stderr, "fencesynth: %s: %v\n", path, err)
 		return 2
 	}
-	if fm.set {
-		// An explicit -model wins over the file's config { model }; the
-		// override lands in c.Config so the repaired render carries it.
-		c.Config.Model = fm.model
+	if model != nil {
+		c.Config.Model = *model
 	}
 	prob, err := c.Problem()
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/litmus"
 	"repro/internal/litmuslang"
 	"repro/internal/synth"
@@ -91,7 +92,7 @@ func writeScenario(t *testing.T, src string) string {
 // safe against its own assertion.
 func TestRunFileRepairsSB(t *testing.T) {
 	var out bytes.Buffer
-	code := runFile(writeScenario(t, sbRelaxed), synth.Options{}, fileModel{}, true, false, &out)
+	code := runFile(writeScenario(t, sbRelaxed), synth.Options{}, nil, true, false, &out)
 	if code != 0 {
 		t.Fatalf("exit code %d, want 0\noutput:\n%s", code, out.String())
 	}
@@ -118,7 +119,7 @@ func TestRunFileRepairsSB(t *testing.T) {
 
 func TestRunFileJSONCarriesRepairedSource(t *testing.T) {
 	var out bytes.Buffer
-	code := runFile(writeScenario(t, sbRelaxed), synth.Options{}, fileModel{}, false, true, &out)
+	code := runFile(writeScenario(t, sbRelaxed), synth.Options{}, nil, false, true, &out)
 	if code != 0 {
 		t.Fatalf("exit code %d, want 0\noutput:\n%s", code, out.String())
 	}
@@ -135,13 +136,75 @@ func TestRunFileJSONCarriesRepairedSource(t *testing.T) {
 }
 
 func TestRunFileErrors(t *testing.T) {
-	if code := runFile(filepath.Join(t.TempDir(), "missing.litmus"), synth.Options{}, fileModel{}, false, false, os.Stderr); code != 2 {
+	if code := runFile(filepath.Join(t.TempDir(), "missing.litmus"), synth.Options{}, nil, false, false, os.Stderr); code != 2 {
 		t.Errorf("missing file: exit code %d, want 2", code)
 	}
 	noAssert := `thread "a" { storei [0x4], 1
 halt }
 `
-	if code := runFile(writeScenario(t, noAssert), synth.Options{}, fileModel{}, false, false, os.Stderr); code != 2 {
+	if code := runFile(writeScenario(t, noAssert), synth.Options{}, nil, false, false, os.Stderr); code != 2 {
 		t.Errorf("assertion-free file: exit code %d, want 2", code)
+	}
+}
+
+// mpSource is message passing with its forbid line: safe under TSO,
+// repaired by a store→store fence on the writer under PSO. config is
+// the inside of its config block.
+func mpSource(config string) string {
+	return `litmus "mp"
+config { ` + config + ` }
+shared x @ 4, y @ 5
+thread "w" {
+  storei [x], 1
+  storei [y], 1
+  halt
+}
+thread "r" {
+  load r1, [y]
+  load r2, [x]
+  halt
+}
+forbid P1:r1=1 & P1:r2=0
+`
+}
+
+// TestRunFileModel: a file's config { model } selects the model every
+// candidate is verified under, and an explicit -model replaces it in
+// either direction, in the repaired source too.
+func TestRunFileModel(t *testing.T) {
+	tsoFile := writeScenario(t, mpSource("memwords 16 sbdepth 4"))
+	psoFile := writeScenario(t, mpSource("memwords 16 sbdepth 4 model pso"))
+	tsoFlag, psoFlag := arch.TSO, arch.PSO
+	cases := []struct {
+		name   string
+		file   string
+		flag   *arch.MemModel
+		fenced bool // the optimal repair places a fence: the file ran PSO
+	}{
+		{"tso file", tsoFile, nil, false},
+		{"pso file", psoFile, nil, true},
+		{"tso file, -model pso", tsoFile, &psoFlag, true},
+		{"pso file, -model tso", psoFile, &tsoFlag, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if code := runFile(tc.file, synth.Options{}, tc.flag, false, true, &out); code != 0 {
+				t.Fatalf("exit code %d, want 0\n%s", code, out.String())
+			}
+			var jp jsonProblem
+			if err := json.Unmarshal(out.Bytes(), &jp); err != nil {
+				t.Fatal(err)
+			}
+			if jp.Optimal == nil {
+				t.Fatalf("no optimal repair: %+v", jp)
+			}
+			if fenced := len(jp.Optimal.Atoms) > 0; fenced != tc.fenced {
+				t.Errorf("optimal repair places fences = %v, want %v: %+v", fenced, tc.fenced, jp.Optimal)
+			}
+			if pso := strings.Contains(jp.RepairedSource, "model pso"); pso != tc.fenced {
+				t.Errorf("repaired source declares model pso = %v, want %v:\n%s", pso, tc.fenced, jp.RepairedSource)
+			}
+		})
 	}
 }

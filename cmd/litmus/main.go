@@ -52,7 +52,7 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 5000, "checkpoint every N claimed states (requires -checkpoint)")
 	resume := flag.Bool("resume", false, "resume the -file exploration from the -checkpoint directory instead of starting fresh")
 	crashAfter := flag.Int("crash-after", 0, "SIGKILL this process right after the Nth checkpoint commit — crash-recovery testing only (requires -checkpoint)")
-	model := flag.String("model", "", "memory model for the catalog, -file, and -trace explorations: tso (default) or pso")
+	model := flag.String("model", "", "memory model for the catalog and -trace explorations: tso (default) or pso; with -file, overrides the file's config { model }")
 	flag.Parse()
 
 	mm, err := arch.ParseMemModel(*model)
@@ -75,16 +75,19 @@ func main() {
 		Reduction: *reduction,
 		Collapse:  *compress,
 		MemBudget: *memBudget,
-		Model:     mm,
 	}
 
 	if *file != "" {
 		fc := fileCkpt{dir: *checkpoint, every: *ckptEvery, resume: *resume, crashAfter: *crashAfter}
-		os.Exit(runFile(*file, catOpts, fc, set["model"], *jsonOut, os.Stdout))
+		var override *arch.MemModel // nil: the file's config { model } decides
+		if set["model"] {
+			override = &mm
+		}
+		os.Exit(runFile(*file, catOpts, fc, override, *jsonOut, os.Stdout))
 	}
 
 	if *jsonOut {
-		os.Exit(runJSON(*catalog, catOpts))
+		os.Exit(runJSON(*catalog, catOpts, mm))
 	}
 
 	res := harness.RunTheorems(*workers)
@@ -92,7 +95,7 @@ func main() {
 
 	failed := !res.AllPass()
 	if *catalog {
-		failed = printCatalog(catOpts) || failed
+		failed = printCatalog(catOpts, mm) || failed
 	}
 	if *por {
 		pr := harness.RunPOR(*workers)
@@ -169,14 +172,17 @@ type fileSummary struct {
 	// litmus.KeysCollapsed under -compress; a resumed run reports its
 	// checkpoint's.
 	Keys string `json:"keys"`
+	// Model is the memory model the exploration ran under.
+	Model string `json:"model"`
 }
 
 // runFile compiles and model-checks one .litmus scenario, reporting its
-// outcome set and (when the file declares an assertion) the verdict.
-// The return value is the process exit code: 0 clean, 1 when the
-// assertion is violated or the exploration truncated, 2 on I/O or
-// compile errors (including an unusable checkpoint under -resume).
-func runFile(path string, opts litmus.Options, fc fileCkpt, modelSet bool, jsonOut bool, w io.Writer) int {
+// outcome set and (when the file declares an assertion) the verdict. A
+// non-nil model replaces the file's config { model }. The return value
+// is the process exit code: 0 clean, 1 when the assertion is violated
+// or the exploration truncated, 2 on I/O or compile errors (including
+// an unusable checkpoint under -resume).
+func runFile(path string, opts litmus.Options, fc fileCkpt, model *arch.MemModel, jsonOut bool, w io.Writer) int {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "litmus:", err)
@@ -188,10 +194,8 @@ func runFile(path string, opts litmus.Options, fc fileCkpt, modelSet bool, jsonO
 		return 2
 	}
 	opts.Properties = c.Properties()
-	// The file's config { model ... } selects the engine unless -model
-	// was passed explicitly, in which case the flag wins.
-	if !modelSet {
-		opts.Model = c.Config.Model
+	if model != nil {
+		c.Config.Model = *model
 	}
 	if fc.dir != "" {
 		opts.Checkpoint = litmus.CheckpointOptions{Dir: fc.dir, EveryStates: fc.every}
@@ -228,6 +232,7 @@ func runFile(path string, opts litmus.Options, fc fileCkpt, modelSet bool, jsonO
 			Pass:        pass,
 			Resumed:     fc.resume,
 			Keys:        res.Keys(),
+			Model:       c.Config.Model.String(),
 		}
 		for o, n := range res.Outcomes {
 			sum.Outcomes[string(o)] = n
@@ -264,16 +269,17 @@ func runFile(path string, opts litmus.Options, fc fileCkpt, modelSet bool, jsonO
 	return 0
 }
 
-// printCatalog runs the classic litmus tests and reports per-test
-// verdicts; it returns whether any failed.
-func printCatalog(opts litmus.Options) bool {
-	if opts.Model == arch.PSO {
+// printCatalog runs the classic litmus tests under model and reports
+// per-test verdicts; it returns whether any failed.
+func printCatalog(opts litmus.Options, model arch.MemModel) bool {
+	if model == arch.PSO {
 		fmt.Println("Classic litmus tests under PSO (per-address store buffers):")
 	} else {
 		fmt.Println("Classic litmus tests (TSO ordering principles 1-4 + store atomicity):")
 	}
 	failed := false
 	for _, ct := range litmus.Catalog() {
+		ct.Config.Model = model
 		res, err := litmus.RunCatalogTestOpts(ct, opts)
 		verdict := "PASS"
 		if err != nil {
@@ -281,7 +287,7 @@ func printCatalog(opts litmus.Options) bool {
 			failed = true
 		}
 		expect := "forbidden"
-		if ct.Allowed(opts.Model) {
+		if ct.Allowed(model) {
 			expect = "allowed"
 		}
 		fmt.Printf("  %-11s %6d states  %9.0f states/sec  relaxed outcome %-9s  %s\n",
@@ -371,6 +377,7 @@ type jsonSummary struct {
 	Workers        int        `json:"workers"`
 	GOMAXPROCS     int        `json:"gomaxprocs"`
 	Reduction      bool       `json:"reduction"`
+	Model          string     `json:"model"`
 	Theorems       []jsonTest `json:"theorems"`
 	Catalog        []jsonTest `json:"catalog"`
 	TotalStates    int        `json:"total_states"`
@@ -379,7 +386,7 @@ type jsonSummary struct {
 	AllPass        bool       `json:"all_pass"`
 }
 
-func runJSON(catalog bool, opts litmus.Options) int {
+func runJSON(catalog bool, opts litmus.Options, model arch.MemModel) int {
 	// Report the resolved pool size, not the raw flag (0 = GOMAXPROCS).
 	resolved := opts.Workers
 	if resolved <= 0 {
@@ -389,6 +396,7 @@ func runJSON(catalog bool, opts litmus.Options) int {
 		Workers:    resolved,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Reduction:  opts.Reduction,
+		Model:      model.String(),
 		AllPass:    true,
 	}
 	start := time.Now()
@@ -407,6 +415,7 @@ func runJSON(catalog bool, opts litmus.Options) int {
 	}
 	if catalog {
 		for _, ct := range litmus.Catalog() {
+			ct.Config.Model = model
 			res, err := litmus.RunCatalogTestOpts(ct, opts)
 			sum.Catalog = append(sum.Catalog, jsonTest{
 				Name:         ct.Name,
@@ -450,7 +459,6 @@ func printCounterexample(workers int, model arch.MemModel) {
 		Properties:      []litmus.Property{litmus.MutualExclusion},
 		StopOnViolation: true,
 		Workers:         workers,
-		Model:           model,
 	})
 	if r.Violations == 0 {
 		fmt.Println("no violation found (unexpected)")

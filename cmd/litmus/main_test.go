@@ -103,7 +103,7 @@ forbid P0:r0=0 & P1:r0=0
 
 func TestRunFilePass(t *testing.T) {
 	var out bytes.Buffer
-	code := runFile(writeScenario(t, sbFenced), litmus.Options{}, fileCkpt{}, false, false, &out)
+	code := runFile(writeScenario(t, sbFenced), litmus.Options{}, fileCkpt{}, nil, false, &out)
 	if code != 0 {
 		t.Fatalf("exit code %d, want 0\noutput:\n%s", code, out.String())
 	}
@@ -117,7 +117,7 @@ func TestRunFilePass(t *testing.T) {
 
 func TestRunFileViolation(t *testing.T) {
 	var out bytes.Buffer
-	code := runFile(writeScenario(t, sbRelaxed), litmus.Options{}, fileCkpt{}, false, false, &out)
+	code := runFile(writeScenario(t, sbRelaxed), litmus.Options{}, fileCkpt{}, nil, false, &out)
 	if code != 1 {
 		t.Fatalf("exit code %d, want 1\noutput:\n%s", code, out.String())
 	}
@@ -128,7 +128,7 @@ func TestRunFileViolation(t *testing.T) {
 
 func TestRunFileJSON(t *testing.T) {
 	var out bytes.Buffer
-	code := runFile(writeScenario(t, sbFenced), litmus.Options{}, fileCkpt{}, false, true, &out)
+	code := runFile(writeScenario(t, sbFenced), litmus.Options{}, fileCkpt{}, nil, true, &out)
 	if code != 0 {
 		t.Fatalf("exit code %d, want 0\noutput:\n%s", code, out.String())
 	}
@@ -147,10 +147,10 @@ func TestRunFileJSON(t *testing.T) {
 }
 
 func TestRunFileErrors(t *testing.T) {
-	if code := runFile(filepath.Join(t.TempDir(), "missing.litmus"), litmus.Options{}, fileCkpt{}, false, false, os.Stderr); code != 2 {
+	if code := runFile(filepath.Join(t.TempDir(), "missing.litmus"), litmus.Options{}, fileCkpt{}, nil, false, os.Stderr); code != 2 {
 		t.Errorf("missing file: exit code %d, want 2", code)
 	}
-	if code := runFile(writeScenario(t, "thread { jmp @nowhere }"), litmus.Options{}, fileCkpt{}, false, false, os.Stderr); code != 2 {
+	if code := runFile(writeScenario(t, "thread { jmp @nowhere }"), litmus.Options{}, fileCkpt{}, nil, false, os.Stderr); code != 2 {
 		t.Errorf("compile error: exit code %d, want 2", code)
 	}
 }
@@ -164,7 +164,7 @@ func TestRunFileCheckpointResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
 
 	var ref bytes.Buffer
-	if code := runFile(scenario, litmus.Options{}, fileCkpt{dir: ckpt, every: 50}, false, true, &ref); code != 1 {
+	if code := runFile(scenario, litmus.Options{}, fileCkpt{dir: ckpt, every: 50}, nil, true, &ref); code != 1 {
 		t.Fatalf("checkpointed run: exit code %d, want 1 (forbidden outcome reached)\n%s", code, ref.String())
 	}
 	var refSum fileSummary
@@ -173,7 +173,7 @@ func TestRunFileCheckpointResume(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if code := runFile(scenario, litmus.Options{}, fileCkpt{dir: ckpt, every: 50, resume: true}, false, true, &out); code != 1 {
+	if code := runFile(scenario, litmus.Options{}, fileCkpt{dir: ckpt, every: 50, resume: true}, nil, true, &out); code != 1 {
 		t.Fatalf("resumed run: exit code %d, want 1\n%s", code, out.String())
 	}
 	var sum fileSummary
@@ -196,7 +196,7 @@ func TestRunFileCheckpointResume(t *testing.T) {
 	// under -compress, a collapsed one resumes collapsed with or without
 	// the flag.
 	out.Reset()
-	if code := runFile(scenario, litmus.Options{Collapse: true}, fileCkpt{dir: ckpt, every: 50, resume: true}, false, true, &out); code != 1 {
+	if code := runFile(scenario, litmus.Options{Collapse: true}, fileCkpt{dir: ckpt, every: 50, resume: true}, nil, true, &out); code != 1 {
 		t.Fatalf("hashed checkpoint resumed under -compress: exit code %d, want 1\n%s", code, out.String())
 	}
 	sum = fileSummary{}
@@ -208,11 +208,11 @@ func TestRunFileCheckpointResume(t *testing.T) {
 			sum.Keys, sum.States, sum.Violations, litmus.KeysHashed, refSum.States, refSum.Violations)
 	}
 	ckptC := filepath.Join(t.TempDir(), "ckpt")
-	if code := runFile(scenario, litmus.Options{Collapse: true}, fileCkpt{dir: ckptC, every: 50}, false, true, io.Discard); code != 1 {
+	if code := runFile(scenario, litmus.Options{Collapse: true}, fileCkpt{dir: ckptC, every: 50}, nil, true, io.Discard); code != 1 {
 		t.Fatalf("checkpointed -compress run: exit code %d, want 1", code)
 	}
 	out.Reset()
-	if code := runFile(scenario, litmus.Options{}, fileCkpt{dir: ckptC, every: 50, resume: true}, false, true, &out); code != 1 {
+	if code := runFile(scenario, litmus.Options{}, fileCkpt{dir: ckptC, every: 50, resume: true}, nil, true, &out); code != 1 {
 		t.Fatalf("collapsed checkpoint resumed without -compress: exit code %d, want 1\n%s", code, out.String())
 	}
 	sum = fileSummary{}
@@ -227,7 +227,7 @@ func TestRunFileCheckpointResume(t *testing.T) {
 	// Resuming a directory with no checkpoint is an operator error, not
 	// a silent fresh run.
 	empty := filepath.Join(t.TempDir(), "empty")
-	if code := runFile(scenario, litmus.Options{}, fileCkpt{dir: empty, resume: true}, false, true, io.Discard); code != 2 {
+	if code := runFile(scenario, litmus.Options{}, fileCkpt{dir: empty, resume: true}, nil, true, io.Discard); code != 2 {
 		t.Errorf("resume from empty dir: exit code %d, want 2", code)
 	}
 }
@@ -249,8 +249,64 @@ func TestRunFileOnExamples(t *testing.T) {
 				want = 1
 			}
 			var out bytes.Buffer
-			if code := runFile(f, litmus.Options{Reduction: true}, fileCkpt{}, false, false, &out); code != want {
+			if code := runFile(f, litmus.Options{Reduction: true}, fileCkpt{}, nil, false, &out); code != want {
 				t.Errorf("exit code %d, want %d\noutput:\n%s", code, want, out.String())
+			}
+		})
+	}
+}
+
+// mpSource is message passing with its forbid line: safe under TSO,
+// violated under PSO. config is the inside of its config block.
+func mpSource(config string) string {
+	return `litmus "mp"
+config { ` + config + ` }
+shared x @ 4, y @ 5
+thread "w" {
+  storei [x], 1
+  storei [y], 1
+  halt
+}
+thread "r" {
+  load r1, [y]
+  load r2, [x]
+  halt
+}
+forbid P1:r1=1 & P1:r2=0
+`
+}
+
+// TestRunFileModel: a file's config { model } selects the model the
+// file is explored under, and an explicit -model replaces it in either
+// direction; the -json summary reports the model that ran.
+func TestRunFileModel(t *testing.T) {
+	tsoFile := writeScenario(t, mpSource("memwords 16 sbdepth 4"))
+	psoFile := writeScenario(t, mpSource("memwords 16 sbdepth 4 model pso"))
+	tsoFlag, psoFlag := arch.TSO, arch.PSO
+	cases := []struct {
+		name      string
+		file      string
+		flag      *arch.MemModel
+		wantCode  int
+		wantModel string
+	}{
+		{"tso file", tsoFile, nil, 0, "tso"},
+		{"pso file", psoFile, nil, 1, "pso"},
+		{"tso file, -model pso", tsoFile, &psoFlag, 1, "pso"},
+		{"pso file, -model tso", psoFile, &tsoFlag, 0, "tso"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if code := runFile(tc.file, litmus.Options{}, fileCkpt{}, tc.flag, true, &out); code != tc.wantCode {
+				t.Fatalf("exit code %d, want %d\n%s", code, tc.wantCode, out.String())
+			}
+			var sum fileSummary
+			if err := json.Unmarshal(out.Bytes(), &sum); err != nil {
+				t.Fatal(err)
+			}
+			if sum.Model != tc.wantModel {
+				t.Errorf("summary model = %q, want %q", sum.Model, tc.wantModel)
 			}
 		})
 	}

@@ -469,7 +469,6 @@ func (d *daemon) attempt(jobDir string) (res litmus.Result, c *litmuslang.Compil
 	ckptDir := filepath.Join(jobDir, "ckpt")
 	opts := litmus.Options{
 		Properties: c.Properties(),
-		Model:      c.Config.Model,
 		Workers:    d.cfg.Workers,
 		MaxStates:  d.cfg.MaxStates,
 		Checkpoint: litmus.CheckpointOptions{Dir: ckptDir, EveryStates: d.cfg.CkptEvery},

@@ -135,10 +135,12 @@ func (p Protocol) String() string {
 	}
 }
 
-// MemModel selects the memory consistency model the machine's store
-// buffers implement — equivalently, which drain transitions the model
-// checker's transition system exposes. The machine state is identical
-// across models; only the enabled-action relation differs.
+// MemModel selects the memory consistency model a machine is explored
+// under: which drain transitions the model checker's transition system
+// exposes. The machine state is identical across models; only the
+// enabled-action relation differs. Only the model checker reads it
+// (from the root machine's Config.Model, once per exploration); the
+// cycle simulator's store buffers drain FIFO whatever it says.
 type MemModel uint8
 
 const (
@@ -151,6 +153,11 @@ const (
 	// same-address stores stay FIFO. Every TSO execution is a PSO
 	// execution (FIFO drain order is one valid per-address order).
 	PSO
+	// SC is sequential consistency, the reference every relaxation is
+	// judged against: a store reaches the coherent cache as it commits.
+	// It has no DSL or flag spelling (ParseMemModel refuses it); only
+	// Go callers select it.
+	SC
 )
 
 func (m MemModel) String() string {
@@ -159,6 +166,8 @@ func (m MemModel) String() string {
 		return "tso"
 	case PSO:
 		return "pso"
+	case SC:
+		return "sc"
 	default:
 		return fmt.Sprintf("MemModel(%d)", uint8(m))
 	}
@@ -186,7 +195,8 @@ type Config struct {
 	// Protocol is the coherence protocol flavour (default MESI).
 	Protocol Protocol
 
-	// Model is the memory consistency model (default TSO).
+	// Model is the memory model the model checker explores the machine
+	// under (default TSO); see MemModel.
 	Model MemModel
 
 	// Links is the number of LE/ST link register pairs per processor.
@@ -241,7 +251,7 @@ func (c Config) Validate() error {
 	if c.StoreBufferDepth <= 0 {
 		return fmt.Errorf("arch: store buffer depth must be positive, got %d", c.StoreBufferDepth)
 	}
-	if c.Model > PSO {
+	if c.Model > SC {
 		return fmt.Errorf("arch: unknown memory model %d", uint8(c.Model))
 	}
 	return nil

@@ -50,8 +50,10 @@ func RunPSO(workers int) *PSOResult {
 	res := &PSOResult{}
 	start := time.Now()
 	for _, ct := range litmus.Catalog() {
+		pso := ct
+		pso.Config.Model = arch.PSO
 		tsoRes, tsoErr := litmus.RunCatalogTestOpts(ct, litmus.Options{Workers: workers})
-		psoRes, psoErr := litmus.RunCatalogTestOpts(ct, litmus.Options{Workers: workers, Model: arch.PSO})
+		psoRes, psoErr := litmus.RunCatalogTestOpts(pso, litmus.Options{Workers: workers})
 		row := PSORow{
 			Name:       ct.Name,
 			StatesTSO:  tsoRes.States,

@@ -43,10 +43,14 @@ type CatalogTest struct {
 }
 
 // Allowed reports the expected classification of the relaxed outcome
-// under the given memory model.
+// under the given memory model. SC allows none: every catalog shape
+// probes an outcome no interleaving of whole instructions reaches.
 func (t CatalogTest) Allowed(model arch.MemModel) bool {
-	if model == arch.PSO {
+	switch model {
+	case arch.PSO:
 		return t.allowedPSO
+	case arch.SC:
+		return false
 	}
 	return t.allowedTSO
 }
@@ -130,10 +134,11 @@ func readCatalogTest(file string) (CatalogTest, error) {
 	return ct, nil
 }
 
-// RunCatalogTestOpts explores one catalog entry with the given options
-// and reports whether the machine classified it as expected. The
-// classification check does not depend on Options.Reduction:
-// partial-order reduction preserves the outcome set.
+// RunCatalogTestOpts explores one catalog entry with the given options,
+// under the model its Config names, and reports whether the machine
+// classified it as expected. The classification check does not depend
+// on Options.Reduction: partial-order reduction preserves the outcome
+// set.
 func RunCatalogTestOpts(t CatalogTest, opts Options) (Result, error) {
 	progs := t.Build()
 	build := func() *tso.Machine { return tso.NewMachine(t.Config, progs...) }
@@ -145,9 +150,9 @@ func RunCatalogTestOpts(t CatalogTest, opts Options) (Result, error) {
 		return res, fmt.Errorf("litmus: %s deadlocked %d times", t.Name, res.Deadlocks)
 	}
 	reached := res.CountOutcomes(t.Relaxed) > 0
-	if want := t.Allowed(opts.Model); reached != want {
+	if want := t.Allowed(t.Config.Model); reached != want {
 		return res, fmt.Errorf("litmus: %s relaxed outcome reachable=%v under %s, want %v",
-			t.Name, reached, modelFor(opts).Name(), want)
+			t.Name, reached, t.Config.Model, want)
 	}
 	return res, nil
 }

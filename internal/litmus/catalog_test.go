@@ -71,13 +71,14 @@ func randomProgram(rng *rand.Rand, name string, instrs int, fenceEveryStore bool
 }
 
 // outcomesOf explores and returns the outcome set as a map.
-func outcomesOf(progs []*tso.Program, sc bool) map[Outcome]bool {
+func outcomesOf(progs []*tso.Program, model arch.MemModel) map[Outcome]bool {
 	cfg := arch.DefaultConfig()
 	cfg.Procs = len(progs)
 	cfg.MemWords = 8
 	cfg.StoreBufferDepth = 3
+	cfg.Model = model
 	res := Explore(func() *tso.Machine { return tso.NewMachine(cfg, progs...) },
-		Options{SequentialConsistency: sc, MaxStates: 400_000})
+		Options{MaxStates: 400_000})
 	out := make(map[Outcome]bool, len(res.Outcomes))
 	if res.Truncated || res.Deadlocks > 0 {
 		return nil
@@ -97,8 +98,8 @@ func TestQuickTSOContainsSC(t *testing.T) {
 			randomProgram(rng, "p0", 2+rng.Intn(3), false),
 			randomProgram(rng, "p1", 2+rng.Intn(3), false),
 		}
-		tsoOut := outcomesOf(progs, false)
-		scOut := outcomesOf(progs, true)
+		tsoOut := outcomesOf(progs, arch.TSO)
+		scOut := outcomesOf(progs, arch.SC)
 		if tsoOut == nil || scOut == nil {
 			return true // truncated; skip
 		}
@@ -134,8 +135,8 @@ func TestQuickFencedTSOEqualsSC(t *testing.T) {
 			randomProgram(rngB, "p0", n0, false),
 			randomProgram(rngB, "p1", n1, false),
 		}
-		fencedTSO := outcomesOf(fenced, false)
-		plainSC := outcomesOf(plain, true)
+		fencedTSO := outcomesOf(fenced, arch.TSO)
+		plainSC := outcomesOf(plain, arch.SC)
 		if fencedTSO == nil || plainSC == nil {
 			return true
 		}
@@ -153,13 +154,13 @@ func TestSCForbidsStoreBuffering(t *testing.T) {
 		tso.NewBuilder("sb0").StoreI(x, 1).Load(0, y).Halt().Build(),
 		tso.NewBuilder("sb1").StoreI(y, 1).Load(0, x).Halt().Build(),
 	}
-	sc := outcomesOf(progs, true)
+	sc := outcomesOf(progs, arch.SC)
 	for o := range sc {
 		if o.Has(0, "r0=0") && o.Has(1, "r0=0") {
 			t.Fatalf("SC model admits the SB relaxation: %s", o)
 		}
 	}
-	tsoOut := outcomesOf(progs, false)
+	tsoOut := outcomesOf(progs, arch.TSO)
 	found := false
 	for o := range tsoOut {
 		if o.Has(0, "r0=0") && o.Has(1, "r0=0") {

@@ -223,15 +223,15 @@ func unpackAction(v uint64) Action {
 }
 
 // optionsHash fingerprints the Options fields that determine an
-// exploration's results, so Resume can refuse a checkpoint taken under
-// different semantics; maxStates is the plan's state cap. Workers,
+// exploration's results, plus the plan's model and state cap, so Resume
+// can refuse a checkpoint taken under different semantics. Workers,
 // MemBudget, Collapse and the checkpoint cadence are deliberately
 // excluded — they change performance, not results (the key mode is the
 // file's, see resolve). Properties are functions, so only their count is
 // hashable; the root fingerprint pair carries the rest of the program
 // identity. The order of the fields below is part of every checkpoint on
 // disk (TestResumeParentWrittenCheckpoint).
-func optionsHash(o Options, maxStates int64) uint64 {
+func optionsHash(o Options, model Model, maxStates int64) uint64 {
 	var b []byte
 	app := func(v int) {
 		b = strconv.AppendInt(b, int64(v), 10)
@@ -247,19 +247,19 @@ func optionsHash(o Options, maxStates int64) uint64 {
 	app(int(maxStates))
 	app(0) // where a since-deleted reorder bound sat, so old files still resume
 	appBool(o.Reduction)
-	appBool(o.SequentialConsistency)
+	appBool(model == scModel{}) // the slot of a since-deleted SC option
 	appBool(o.StopOnViolation)
 	app(len(o.Properties))
 	appBool(o.Symmetry != nil)
 	for _, r := range OutcomeRegs {
 		app(int(r))
 	}
-	// Fold the memory model in only when it is non-default, so every
-	// pre-model TSO/SC checkpoint keeps its historical hash and stays
-	// resumable. (Resume also checks the header's Model field first,
-	// for a readable error; this is the belt to that suspender.)
-	if o.Model != arch.TSO {
-		b = append(b, o.Model.String()...)
+	// Fold PSO in by name, and TSO and SC not (SC has its slot above), so
+	// every pre-model TSO/SC checkpoint keeps its historical hash and
+	// stays resumable. (Resume also checks the header's Model field
+	// first, for a readable error; this is the belt to that suspender.)
+	if model == (psoModel{}) {
+		b = append(b, model.Name()...)
 		b = append(b, 0)
 	}
 	h1, _ := tso.HashPair(b)
@@ -543,7 +543,7 @@ func encodeCheckpoint(e *engine) []byte {
 
 	hdr := ckptHeader{
 		Version:       ckptVersion,
-		OptionsHash:   hex64(optionsHash(e.opts, e.maxStates)),
+		OptionsHash:   hex64(optionsHash(e.opts, e.model, e.maxStates)),
 		RootH1:        hex64(e.rootH1),
 		RootH2:        hex64(e.rootH2),
 		Procs:         e.nprocs,
@@ -733,7 +733,7 @@ func Resume(dir string, build func() *tso.Machine, opts Options) (Result, error)
 		return Result{}, fmt.Errorf("%w: checkpointed program/config fingerprint %s/%s (%d procs) differs from this build's %s/%s (%d procs)",
 			ErrCheckpointMismatch, ck.hdr.RootH1, ck.hdr.RootH2, ck.hdr.Procs, hex64(h1), hex64(h2), len(root.Procs))
 	}
-	if want := hex64(optionsHash(opts, p.maxStates)); ck.hdr.OptionsHash != want {
+	if want := hex64(optionsHash(opts, p.model, p.maxStates)); ck.hdr.OptionsHash != want {
 		return Result{}, fmt.Errorf("%w: checkpointed options hash %s differs from this run's %s (reduction, max states, property count, and outcome registers must all match)",
 			ErrCheckpointMismatch, ck.hdr.OptionsHash, want)
 	}

@@ -273,26 +273,6 @@ type Options struct {
 	// on-disk checkpoint state exactly as a real kill would. Nil (the
 	// default) injects nothing and costs nothing.
 	Faults *fault.Injector
-
-	// SequentialConsistency explores the machine under SC semantics:
-	// every store completes (drains to the coherent cache) immediately
-	// after it commits, so no store-buffer reordering is observable.
-	// Used as the reference model in differential tests — TSO outcomes
-	// must be a superset of SC outcomes, and fully fenced programs must
-	// coincide with SC. Takes precedence over Model (under SC the drain
-	// policy the models differ in is unobservable).
-	SequentialConsistency bool
-
-	// Model selects the store-buffer memory model the exploration runs
-	// under (see Model and internal/arch.MemModel). The zero value is
-	// arch.TSO, the historical transition relation — default-model runs
-	// are byte-identical to pre-Model results. arch.PSO explores
-	// per-address store buffers: one drain transition per distinct
-	// pending address, so stores to different addresses complete out of
-	// order. A model says whether the ample-set analysis holds for its
-	// enabledness (Model.ReductionOK; false for PSO), and resolve
-	// (plan.go) reduces only where it does.
-	Model arch.MemModel
 }
 
 // DefaultMaxStates bounds the explored state count.

@@ -71,7 +71,7 @@ func machinePoolKeepsResults(t *testing.T) {
 		{"dekker/nofence/stop", machineFor(d0, d1), Options{Properties: me, StopOnViolation: true}},
 		{"dekker/nofence/reduced-stop", machineFor(d0, d1), Options{Properties: me, Reduction: true, StopOnViolation: true}},
 		{"IRIW", catalogMachine("IRIW"), Options{}},
-		{"MP/pso", catalogMachine("MP"), Options{Model: arch.PSO}},
+		{"MP/pso", withConfig(catalogMachine("MP"), func(c *arch.Config) { c.Model = arch.PSO }), Options{}},
 		{"peterson/sb2", small(p0, p1), Options{Properties: me}},
 		{"peterson/sb2/collapse", small(p0, p1), Options{Properties: me, Collapse: true}},
 	}

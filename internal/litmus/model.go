@@ -13,9 +13,9 @@ import (
 // canonicalization, checkpointing) is shared by every model — a memory
 // model here is purely a drain policy over the same store buffers.
 //
-// The engines resolve one Model per exploration from Options (see
-// modelFor); implementations must be stateless values so explorations
-// can share them freely across workers.
+// The engines resolve one Model per exploration from the root machine's
+// Config.Model (resolve, plan.go); implementations must be stateless
+// values so explorations can share them freely across workers.
 type Model interface {
 	// Name is the model's canonical lower-case name ("tso", "pso",
 	// "sc"). It identifies the model in checkpoint headers, so a
@@ -36,21 +36,6 @@ type Model interface {
 	// relation. resolve (plan.go) gives a run under a model returning
 	// false no reducer, whatever Options.Reduction says.
 	ReductionOK() bool
-}
-
-// modelFor resolves the transition system an exploration runs under.
-// SequentialConsistency wins over Options.Model: under SC every store
-// completes atomically with its commit, so the store-buffer drain
-// policy — the only thing TSO and PSO disagree on — is unobservable
-// and SC-of-PSO is just SC.
-func modelFor(o Options) Model {
-	if o.SequentialConsistency {
-		return scModel{}
-	}
-	if o.Model == arch.PSO {
-		return psoModel{}
-	}
-	return tsoModel{}
 }
 
 // tsoModel is the paper's Total Store Order machine: one FIFO store

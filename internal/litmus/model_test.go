@@ -10,17 +10,17 @@ import (
 	"repro/internal/tso"
 )
 
-// TestTSOIsDefaultModel pins that a zero Options explores under TSO
+// TestTSOIsDefaultModel pins that a zero Config explores under TSO
 // with the engine's historical transition relation: the catalog's
 // state counts are exactly the pre-model-interface numbers. Any drift
 // here means the Model refactor (or a later change) altered default
 // semantics rather than just factoring them out.
 func TestTSOIsDefaultModel(t *testing.T) {
-	if got := modelFor(Options{}).Name(); got != "tso" {
-		t.Fatalf("default model = %q, want tso", got)
+	if (arch.Config{}).Model != arch.TSO {
+		t.Fatal("the zero Config names a model other than TSO")
 	}
-	if got := modelFor(Options{Model: arch.PSO, SequentialConsistency: true}).Name(); got != "sc" {
-		t.Errorf("SC must win over Options.Model, got %q", got)
+	if got := resolve(catalogMachine("SB")(), Options{}, nil, false).model.Name(); got != "tso" {
+		t.Fatalf("default model = %q, want tso", got)
 	}
 	want := map[string]int{
 		"SB":         77,
@@ -35,6 +35,9 @@ func TestTSOIsDefaultModel(t *testing.T) {
 		"IRIW":       1116,
 	}
 	for _, ct := range Catalog() {
+		if ct.Config.Model != arch.TSO {
+			t.Fatalf("%s: catalog source declares model %s", ct.Name, ct.Config.Model)
+		}
 		res, err := RunCatalogTestOpts(ct, Options{})
 		if err != nil {
 			t.Errorf("%s: %v", ct.Name, err)
@@ -62,7 +65,9 @@ func TestPSOCatalogClassifications(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			psoRes, err := RunCatalogTestOpts(ct, Options{Model: arch.PSO})
+			pso := ct
+			pso.Config.Model = arch.PSO
+			psoRes, err := RunCatalogTestOpts(pso, Options{})
 			if err != nil {
 				for _, o := range psoRes.SortedOutcomes() {
 					t.Logf("outcome: %s", o)
@@ -122,8 +127,9 @@ func TestClassicProtocolsUnderPSO(t *testing.T) {
 		t.Run(r.name+"-"+r.variant.String(), func(t *testing.T) {
 			p0, p1 := pairs[r.name](r.variant)
 			build := classicMachine(p0, p1)
+			psoBuild := withConfig(build, func(c *arch.Config) { c.Model = arch.PSO })
 			tsoRes := Explore(build, Options{Properties: []Property{MutualExclusion}})
-			psoRes := Explore(build, Options{Properties: []Property{MutualExclusion}, Model: arch.PSO})
+			psoRes := Explore(psoBuild, Options{Properties: []Property{MutualExclusion}})
 			if tsoRes.Truncated || psoRes.Truncated {
 				t.Fatal("truncated")
 			}
@@ -133,7 +139,7 @@ func TestClassicProtocolsUnderPSO(t *testing.T) {
 			if got := psoRes.Violations > 0; got != r.violatesPSO {
 				if got {
 					t.Errorf("PSO violation not in the hand-checked table:\n%s",
-						FormatTrace(build, psoRes.ViolationTrace))
+						FormatTrace(psoBuild, psoRes.ViolationTrace))
 				} else {
 					t.Errorf("expected the PSO store→store reordering to break it, but it held (%d states)",
 						psoRes.States)
@@ -156,12 +162,13 @@ func TestClassicProtocolsUnderPSO(t *testing.T) {
 func TestModelCheckpointMismatchPSO(t *testing.T) {
 	p0, p1 := catalogPair("SB")
 	build := machineFor(p0, p1)
+	psoBuild := withConfig(build, func(c *arch.Config) { c.Model = arch.PSO })
 	every := CheckpointOptions{EveryStates: 20}
 
 	tsoCk := every
 	tsoCk.Dir = t.TempDir()
 	Explore(build, Options{Workers: 1, Checkpoint: tsoCk})
-	_, err := Resume(tsoCk.Dir, build, Options{Workers: 1, Model: arch.PSO})
+	_, err := Resume(tsoCk.Dir, psoBuild, Options{Workers: 1})
 	if !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("resume tso snapshot under pso: err = %v, want ErrCheckpointMismatch", err)
 	}
@@ -171,11 +178,11 @@ func TestModelCheckpointMismatchPSO(t *testing.T) {
 
 	psoCk := every
 	psoCk.Dir = t.TempDir()
-	psoRef := Explore(build, Options{Workers: 1, Model: arch.PSO, Checkpoint: psoCk})
+	psoRef := Explore(psoBuild, Options{Workers: 1, Checkpoint: psoCk})
 	if _, err := Resume(psoCk.Dir, build, Options{Workers: 1}); !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("resume pso snapshot under tso: err = %v, want ErrCheckpointMismatch", err)
 	}
-	res, err := Resume(psoCk.Dir, build, Options{Workers: 1, Model: arch.PSO})
+	res, err := Resume(psoCk.Dir, psoBuild, Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("resume pso snapshot under pso: %v", err)
 	}
@@ -185,5 +192,44 @@ func TestModelCheckpointMismatchPSO(t *testing.T) {
 	if res.States != psoRef.States || res.Violations != psoRef.Violations {
 		t.Errorf("resumed result %d states / %d violations, reference %d / %d",
 			res.States, res.Violations, psoRef.States, psoRef.Violations)
+	}
+}
+
+// TestConfigModelReachesEveryEngine: the root machine's Config.Model is
+// the one model input. MP declared PSO in its config must reach its
+// PSO-only relaxed outcome through Explore, ExploreSerial and Resume
+// with a zero Options, and the catalog declared SC must reach no
+// relaxed outcome at all.
+func TestConfigModelReachesEveryEngine(t *testing.T) {
+	mp := CatalogEntry("MP")
+	mp.Config.Model = arch.PSO
+	progs := mp.Build()
+	build := func() *tso.Machine { return tso.NewMachine(mp.Config, progs...) }
+	relaxed := func(name string, r Result) {
+		t.Helper()
+		if r.Truncated || r.CountOutcomes(mp.Relaxed) == 0 {
+			t.Errorf("%s: MP's relaxed outcome unreached in %d states: the config's PSO did not reach the engine",
+				name, r.States)
+		}
+	}
+	relaxed("Explore", Explore(build, Options{}))
+	relaxed("ExploreSerial", ExploreSerial(build, Options{}))
+
+	dir := t.TempDir()
+	Explore(build, Options{Checkpoint: CheckpointOptions{Dir: dir, EveryStates: 20}})
+	res, err := Resume(dir, build, Options{})
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if got := int(res.Obs.Gauges["resumed_states"]); got == 0 {
+		t.Error("Resume restored no states: the snapshot is not a mid-run commit")
+	}
+	relaxed("Resume", res)
+
+	for _, ct := range Catalog() {
+		ct.Config.Model = arch.SC
+		if _, err := RunCatalogTestOpts(ct, Options{}); err != nil {
+			t.Errorf("SC: %v", err)
+		}
 	}
 }

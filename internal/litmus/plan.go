@@ -3,6 +3,7 @@ package litmus
 import (
 	"runtime"
 
+	"repro/internal/arch"
 	"repro/internal/tso"
 )
 
@@ -36,8 +37,8 @@ type plan struct {
 // set, for ExploreSerial (which reads only the model, the reducer, the
 // symmetry and the state cap):
 //
-//   - The model is Options.Model, or SC under SequentialConsistency
-//     (modelFor).
+//   - The model is root.Cfg.Model's: the machine names its transition
+//     relation, and no option overrides it.
 //   - The reducer exists when the model's ReductionOK holds (PSO's
 //     per-class drains are not what the footprints model) and root has
 //     at most maxReductionProcs processors (the action masks' width).
@@ -81,12 +82,19 @@ func resolve(root *tso.Machine, opts Options, ck *checkpoint, serial bool) plan 
 		}
 	}
 	p := plan{
-		model:       modelFor(opts),
 		sym:         checkedSymmetry(root, opts.Symmetry),
 		maxStates:   int64(opts.MaxStates),
 		nworkers:    opts.Workers,
 		traces:      len(opts.Properties) > 0 || opts.Checkpoint.enabled() || ck != nil,
 		drainsFirst: opts.StopOnViolation,
+	}
+	switch root.Cfg.Model {
+	case arch.TSO:
+		p.model = tsoModel{}
+	case arch.PSO:
+		p.model = psoModel{}
+	case arch.SC:
+		p.model = scModel{}
 	}
 	if p.maxStates == 0 {
 		p.maxStates = DefaultMaxStates
@@ -95,7 +103,7 @@ func resolve(root *tso.Machine, opts Options, ck *checkpoint, serial bool) plan 
 		p.nworkers = runtime.GOMAXPROCS(0)
 	}
 	if p.model.ReductionOK() && len(root.Procs) <= maxReductionProcs && (opts.Reduction || !serial) {
-		p.red = newReducer(root, opts.SequentialConsistency, !opts.Reduction)
+		p.red = newReducer(root, p.model == scModel{}, !opts.Reduction)
 	}
 	collapse := opts.Collapse
 	if ck != nil {

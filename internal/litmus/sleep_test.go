@@ -11,11 +11,12 @@ import (
 	"repro/internal/tso"
 )
 
-// withProtocol rebuilds the machines build returns under proto.
-func withProtocol(build func() *tso.Machine, proto arch.Protocol) func() *tso.Machine {
+// withConfig rebuilds the machines build returns on a copy of their
+// config that edit changes (a coherence protocol, a memory model).
+func withConfig(build func() *tso.Machine, edit func(*arch.Config)) func() *tso.Machine {
 	root := build()
 	cfg := root.Cfg
-	cfg.Protocol = proto
+	edit(&cfg)
 	progs := make([]*tso.Program, len(root.Procs))
 	for i, p := range root.Procs {
 		progs[i] = p.Prog
@@ -61,14 +62,14 @@ func sleepSetsKeepEveryState(t *testing.T) {
 	type leg struct {
 		name  string
 		proto arch.Protocol
-		sc    bool
+		model arch.MemModel
 	}
-	legs := []leg{{"msi", arch.MSI, false}, {"moesi", arch.MOESI, false}, {"sc", arch.MESI, true}}
+	legs := []leg{{"msi", arch.MSI, arch.TSO}, {"moesi", arch.MOESI, arch.TSO}, {"sc", arch.MESI, arch.SC}}
 	var slept, reexp uint64
 	for _, sp := range reductionSpaces() {
 		for _, l := range legs {
-			build := withProtocol(sp.build, l.proto)
-			opts := Options{Properties: sp.props, SequentialConsistency: l.sc}
+			build := withConfig(sp.build, func(c *arch.Config) { c.Protocol, c.Model = l.proto, l.model })
+			opts := Options{Properties: sp.props}
 			ref := ExploreSerial(build, opts)
 			if ref.Truncated {
 				t.Fatalf("%s/%s: reference truncated", sp.name, l.name)
@@ -221,7 +222,8 @@ func TestSleepSetsEngaged(t *testing.T) {
 					workers, name, r.States, r.Transitions, want.States, want.Transitions)
 			}
 		}
-		r := Explore(sp.Build, Options{Properties: props, Workers: workers, Model: arch.PSO})
+		pso := withConfig(sp.Build, func(c *arch.Config) { c.Model = arch.PSO })
+		r := Explore(pso, Options{Properties: props, Workers: workers})
 		if n, ok := r.Obs.Counters["por_slept_transitions"]; ok {
 			t.Errorf("workers=%d pso: por_slept_transitions reported (%d); want no reducer", workers, n)
 		}

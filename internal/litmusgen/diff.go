@@ -63,10 +63,8 @@ func RunDifferentialSym(c *litmuslang.Compiled, sym *tso.Symmetry, maxStates int
 
 func runMatrix(c *litmuslang.Compiled, sym *tso.Symmetry, maxStates int) (Report, error) {
 	props := c.Properties()
-	// The matrix explores under the model the file's config declares
-	// (historically it always ran TSO, silently ignoring a parsed
-	// "model pso" the same way it once ignored the protocol).
-	base := litmus.Options{Properties: props, MaxStates: maxStates, Model: c.Config.Model}
+	// Every leg explores under the model the file's config declares.
+	base := litmus.Options{Properties: props, MaxStates: maxStates}
 
 	ref := litmus.ExploreSerial(c.Build, base)
 	rep := Report{Name: c.Name, States: ref.States}
@@ -183,8 +181,9 @@ func psoLegs(c *litmuslang.Compiled, base litmus.Options, ref litmus.Result, has
 	if c.Config.Model != arch.TSO {
 		return false, nil
 	}
-	psoOpts := with(base, func(o *litmus.Options) { o.Model = arch.PSO })
-	psoRef := litmus.ExploreSerial(c.Build, psoOpts)
+	pso := *c
+	pso.Config.Model = arch.PSO
+	psoRef := litmus.ExploreSerial(pso.Build, base)
 	if psoRef.Truncated {
 		return true, nil
 	}
@@ -206,7 +205,7 @@ func psoLegs(c *litmuslang.Compiled, base litmus.Options, ref litmus.Result, has
 		return false, &Divergence{Config: "pso-serial", Detail: "TSO violation not reproduced under PSO (PSO must weaken TSO)"}
 	}
 
-	got := litmus.Explore(c.Build, with(psoOpts, func(o *litmus.Options) {
+	got := litmus.Explore(pso.Build, with(base, func(o *litmus.Options) {
 		o.Workers = 4
 		o.Collapse = true
 	}))

@@ -49,13 +49,13 @@ func TestModelConfigRoundTrip(t *testing.T) {
 		t.Fatalf("re-compiled config %+v differs from %+v", back.Config, c.Config)
 	}
 
-	pso := litmus.ExploreSerial(c.Build, litmus.Options{
-		Properties: c.Properties(), Model: c.Config.Model,
-	})
+	pso := litmus.ExploreSerial(c.Build, litmus.Options{Properties: c.Properties()})
 	if pso.Violations == 0 {
 		t.Error("MP with config model pso did not violate under its own model")
 	}
-	tso := litmus.ExploreSerial(c.Build, litmus.Options{Properties: c.Properties()})
+	forced := *c
+	forced.Config.Model = arch.TSO
+	tso := litmus.ExploreSerial(forced.Build, litmus.Options{Properties: c.Properties()})
 	if tso.Violations != 0 {
 		t.Error("MP violated under TSO — the scenario no longer isolates the model")
 	}

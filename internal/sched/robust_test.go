@@ -75,7 +75,10 @@ func TestStealAbandonOrphanAdoption(t *testing.T) {
 		t.Fatalf("orphan not cleared after adoption")
 	}
 
-	// Normal service resumes: the next steal is a fresh request.
+	// Normal service resumes: the next steal is a fresh request. The
+	// abandon path is covered above; here a starved polling loop must
+	// not trip the watchdog, so the thief waits out a long deadline.
+	d.wait.Deadline = time.Minute
 	stealDone := make(chan *task, 1)
 	go func() { stealDone <- d.stealTop(nil) }()
 	for {

@@ -106,7 +106,6 @@ func (s *synthesizer) verify(v *verdict) {
 		Workers:         s.opts.Workers,
 		MaxStates:       s.opts.MaxStates,
 		StopOnViolation: true,
-		Model:           s.prob.Config.Model,
 		// Partial-order reduction preserves exactly what the verifier
 		// needs — violation reachability for the stable safety property —
 		// while shrinking each query's state space. (Under PSO the
