@@ -1,5 +1,5 @@
-# Repo tooling. The benchmark targets emit standard `go test -bench`
-# output, which benchstat consumes directly:
+# Repo tooling. bench-litmus and bench-compress emit standard
+# `go test -bench` output, which benchstat consumes directly:
 #
 #   make bench-litmus > new.txt   (on two commits)
 #   benchstat old.txt new.txt
@@ -9,7 +9,7 @@ COUNT ?= 5
 BENCH_SCALE ?= test
 BENCH_BASELINE ?= BENCH_baseline.json
 
-.PHONY: test race bench bench-litmus bench-por bench-compress litmus-json synth bench-json bench-diff bench-e2e bench-e2e-check chaos crash fuzz
+.PHONY: test race bench bench-litmus bench-por bench-compress synth bench-json bench-diff bench-e2e bench-e2e-check chaos crash fuzz
 
 # Per-target budget for the coverage-guided fuzzing runs.
 FUZZTIME ?= 30s
@@ -20,29 +20,30 @@ CHAOS_SEEDS ?= 1,2,3
 test:
 	$(GO) build ./... && $(GO) test ./...
 
-# The model checker's striped visited set and result merging are the
-# concurrency-sensitive parts; validate them under the race detector.
-# internal/tso runs -short here: its full-space walks (rotation choice,
-# state keys from the component cache) are one goroutine each, so the
-# detector has nothing to find in them and takes minutes; -short cuts
-# them to 40 k states a space and keeps the dirty-flag contract tests
-# (mesi's and tso's) whole.
+# The concurrency-sensitive packages under the race detector; CI's
+# race step runs this target, so the two lists are one. internal/tso
+# runs -short here: its full-space walks (rotation choice, state keys
+# from the component cache) are one goroutine each, so the detector has
+# nothing to find in them and takes minutes; -short cuts them to 40 k
+# states a space and keeps the dirty-flag contract tests (mesi's and
+# tso's) whole.
 race:
-	$(GO) test -race ./internal/litmus/ ./internal/mesi/
+	$(GO) test -race ./internal/litmus/ ./internal/mesi/ ./internal/signals/ ./internal/rwlock/ ./internal/sched/ ./internal/fault/ ./internal/core/ ./internal/packetproc/ ./internal/workloads/
 	$(GO) test -race -short ./internal/tso/
 
+# Every paper figure and claim the registry knows (internal/bench), at
+# test scale; `-h` on lbmfbench lists the experiments.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
+	$(GO) run ./cmd/lbmfbench -exp all -scale test
 
-# Checker-throughput benchmarks only: serial reference engine vs the
-# parallel work-stealing engine on the Dekker and IRIW state spaces
-# (states/sec and B/state), then the engine's visited set (1 M claims at
-# a 65 % duplicate mix, 1 and 2 goroutines, hashed keys and the exact/
+# Checker throughput: the parallel engine on the Dekker l-mfence and
+# IRIW spaces, hashed and collapsed keys at 1 and 4 workers (states/sec
+# and B/state), then the engine's visited set (1 M claims at a 65 %
+# duplicate mix, 1 and 2 goroutines, hashed keys and the exact/
 # 41-byte-key case) and its one-pass hash pair in isolation.
 # benchstat-compatible.
 bench-litmus:
-	$(GO) test -run '^$$' -bench 'BenchmarkExplore' -benchmem -count $(COUNT) .
-	$(GO) test -run '^$$' -bench 'BenchmarkVisitedClaim|BenchmarkHashPair' -benchmem -count $(COUNT) ./internal/litmus/
+	$(GO) test -run '^$$' -bench 'BenchmarkExplore|BenchmarkVisitedClaim|BenchmarkHashPair' -benchmem -count $(COUNT) ./internal/litmus/
 
 # Partial-order reduction: the differential tests (reduced exploration
 # must reproduce the unreduced reference semantics) and the loop-interval
@@ -72,11 +73,6 @@ bench-compress:
 	$(GO) test -run '^$$' -bench 'BenchmarkIntern|BenchmarkCanonicalize|BenchmarkStateKey' -benchmem -count $(COUNT) ./internal/tso/
 	$(GO) run ./cmd/litmus -compress -membudget 1048576 -nproc 3
 	$(GO) run ./cmd/litmus -membudget 1048576
-
-# Machine-readable verification summary (states, states/sec per test);
-# redirect into BENCH_litmus.json to track checker throughput across PRs.
-litmus-json:
-	$(GO) run ./cmd/litmus -json
 
 # Record a machine-readable bench run (versioned schema: git SHA,
 # GOMAXPROCS, scale, per-experiment Sample summaries + obs snapshots)

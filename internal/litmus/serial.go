@@ -19,9 +19,8 @@ type serialFrame struct {
 // one DFS loop, a string-keyed visited map over full fingerprints, a
 // fresh Machine clone per child, and per-frame trace copies. It is kept
 // deliberately simple — no hashing, no sharing, no recycling — as the
-// oracle the parallel engine is differentially tested against, and as
-// the baseline BenchmarkExploreSerial measures. Production callers want
-// Explore.
+// oracle the parallel engine is differentially tested against.
+// Production callers want Explore.
 //
 // With Options.Reduction the same loop drives its expansion through the
 // shared reducer (reduce.go): the ample-set/sleep-set reduction the

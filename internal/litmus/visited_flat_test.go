@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
 
 	"repro/internal/programs"
+	"repro/internal/tso"
 )
 
 // refEntry is the reference model of one visited entry: the sleep-set
@@ -484,6 +486,51 @@ func BenchmarkVisitedClaim(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/claim")
 			})
+		}
+	}
+}
+
+// BenchmarkExplore times whole explorations by the parallel engine,
+// hashed and collapsed keys at 1 and 4 workers, on the Dekker l-mfence
+// protocol (two processors, links exercised) and the catalog's IRIW
+// (four processors, the widest shape). One warm-up run is left out, so
+// B/state is the steady state: under collapse the interned component
+// tables are paid for there.
+func BenchmarkExplore(b *testing.B) {
+	d0, d1 := programs.DekkerPair(programs.DekkerLmfence)
+	spaces := []struct {
+		name  string
+		build func() *tso.Machine
+	}{
+		{"dekker-lmfence", machineFor(d0, d1)},
+		{"IRIW", catalogMachine("IRIW")},
+	}
+	for _, keys := range []string{"hashed", "collapsed"} {
+		for _, workers := range []int{1, 4} {
+			for _, sp := range spaces {
+				opts := Options{Workers: workers, Collapse: keys == "collapsed"}
+				b.Run(fmt.Sprintf("%s/workers=%d/%s", keys, workers, sp.name), func(b *testing.B) {
+					run := func() int {
+						res := Explore(sp.build, opts)
+						if res.Truncated || res.Deadlocks != 0 {
+							b.Fatalf("truncated=%v deadlocks=%d", res.Truncated, res.Deadlocks)
+						}
+						return res.States
+					}
+					run()
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					b.ResetTimer()
+					states := 0
+					for i := 0; i < b.N; i++ {
+						states += run()
+					}
+					b.StopTimer()
+					runtime.ReadMemStats(&after)
+					b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/sec")
+					b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(states), "B/state")
+				})
+			}
 		}
 	}
 }
